@@ -171,7 +171,6 @@ def cmd_enumerate(args):
         "surface": str(spec),
         "seed": args.seed,
         "rank": args.rank,
-        "pathsParallel": args.paths_parallel,
         "form": form.to_json(),
         "report": report.to_json(),
         "solutions": solutions_json,
@@ -286,6 +285,8 @@ def cmd_table(args):
             got["complex"],
         )
         line += "  OK" if not flags else "  MISMATCH: " + "; ".join(flags)
+        if flags:
+            status = EXIT_VERIFY
         print(line)
         if report.warning:
             print("  warning: " + report.warning)
@@ -447,13 +448,6 @@ def build_parser():
         type=float,
         default=None,
         help="endpoint clustering radius (default 1e-6)",
-    )
-    p.add_argument(
-        "--paths-parallel",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker count; results are merged deterministically regardless",
     )
     p.add_argument(
         "--dump-curve-samples",

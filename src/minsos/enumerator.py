@@ -311,6 +311,42 @@ def _sweep(psys, gamma):
     return endpoints, statuses, retracked
 
 
+def _validate(system, block, sweep_id, residual_tol):
+    """Endpoints whose minors all vanish, as (point, residual, sweep_id)."""
+    survivors = []
+    junk = 0
+    for point in block:
+        resid = system.residual(point)
+        if resid <= residual_tol:
+            survivors.append((point.copy(), resid, sweep_id))
+        else:
+            junk += 1
+    return survivors, junk
+
+
+def _cluster(survivors, cluster_radius):
+    """Merge validated endpoints, visited in canonical order.
+
+    Returns [representative, best residual, per-sweep path counts] lists.
+    """
+    clusters = []
+    for point, resid, sweep_id in sorted(
+        survivors, key=lambda item: _canonical_key(item[0])
+    ):
+        for entry in clusters:
+            rep = entry[0]
+            tol = cluster_radius * max(1.0, float(np.max(np.abs(rep))))
+            if np.max(np.abs(point - rep)) <= tol:
+                entry[2][sweep_id] += 1
+                entry[1] = min(entry[1], resid)
+                break
+        else:
+            counts = [0, 0]
+            counts[sweep_id] = 1
+            clusters.append([point, resid, counts])
+    return clusters
+
+
 def solve(
     system,
     seed=0,
@@ -326,9 +362,11 @@ def solve(
     deterministic function of (system, seed).  Points within real_tol of the
     real locus are re-polished from their real parts and stored real.
 
-    When paths fail even after the careful retrack, one more sweep runs with
-    an independent gamma: the solution set does not depend on gamma, so the
-    union of validated endpoints can only recover what the first sweep lost.
+    When paths fail even after the careful retrack, or two validated
+    endpoints of the first sweep fall in one cluster, one more sweep runs
+    with an independent gamma: the solution set does not depend on gamma, so
+    the union of validated endpoints can only recover what the first sweep
+    lost.
 
     Raises PathFailureBudgetExceeded when more than fail_budget of the
     non-diverging paths fail to converge.
@@ -356,46 +394,28 @@ def solve(
         if norm > 1e3 and system.residual(endpoints[i]) <= 1e-4:
             escaping += 1
             escape_norm = max(escape_norm, norm)
-    pool = [endpoints[statuses == STATUS_CONVERGED]]
-    second_sweep = failed > 0
+    survivors, junk = _validate(
+        system, endpoints[statuses == STATUS_CONVERGED], 0, residual_tol
+    )
+    clusters = _cluster(survivors, cluster_radius)
+    # two paths on one solution means a path jumped and another solution
+    # may be lost; an independent gamma sends the paths along other routes
+    collided = any(counts[0] > 1 for _, _, counts in clusters)
+    second_sweep = failed > 0 or collided
     if second_sweep:
         e2, s2, r2 = _sweep(psys, gamma2)
         retracked += r2
-        pool.append(e2[s2 == STATUS_CONVERGED])
-    junk = 0
-    survivors = []
-    for sweep_id, block in enumerate(pool):
-        for point in block:
-            resid = system.residual(point)
-            if resid <= residual_tol:
-                survivors.append((point.copy(), resid, sweep_id))
-            else:
-                junk += 1
-    survivors.sort(key=lambda item: _canonical_key(item[0]))
-    # cluster size is the max path count over sweeps: both sweeps see every
-    # solution once generically, so only true multiplicity exceeds one
-    clusters = []  # [representative, best residual, per-sweep path counts]
-    for point, resid, sweep_id in survivors:
-        placed = False
-        for entry in clusters:
-            rep = entry[0]
-            tol = cluster_radius * max(1.0, float(np.max(np.abs(rep))))
-            if np.max(np.abs(point - rep)) <= tol:
-                entry[2][sweep_id] += 1
-                if resid < entry[1]:
-                    entry[1] = resid
-                placed = True
-                break
-        if not placed:
-            counts = [0] * len(pool)
-            counts[sweep_id] = 1
-            clusters.append([point, resid, counts])
+        more, junk2 = _validate(system, e2[s2 == STATUS_CONVERGED], 1, residual_tol)
+        junk += junk2
+        clusters = _cluster(survivors + more, cluster_radius)
     points = []
     real_flags = []
     residuals = []
     sizes = []
     for rep, resid, counts in clusters:
-        size = max(counts)
+        # a path that jumped in one sweep inflates only that sweep's count;
+        # only a true multiplicity repeats in every sweep that saw the point
+        size = min(c for c in counts if c)
         real_flag = False
         if float(np.max(np.abs(rep.imag))) <= real_tol * max(
             1.0, float(np.max(np.abs(rep)))

@@ -4,20 +4,17 @@ Tracks the total-degree homotopy H(x, t) = (1-t) * gamma * S(x) + t * F(x)
 with start system S_i(x) = x_i^(d_i) - 1 from t = 0 to t = 1, using an Euler
 predictor and a Newton corrector with adaptive step control.
 
-All equations of the target system are laid out over one shared monomial
-table in graded order, where every monomial is its parent monomial times a
-single variable.  One pass fills the table; F is then a matrix-vector
-product and the Jacobian a stack of them.  The evaluation loop is plain
-scalar code over preallocated arrays, so the same source compiles under
-numba (default) or runs interpreted when the environment variable
-MINSOS_NO_NUMBA is set; see minsos._jit.
+All equations of the target system share one monomial table, which also
+holds every monomial of their first partial derivatives.  At a point, a
+table of the powers x_v^e is built by repeated multiplication, the monomial
+vector is one gather over the exponent table, and F and the Jacobian are
+the matrix products C @ mono and D @ mono.  Paths are tracked one at a time
+with plain numpy calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ._jit import JIT_OPTIONS, backend_name, jit
 
 STATUS_CONVERGED = 0
 STATUS_DIVERGED = 1
@@ -38,14 +35,18 @@ DIVERGENCE_CUTOFF = 1e8
 STALL_DIVERGED = 1e7
 MAX_STEPS = 1_500
 
+# (h_init, h_max, newton_tol, newton_iters, max_steps)
+CRUISE = (H_INIT, H_MAX, NEWTON_TOL, NEWTON_ITERS, MAX_STEPS)
+CAREFUL = (H_INIT / 8.0, H_MAX / 8.0, 1e-11, 6, 4 * MAX_STEPS)
+
 
 class PolySystem:
     """A square system of k complex polynomials in k variables.
 
-    Coefficients are stored densely over the downward closure of the union
-    support: C[i, j] is the coefficient of monomial j in equation i, and
-    D[i, v, j] is the coefficient of monomial j in dF_i/dx_v.  parent/pvar
-    encode monomial j as monomial parent[j] times variable pvar[j].
+    Coefficients are stored densely over one monomial table that holds the
+    union support and every first derivative of it: C[i, j] is the
+    coefficient of monomial exps[j] in equation i, and D[i, v, j] is the
+    coefficient of monomial exps[j] in dF_i/dx_v.
     """
 
     def __init__(self, polys, k):
@@ -53,60 +54,33 @@ class PolySystem:
         if len(polys) != k:
             raise ValueError("need exactly k polynomials")
         self.k = k
-        support = set()
+        support = {(0,) * k}
         for poly in polys:
-            support.update(poly)
-        support.add((0,) * k)
-        # close downward along one parent chain per monomial
-        queue = list(support)
-        while queue:
-            expo = queue.pop()
-            v = _first_var(expo)
-            if v < 0:
-                continue
-            parent = tuple(
-                e - 1 if i == v else e for i, e in enumerate(expo)
-            )
-            if parent not in support:
-                support.add(parent)
-                queue.append(parent)
-        monos = sorted(support, key=lambda e: (sum(e), e))
+            for expo in poly:
+                support.add(expo)
+                for v in range(k):
+                    if expo[v]:
+                        support.add(_lower(expo, v))
+        monos = sorted(support)
         index = {expo: j for j, expo in enumerate(monos)}
-        nm = len(monos)
-        parent = np.zeros(nm, dtype=np.int64)
-        pvar = np.zeros(nm, dtype=np.int64)
-        for j, expo in enumerate(monos):
-            v = _first_var(expo)
-            if v < 0:
-                continue
-            parent[j] = index[
-                tuple(e - 1 if i == v else e for i, e in enumerate(expo))
-            ]
-            pvar[j] = v
-        C = np.zeros((k, nm), dtype=np.complex128)
+        C = np.zeros((k, len(monos)), dtype=np.complex128)
+        D = np.zeros((k, k, len(monos)), dtype=np.complex128)
         for i, poly in enumerate(polys):
             for expo, coeff in poly.items():
                 C[i, index[expo]] = complex(coeff)
-        D = np.zeros((k, k, nm), dtype=np.complex128)
-        for j, expo in enumerate(monos):
-            for v in range(k):
-                if expo[v] == 0:
-                    continue
-                shifted = tuple(
-                    e - 1 if i == v else e for i, e in enumerate(expo)
-                )
-                for i in range(k):
-                    if C[i, j] != 0:
-                        D[i, v, index[shifted]] += expo[v] * C[i, j]
-        self.monos = monos
-        self.parent = parent
-        self.pvar = pvar
+                for v in range(k):
+                    if expo[v]:
+                        D[i, v, index[_lower(expo, v)]] += expo[v] * complex(coeff)
+        self.exps = np.array(monos, dtype=np.int64)
         self.C = C
         self.D = D
         self.degrees = np.array(
             [max((sum(e) for e in poly), default=0) for poly in polys],
             dtype=np.int64,
         )
+        # highest power of one variable needed by F, J and the start system
+        self.top = int(max(self.degrees.max(initial=0), self.exps.max(initial=0)))
+        self._vars = np.arange(k)
 
     @property
     def total_paths(self):
@@ -122,240 +96,102 @@ class PolySystem:
         return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
     def evaluate(self, x):
-        """F(x) for a single point, via the same kernel layout."""
-        x = np.asarray(x, dtype=np.complex128)
-        k = self.k
-        mono = np.empty(len(self.monos), dtype=np.complex128)
-        F = np.empty(k, dtype=np.complex128)
-        J = np.empty(k * k, dtype=np.complex128)
-        _eval_FJ(self.C, self.D, self.parent, self.pvar, x, mono, F, J)
-        return F
+        """F(x) for a single point."""
+        return self._eval_FJ(np.asarray(x, dtype=np.complex128))[1]
+
+    def _eval_FJ(self, x):
+        """(powers, F, J) at one point; powers[v, e] = x_v^e."""
+        powers = np.repeat(x[:, None], self.top + 1, axis=1)
+        powers[:, 0] = 1.0
+        powers = np.cumprod(powers, axis=1)
+        mono = powers[self._vars, self.exps].prod(axis=1)
+        return powers, self.C @ mono, self.D @ mono
 
 
-def _first_var(expo):
-    for i, e in enumerate(expo):
-        if e > 0:
-            return i
-    return -1
+def _lower(expo, v):
+    return tuple(e - 1 if i == v else e for i, e in enumerate(expo))
 
 
-@jit(**JIT_OPTIONS)
-def _eval_FJ(C, D, parent, pvar, x, mono, F, J):
-    nm = parent.shape[0]
-    mono[0] = 1.0 + 0.0j
-    for j in range(1, nm):
-        mono[j] = mono[parent[j]] * x[pvar[j]]
-    k = C.shape[0]
-    for i in range(k):
-        acc = 0.0 + 0.0j
-        for j in range(nm):
-            acc += C[i, j] * mono[j]
-        F[i] = acc
-    for i in range(k):
-        for v in range(k):
-            acc = 0.0 + 0.0j
-            for j in range(nm):
-                acc += D[i, v, j] * mono[j]
-            J[i * k + v] = acc
-
-
-@jit(**JIT_OPTIONS)
-def _solve_inplace(A, b, x):
-    """Gaussian elimination with partial pivoting; returns False if singular."""
-    n = A.shape[0]
-    for col in range(n):
-        piv = col
-        best = abs(A[col, col])
-        for row in range(col + 1, n):
-            mag = abs(A[row, col])
-            if mag > best:
-                best = mag
-                piv = row
-        if best < 1e-300:
-            return False
-        if piv != col:
-            for j in range(n):
-                tmp = A[col, j]
-                A[col, j] = A[piv, j]
-                A[piv, j] = tmp
-            tmp = b[col]
-            b[col] = b[piv]
-            b[piv] = tmp
-        inv = 1.0 / A[col, col]
-        for row in range(col + 1, n):
-            factor = A[row, col] * inv
-            if factor != 0:
-                for j in range(col, n):
-                    A[row, j] -= factor * A[col, j]
-                b[row] -= factor * b[col]
-    for row in range(n - 1, -1, -1):
-        acc = b[row]
-        for j in range(row + 1, n):
-            acc -= A[row, j] * x[j]
-        x[row] = acc / A[row, row]
-    return True
-
-
-@jit(**JIT_OPTIONS)
-def _homotopy_FJ(C, D, parent, pvar, degs, gamma, x, t, mono, F, J, H, Hx):
-    """H(x,t) and dH/dx at a point; F, J are target-system scratch."""
-    k = x.shape[0]
-    _eval_FJ(C, D, parent, pvar, x, mono, F, J)
+def _homotopy(system, gamma, x, t):
+    """H(x, t), dH/dx and dH/dt at one point."""
+    powers, F, J = system._eval_FJ(x)
+    degs = system.degrees
+    xd1 = powers[system._vars, degs - 1]
+    S = powers[system._vars, degs] - 1.0
     gt = gamma * (1.0 - t)
-    for i in range(k):
-        xp = 1.0 + 0.0j
-        for _ in range(degs[i] - 1):
-            xp = xp * x[i]
-        H[i] = gt * (xp * x[i] - 1.0) + t * F[i]
-        for v in range(k):
-            Hx[i, v] = t * J[i * k + v]
-        Hx[i, i] += gt * degs[i] * xp
+    H = gt * S + t * F
+    Hx = t * J
+    Hx[system._vars, system._vars] += gt * degs * xd1
+    return H, Hx, F - gamma * S
 
 
-@jit(**JIT_OPTIONS)
-def _newton_at_t(
-    C, D, parent, pvar, degs, gamma, x, t, iters, tol, mono, F, J, H, Hx, dx,
-):
-    """Newton correction of x at fixed t; returns True on convergence."""
-    k = x.shape[0]
+def _newton(system, gamma, x, t, iters, tol):
+    """Newton correction of x at fixed t; returns (converged, last iterate)."""
     for _ in range(iters):
-        _homotopy_FJ(C, D, parent, pvar, degs, gamma, x, t, mono, F, J, H, Hx)
-        if not _solve_inplace(Hx, H, dx):
-            return False
-        norm_dx = 0.0
-        norm_x = 0.0
-        for v in range(k):
-            x[v] -= dx[v]
-            mag = abs(dx[v])
-            if mag > norm_dx:
-                norm_dx = mag
-            mag = abs(x[v])
-            if mag > norm_x:
-                norm_x = mag
-        if norm_dx != norm_dx:  # NaN
-            return False
+        H, Hx, _Ht = _homotopy(system, gamma, x, t)
+        try:
+            dx = np.linalg.solve(Hx, H)
+        except np.linalg.LinAlgError:
+            return False, x
+        x = x - dx
+        norm_dx = np.abs(dx).max()
+        norm_x = np.abs(x).max()
+        if np.isnan(norm_dx):
+            return False, x
         if norm_dx <= tol * (1.0 + norm_x):
-            return True
+            return True, x
         if norm_dx > 0.25 * (1.0 + norm_x):
             # hopeless prediction; bail before burning more iterations
-            return False
-    return False
+            return False, x
+    return False, x
 
 
-@jit(**JIT_OPTIONS)
-def _track_one(
-    C, D, parent, pvar, degs, gamma, x, mono, F, J, H, Hx, dx, xtrial,
-    h_init, h_max, newton_tol, newton_iters, max_steps,
-):
-    """Track one path from t=0 to t=1 in place; returns (status, steps)."""
-    k = x.shape[0]
+def _stalled(x):
+    if np.abs(x).max() > STALL_DIVERGED:
+        return STATUS_DIVERGED
+    return STATUS_FAILED
+
+
+def _track_one(system, gamma, x, h_init, h_max, newton_tol, newton_iters, max_steps):
+    """Track one path from t=0 to t=1; returns (status, steps, endpoint)."""
     t = 0.0
     h = h_init
     consec = 0
     steps = 0
     while t < 1.0:
         if steps >= max_steps:
-            norm_x = 0.0
-            for v in range(k):
-                mag = abs(x[v])
-                if mag > norm_x:
-                    norm_x = mag
-            if norm_x > STALL_DIVERGED:
-                return STATUS_DIVERGED, steps
-            return STATUS_FAILED, steps
+            return _stalled(x), steps, x
         steps += 1
-        hstep = h
-        if hstep > 1.0 - t:
-            hstep = 1.0 - t
+        hstep = min(h, 1.0 - t)
         # Euler predictor: dx/dt = -Hx^{-1} Ht with Ht = F - gamma * S
-        _homotopy_FJ(C, D, parent, pvar, degs, gamma, x, t, mono, F, J, H, Hx)
-        ok = True
-        for i in range(k):
-            xp = 1.0 + 0.0j
-            for _ in range(degs[i]):
-                xp = xp * x[i]
-            H[i] = F[i] - gamma * (xp - 1.0)
-        if _solve_inplace(Hx, H, dx):
-            for v in range(k):
-                xtrial[v] = x[v] - hstep * dx[v]
-        else:
+        _H, Hx, Ht = _homotopy(system, gamma, x, t)
+        try:
+            dx = np.linalg.solve(Hx, Ht)
+        except np.linalg.LinAlgError:
             ok = False
-        if ok:
-            ok = _newton_at_t(
-                C, D, parent, pvar, degs, gamma, xtrial, t + hstep,
-                newton_iters, newton_tol, mono, F, J, H, Hx, dx,
+        else:
+            ok, xtrial = _newton(
+                system, gamma, x - hstep * dx, t + hstep, newton_iters, newton_tol
             )
         if ok:
             t += hstep
-            norm_x = 0.0
-            for v in range(k):
-                x[v] = xtrial[v]
-                mag = abs(x[v])
-                if mag > norm_x:
-                    norm_x = mag
-            if norm_x > DIVERGENCE_CUTOFF:
-                return STATUS_DIVERGED, steps
+            x = xtrial
+            if np.abs(x).max() > DIVERGENCE_CUTOFF:
+                return STATUS_DIVERGED, steps, x
             consec += 1
             if consec >= 2:
                 consec = 0
-                h = h * 2.0
-                if h > h_max:
-                    h = h_max
+                h = min(h * 2.0, h_max)
         else:
             consec = 0
             h = h * 0.5
             if h < H_MIN:
-                norm_x = 0.0
-                for v in range(k):
-                    mag = abs(x[v])
-                    if mag > norm_x:
-                        norm_x = mag
-                if norm_x > STALL_DIVERGED:
-                    return STATUS_DIVERGED, steps
-                return STATUS_FAILED, steps
+                return _stalled(x), steps, x
     # endpoint polish on the target system alone (t = 1)
-    for v in range(k):
-        xtrial[v] = x[v]
-    polished = _newton_at_t(
-        C, D, parent, pvar, degs, gamma, xtrial, 1.0, 10, POLISH_TOL,
-        mono, F, J, H, Hx, dx,
-    )
-    bad = False
-    for v in range(k):
-        if xtrial[v] != xtrial[v]:
-            bad = True
-    if polished and not bad:
-        for v in range(k):
-            x[v] = xtrial[v]
-    return STATUS_CONVERGED, steps
-
-
-@jit(**JIT_OPTIONS)
-def _track_block(
-    C, D, parent, pvar, degs, gamma, starts, out_x, out_status, out_steps,
-    h_init, h_max, newton_tol, newton_iters, max_steps,
-):
-    paths, k = starts.shape
-    nm = parent.shape[0]
-    mono = np.empty(nm, dtype=np.complex128)
-    F = np.empty(k, dtype=np.complex128)
-    J = np.empty(k * k, dtype=np.complex128)
-    H = np.empty(k, dtype=np.complex128)
-    Hx = np.empty((k, k), dtype=np.complex128)
-    dx = np.empty(k, dtype=np.complex128)
-    xtrial = np.empty(k, dtype=np.complex128)
-    x = np.empty(k, dtype=np.complex128)
-    for p in range(paths):
-        for v in range(k):
-            x[v] = starts[p, v]
-        status, steps = _track_one(
-            C, D, parent, pvar, degs, gamma, x, mono, F, J, H, Hx, dx,
-            xtrial, h_init, h_max, newton_tol, newton_iters, max_steps,
-        )
-        out_status[p] = status
-        out_steps[p] = steps
-        for v in range(k):
-            out_x[p, v] = x[v]
+    polished, xp = _newton(system, gamma, x, 1.0, 10, POLISH_TOL)
+    if polished and np.all(np.isfinite(xp)):
+        x = xp
+    return STATUS_CONVERGED, steps, x
 
 
 def track_all(system, gamma, starts=None, careful=False):
@@ -369,42 +205,31 @@ def track_all(system, gamma, starts=None, careful=False):
     """
     if starts is None:
         starts = system.start_points()
-    starts = np.ascontiguousarray(starts, dtype=np.complex128)
+    starts = np.asarray(starts, dtype=np.complex128)
     paths = starts.shape[0]
     out_x = np.empty((paths, system.k), dtype=np.complex128)
     out_status = np.empty(paths, dtype=np.int64)
     out_steps = np.empty(paths, dtype=np.int64)
-    if careful:
-        params = (H_INIT / 8.0, H_MAX / 8.0, 1e-11, 6, 4 * MAX_STEPS)
-    else:
-        params = (H_INIT, H_MAX, NEWTON_TOL, NEWTON_ITERS, MAX_STEPS)
-    _track_block(
-        system.C, system.D, system.parent, system.pvar, system.degrees,
-        complex(gamma), starts, out_x, out_status, out_steps,
-        params[0], params[1], params[2], params[3], params[4],
-    )
+    params = CAREFUL if careful else CRUISE
+    gamma = complex(gamma)
+    for p in range(paths):
+        out_status[p], out_steps[p], out_x[p] = _track_one(
+            system, gamma, starts[p], *params
+        )
     return out_x, out_status, out_steps
 
 
 def newton_polish(system, x, iters=10, tol=POLISH_TOL):
-    """Polish a point on the target system itself; returns (ok, x)."""
-    k = system.k
-    x = np.array(x, dtype=np.complex128)
-    mono = np.empty(len(system.monos), dtype=np.complex128)
-    F = np.empty(k, dtype=np.complex128)
-    J = np.empty(k * k, dtype=np.complex128)
-    H = np.empty(k, dtype=np.complex128)
-    Hx = np.empty((k, k), dtype=np.complex128)
-    dx = np.empty(k, dtype=np.complex128)
-    ok = _newton_at_t(
-        system.C, system.D, system.parent, system.pvar, system.degrees,
-        0j, x, 1.0, iters, tol, mono, F, J, H, Hx, dx,
-    )
+    """Polish a point on the target system itself; returns (ok, x).
+
+    On failure x is the last Newton iterate.
+    """
+    ok, x = _newton(system, 0j, np.array(x, dtype=np.complex128), 1.0, iters, tol)
     return bool(ok), x
 
 
 def warm_up():
-    """Force JIT compilation on a trivial system (no-op in numpy mode)."""
+    """Track a trivial system once; returns the backend name."""
     system = PolySystem([{(2,): 1.0 + 0j, (0,): -1.0 + 0j}], 1)
     track_all(system, gamma=0.84 + 0.54j)
-    return backend_name()
+    return "numpy"

@@ -24,12 +24,6 @@ from minsos.exact_linalg import solve_affine
 from minsos.gram import build_gram_space, verify_representation
 from minsos.sampling import random_positive_form
 from minsos.surfaces import cone_rnc, scroll, veronese
-from minsos.tracking import warm_up
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm():
-    warm_up()
 
 
 def _exact_det(M):
@@ -207,3 +201,25 @@ def test_report_json_and_summary_shapes():
     lines = report.summary_lines()
     assert any(line.startswith("counts:") for line in lines)
     assert any("expected" in line for line in lines)
+
+
+# ------------------------------------------------------------- count gates
+
+
+def test_path_jump_recovered_by_second_sweep():
+    # the first sweep lands two paths on theta ~ 0.979 and loses the root
+    # at theta ~ 32.30; the collision triggers a sweep with another gamma
+    f = random_positive_form(scroll(1, 1), seed=14144495382040024078)
+    space = build_gram_space(f, scroll(1, 1))
+    report = enumerate_rank(space, 3, 18364404067639009946)
+    assert report.counts == expected_counts(scroll(1, 1))
+    assert report.path_stats["secondSweep"]
+    assert report.solution_set.cluster_sizes == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_genus_two_scroll_counts(seed):
+    f = random_positive_form(scroll(2, 1), seed=seed)
+    report = enumerate_rank(build_gram_space(f, scroll(2, 1)), 3, seed)
+    assert report.counts == {"complex": 16, "real": 4, "psd": 4, "indefinite": 0}
+    assert report.warning is None

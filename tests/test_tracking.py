@@ -5,12 +5,11 @@ can produce: univariate polynomials (numpy.roots) and separable systems
 with hand-enumerable solution grids.
 """
 
-import os
+import itertools
 
 import numpy as np
 import pytest
 
-from minsos import tracking
 from minsos.tracking import (
     STATUS_CONVERGED,
     PolySystem,
@@ -31,11 +30,6 @@ def _match_sets(got, expected, tol=1e-8):
         got.pop(idx)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _warm():
-    warm_up()
-
-
 # ----------------------------------------------------------------- PolySystem
 
 
@@ -50,6 +44,89 @@ def test_system_evaluate():
     )
     F = sys_.evaluate(np.array([2.0 + 0j, 1.0 + 0j]))
     assert np.allclose(F, [2.0, 2.0])
+
+
+def _graded_monomials(k, top):
+    return [
+        tuple(combo.count(v) for v in range(k))
+        for deg in range(top + 1)
+        for combo in itertools.combinations_with_replacement(range(k), deg)
+    ]
+
+
+def _reference_tables(polys, k):
+    """Dense C, D over every monomial up to the top degree, graded order.
+
+    Monomial j is monomial parent[j] times variable pvar[j], so one pass in
+    order fills the monomial vector.
+    """
+    monos = _graded_monomials(k, max(sum(e) for poly in polys for e in poly))
+    index = {expo: j for j, expo in enumerate(monos)}
+    parent = np.zeros(len(monos), dtype=np.int64)
+    pvar = np.zeros(len(monos), dtype=np.int64)
+    for j, expo in enumerate(monos[1:], start=1):
+        v = next(i for i, e in enumerate(expo) if e > 0)
+        parent[j] = index[tuple(e - (i == v) for i, e in enumerate(expo))]
+        pvar[j] = v
+    C = np.zeros((k, len(monos)), dtype=np.complex128)
+    D = np.zeros((k, k, len(monos)), dtype=np.complex128)
+    for i, poly in enumerate(polys):
+        for expo, coeff in poly.items():
+            C[i, index[expo]] = coeff
+            for v in range(k):
+                if expo[v]:
+                    lower = tuple(e - (j == v) for j, e in enumerate(expo))
+                    D[i, v, index[lower]] += expo[v] * coeff
+    return C, D, parent, pvar
+
+
+def _eval_FJ(C, D, parent, pvar, x, mono, F, J):
+    """Scalar-loop evaluation of F and the flattened Jacobian (reference)."""
+    nm = parent.shape[0]
+    mono[0] = 1.0 + 0.0j
+    for j in range(1, nm):
+        mono[j] = mono[parent[j]] * x[pvar[j]]
+    k = C.shape[0]
+    for i in range(k):
+        acc = 0.0 + 0.0j
+        for j in range(nm):
+            acc += C[i, j] * mono[j]
+        F[i] = acc
+    for i in range(k):
+        for v in range(k):
+            acc = 0.0 + 0.0j
+            for j in range(nm):
+                acc += D[i, v, j] * mono[j]
+            J[i * k + v] = acc
+
+
+@pytest.mark.parametrize("k,deg", [(1, 6), (2, 4), (3, 4)])
+def test_F_and_jacobian_match_scalar_reference(k, deg):
+    rng = np.random.default_rng(100 + k)
+    polys = [
+        {e: complex(*rng.standard_normal(2)) for e in _graded_monomials(k, deg)}
+        for _ in range(k)
+    ]
+    sys_ = PolySystem(polys, k)
+    C, D, parent, pvar = _reference_tables(polys, k)
+    for _ in range(5):
+        x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        F = np.empty(k, dtype=np.complex128)
+        J = np.empty(k * k, dtype=np.complex128)
+        _eval_FJ(C, D, parent, pvar, x, np.empty(len(parent), complex), F, J)
+        _powers, F_new, J_new = sys_._eval_FJ(x)
+        np.testing.assert_allclose(F_new, F, rtol=1e-12)
+        np.testing.assert_allclose(sys_.evaluate(x), F, rtol=1e-12)
+        np.testing.assert_allclose(J_new, J.reshape(k, k), rtol=1e-12)
+
+
+def test_jacobian_of_sparse_support():
+    # d(xy)/dy = x: the monomial x itself is in no equation's support
+    polys = [{(1, 1): 2.0 + 1j}, {(0, 1): 1.0, (0, 0): -3.0}]
+    x = np.array([0.3 - 1.2j, 2.0 + 0.5j])
+    _powers, F, J = PolySystem(polys, 2)._eval_FJ(x)
+    np.testing.assert_allclose(F, [(2.0 + 1j) * x[0] * x[1], x[1] - 3.0])
+    np.testing.assert_allclose(J, [[(2.0 + 1j) * x[1], (2.0 + 1j) * x[0]], [0, 1]])
 
 
 def test_total_paths_is_degree_product():
@@ -165,9 +242,4 @@ def test_newton_polish_quadratic_residual_drop():
 
 
 def test_warm_up_reports_backend():
-    name = warm_up()
-    if os.environ.get("MINSOS_NO_NUMBA"):
-        assert name == "numpy"
-    else:
-        assert name in ("numba", "numpy")
-    assert name == tracking.backend_name()
+    assert warm_up() == "numpy"
