@@ -48,10 +48,11 @@ class Biform:
     terms maps exponent quadruples (i, j, k, l) (powers of s, t, x, y) to
     nonzero coefficients, with i + j == deg_st and k + l == deg_xy for every
     stored term.  The zero polynomial is an empty map with a declared
-    bidegree.
+    bidegree.  nvars = 4 lets it read like a TermPoly over (s, t, x, y).
     """
 
     __slots__ = ("deg_st", "deg_xy", "terms", "field")
+    nvars = 4
 
     def __init__(self, deg_st, deg_xy, terms, field=None):
         if deg_st < 0 or deg_xy < 0:
@@ -82,11 +83,6 @@ class Biform:
     @classmethod
     def zero(cls, deg_st, deg_xy, field=RATIONAL):
         return cls(deg_st, deg_xy, {}, field=field)
-
-    @classmethod
-    def from_sx(cls, sx_terms, deg_st, deg_xy, field=None):
-        """Build from a map {(i, k): coeff} of (s, x) exponents; see bihomogenize."""
-        return bihomogenize(sx_terms, (deg_st, deg_xy), field=field)
 
     # -- predicates and accessors ----------------------------------------
 
@@ -235,10 +231,6 @@ class Biform:
             field=COMPLEX,
         )
 
-    def dehomogenize(self):
-        """Set t = y = 1; returns a map {(i, k): coeff} of (s, x) exponents."""
-        return {(i, k): coeff for (i, j, k, l), coeff in self.terms.items()}
-
     def xy_blocks(self):
         """Split a bidegree-(*, 2) biform as a x^2 + 2 b xy + c y^2.
 
@@ -319,10 +311,12 @@ class BinaryForm:
     """Homogeneous binary form in (s, t), stored densely.
 
     coeffs[i] is the coefficient of s^i t^(deg - i).  Genuine zero
-    coefficients may appear anywhere in the vector.
+    coefficients may appear anywhere in the vector.  nvars and terms give
+    the TermPoly view over (s, t) exponent pairs.
     """
 
     __slots__ = ("coeffs", "deg", "field")
+    nvars = 2
 
     def __init__(self, coeffs, deg=None, field=None):
         coeffs = list(coeffs)
@@ -350,6 +344,10 @@ class BinaryForm:
     @classmethod
     def zero(cls, deg, field=RATIONAL):
         return cls([0] * (deg + 1), deg, field=field)
+
+    @property
+    def terms(self):
+        return {(i, self.deg - i): c for i, c in enumerate(self.coeffs) if c != 0}
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
@@ -647,8 +645,3 @@ class TermPoly:
             field = tfield if field is None else _merge_field(field, tfield)
             terms[expo] = terms.get(expo, 0) + coeff
         return cls(nvars, terms, field=field)
-
-
-def biform_to_termpoly(f):
-    """View a Biform as a TermPoly over (s, t, x, y) quadruples."""
-    return TermPoly(4, dict(f.terms), field=f.field)

@@ -253,14 +253,6 @@ def enumerate_two_squares(f, cluster_radius=1e-6):
     return _dedup(reps)
 
 
-def two_squares_residual(f, rep):
-    """max |coefficient of f - p^2 - q^2| for a two-squares representation."""
-    p, q = rep_forms(rep)
-    fc = f.to_complex()
-    diff = fc - (p * p) - (q * q)
-    return float(diff.max_abs_coeff())
-
-
 @dataclass
 class PairingClass:
     """One unordered balanced split of the root multiset into two factors."""

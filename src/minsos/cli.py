@@ -17,12 +17,7 @@ import numpy as np
 
 from . import __version__
 from .biform import Biform, BinaryForm, TermPoly
-from .binary_sos import (
-    enumerate_rank_two,
-    enumerate_two_squares,
-    rep_forms,
-    two_squares_residual,
-)
+from .binary_sos import enumerate_rank_two, enumerate_two_squares, rep_forms
 from .cones import enumerate_cone
 from .enumerator import enumerate_rank, expected_counts
 from .errors import (
@@ -30,7 +25,7 @@ from .errors import (
     MinsosError,
     PathFailureBudgetExceeded,
 )
-from .factorization import FactorResult, SymMatrixPoly, factor
+from .factorization import SymMatrixPoly, factor, factor_residual
 from .gram import Representation, build_gram_space, verify_representation
 from .sampling import curve_samples, distinct_seeds, random_positive_form
 from .surfaces import CONE_RNC, SCROLL, VERONESE, SurfaceSpec, cone_rnc, scroll, veronese
@@ -73,17 +68,20 @@ def load_json(path):
         return json.load(fh)
 
 
+def form_from_json(data):
+    """A form from its JSON: biform (degST), TermPoly (nvars) or binary form."""
+    if "degST" in data:
+        return Biform.from_json(data)
+    if "nvars" in data:
+        return TermPoly.from_json(data)
+    if "deg" in data or "coeffs" in data:
+        return BinaryForm.from_json(data)
+    raise ValueError("unrecognized form JSON")
+
+
 def load_form(path, as_float=False):
     """Read a form file: biform, ternary form, or binary form JSON."""
-    data = load_json(path)
-    if "degST" in data:
-        form = Biform.from_json(data)
-    elif "nvars" in data:
-        form = TermPoly.from_json(data)
-    elif "deg" in data or "coeffs" in data:
-        form = BinaryForm.from_json(data)
-    else:
-        raise ValueError("unrecognized form JSON in %s" % path)
+    form = form_from_json(load_json(path))
     if as_float:
         form = form.to_complex()
     return form
@@ -224,7 +222,7 @@ def cmd_two_squares(args):
     worst = 0.0
     for idx, rep in enumerate(reps):
         p, q = rep_forms(rep)
-        resid = two_squares_residual(form, rep)
+        resid = verify_representation(form, rep)
         worst = max(worst, resid)
         print(
             "rep %d: p = %s  q = %s  residual %.3e"
@@ -307,13 +305,8 @@ def cmd_table(args):
 
 
 def _verify_enumeration(data, tol):
-    raw = data.get("form") or {}
-    if "degST" in raw:
-        form = Biform.from_json(raw)
-    elif "nvars" in raw:
-        form = TermPoly.from_json(raw)
-    else:
-        raise ValueError("enumeration certificate is missing its form")
+    form = form_from_json(data["form"])
+    scale = max(1.0, float(abs(form.max_abs_coeff())))
     failures = []
     checked = 0
     for idx, entry in enumerate(data["report"]["entries"]):
@@ -323,9 +316,6 @@ def _verify_enumeration(data, tol):
         rep = Representation.from_json(rep_json)
         resid = float(verify_representation(form, rep))
         checked += 1
-        scale = 1.0
-        if hasattr(form, "max_abs_coeff"):
-            scale = max(1.0, float(abs(form.max_abs_coeff())))
         ok = resid <= tol * scale
         if entry.get("psd") and any(s != 1 for s in rep.signs):
             ok = False
@@ -340,12 +330,12 @@ def _verify_enumeration(data, tol):
 
 
 def _verify_two_squares(data, tol):
-    form = BinaryForm.from_json(data["form"])
+    form = form_from_json(data["form"])
     scale = max(1.0, float(abs(form.max_abs_coeff())))
     failures = []
     for idx, item in enumerate(data["representations"]):
         rep = Representation.from_json(item["representation"])
-        resid = two_squares_residual(form, rep)
+        resid = verify_representation(form, rep)
         ok = resid <= tol * scale
         print(
             "rep %d: residual %.3e  %s" % (idx, resid, "PASS" if ok else "FAIL")
@@ -357,20 +347,10 @@ def _verify_two_squares(data, tol):
 
 def _verify_factorization(data, tol):
     A = SymMatrixPoly.from_json(data["matrix"])
-    result_json = data["result"]
-    heights = tuple(int(h) for h in result_json["heights"])
     columns = [
-        [BinaryForm.from_json(f) for f in col] for col in result_json["columns"]
+        [BinaryForm.from_json(f) for f in col] for col in data["result"]["columns"]
     ]
-    result = FactorResult(
-        heights=heights,
-        columns=columns,
-        residual=0.0,
-        rank=int(result_json["rank"]),
-    )
-    from .factorization import _residual
-
-    resid = _residual(A, result)
+    resid = factor_residual(A, columns)
     scale = max(1.0, A.max_abs_coeff())
     ok = resid <= tol * scale
     print("factorization residual %.3e  %s" % (resid, "PASS" if ok else "FAIL"))

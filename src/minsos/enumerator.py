@@ -284,31 +284,16 @@ def _canonical_key(point):
 
 
 def _sweep(psys, gamma):
-    """One full tracking sweep plus a careful retrack of misbehaving paths.
+    """One full tracking sweep.
 
-    The endpoint of a path is fixed by gamma, so a path recovered by the
-    retrack lands on the solution it always owned.  Paths stuck far from the
-    origin are reclassified as divergent, not tracker failures.
+    Paths stuck far from the origin are reclassified as divergent, not
+    tracker failures.
     """
-    starts = psys.start_points()
-    endpoints, statuses, _steps = track_all(psys, gamma, starts=starts)
-    # only stalled paths are suspects; paths past the divergence cutoff are
-    # infinity-bound and careful retracking would crawl after them
-    retry = np.nonzero(statuses == STATUS_FAILED)[0]
-    retracked = 0
-    if len(retry) > 0:
-        re_x, re_status, _ = track_all(
-            psys, gamma, starts=starts[retry], careful=True
-        )
-        for j, i in enumerate(retry):
-            if re_status[j] == STATUS_CONVERGED:
-                endpoints[i] = re_x[j]
-                statuses[i] = STATUS_CONVERGED
-                retracked += 1
+    endpoints, statuses, _steps = track_all(psys, gamma)
     for i in range(len(statuses)):
         if statuses[i] == STATUS_FAILED and np.max(np.abs(endpoints[i])) > 1e7:
             statuses[i] = STATUS_DIVERGED
-    return endpoints, statuses, retracked
+    return endpoints, statuses
 
 
 def _validate(system, block, sweep_id, residual_tol):
@@ -362,11 +347,10 @@ def solve(
     deterministic function of (system, seed).  Points within real_tol of the
     real locus are re-polished from their real parts and stored real.
 
-    When paths fail even after the careful retrack, or two validated
-    endpoints of the first sweep fall in one cluster, one more sweep runs
-    with an independent gamma: the solution set does not depend on gamma, so
-    the union of validated endpoints can only recover what the first sweep
-    lost.
+    When paths fail, or two validated endpoints of the first sweep fall in
+    one cluster, one more sweep runs with an independent gamma: the solution
+    set does not depend on gamma, so the union of validated endpoints can
+    only recover what the first sweep lost.
 
     Raises PathFailureBudgetExceeded when more than fail_budget of the
     non-diverging paths fail to converge.
@@ -378,7 +362,7 @@ def solve(
     gamma = np.exp(2j * np.pi * rng.uniform())
     gamma2 = np.exp(2j * np.pi * rng.uniform())
     psys = system.poly_system()
-    endpoints, statuses, retracked = _sweep(psys, gamma)
+    endpoints, statuses = _sweep(psys, gamma)
     total = len(statuses)
     diverged = int(np.sum(statuses == STATUS_DIVERGED))
     failed = int(np.sum(statuses == STATUS_FAILED))
@@ -403,8 +387,7 @@ def solve(
     collided = any(counts[0] > 1 for _, _, counts in clusters)
     second_sweep = failed > 0 or collided
     if second_sweep:
-        e2, s2, r2 = _sweep(psys, gamma2)
-        retracked += r2
+        e2, s2 = _sweep(psys, gamma2)
         more, junk2 = _validate(system, e2[s2 == STATUS_CONVERGED], 1, residual_tol)
         junk += junk2
         clusters = _cluster(survivors + more, cluster_radius)
@@ -441,7 +424,6 @@ def solve(
         "converged": int(np.sum(statuses == STATUS_CONVERGED)),
         "diverged": diverged,
         "failed": failed,
-        "retracked": retracked,
         "secondSweep": second_sweep,
         "stalledEscaping": escaping,
         "escapeNormMax": escape_norm,

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .biform import COMPLEX, BinaryForm, TermPoly
+from .binary_sos import rnc_basis
 from .errors import (
     DimensionMismatch,
     IterationBudgetExceeded,
@@ -26,7 +27,13 @@ from .errors import (
     OffDiagonalDegreeMismatch,
     StuckAboveTarget,
 )
-from .gram import RANK_TOL, extract_representation, gram_space_from_basis
+from .gram import (
+    RANK_TOL,
+    Representation,
+    extract_representation,
+    gram_space_from_basis,
+    verify_representation,
+)
 from .surfaces import MonomialBasis
 
 FEAS_TOL = 1e-10
@@ -329,7 +336,6 @@ def _face_walk(space, G, target_rank, rank_tol):
     """
     N = space.size
     k = space.kdim
-    kernel_flat = space.kernel_f.reshape(k, N * N)
     for _round in range(4 * N + 4):
         evals, evecs = np.linalg.eigh(G)
         smax = max(float(np.max(np.abs(evals))), 1e-300)
@@ -354,7 +360,7 @@ def _face_walk(space, G, target_rank, rank_tol):
         stepped = False
         inv_sqrt = 1.0 / np.sqrt(lam)
         for c in candidates:
-            delta = (c @ kernel_flat).reshape(N, N)
+            delta = (c @ space.kernel_flat).reshape(N, N)
             W = V.T @ delta @ V
             M = inv_sqrt[:, None] * W * inv_sqrt[None, :]
             mu = np.linalg.eigvalsh(0.5 * (M + M.T))
@@ -373,11 +379,6 @@ def _face_walk(space, G, target_rank, rank_tol):
     return G
 
 
-def _vech(M):
-    idx = np.triu_indices(M.shape[0])
-    return M[idx]
-
-
 def _rank_newton(space, G, target_rank, rank_tol):
     """Newton polish onto an isolated rank-target psd point of the fiber.
 
@@ -387,28 +388,23 @@ def _rank_newton(space, G, target_rank, rank_tol):
     eigenvectors each step, giving quadratic convergence near the root.
     Returns (ok, fiber point).
     """
-    N = space.size
-    k = space.kdim
-    z = N - target_rank
+    z = space.size - target_rank
     if z <= 0:
         return True, G
-    theta = np.asarray(space.fiber_coordinates(G), dtype=float)
-    G0 = np.asarray(space.G0_f, dtype=float)
-    kernel = np.asarray(space.kernel_f, dtype=float)
-    cur = G0 + np.tensordot(theta, kernel, axes=1)
+    iu = np.triu_indices(z)
+    theta = space.fiber_coordinates(G)
+    cur = space.gram_at(theta)
     for _step in range(30):
         evals, evecs = np.linalg.eigh(cur)
         smax = max(float(np.max(np.abs(evals))), 1e-300)
         order = np.argsort(np.abs(evals))
         U = evecs[:, order[:z]]
-        Fvec = _vech(U.T @ cur @ U)
+        Fvec = (U.T @ cur @ U)[iu]
         if float(np.max(np.abs(Fvec))) <= 1e-13 * smax:
             live = evals > rank_tol * smax
             psd_ok = bool(np.all(evals >= -rank_tol * smax))
             return psd_ok and int(np.sum(live)) <= target_rank, cur
-        J = np.empty((Fvec.size, k))
-        for i in range(k):
-            J[:, i] = _vech(U.T @ kernel[i] @ U)
+        J = (U.T @ space.kernel_f @ U)[:, iu[0], iu[1]].T
         try:
             step, *_ = np.linalg.lstsq(J, -Fvec, rcond=None)
         except np.linalg.LinAlgError:
@@ -416,7 +412,7 @@ def _rank_newton(space, G, target_rank, rank_tol):
         if not np.all(np.isfinite(step)):
             return False, cur
         theta = theta + step
-        cur = G0 + np.tensordot(theta, kernel, axes=1)
+        cur = space.gram_at(theta)
     return False, cur
 
 
@@ -476,7 +472,6 @@ def rank_reduce(
         return G
 
     k = space.kdim
-    kernel_flat = space.kernel_f.reshape(k, -1)
     scale = max(1.0, float(np.linalg.norm(G)))
     rng = np.random.default_rng(np.random.SeedSequence([REDUCE_SEED, space.size, k]))
     best_rank = _numeric_rank(G, rank_tol)
@@ -491,7 +486,7 @@ def rank_reduce(
                 return Gout
         best_rank = min(best_rank, _numeric_rank(Gout, rank_tol))
         # restart from a perturbed psd fiber point near the failed iterate
-        bump = (rng.standard_normal(k) @ kernel_flat).reshape(G.shape)
+        bump = (rng.standard_normal(k) @ space.kernel_flat).reshape(G.shape)
         bump *= 0.25 * scale / max(1e-300, float(np.linalg.norm(bump)))
         start = space.project_fiber(_truncate_psd(Gout + bump, target_rank))
     raise StuckAboveTarget(best_rank, target_rank)
@@ -521,20 +516,6 @@ class FactorResult:
         return [
             [col[i] for col in self.columns] for i in range(self.n)
         ]
-
-    def product(self):
-        """B B^T as a SymMatrixPoly (float coefficients)."""
-        n = self.n
-        upper = {}
-        for i in range(n):
-            for j in range(i, n):
-                total = BinaryForm.zero(
-                    self.heights[i] + self.heights[j], field=COMPLEX
-                )
-                for col in self.columns:
-                    total = total + col[i] * col[j]
-                upper[(i, j)] = total
-        return SymMatrixPoly.from_upper(n, upper)
 
     def to_json(self):
         return {
@@ -572,22 +553,30 @@ def check_psd_on_grid(A, grid=GRID_POINTS, tol=1e-9):
                 raise NotPSD((float(u), float(v), lam))
 
 
-def _residual(A, result):
-    got = result.product()
-    worst = 0.0
-    for i in range(A.n):
-        for j in range(A.n):
-            a = A.entries[i][j]
-            b = got.entries[i][j]
-            coeffs_a = [complex(c).real for c in a.coeffs]
-            if a.deg != b.deg:
-                # zero entries may carry a different declared degree
-                if not a.is_zero():
-                    raise DimensionMismatch("degree drift in the product")
-                coeffs_a = [0.0] * (b.deg + 1)
-            for x, y in zip(coeffs_a, b.coeffs):
-                worst = max(worst, abs(x - complex(y).real))
-    return worst
+def factor_residual(A, columns):
+    """max |coefficient of f - sum_c (sum_i c_i x_i)^2|, f = sum a_ij x_i x_j.
+
+    columns are the columns of B, each a list of one binary form per row
+    with the degrees of degree_pattern(A).  Off-diagonal entries count with
+    their factor 2 in f.  The check runs over the prism basis, or over the
+    rational normal curve basis when n = 1.
+    """
+    heights = degree_pattern(A)
+    for col in columns:
+        degs = tuple(form.deg for form in col)
+        if degs != heights:
+            raise DimensionMismatch(
+                "factor column degrees %r differ from the degree pattern %r"
+                % (degs, heights)
+            )
+    if A.n == 1:
+        f, basis = A.entries[0][0], rnc_basis(heights[0])
+    else:
+        spec, f = embed(A)
+        basis = spec.basis()
+    vectors = [[complex(c).real for form in col for c in form.coeffs] for col in columns]
+    rep = Representation(basis=basis, vectors=vectors, signs=[1] * len(vectors))
+    return verify_representation(f, rep)
 
 
 def factor(A, tol=FEAS_TOL, budget=FEAS_BUDGET, grid=GRID_POINTS):
@@ -628,16 +617,14 @@ def factor(A, tol=FEAS_TOL, budget=FEAS_BUDGET, grid=GRID_POINTS):
         columns.append(
             [BinaryForm.zero(d, field=COMPLEX) for d in spec.heights]
         )
-    result = FactorResult(
+    return FactorResult(
         heights=spec.heights,
         columns=columns,
-        residual=0.0,
+        residual=factor_residual(A, columns),
         rank=rank,
         warning=warning,
         info={"feasIterations": info["iterations"]},
     )
-    result.residual = _residual(A, result)
-    return result
 
 
 def _factor_binary(A):
@@ -650,19 +637,18 @@ def _factor_binary(A):
         raise OddDiagonalDegree("entry has odd degree %d" % form.deg)
     d = form.deg // 2
     if form.is_zero():
-        zero = BinaryForm.zero(d, field=COMPLEX)
-        return FactorResult(heights=(d,), columns=[[zero], [zero]], residual=0.0, rank=0)
+        # a zero row has height 0 in degree_pattern, as for n >= 2
+        zero = BinaryForm.zero(0, field=COMPLEX)
+        return FactorResult(heights=(0,), columns=[[zero], [zero]], residual=0.0, rank=0)
     try:
         reps = enumerate_two_squares(form)
     except NotNonnegative as exc:
         raise NotPSD((None, None, str(exc))) from None
     p, q = rep_forms(reps[0])
-    result = FactorResult(
+    return FactorResult(
         heights=(d,),
         columns=[[p], [q]],
-        residual=0.0,
+        residual=factor_residual(A, [[p], [q]]),
         rank=2 if not q.is_zero() else 1,
         warning=None,
     )
-    result.residual = _residual(A, result)
-    return result

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .biform import COMPLEX, RATIONAL, Biform, TermPoly
+from .biform import COMPLEX, Biform, TermPoly
 from .errors import (
     DimensionMismatch,
     NonSymmetric,
@@ -31,21 +31,42 @@ FIBER_TOL = 1e-8
 
 
 def _form_terms(form):
-    """Exponent-map view of a Biform or TermPoly with rational coefficients."""
-    if isinstance(form, Biform):
-        terms, nvars, field = form.terms, 4, form.field
-    elif isinstance(form, TermPoly):
-        terms, nvars, field = form.terms, form.nvars, form.field
+    """Exponent map of a Biform, TermPoly or BinaryForm with real coefficients."""
+    if form.field != COMPLEX:
+        return form.terms
+    if any(coeff.imag for coeff in form.terms.values()):
+        raise NotAQuadraticForm("form has non-real coefficients")
+    return {expo: coeff.real for expo, coeff in form.terms.items()}
+
+
+def gram_residual(f, basis, G):
+    """max |coefficient of m^T G m - f| over the monomials of 2P and of f.
+
+    Exact (zero for a fiber point) when G is given as rows of rationals,
+    float when G is a numpy array.  A coefficient of f outside 2P counts
+    with its full size.
+    """
+    pairs = basis.pair_map
+    exact = not isinstance(G, np.ndarray)
+    if exact:
+        diff = [0] * len(pairs.monomials)
+        for r, m, a, b in zip(pairs.row, pairs.mult, pairs.a, pairs.b):
+            diff[r] += m * G[a][b]
     else:
-        raise NotAQuadraticForm("unsupported form type %r" % type(form).__name__)
-    if field == COMPLEX:
-        out = {}
-        for expo, coeff in terms.items():
-            if abs(coeff.imag) > 0:
-                raise NotAQuadraticForm("form has non-real coefficients")
-            out[expo] = Fraction(coeff.real)
-        return out, nvars
-    return dict(terms), nvars
+        diff = np.bincount(
+            pairs.row,
+            weights=pairs.mult * G[pairs.a, pairs.b],
+            minlength=len(pairs.monomials),
+        ).tolist()
+    outside = 0
+    for expo, c in _form_terms(f).items():
+        r = pairs.index.get(expo)
+        if r is None:
+            outside = max(outside, abs(c))
+        else:
+            diff[r] -= c
+    resid = max([outside] + [abs(v) for v in diff])
+    return resid if exact else float(resid)
 
 
 @dataclass
@@ -60,10 +81,15 @@ class GramSpace:
 
     def __post_init__(self):
         n = len(self.basis)
+        k = len(self.kernel)
         self.G0_f = np.array([[float(v) for v in row] for row in self.G0])
-        self.kernel_f = np.array(
-            [[[float(v) for v in row] for row in K] for K in self.kernel]
-        ).reshape(len(self.kernel), n, n)
+        # the fiber map: row i is vec(K_i); K^T = Q R once, so projections
+        # and coordinates are matrix products and a k x k solve
+        self.kernel_flat = np.array(
+            [[float(v) for row in K for v in row] for K in self.kernel]
+        ).reshape(k, n * n)
+        self.kernel_f = self.kernel_flat.reshape(k, n, n)
+        self._Q, self._R = np.linalg.qr(self.kernel_flat.T)
 
     @property
     def size(self):
@@ -80,13 +106,7 @@ class GramSpace:
             raise DimensionMismatch(
                 "theta has shape %r, expected (%d,)" % (theta.shape, self.kdim)
             )
-        if np.iscomplexobj(theta):
-            G = self.G0_f.astype(np.complex128)
-        else:
-            G = self.G0_f.copy()
-        for i in range(self.kdim):
-            G += theta[i] * self.kernel_f[i]
-        return G
+        return self.G0_f + (theta @ self.kernel_flat).reshape(self.G0_f.shape)
 
     def gram_at_exact(self, theta):
         """G(theta) as exact rational rows; theta entries must be rational."""
@@ -101,61 +121,22 @@ class GramSpace:
                     G[a][b] += t * K[a][b]
         return G
 
-    def expand_gram(self, G):
-        """Coefficients of m^T G m as a map from exponent tuples."""
-        n = self.size
-        monos = self.basis.monomials
-        out = {}
-        for a in range(n):
-            for b in range(a, n):
-                entry = G[a][b] if not isinstance(G, np.ndarray) else G[a, b]
-                if entry == 0:
-                    continue
-                mult = 1 if a == b else 2
-                key = tuple(x + y for x, y in zip(monos[a], monos[b]))
-                out[key] = out.get(key, 0) + mult * entry
-        return {k: v for k, v in out.items() if v != 0}
-
     def fiber_residual(self, G):
         """max |coefficient of m^T G m - f| (exact zero for exact fiber points)."""
-        form_terms, _ = _form_terms(self.form)
-        got = self.expand_gram(G)
-        keys = set(got) | set(form_terms)
-        resid = 0
-        for key in keys:
-            diff = got.get(key, 0) - form_terms.get(key, 0)
-            resid = max(resid, abs(diff))
-        return resid
+        return gram_residual(self.form, self.basis, G)
 
     def project_fiber(self, G):
         """Orthogonal (Frobenius) projection of a symmetric G onto the fiber."""
-        Q = self._kernel_orthonormal()
-        diff = np.asarray(G, dtype=float) - self.G0_f
-        out = self.G0_f.copy()
-        for i in range(Q.shape[0]):
-            out += np.tensordot(Q[i], diff) * Q[i]
-        return out
+        diff = (np.asarray(G, dtype=float) - self.G0_f).reshape(-1)
+        return self.G0_f + (self._Q @ (self._Q.T @ diff)).reshape(self.G0_f.shape)
 
     def fiber_coordinates(self, G):
         """Least-squares theta with G approx G0 + sum theta_i K_i."""
         diff = (np.asarray(G, dtype=float) - self.G0_f).reshape(-1)
-        A = self.kernel_f.reshape(self.kdim, -1).T
-        theta, *_ = np.linalg.lstsq(A, diff, rcond=None)
-        return theta
-
-    def _kernel_orthonormal(self):
-        if not hasattr(self, "_kernel_on"):
-            k = self.kdim
-            n = self.size
-            flat = self.kernel_f.reshape(k, n * n)
-            # QR on the transposed stack gives an orthonormal spanning set
-            q, _ = np.linalg.qr(flat.T)
-            self._kernel_on = q.T[:k].reshape(k, n, n)
-        return self._kernel_on
+        return np.linalg.solve(self._R, self._Q.T @ diff)
 
     def form_norm(self):
-        terms, _ = _form_terms(self.form)
-        return max((abs(float(v)) for v in terms.values()), default=0.0)
+        return max((abs(float(v)) for v in _form_terms(self.form).values()), default=0.0)
 
     def to_json(self):
         def mat(rows):
@@ -180,32 +161,23 @@ class GramSpace:
 
 def gram_space_from_basis(form, basis, surface=None):
     """Solve m^T G m = f exactly for symmetric G over the given basis."""
-    form_terms, nvars = _form_terms(form)
-    if nvars != basis.nvars:
-        raise NotAQuadraticForm("form arity %d != basis arity %d" % (nvars, basis.nvars))
+    form_terms = _form_terms(form)
+    if form.nvars != basis.nvars:
+        raise NotAQuadraticForm(
+            "form arity %d != basis arity %d" % (form.nvars, basis.nvars)
+        )
     n = len(basis)
-    monos = basis.monomials
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    # group basis products by the resulting monomial
-    products = {}
-    for a in range(n):
-        for b in range(a, n):
-            key = tuple(x + y for x, y in zip(monos[a], monos[b]))
-            products.setdefault(key, []).append((a, b))
-    unreachable = [key for key in form_terms if key not in products]
+    pairs = basis.pair_map
+    unreachable = [key for key in form_terms if key not in pairs.index]
     if unreachable:
         raise NotAQuadraticForm(
             "form has monomials outside the doubled polytope: %r" % unreachable[:3]
         )
-    rows = []
-    rhs = []
-    for key in sorted(products):
-        row = [Fraction(0)] * len(pairs)
-        for a, b in products[key]:
-            row[pair_index[(a, b)]] = Fraction(1 if a == b else 2)
-        rows.append(row)
-        rhs.append(Fraction(form_terms.get(key, 0)))
+    # one row per monomial of 2P, one column per entry of vech(G)
+    rows = [[Fraction(0)] * len(pairs.row) for _ in pairs.monomials]
+    for p, (r, m) in enumerate(zip(pairs.row, pairs.mult)):
+        rows[r][p] = Fraction(int(m))
+    rhs = [Fraction(form_terms.get(key, 0)) for key in pairs.monomials]
     try:
         particular, null_basis = solve_affine(rows, rhs)
     except ValueError as exc:  # pragma: no cover - admissible forms are solvable
@@ -213,7 +185,7 @@ def gram_space_from_basis(form, basis, surface=None):
 
     def unflatten(vec):
         M = [[Fraction(0)] * n for _ in range(n)]
-        for (a, b), value in zip(pairs, vec):
+        for a, b, value in zip(pairs.a, pairs.b, vec):
             M[a][b] = value
             M[b][a] = value
         return M
@@ -280,6 +252,12 @@ class Representation:
             raise ValueError("signs must be +-1")
         if len(self.signs) != len(self.vectors):
             raise DimensionMismatch("one sign per form required")
+        n = len(self.basis)
+        if any(len(vec) != n for vec in self.vectors):
+            raise DimensionMismatch(
+                "vector lengths %r do not match the basis size %d"
+                % ([len(vec) for vec in self.vectors], n)
+            )
 
     @property
     def nforms(self):
@@ -309,42 +287,6 @@ class Representation:
 
     def is_psd(self):
         return all(s == 1 for s in self.signs)
-
-    def expand(self):
-        """Coefficient map of sum_i sign_i l_i^2 over exponent tuples."""
-        out = {}
-        monos = self.basis.monomials
-        n = len(self.basis)
-        for sign, vec in zip(self.signs, self.vectors):
-            for a in range(n):
-                va = vec[a]
-                if va == 0:
-                    continue
-                for b in range(n):
-                    vb = vec[b]
-                    if vb == 0:
-                        continue
-                    key = tuple(x + y for x, y in zip(monos[a], monos[b]))
-                    out[key] = out.get(key, 0) + sign * va * vb
-        return {k: v for k, v in out.items() if v != 0}
-
-    def forms_as_biforms(self):
-        """The linear forms as Biforms (bases over (s,t,x,y) only)."""
-        if self.basis.nvars != 4:
-            raise NotAQuadraticForm("basis is not over (s, t, x, y)")
-        out = []
-        for vec in self.vectors:
-            terms = {}
-            deg_st = deg_xy = 0
-            for mono, coeff in zip(self.basis.monomials, vec):
-                i, j, k, l = mono
-                deg_st, deg_xy = i + j, k + l
-                if coeff != 0:
-                    terms[mono] = (
-                        Fraction(coeff) if self.exact else float(coeff)
-                    )
-            out.append(Biform(deg_st, deg_xy, terms))
-        return out
 
     def to_json(self):
         def vec_json(vec):
@@ -447,16 +389,7 @@ def extract_representation(space, G, rank_tol=None, fiber_tol=None):
 
 def verify_representation(f, rep):
     """max |coefficient of f - sum sign_i l_i^2|; exact zero in rational mode."""
-    form_terms, nvars = _form_terms(f) if not isinstance(f, dict) else (f, rep.basis.nvars)
-    got = rep.expand()
-    keys = set(got) | set(form_terms)
-    resid = 0
-    for key in keys:
-        diff = got.get(key, 0) - form_terms.get(key, 0)
-        if not rep.exact:
-            diff = float(diff)
-        resid = max(resid, abs(diff))
-    return resid
+    return gram_residual(f, rep.basis, rep.gram_exact() if rep.exact else rep.gram())
 
 
 def equivalent(rep1, rep2, tol=1e-8):

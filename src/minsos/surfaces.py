@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -122,12 +123,48 @@ def cone_rnc(d):
 
 
 @dataclass(frozen=True)
+class PairMap:
+    """The products m_a * m_b, a <= b, of a basis as rows over 2P.
+
+    monomials lists the distinct products in sorted order (the monomials of
+    the doubled polytope 2P) and index inverts it.  Pair p is (a[p], b[p])
+    in np.triu_indices order; its product is monomials[row[p]], and mult[p]
+    (1 on the diagonal, 2 off it) counts G[a, b] and G[b, a] together, so the
+    coefficients of m^T G m are sum over p of mult[p] * G[a[p], b[p]] at
+    row[p].
+    """
+
+    monomials: tuple
+    index: dict
+    a: np.ndarray
+    b: np.ndarray
+    row: np.ndarray
+    mult: np.ndarray
+
+
+@dataclass(frozen=True)
 class MonomialBasis:
     """Ordered list of monomial exponent tuples spanning a graded piece."""
 
     monomials: tuple
     nvars: int
     var_names: tuple
+
+    @cached_property
+    def pair_map(self):
+        """The PairMap of this basis, built on first use."""
+        a, b = np.triu_indices(len(self.monomials))
+        expo = np.array(self.monomials, dtype=np.int64)
+        products, row = np.unique(expo[a] + expo[b], axis=0, return_inverse=True)
+        monomials = tuple(tuple(m) for m in products.tolist())
+        return PairMap(
+            monomials=monomials,
+            index={m: r for r, m in enumerate(monomials)},
+            a=a,
+            b=b,
+            row=row.reshape(-1),
+            mult=np.where(a == b, 1, 2),
+        )
 
     def __len__(self):
         return len(self.monomials)

@@ -35,10 +35,6 @@ DIVERGENCE_CUTOFF = 1e8
 STALL_DIVERGED = 1e7
 MAX_STEPS = 1_500
 
-# (h_init, h_max, newton_tol, newton_iters, max_steps)
-CRUISE = (H_INIT, H_MAX, NEWTON_TOL, NEWTON_ITERS, MAX_STEPS)
-CAREFUL = (H_INIT / 8.0, H_MAX / 8.0, 1e-11, 6, 4 * MAX_STEPS)
-
 
 class PolySystem:
     """A square system of k complex polynomials in k variables.
@@ -152,14 +148,14 @@ def _stalled(x):
     return STATUS_FAILED
 
 
-def _track_one(system, gamma, x, h_init, h_max, newton_tol, newton_iters, max_steps):
+def _track_one(system, gamma, x):
     """Track one path from t=0 to t=1; returns (status, steps, endpoint)."""
     t = 0.0
-    h = h_init
+    h = H_INIT
     consec = 0
     steps = 0
     while t < 1.0:
-        if steps >= max_steps:
+        if steps >= MAX_STEPS:
             return _stalled(x), steps, x
         steps += 1
         hstep = min(h, 1.0 - t)
@@ -171,7 +167,7 @@ def _track_one(system, gamma, x, h_init, h_max, newton_tol, newton_iters, max_st
             ok = False
         else:
             ok, xtrial = _newton(
-                system, gamma, x - hstep * dx, t + hstep, newton_iters, newton_tol
+                system, gamma, x - hstep * dx, t + hstep, NEWTON_ITERS, NEWTON_TOL
             )
         if ok:
             t += hstep
@@ -181,7 +177,7 @@ def _track_one(system, gamma, x, h_init, h_max, newton_tol, newton_iters, max_st
             consec += 1
             if consec >= 2:
                 consec = 0
-                h = min(h * 2.0, h_max)
+                h = min(h * 2.0, H_MAX)
         else:
             consec = 0
             h = h * 0.5
@@ -194,14 +190,12 @@ def _track_one(system, gamma, x, h_init, h_max, newton_tol, newton_iters, max_st
     return STATUS_CONVERGED, steps, x
 
 
-def track_all(system, gamma, starts=None, careful=False):
+def track_all(system, gamma, starts=None):
     """Track every start point of the total-degree homotopy.
 
     Returns (endpoints, statuses, steps) arrays indexed by path.  Paths are
     independent; results are written to per-path slots, so the output does
-    not depend on execution order.  careful=True retracks with an eighth of
-    the step size and a tighter corrector, for paths that misbehaved at
-    cruise settings; the homotopy (and hence every endpoint) is unchanged.
+    not depend on execution order.
     """
     if starts is None:
         starts = system.start_points()
@@ -210,12 +204,9 @@ def track_all(system, gamma, starts=None, careful=False):
     out_x = np.empty((paths, system.k), dtype=np.complex128)
     out_status = np.empty(paths, dtype=np.int64)
     out_steps = np.empty(paths, dtype=np.int64)
-    params = CAREFUL if careful else CRUISE
     gamma = complex(gamma)
     for p in range(paths):
-        out_status[p], out_steps[p], out_x[p] = _track_one(
-            system, gamma, starts[p], *params
-        )
+        out_status[p], out_steps[p], out_x[p] = _track_one(system, gamma, starts[p])
     return out_x, out_status, out_steps
 
 

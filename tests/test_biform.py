@@ -14,7 +14,6 @@ from minsos.biform import (
     TermPoly,
     bihomogenize,
     binary_gcd,
-    biform_to_termpoly,
 )
 from minsos.errors import DegreeMismatch
 
@@ -214,7 +213,15 @@ def test_termpoly_to_complex():
 
 
 def test_biform_to_termpoly_values_agree():
+    # a Biform reads as a TermPoly over (s, t, x, y) through nvars and terms
     f = Biform(2, 2, {(2, 0, 2, 0): 1, (0, 2, 0, 2): 2, (1, 1, 1, 1): -1})
-    g = biform_to_termpoly(f)
+    g = TermPoly(f.nvars, f.terms)
     pt = (Fraction(1), Fraction(2), Fraction(-1), Fraction(3))
     assert f.eval(pt) == g.eval(pt)
+
+
+def test_binary_form_termpoly_view_values_agree():
+    f = BinaryForm([3, 0, -2, 1], 3)  # 3 t^3 - 2 s^2 t + s^3
+    g = TermPoly(f.nvars, f.terms)
+    assert g.terms == {(0, 3): 3, (2, 1): -2, (3, 0): 1}
+    assert f.eval(Fraction(2), Fraction(-1)) == g.eval((Fraction(2), Fraction(-1)))

@@ -27,11 +27,10 @@ from minsos.binary_sos import (
     rep_forms,
     rnc_basis,
     roots,
-    two_squares_residual,
 )
 from minsos.biform import BinaryForm
 from minsos.errors import NotNonnegative, UnsupportedDegree
-from minsos.gram import Representation, equivalent
+from minsos.gram import Representation, equivalent, verify_representation
 from minsos.sampling import random_nonneg_binary
 
 
@@ -91,7 +90,7 @@ def test_two_squares_hand_enumeration():
     for target in targets:
         assert any(equivalent(rep, target, tol=1e-8) for rep in reps)
     for rep in reps:
-        assert two_squares_residual(f, rep) < 1e-10
+        assert verify_representation(f, rep) < 1e-10
 
 
 def test_two_squares_counts_generic_degrees():
@@ -100,7 +99,7 @@ def test_two_squares_counts_generic_degrees():
         reps = enumerate_two_squares(f)
         assert len(reps) == 2 ** (d - 1)
         for rep in reps:
-            assert two_squares_residual(f, rep) < 1e-10
+            assert verify_representation(f, rep) < 1e-10
             assert rep.nforms == 2
             assert rep.is_psd()
 

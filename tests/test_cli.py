@@ -1,10 +1,16 @@
 """Command line round trips and exit codes."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from minsos import cli
-from minsos.sampling import random_positive_form
+from minsos.sampling import random_dyad_matrix, random_nonneg_binary, random_positive_form
 from minsos.surfaces import scroll
+
+# certificates emitted before every residual went through one coefficient map
+DATA = Path(__file__).parent / "data"
 
 
 def test_table_exits_ok_when_counts_match(capsys):
@@ -36,3 +42,66 @@ def test_enumerate_verify_round_trip_is_byte_identical(tmp_path):
     report = json.loads(outputs[0])
     assert set(report) == {"kind", "surface", "seed", "rank", "form", "report", "solutions"}
     assert report["report"]["counts"]["psd"] == 2
+
+
+def _round_trip(tmp_path, command, payload):
+    """Run command twice on the payload file; each report verifies, both are equal."""
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(payload))
+    outputs = []
+    for run in range(2):
+        out = tmp_path / ("out%d.json" % run)
+        assert cli.main([command, str(src), "--json-out", str(out)]) == cli.EXIT_OK
+        assert cli.main(["verify", str(out)]) == cli.EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    return json.loads(outputs[0])
+
+
+def _verify_edited(tmp_path, certificate):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(certificate))
+    return cli.main(["verify", str(path)])
+
+
+def test_factor_verify_round_trip_and_bumped_coefficient(tmp_path):
+    A, _ = random_dyad_matrix((2, 1), seed=0)
+    cert = _round_trip(tmp_path, "factor", A.to_json())
+    assert cert["result"]["rank"] == 3
+    cert["result"]["columns"][0][1]["coeffs"][0]["re"] += 1e-3
+    assert _verify_edited(tmp_path, cert) == cli.EXIT_VERIFY
+
+
+def test_two_squares_verify_round_trip_and_bumped_coefficient(tmp_path):
+    cert = _round_trip(tmp_path, "two-squares", random_nonneg_binary(3, seed=9).to_json())
+    assert cert["count"] == 4
+    cert["representations"][2]["representation"]["vectors"][1][0] += 1e-3
+    assert _verify_edited(tmp_path, cert) == cli.EXIT_VERIFY
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["enumeration_scroll11", "two_squares_d3", "factor_heights21", "factor_n1"],
+)
+def test_certificates_from_earlier_releases_still_verify(name):
+    assert cli.main(["verify", str(DATA / (name + ".json"))]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "resize", [lambda v: v + [0.5], lambda v: v[:-1]], ids=["appended", "truncated"]
+)
+def test_verify_rejects_vectors_of_the_wrong_length(tmp_path, resize):
+    cert = json.loads((DATA / "enumeration_scroll11.json").read_text())
+    for entry in cert["report"]["entries"]:
+        rep = entry["representation"]
+        if rep is not None:
+            rep["vectors"] = [resize(vec) for vec in rep["vectors"]]
+    assert _verify_edited(tmp_path, cert) == cli.EXIT_INPUT
+
+
+def test_verify_rejects_factor_columns_of_the_wrong_degree(tmp_path):
+    cert = json.loads((DATA / "factor_heights21.json").read_text())
+    form = cert["result"]["columns"][0][1]
+    form["coeffs"].append({"re": 0.0, "im": 0.0})
+    form["deg"] += 1
+    assert _verify_edited(tmp_path, cert) == cli.EXIT_INPUT

@@ -1,0 +1,90 @@
+"""Factorization A = B B^T: random dyad matrices, the residual, NotPSD."""
+
+import numpy as np
+import pytest
+
+from minsos.biform import BinaryForm
+from minsos.errors import DimensionMismatch, NotPSD
+from minsos.factorization import SymMatrixPoly, factor, factor_residual
+from minsos.sampling import random_dyad_matrix
+
+
+def _coeffs(form):
+    return np.array([complex(c).real for c in form.coeffs])
+
+
+def _reference_residual(A, columns):
+    """max over i <= j of w_ij |a_ij - sum_c c_i c_j|, w = 1 on the diagonal, 2 off it.
+
+    Each (i, j) block owns its own monomials x_i x_j s^p t^q of the prism,
+    so this is the coefficient residual of f = sum a_ij x_i x_j.
+    """
+    worst = 0.0
+    for i in range(A.n):
+        for j in range(i, A.n):
+            got = sum(np.convolve(_coeffs(col[i]), _coeffs(col[j])) for col in columns)
+            want = _coeffs(A.entries[i][j])
+            if len(want) != len(got):  # a zero entry may carry another degree
+                want = np.zeros_like(got)
+            weight = 1.0 if i == j else 2.0
+            worst = max(worst, weight * float(np.max(np.abs(got - want))))
+    return worst
+
+
+@pytest.mark.parametrize("heights", [(2, 1), (1, 1, 1), (3, 3, 2), (2,)])
+def test_factor_reaches_n_plus_one_columns(heights):
+    A, _ = random_dyad_matrix(heights, seed=0)
+    n = len(heights)
+    result = factor(A)
+    bound = 1e-8 * max(1.0, A.max_abs_coeff())
+    assert result.residual <= bound
+    assert _reference_residual(A, result.columns) <= bound
+    assert result.rank == n + 1 and result.ncols == n + 1
+    B = np.array([np.concatenate([_coeffs(form) for form in col]) for col in result.columns])
+    assert np.linalg.matrix_rank(B) == n + 1
+    assert result.warning is None
+
+
+@pytest.mark.parametrize("heights", [(2, 1), (1, 1, 1), (3,)])
+def test_factor_residual_matches_reference(heights):
+    A, columns = random_dyad_matrix(heights, seed=4)
+    columns = [list(col) for col in columns]
+    assert factor_residual(A, columns) == 0.0  # integer dyads reproduce A exactly
+    bumped = [col[:] for col in columns]
+    coeffs = [complex(c).real for c in bumped[0][-1].coeffs]
+    coeffs[0] += 0.5
+    bumped[0][-1] = BinaryForm(coeffs, bumped[0][-1].deg)
+    want = _reference_residual(A, bumped)
+    assert want > 0.5
+    assert factor_residual(A, bumped) == pytest.approx(want, rel=1e-12)
+
+
+def test_zero_binary_entry_factors_with_height_zero():
+    A = SymMatrixPoly([[BinaryForm.zero(4)]])
+    result = factor(A)
+    assert result.heights == (0,) and result.rank == 0
+    assert factor_residual(A, result.columns) == 0.0
+
+
+def test_factor_residual_rejects_wrong_column_degrees():
+    # degrees (1, 2) where the pattern is (2, 1): the column still has 5 coefficients
+    A, columns = random_dyad_matrix((2, 1), seed=0)
+    wrong = [list(col) for col in columns]
+    wrong[0] = [BinaryForm([1, 2], 1), BinaryForm([1, 0, 3], 2)]
+    with pytest.raises(DimensionMismatch):
+        factor_residual(A, wrong)
+
+
+def test_indefinite_matrix_raises_not_psd_with_witness():
+    # diag(s^2, -t^2) is negative wherever t != 0
+    A = SymMatrixPoly(
+        [
+            [BinaryForm([0, 0, 1], 2), BinaryForm.zero(2)],
+            [BinaryForm.zero(2), BinaryForm([-1, 0, 0], 2)],
+        ]
+    )
+    with pytest.raises(NotPSD) as info:
+        factor(A)
+    u, v, lam = info.value.witness
+    assert v != 0.0 and lam < 0.0
+    assert np.linalg.eigvalsh(A.evaluate(u, v))[0] == pytest.approx(lam)

@@ -17,6 +17,7 @@ from minsos.gram import (
     build_gram_space,
     equivalent,
     extract_representation,
+    gram_residual,
     inertia,
     representation_from_forms,
     symmetric_rank,
@@ -50,10 +51,45 @@ def test_g0_expands_to_form_exactly():
 
 
 def test_kernel_matrices_expand_to_zero_exactly():
+    # m^T K m = 0 exactly, so adding any kernel matrix keeps G0 on the fiber
     space = _space(scroll(2, 2))
     for K in space.kernel:
         assert all(K[a][b] == K[b][a] for a in range(space.size) for b in range(space.size))
-        assert space.expand_gram(K) == {}
+        shifted = [[g + x for g, x in zip(rg, rk)] for rg, rk in zip(space.G0, K)]
+        assert space.fiber_residual(shifted) == 0
+        assert space.fiber_residual([[2 * x for x in row] for row in K]) > 0
+
+
+def _loop_residual(f, basis, G):
+    """Reference: expand m^T G m over all ordered pairs into an exponent map."""
+    got = {}
+    monos = basis.monomials
+    for a in range(len(monos)):
+        for b in range(len(monos)):
+            key = tuple(x + y for x, y in zip(monos[a], monos[b]))
+            got[key] = got.get(key, 0) + G[a][b]
+    want = {e: complex(c).real for e, c in f.terms.items()}
+    return max(abs(got.get(k, 0) - want.get(k, 0)) for k in set(got) | set(want))
+
+
+def test_gram_residual_matches_loop_reference():
+    rng = np.random.default_rng(1)
+    for spec in (scroll(2, 1), cone_rnc(3), veronese()):
+        space = _space(spec)
+        M = rng.standard_normal((space.size, space.size))
+        G = space.G0_f + 1e-3 * (M + M.T)
+        got = gram_residual(space.form, space.basis, G)
+        assert isinstance(got, float)
+        assert abs(got - _loop_residual(space.form, space.basis, G)) <= 1e-12
+
+
+def test_gram_residual_counts_form_terms_outside_2p():
+    # s^3 t x y is not a product of two scroll(1,1) basis monomials
+    basis = monomial_basis(scroll(1, 1), 1)
+    f = Biform(4, 2, {(3, 1, 1, 1): 5})
+    zero = [[Fraction(0)] * 4 for _ in range(4)]
+    assert gram_residual(f, basis, zero) == 5
+    assert gram_residual(f, basis, np.zeros((4, 4))) == 5.0
 
 
 def test_gram_at_exact_stays_on_fiber():
@@ -223,6 +259,13 @@ def test_equivalent_detects_gauge_rotation():
     assert equivalent(rep1, rep2)
     rep3 = rep_of([p, 2.0 * q])
     assert not equivalent(rep1, rep3)
+
+
+def test_representation_rejects_vectors_of_the_wrong_length():
+    basis = monomial_basis(scroll(1, 1), 1)
+    for vec in ([1, 0, 0], [1, 0, 0, 0, 1]):
+        with pytest.raises(DimensionMismatch):
+            Representation(basis=basis, vectors=[vec], signs=[1], exact=True)
 
 
 def test_verify_representation_flags_mismatch():

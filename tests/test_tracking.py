@@ -207,15 +207,6 @@ def test_tracking_deterministic_for_fixed_gamma():
     assert np.array_equal(n1, n2)
 
 
-def test_careful_mode_agrees_with_cruise():
-    sys_ = PolySystem([{(2, 0): 1.0, (0, 0): -1.0}, {(0, 2): 1.0, (0, 0): -4.0}], 2)
-    gamma = np.exp(1j * 0.9)
-    fast, s1, _ = track_all(sys_, gamma)
-    slow, s2, _ = track_all(sys_, gamma, careful=True)
-    assert all(s == STATUS_CONVERGED for s in s1) and all(s == STATUS_CONVERGED for s in s2)
-    _match_sets(fast, slow, tol=1e-9)
-
-
 # -------------------------------------------------------------------- polish
 
 
