@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .biform import Biform, BinaryForm, TermPoly
+from .biform import BinaryForm, TermPoly
 from .binary_sos import enumerate_rank_two, enumerate_two_squares, rep_forms
 from .cones import enumerate_cone
 from .enumerator import enumerate_rank, expected_counts
@@ -69,10 +69,8 @@ def load_json(path):
 
 
 def form_from_json(data):
-    """A form from its JSON: biform (degST), TermPoly (nvars) or binary form."""
-    if "degST" in data:
-        return Biform.from_json(data)
-    if "nvars" in data:
+    """A form from its JSON: TermPoly (nvars, or the older degST) or binary form."""
+    if "nvars" in data or "degST" in data:
         return TermPoly.from_json(data)
     if "deg" in data or "coeffs" in data:
         return BinaryForm.from_json(data)
@@ -80,7 +78,7 @@ def form_from_json(data):
 
 
 def load_form(path, as_float=False):
-    """Read a form file: biform, ternary form, or binary form JSON."""
+    """Read a form file: sparse form or binary form JSON."""
     form = form_from_json(load_json(path))
     if as_float:
         form = form.to_complex()
@@ -120,10 +118,8 @@ def cmd_gram_space(args):
     return EXIT_OK
 
 
-def _dump_curve(path, form):
-    if not isinstance(form, Biform):
-        raise ValueError("curve samples need a biform on a scroll or cone")
-    rows = curve_samples(form)
+def _dump_curve(path, form, spec):
+    rows = curve_samples(form, spec)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "branch", "x"])
@@ -136,7 +132,7 @@ def cmd_enumerate(args):
     spec = parse_surface(args.surface)
     form = load_form(args.form, as_float=args.as_float)
     if args.dump_curve_samples:
-        _dump_curve(args.dump_curve_samples, form)
+        _dump_curve(args.dump_curve_samples, form, spec)
     if spec.kind == CONE_RNC:
         if args.rank != 3:
             raise ValueError("cone enumeration is rank-3 only")

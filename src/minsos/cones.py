@@ -47,7 +47,7 @@ def _require_cone(spec):
 def split(f, spec):
     """Decompose f = a * apex^2 + 2 * apex * b + c on the cone.
 
-    As a biform, with x the apex block and y the base block,
+    As a form in (s, t, x, y), with x the apex block and y the base block,
 
         f = a * x^2 * t^(2d) + 2 * x * y * t^d * b(s, t) + y^2 * c(s, t).
 

@@ -283,19 +283,6 @@ def _canonical_key(point):
     return tuple(key)
 
 
-def _sweep(psys, gamma):
-    """One full tracking sweep.
-
-    Paths stuck far from the origin are reclassified as divergent, not
-    tracker failures.
-    """
-    endpoints, statuses, _steps = track_all(psys, gamma)
-    for i in range(len(statuses)):
-        if statuses[i] == STATUS_FAILED and np.max(np.abs(endpoints[i])) > 1e7:
-            statuses[i] = STATUS_DIVERGED
-    return endpoints, statuses
-
-
 def _validate(system, block, sweep_id, residual_tol):
     """Endpoints whose minors all vanish, as (point, residual, sweep_id)."""
     survivors = []
@@ -362,7 +349,7 @@ def solve(
     gamma = np.exp(2j * np.pi * rng.uniform())
     gamma2 = np.exp(2j * np.pi * rng.uniform())
     psys = system.poly_system()
-    endpoints, statuses = _sweep(psys, gamma)
+    endpoints, statuses, _steps = track_all(psys, gamma)
     total = len(statuses)
     diverged = int(np.sum(statuses == STATUS_DIVERGED))
     failed = int(np.sum(statuses == STATUS_FAILED))
@@ -387,7 +374,7 @@ def solve(
     collided = any(counts[0] > 1 for _, _, counts in clusters)
     second_sweep = failed > 0 or collided
     if second_sweep:
-        e2, s2 = _sweep(psys, gamma2)
+        e2, s2, _steps = track_all(psys, gamma2)
         more, junk2 = _validate(system, e2[s2 == STATUS_CONVERGED], 1, residual_tol)
         junk += junk2
         clusters = _cluster(survivors + more, cluster_radius)

@@ -5,10 +5,6 @@ class MinsosError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ExponentOverflow(MinsosError):
-    """A monomial exceeds the target bidegree during homogenization."""
-
-
 class UnsupportedDegree(MinsosError):
     """Requested graded piece is not available (only k in {1, 2})."""
 
@@ -18,7 +14,7 @@ class NotAScroll(MinsosError):
 
 
 class DegreeMismatch(MinsosError):
-    """Bidegree or divisibility pattern of a biform is violated."""
+    """Degree, bidegree or divisibility pattern of a form is violated."""
 
 
 class NotAQuadraticForm(MinsosError):

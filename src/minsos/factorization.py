@@ -105,25 +105,17 @@ class SymMatrixPoly:
     @classmethod
     def from_json(cls, data):
         n = int(data["n"])
-        raw = data.get("entries", {})
-        parsed = {}
-        for key, value in raw.items():
-            i, j = (int(p) for p in key.split(","))
-            parsed[(i, j)] = BinaryForm.from_json(value)
-        degs = {}
-        for (i, j), form in parsed.items():
-            degs[i] = max(degs.get(i, 0), form.deg)
-        entries = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                form = parsed.get((i, j)) or parsed.get((j, i))
-                if form is None:
-                    # zero entries need a consistent declared degree
-                    form = BinaryForm.zero(degs.get(i, 0))
-                row.append(form)
-            entries.append(row)
-        return cls(entries)
+        upper = {}
+        for key, value in data.get("entries", {}).items():
+            i, j = sorted(int(p) for p in key.split(","))
+            if i < 0 or j >= n:
+                raise DimensionMismatch(
+                    "entry %s lies outside the %d x %d matrix" % (key, n, n)
+                )
+            form = BinaryForm.from_json(value)
+            if upper.setdefault((i, j), form) != form:
+                raise NonSymmetric("entry %s differs from its transpose" % key)
+        return cls.from_upper(n, upper)
 
 
 def degree_pattern(A):
@@ -465,11 +457,12 @@ def rank_reduce(
     rank_tol = RANK_TOL if rank_tol is None else rank_tol
     G = np.asarray(G, dtype=float)
     G = space.project_fiber(0.5 * (G + G.T))
-    if _numeric_rank(G, rank_tol) <= target_rank:
-        return G
     G = _face_walk(space, G, target_rank, rank_tol)
     if _numeric_rank(G, rank_tol) <= target_rank:
-        return G
+        # the eigenvalues dropped here still sit at the feasibility tolerance
+        # (about -1e-10 of the largest); the polish takes them to rounding
+        ok, polished = _rank_newton(space, G, target_rank, rank_tol)
+        return polished if ok else G
 
     k = space.kdim
     scale = max(1.0, float(np.linalg.norm(G)))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .biform import COMPLEX, Biform, TermPoly
+from .biform import COMPLEX, TermPoly
 from .errors import (
     DimensionMismatch,
     NonSymmetric,
@@ -31,7 +31,7 @@ FIBER_TOL = 1e-8
 
 
 def _form_terms(form):
-    """Exponent map of a Biform, TermPoly or BinaryForm with real coefficients."""
+    """Exponent map of a TermPoly or BinaryForm with real coefficients."""
     if form.field != COMPLEX:
         return form.terms
     if any(coeff.imag for coeff in form.terms.values()):
@@ -154,7 +154,7 @@ class GramSpace:
         }
         if self.surface is not None:
             data["surface"] = self.surface.to_json()
-        if isinstance(self.form, (Biform, TermPoly)):
+        if isinstance(self.form, TermPoly):
             data["form"] = self.form.to_json()
         return data
 
@@ -326,13 +326,16 @@ class Representation:
 
 
 def representation_from_forms(basis, forms, signs=None):
-    """Build a Representation from Biform linear forms over the basis."""
+    """Build a Representation from linear forms over the basis.
+
+    Each form is a TermPoly or a map from basis monomials to coefficients.
+    """
     index = {m: i for i, m in enumerate(basis.monomials)}
     vectors = []
     exact = True
     for form in forms:
         vec = [Fraction(0)] * len(basis)
-        terms = form.terms if isinstance(form, (Biform, TermPoly)) else form
+        terms = form.terms if isinstance(form, TermPoly) else form
         for expo, coeff in terms.items():
             if expo not in index:
                 raise NotAQuadraticForm("form monomial %r outside basis" % (expo,))

@@ -10,10 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .biform import Biform, BinaryForm, TermPoly
+from .biform import BinaryForm, TermPoly
 from .errors import UnsupportedDegree
 from .factorization import SymMatrixPoly
-from .surfaces import VERONESE, genericity_check, monomial_basis
+from .surfaces import VERONESE, genericity_check, monomial_basis, quadratic_form_blocks
 
 MAX_ATTEMPTS = 64
 
@@ -56,13 +56,8 @@ def random_positive_form(spec, seed=0):
         for i, mono in enumerate(monos):
             key = tuple(2 * e for e in mono)
             terms[key] = terms.get(key, 0) + Fraction(int(weights[i]), 8)
-        if spec.kind == VERONESE:
-            form = TermPoly(3, terms)
-            return form
-        d = spec.d
-        form = Biform(2 * d, 2, terms)
-        report = genericity_check(form, spec)
-        if report.generic_so_far:
+        form = TermPoly(basis.nvars, terms)
+        if spec.kind == VERONESE or genericity_check(form, spec).generic_so_far:
             return form
     raise UnsupportedDegree(
         "no generic positive form found for %s after %d attempts" % (spec, MAX_ATTEMPTS)
@@ -143,15 +138,15 @@ def random_nonneg_binary(d, seed=0):
     raise UnsupportedDegree("failed to draw distinct quadratic factors")
 
 
-def curve_samples(f, radius=3.0, count=400):
-    """Sample real points of the zero set of a scroll/cone quadruple form.
+def curve_samples(f, spec, radius=3.0, count=400):
+    """Sample real points of the zero set of a form on a scroll or cone.
 
     Dehomogenizes at ``t = y = 1`` and, for each sample of the ruling
     coordinate, solves the resulting real quadratic in the fiber coordinate.
     Yields ``(s, branch, x)`` rows; branches without real solutions are
     skipped.
     """
-    a_form, b_form, c_form = f.xy_blocks()
+    a_form, b_form, c_form = quadratic_form_blocks(f, spec)
     rows = []
     for s in np.linspace(-radius, radius, count):
         sc = complex(s)

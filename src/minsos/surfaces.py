@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .biform import RATIONAL, Biform, BinaryForm, binary_gcd
+from .biform import RATIONAL, BinaryForm, binary_gcd
 from .errors import DegreeMismatch, NotAScroll, UnsupportedDegree
 
 SCROLL = "scroll"
@@ -246,17 +246,29 @@ def hilbert_data(spec):
 def quadratic_form_blocks(f, spec):
     """Split a quadratic form f = a x^2 + 2 b xy + c y^2 on a scroll or cone.
 
+    f is a form over (s, t, x, y) whose every term has bidegree (2d, 2).
     Returns BinaryForms (a, b, c) of degree 2d and checks the divisibility
     pattern: a divisible by t^(2(d-e)) and b by t^(d-e).
     """
     if spec.kind == VERONESE:
         raise NotAScroll("no (x, y) block structure on the Veronese surface")
-    d, e = spec.ruling_heights
-    if f.bidegree != (2 * d, 2):
+    if f.nvars != 4:
         raise DegreeMismatch(
-            "expected bidegree (%d, 2), got %r" % (2 * d, f.bidegree)
+            "expected a form in (s, t, x, y), got %d variables" % f.nvars
         )
-    a, b, c = f.xy_blocks()
+    d, e = spec.ruling_heights
+    deg = 2 * d
+    zero = Fraction(0) if f.field == RATIONAL else 0j
+    blocks = [[zero] * (deg + 1) for _ in range(3)]  # indexed by the power of x
+    for (i, j, k, l), coeff in f.terms.items():
+        if min(i, j, k, l) < 0 or i + j != deg or k + l != 2:
+            raise DegreeMismatch(
+                "term %r violates bidegree (%d, 2)" % ((i, j, k, l), deg)
+            )
+        blocks[k][i] = coeff
+    a = BinaryForm(blocks[2], deg, field=f.field)
+    b = BinaryForm([coeff / 2 for coeff in blocks[1]], deg, field=f.field)
+    c = BinaryForm(blocks[0], deg, field=f.field)
     gap = d - e
     if a.t_valuation() < 2 * gap:
         raise DegreeMismatch("x^2 coefficient not divisible by t^%d" % (2 * gap))

@@ -8,13 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from minsos.biform import (
-    Biform,
-    BinaryForm,
-    TermPoly,
-    bihomogenize,
-    binary_gcd,
-)
+from minsos.biform import COMPLEX, RATIONAL, BinaryForm, TermPoly, binary_gcd
 from minsos.errors import DegreeMismatch
 
 
@@ -101,92 +95,80 @@ def test_binary_to_complex():
     assert fc.eval(3, 1) == 7 + 0j
 
 
-# ------------------------------------------------------------------- Biform
-
-
-def _square(deg_st, deg_xy, terms):
-    f = Biform(deg_st, deg_xy, terms)
-    return f * f
+# ------------------------------------------------- forms over (s, t, x, y)
+# a quadratic form on a scroll or cone is a TermPoly over (s, t, x, y)
 
 
 def test_biform_product_bidegrees_add():
-    f = Biform(1, 1, {(0, 1, 0, 1): 1})  # t y
-    g = Biform(1, 1, {(1, 0, 1, 0): 1})  # s x
-    fg = f * g
-    assert fg.bidegree == (2, 2)
-    assert fg.coeff((1, 1, 1, 1)) == 1
+    f = TermPoly(4, {(0, 1, 0, 1): 1})  # t y
+    g = TermPoly(4, {(1, 0, 1, 0): 1})  # s x
+    assert (f * g).terms == {(1, 1, 1, 1): 1}
 
 
 def test_biform_square_hand_expansion():
     # (s y + t x)^2 = s^2 y^2 + 2 s t x y + t^2 x^2
-    f = Biform(1, 1, {(1, 0, 0, 1): 1, (0, 1, 1, 0): 1})
-    sq = f * f
-    assert sq.coeff((2, 0, 0, 2)) == 1
-    assert sq.coeff((1, 1, 1, 1)) == 2
-    assert sq.coeff((0, 2, 2, 0)) == 1
-    assert sq.bidegree == (2, 2)
-
-
-def test_biform_add_requires_matching_bidegree():
-    f = Biform(2, 1, {(2, 0, 1, 0): 1})
-    g = Biform(2, 2, {(2, 0, 2, 0): 1})
-    with pytest.raises(DegreeMismatch):
-        f + g
+    f = TermPoly(4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): 1})
+    assert (f * f).terms == {(2, 0, 0, 2): 1, (1, 1, 1, 1): 2, (0, 2, 2, 0): 1}
 
 
 def test_biform_eval_matches_term_sum():
-    f = Biform(2, 2, {(2, 0, 2, 0): 3, (0, 2, 0, 2): Fraction(1, 2)})
+    f = TermPoly(4, {(2, 0, 2, 0): 3, (0, 2, 0, 2): Fraction(1, 2)})
     # at (s,t,x,y) = (1,2,3,4): 3*1*9 + 1/2*4*16 = 27 + 32 = 59
     assert f.eval((1, 2, 3, 4)) == 59
 
 
-def test_biform_diff_matches_hand_derivative():
-    f = Biform(2, 1, {(2, 0, 1, 0): 1, (1, 1, 0, 1): 4})
-    ds = f.diff("s")
-    assert ds.coeff((1, 0, 1, 0)) == 2
-    assert ds.coeff((0, 1, 0, 1)) == 4
-
-
-def test_biform_xy_blocks_reconstruct():
-    # f = a(s,t) x^2 + 2 b(s,t) x y + c(s,t) y^2 with hand-chosen blocks
-    f = Biform(
-        2,
-        2,
-        {
-            (2, 0, 2, 0): 1,  # a = s^2
-            (1, 1, 1, 1): 6,  # 2b = 6 s t, so b = 3 s t
-            (0, 2, 0, 2): 5,  # c = 5 t^2
-        },
-    )
-    a, b, c = f.xy_blocks()  # blocks are binary forms in (s, t)
-    assert a.coeffs == [0, 0, 1]  # s^2
-    assert b.coeffs == [0, 3, 0]  # 3 s t
-    assert c.coeffs == [5, 0, 0]  # 5 t^2
-
-
 def test_biform_json_roundtrip():
-    f = Biform(2, 2, {(2, 0, 0, 2): Fraction(-3, 7), (0, 2, 2, 0): 2})
-    g = Biform.from_json(f.to_json())
-    assert g == f
+    f = TermPoly(4, {(2, 0, 0, 2): Fraction(-3, 7), (0, 2, 2, 0): 2})
+    g = TermPoly.from_json(f.to_json())
+    assert g == f and g.field == RATIONAL
+    fc = f.to_complex()
+    gc = TermPoly.from_json(fc.to_json())
+    assert gc == fc and gc.field == COMPLEX
 
 
 def test_biform_zero_and_scale():
-    z = Biform.zero(2, 2)
-    assert z.is_zero()
-    f = Biform(2, 2, {(2, 0, 2, 0): 4})
-    assert f.scale(Fraction(1, 4)).coeff((2, 0, 2, 0)) == 1
-
-
-def test_bihomogenize_balances_degrees():
-    # x s (affine) inside bidegree (2, 2): becomes s t x y
-    f = bihomogenize({(1, 1): 1}, (2, 2))
-    assert f.coeff((1, 1, 1, 1)) == 1
+    assert TermPoly(4, {(2, 0, 2, 0): 0}).is_zero()
+    f = TermPoly(4, {(2, 0, 2, 0): 4})
+    assert f.scale(Fraction(1, 4)).terms == {(2, 0, 2, 0): 1}
 
 
 def test_biform_to_complex_preserves_values():
-    f = Biform(2, 2, {(2, 0, 2, 0): 3})
+    f = TermPoly(4, {(2, 0, 2, 0): 3})
     fc = f.to_complex()
     assert fc.eval((1.0, 0.0, 2.0, 0.0)) == pytest.approx(12.0)
+
+
+def test_termpoly_reads_the_degst_layout():
+    # the layout earlier releases wrote for forms on scrolls and cones
+    data = {
+        "degST": 2,
+        "degXY": 2,
+        "terms": [
+            {"s": 2, "t": 0, "x": 0, "y": 2, "num": -3, "den": 7},
+            {"s": 0, "t": 2, "x": 2, "y": 0, "num": 2, "den": 1},
+        ],
+    }
+    f = TermPoly.from_json(data)
+    assert f == TermPoly(4, {(2, 0, 0, 2): Fraction(-3, 7), (0, 2, 2, 0): 2})
+    assert f.field == RATIONAL
+    data["terms"] = [{"s": 1, "t": 1, "x": 1, "y": 1, "re": 0.5, "im": -1.0}]
+    fc = TermPoly.from_json(data)
+    assert fc.terms == {(1, 1, 1, 1): 0.5 - 1j} and fc.field == COMPLEX
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"s": 3, "t": 0, "x": 2, "y": 0},  # s-degree 3
+        {"s": 1, "t": 1, "x": 0, "y": 1},  # xy-degree 1
+        {"s": 3, "t": -1, "x": 1, "y": 1},  # negative exponent
+    ],
+    ids=["st", "xy", "negative"],
+)
+def test_degst_layout_rejects_terms_off_its_bidegree(term):
+    data = {"degST": 2, "degXY": 2, "terms": [dict(term, num=1, den=1)]}
+    with pytest.raises(DegreeMismatch):
+        TermPoly.from_json(data)
 
 
 # ----------------------------------------------------------------- TermPoly
@@ -210,14 +192,6 @@ def test_termpoly_to_complex():
     f = TermPoly(2, {(1, 1): 2})
     fc = f.to_complex()
     assert fc.eval((1 + 1j, 1 - 1j)) == pytest.approx(4.0 + 0j)
-
-
-def test_biform_to_termpoly_values_agree():
-    # a Biform reads as a TermPoly over (s, t, x, y) through nvars and terms
-    f = Biform(2, 2, {(2, 0, 2, 0): 1, (0, 2, 0, 2): 2, (1, 1, 1, 1): -1})
-    g = TermPoly(f.nvars, f.terms)
-    pt = (Fraction(1), Fraction(2), Fraction(-1), Fraction(3))
-    assert f.eval(pt) == g.eval(pt)
 
 
 def test_binary_form_termpoly_view_values_agree():

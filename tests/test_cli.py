@@ -1,13 +1,15 @@
 """Command line round trips and exit codes."""
 
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
 from minsos import cli
+from minsos.biform import TermPoly
 from minsos.sampling import random_dyad_matrix, random_nonneg_binary, random_positive_form
-from minsos.surfaces import scroll
+from minsos.surfaces import scroll, veronese
 
 # certificates emitted before every residual went through one coefficient map
 DATA = Path(__file__).parent / "data"
@@ -42,6 +44,37 @@ def test_enumerate_verify_round_trip_is_byte_identical(tmp_path):
     report = json.loads(outputs[0])
     assert set(report) == {"kind", "surface", "seed", "rank", "form", "report", "solutions"}
     assert report["report"]["counts"]["psd"] == 2
+
+
+def test_enumerate_dumps_real_points_of_the_curve(tmp_path):
+    # a x^2 + 2 b x y + c y^2 with a = s^2 + 2 t^2 > 0 and c = -s^2 + 2 s t - 5 t^2 < 0,
+    # so b^2 - a c > 0 and both real branches exist over every s
+    f = TermPoly(4, {
+        (2, 0, 2, 0): 1, (0, 2, 2, 0): 2,
+        (1, 1, 1, 1): 3, (0, 2, 1, 1): 1,
+        (2, 0, 0, 2): -1, (1, 1, 0, 2): 2, (0, 2, 0, 2): -5,
+    })
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(f.to_json()))
+    samples = tmp_path / "curve.csv"
+    argv = ["enumerate", str(form_path), "--surface", "scroll(1,1)",
+            "--dump-curve-samples", str(samples)]
+    assert cli.main(argv) == cli.EXIT_OK
+    with open(samples, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["s", "branch", "x"]
+    assert {branch for _, branch, _ in rows} == {"0", "1"}
+    scale = max(1.0, float(f.max_abs_coeff()))
+    for s, _, x in rows:
+        assert abs(f.eval((float(s), 1.0, float(x), 1.0))) <= 1e-8 * scale
+
+
+def test_curve_samples_need_a_scroll_or_cone(tmp_path):
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(random_positive_form(veronese(), seed=0).to_json()))
+    argv = ["enumerate", str(form_path), "--surface", "veronese",
+            "--dump-curve-samples", str(tmp_path / "curve.csv")]
+    assert cli.main(argv) == cli.EXIT_INPUT
 
 
 def _round_trip(tmp_path, command, payload):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minsos.biform import Biform, BinaryForm
+from minsos.biform import BinaryForm, TermPoly
 from minsos.cones import (
     enumerate_cone,
     lift,
@@ -38,6 +38,11 @@ def _cone_form(d=2, seed=4):
     return random_positive_form(cone_rnc(d), seed=seed)
 
 
+def _times_xy(g, x_power):
+    """g(s, t) * x^x_power * y^(2 - x_power) as a form over (s, t, x, y)."""
+    return TermPoly(4, {(i, j, x_power, 2 - x_power): c for (i, j), c in g.terms.items()})
+
+
 # ------------------------------------------------------------------ split
 
 
@@ -50,10 +55,10 @@ def test_split_reconstructs_form_exactly():
         assert a > 0
         assert b.deg == d and c.deg == 2 * d
         # rebuild a x^2 t^(2d) + 2 x t^d y b + y^2 c  (apex block is x)
-        apex = Biform(2 * d, 2, {(0, 2 * d, 2, 0): Fraction(a)})
+        apex = TermPoly(4, {(0, 2 * d, 2, 0): Fraction(a)})
         t_d = BinaryForm([1] + [0] * d, d)
-        cross = (t_d * b).to_biform(deg_xy=2, x_power=1)
-        base = c.to_biform(deg_xy=2, x_power=0)
+        cross = _times_xy(t_d * b, x_power=1)
+        base = _times_xy(c, x_power=0)
         total = apex + cross.scale(2) + base
         assert total == f
 
@@ -61,16 +66,15 @@ def test_split_reconstructs_form_exactly():
 def test_split_rejects_nonpositive_apex():
     spec = cone_rnc(2)
     # f = -x^2 t^4 + y^2 s^4 has negative apex coefficient
-    f = Biform(4, 2, {(0, 4, 2, 0): -1, (4, 0, 0, 2): 1})
+    f = TermPoly(4, {(0, 4, 2, 0): -1, (4, 0, 0, 2): 1})
     with pytest.raises(ApexCoefficientNotPositive):
         split(f, spec)
 
 
 def test_reduce_form_hand_value():
     # f = x^2 t^4 + 2 x t^2 * y s^2 + 5 y^2 s^4: a=1, b=s^2, c=5s^4
-    f = Biform(
+    f = TermPoly(
         4,
-        2,
         {(0, 4, 2, 0): 1, (2, 2, 1, 1): 2, (4, 0, 0, 2): 5},
     )
     g = reduce_form(f, cone_rnc(2))

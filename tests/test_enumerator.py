@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minsos.biform import Biform
+from minsos.biform import TermPoly
 from minsos.enumerator import (
     CountReport,
     enumerate_rank,
@@ -64,9 +64,8 @@ def _det_poly_roots(space):
 def _g1_form():
     # nonnegative on the scroll: (t x)^2 + (s x)^2 + 2 (t y)^2
     #   + 2 s t y^2 + 2 (s y)^2, with rank-3 locus {+-1, +-sqrt(3)}
-    return Biform(
-        2,
-        2,
+    return TermPoly(
+        4,
         {
             (0, 2, 2, 0): 1,
             (2, 0, 2, 0): 1,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minsos.biform import BinaryForm
-from minsos.errors import DimensionMismatch, NotPSD
+from minsos.errors import DimensionMismatch, NonSymmetric, NotPSD
 from minsos.factorization import SymMatrixPoly, factor, factor_residual
 from minsos.sampling import random_dyad_matrix
 
@@ -43,6 +43,31 @@ def test_factor_reaches_n_plus_one_columns(heights):
     B = np.array([np.concatenate([_coeffs(form) for form in col]) for col in result.columns])
     assert np.linalg.matrix_rank(B) == n + 1
     assert result.warning is None
+
+
+@pytest.mark.parametrize("heights, seed", [((2, 1), 2), ((1, 1, 1), 1), ((2, 1), 7)])
+def test_factor_residual_at_rounding_level(heights, seed):
+    # rank_reduce leaves these through an early exit; unpolished, the dropped
+    # eigenvalues stayed near -1e-10 of the largest and the residual near 5e-9
+    A, _ = random_dyad_matrix(heights, seed=seed)
+    assert factor(A).residual <= 1e-12 * max(1.0, A.max_abs_coeff())
+
+
+def test_matrix_json_round_trip_and_malformed_entries():
+    A, _ = random_dyad_matrix((2, 1), seed=0)
+    zero_off = SymMatrixPoly.from_upper(2, {(0, 0): A.entries[0][0], (1, 1): A.entries[1][1]})
+    for M in (A, zero_off):
+        back = SymMatrixPoly.from_json(M.to_json())
+        assert back.to_json() == M.to_json()
+        assert np.array_equal(back.evaluate(0.3, -1.2), M.evaluate(0.3, -1.2))
+    outside = A.to_json()
+    outside["entries"]["0,2"] = outside["entries"]["0,1"]
+    with pytest.raises(DimensionMismatch):
+        SymMatrixPoly.from_json(outside)
+    transposed = A.to_json()
+    transposed["entries"]["1,0"] = transposed["entries"]["1,1"]
+    with pytest.raises(NonSymmetric):
+        SymMatrixPoly.from_json(transposed)
 
 
 @pytest.mark.parametrize("heights", [(2, 1), (1, 1, 1), (3,)])

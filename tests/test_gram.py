@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minsos.biform import Biform
+from minsos.biform import TermPoly
 from minsos.errors import DimensionMismatch, NotInFiber
 from minsos.gram import (
     Representation,
@@ -86,7 +86,7 @@ def test_gram_residual_matches_loop_reference():
 def test_gram_residual_counts_form_terms_outside_2p():
     # s^3 t x y is not a product of two scroll(1,1) basis monomials
     basis = monomial_basis(scroll(1, 1), 1)
-    f = Biform(4, 2, {(3, 1, 1, 1): 5})
+    f = TermPoly(4, {(3, 1, 1, 1): 5})
     zero = [[Fraction(0)] * 4 for _ in range(4)]
     assert gram_residual(f, basis, zero) == 5
     assert gram_residual(f, basis, np.zeros((4, 4))) == 5.0
@@ -172,7 +172,7 @@ def test_extract_representation_diagonal_gram():
     for mono in basis:
         key = tuple(2 * e for e in mono)
         terms[key] = terms.get(key, 0) + 1
-    f = Biform(2, 2, terms)
+    f = TermPoly(4, terms)
     space = build_gram_space(f, spec)
     rep = extract_representation(space, np.eye(4))
     assert rep.nforms == 4
@@ -192,9 +192,8 @@ def test_representation_expand_exact():
     rep = Representation(
         basis=basis, vectors=[[1, 0, 0, 1], [0, 1, 0, 0]], signs=[1, 1], exact=True
     )
-    f = Biform(
-        2,
-        2,
+    f = TermPoly(
+        4,
         {
             (0, 2, 0, 2): 1,  # t^2 y^2
             (1, 1, 1, 1): 2,  # 2 s t x y
@@ -206,10 +205,10 @@ def test_representation_expand_exact():
 
 
 def test_representation_from_forms_biform_input():
-    # l1 = t y + s x, l2 = s y as Biforms; expansion matches the square sum
+    # l1 = t y + s x, l2 = s y over (s, t, x, y); expansion matches the square sum
     basis = monomial_basis(scroll(1, 1), 1)
-    l1 = Biform(1, 1, {(0, 1, 0, 1): 1, (1, 0, 1, 0): 1})
-    l2 = Biform(1, 1, {(1, 0, 0, 1): 1})
+    l1 = TermPoly(4, {(0, 1, 0, 1): 1, (1, 0, 1, 0): 1})
+    l2 = TermPoly(4, {(1, 0, 0, 1): 1})
     rep = representation_from_forms(basis, [l1, l2])
     assert rep.exact and rep.nforms == 2
     f = l1 * l1 + l2 * l2
@@ -271,7 +270,7 @@ def test_representation_rejects_vectors_of_the_wrong_length():
 def test_verify_representation_flags_mismatch():
     basis = monomial_basis(scroll(1, 1), 1)
     rep = Representation(basis=basis, vectors=[[1, 0, 0, 0]], signs=[1], exact=True)
-    f = Biform(2, 2, {(0, 2, 0, 2): 1, (2, 0, 2, 0): 1})  # t^2 y^2 + s^2 x^2
+    f = TermPoly(4, {(0, 2, 0, 2): 1, (2, 0, 2, 0): 1})  # t^2 y^2 + s^2 x^2
     assert verify_representation(f, rep) == 1
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from minsos.biform import Biform, BinaryForm
+from minsos.biform import BinaryForm, TermPoly
 from minsos.errors import DegreeMismatch, NotAScroll
 from minsos.surfaces import (
     SurfaceSpec,
@@ -150,7 +150,7 @@ def test_hilbert_data_scroll():
 
 def _psd_pair_form():
     # f = (s y)^2 + (t x)^2 on scroll(1,1): a = t^2, b = 0, c = s^2
-    return Biform(2, 2, {(2, 0, 0, 2): 1, (0, 2, 2, 0): 1})
+    return TermPoly(4, {(2, 0, 0, 2): 1, (0, 2, 2, 0): 1})
 
 
 def test_quadratic_form_blocks_hand_values():
@@ -160,15 +160,40 @@ def test_quadratic_form_blocks_hand_values():
     assert c.coeffs == [0, 0, 1]  # s^2
 
 
+def test_quadratic_form_blocks_reconstruct():
+    # f = a(s,t) x^2 + 2 b(s,t) x y + c(s,t) y^2 with hand-chosen blocks
+    f = TermPoly(
+        4,
+        {
+            (2, 0, 2, 0): 1,  # a = s^2
+            (1, 1, 1, 1): 6,  # 2b = 6 s t, so b = 3 s t
+            (0, 2, 0, 2): 5,  # c = 5 t^2
+        },
+    )
+    for form in (f, f.to_complex()):
+        a, b, c = quadratic_form_blocks(form, scroll(1, 1))
+        assert a.coeffs == [0, 0, 1]  # s^2
+        assert b.coeffs == [0, 3, 0]  # 3 s t
+        assert c.coeffs == [5, 0, 0]  # 5 t^2
+        assert a.field == b.field == c.field == form.field
+
+
 def test_blocks_reject_wrong_bidegree():
-    f = Biform(4, 2, {(4, 0, 0, 2): 1})
+    # on scroll(1,1) every term must have bidegree (2, 2)
+    for terms in (
+        {(4, 0, 0, 2): 1},
+        {(2, 0, 0, 2): 1, (1, 1, 1, 0): 1},
+        {(2, 0, 0, 2): 1, (3, -1, 1, 1): 1},
+    ):
+        with pytest.raises(DegreeMismatch):
+            quadratic_form_blocks(TermPoly(4, terms), scroll(1, 1))
     with pytest.raises(DegreeMismatch):
-        quadratic_form_blocks(f, scroll(1, 1))
+        quadratic_form_blocks(TermPoly(3, {(2, 0, 0): 1}), scroll(1, 1))
 
 
 def test_blocks_enforce_t_divisibility():
     # on scroll(2,1) the x^2 block must be divisible by t^2; s^4 x^2 is not
-    f = Biform(4, 2, {(4, 0, 2, 0): 1, (0, 4, 0, 2): 1})
+    f = TermPoly(4, {(4, 0, 2, 0): 1, (0, 4, 0, 2): 1})
     with pytest.raises(DegreeMismatch):
         quadratic_form_blocks(f, scroll(2, 1))
 
@@ -234,9 +259,8 @@ def test_binary_squarefree_exact_and_numeric():
 
 def test_genericity_generic_form():
     # (sy - tx)^2 + (ty)^2 + (sx)^2 has squarefree discriminant
-    f = Biform(
-        2,
-        2,
+    f = TermPoly(
+        4,
         {
             (2, 0, 0, 2): 1,
             (1, 1, 1, 1): -2,
@@ -253,7 +277,7 @@ def test_genericity_generic_form():
 
 def test_genericity_square_form_flagged():
     # f = (s y + t x)^2 has identically zero discriminant
-    h = Biform(1, 1, {(1, 0, 0, 1): 1, (0, 1, 1, 0): 1})
+    h = TermPoly(4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): 1})
     report = genericity_check(h * h, scroll(1, 1))
     assert report.delta_squarefree is False
     assert not report.generic_so_far
