@@ -90,9 +90,10 @@ def _polish_root(poly, dpoly, r, iters=4):
     return r
 
 
-def roots(f, cluster_radius=1e-6):
+def roots(f):
     """Root multiset of a real binary form, Newton-polished and paired.
 
+    Roots are clustered by projective_roots at its ROOT_CLUSTER_RADIUS.
     Simple roots are polished on the dehomogenization; conjugate symmetry
     is enforced by matching roots to their conjugates within PAIR_TOL
     (relative) and averaging.
@@ -104,7 +105,7 @@ def roots(f, cluster_radius=1e-6):
         raise ValueError("root pairing requires real coefficients")
     sdeg = f.s_degree()
     lead = coeffs[sdeg].real
-    clusters = projective_roots(f, cluster_radius)
+    clusters = projective_roots(f)
     inf_mult = 0
     finite = []
     poly = np.array([c.real for c in coeffs[: sdeg + 1]][::-1])
@@ -159,7 +160,7 @@ def roots(f, cluster_radius=1e-6):
     )
 
 
-def is_nonnegative(f, cluster_radius=1e-6):
+def is_nonnegative(f):
     """True iff the real binary form f is nonnegative on R^2.
 
     Every real root (including infinity) must have even multiplicity and
@@ -169,7 +170,7 @@ def is_nonnegative(f, cluster_radius=1e-6):
         return True
     if f.deg % 2 == 1:
         return False
-    rm = roots(f, cluster_radius)
+    rm = roots(f)
     if rm.inf_mult % 2 == 1:
         return False
     if any(mult % 2 == 1 for _, mult in rm.real_roots):
@@ -206,15 +207,15 @@ def rep_forms(rep):
     return tuple(BinaryForm([float(c) for c in vec], d) for vec in rep.vectors)
 
 
-def _dedup(reps, tol=1e-8):
+def _dedup(reps):
     kept = []
     for rep in reps:
-        if not any(equivalent(rep, other, tol) for other in kept):
+        if not any(equivalent(rep, other) for other in kept):
             kept.append(rep)
     return kept
 
 
-def enumerate_two_squares(f, cluster_radius=1e-6):
+def enumerate_two_squares(f):
     """All inequivalent representations f = p^2 + q^2 of a nonnegative form.
 
     Returns Representations over the basis s^i t^(d-i) with two vectors
@@ -226,9 +227,9 @@ def enumerate_two_squares(f, cluster_radius=1e-6):
     """
     if f.is_zero():
         raise ValueError("the zero form has degenerate representations")
-    if not is_nonnegative(f, cluster_radius):
+    if not is_nonnegative(f):
         raise NotNonnegative("the form takes negative values")
-    rm = roots(f, cluster_radius)
+    rm = roots(f)
     d = f.deg // 2
     sqrt_c = float(np.sqrt(rm.lead))
     # common real factor: real roots and infinity contribute half powers
@@ -283,7 +284,7 @@ class RankTwoReport:
         }
 
 
-def enumerate_rank_two(f, cluster_radius=1e-6):
+def enumerate_rank_two(f):
     """Classify all balanced factor pairs {u, v} of a real binary form.
 
     Each class corresponds to a rank <= 2 complex Gram matrix of f over the
@@ -292,7 +293,7 @@ def enumerate_rank_two(f, cluster_radius=1e-6):
     they are conjugate (a definite one, psd for positive leading scale).
     For a squarefree form of degree 2d this yields binom(2d, d)/2 classes.
     """
-    rm = roots(f, cluster_radius)
+    rm = roots(f)
     if rm.degree % 2 == 1:
         raise ValueError("balanced splits need even degree")
     d = rm.degree // 2
@@ -340,17 +341,18 @@ def enumerate_rank_two(f, cluster_radius=1e-6):
     return RankTwoReport(counts=counts, classes=classes)
 
 
-def class_representation(f, cls, rm=None, cluster_radius=1e-6):
+def class_representation(f, cls, rm=None):
     """Signed rank <= 2 representation realizing a real pairing class.
 
     Conjugate classes give f = p^2 + q^2 (or the negative for nsd); both-real
     classes give the difference of squares f = ((u+v)/2)^2 - ((u-v)/2)^2
-    built from the two real factors u, v.
+    built from the two real factors u, v.  rm is the root multiset of f that
+    the class indexes; it is recomputed by roots(f) when not given.
     """
     if cls.kind == "complex":
         raise ValueError("only conjugation-stable classes have real Gram points")
     if rm is None:
-        rm = roots(f, cluster_radius)
+        rm = roots(f)
     entries = rm.entries()
     d = rm.degree // 2
 

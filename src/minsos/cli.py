@@ -77,12 +77,9 @@ def form_from_json(data):
     raise ValueError("unrecognized form JSON")
 
 
-def load_form(path, as_float=False):
-    """Read a form file: sparse form or binary form JSON."""
-    form = form_from_json(load_json(path))
-    if as_float:
-        form = form.to_complex()
-    return form
+def load_form(path):
+    """Read a form file: sparse form or binary form JSON, coefficients as stored."""
+    return form_from_json(load_json(path))
 
 
 def write_json(path, payload):
@@ -106,7 +103,7 @@ def _fmt_theta(theta):
 
 def cmd_gram_space(args):
     spec = parse_surface(args.surface)
-    form = load_form(args.form, as_float=args.as_float)
+    form = load_form(args.form)
     space = build_gram_space(form, spec)
     print("surface: %s" % spec)
     print("basis size N = %d, family dimension k = %d" % (space.size, space.kdim))
@@ -130,23 +127,15 @@ def _dump_curve(path, form, spec):
 
 def cmd_enumerate(args):
     spec = parse_surface(args.surface)
-    form = load_form(args.form, as_float=args.as_float)
+    form = load_form(args.form)
     if args.dump_curve_samples:
         _dump_curve(args.dump_curve_samples, form, spec)
     if spec.kind == CONE_RNC:
-        if args.rank != 3:
-            raise ValueError("cone enumeration is rank-3 only")
-        report = enumerate_cone(form, spec, cluster_radius=args.cluster_radius)
+        report = enumerate_cone(form, spec)
         solutions_json = None
     else:
         space = build_gram_space(form, spec)
-        report = enumerate_rank(
-            space,
-            rank=args.rank,
-            seed=args.seed,
-            residual_tol=args.residual_tol,
-            cluster_radius=args.cluster_radius,
-        )
+        report = enumerate_rank(space, rank=3, seed=args.seed)
         solutions_json = (
             report.solution_set.to_json() if report.solution_set else None
         )
@@ -164,7 +153,7 @@ def cmd_enumerate(args):
         "kind": "enumeration",
         "surface": str(spec),
         "seed": args.seed,
-        "rank": args.rank,
+        "rank": 3,
         "form": form.to_json(),
         "report": report.to_json(),
         "solutions": solutions_json,
@@ -204,7 +193,7 @@ def cmd_factor(args):
 
 
 def cmd_two_squares(args):
-    form = load_form(args.form, as_float=args.as_float)
+    form = load_form(args.form)
     if not isinstance(form, BinaryForm):
         raise ValueError("two-squares expects a binary form JSON (deg + coeffs)")
     reps = enumerate_two_squares(form)
@@ -375,29 +364,17 @@ def cmd_verify(args):
 # -- parser -----------------------------------------------------------------
 
 
-def _add_common(p, seed=True):
-    if seed:
-        p.add_argument("--seed", type=int, default=0, help="master seed (uint64)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--exact",
-        dest="as_float",
-        action="store_false",
-        help="keep rational input coefficients exact (default)",
-    )
-    group.add_argument(
-        "--float",
-        dest="as_float",
-        action="store_true",
-        help="convert input coefficients to floating point on load",
-    )
-    p.set_defaults(as_float=False)
+def _add_residual_tol(p):
     p.add_argument(
         "--residual-tol",
         type=float,
         default=1e-8,
-        help="relative residual bound for filtering and verification",
+        help="verification bound only: the result passes when its residual is at"
+        " most this times max(1, largest coefficient) (default %(default)g)",
     )
+
+
+def _add_json_out(p):
     p.add_argument("--json-out", metavar="PATH", help="write the full JSON report")
 
 
@@ -412,35 +389,31 @@ def build_parser():
     p = sub.add_parser("gram-space", help="build and print the Gram family of a form")
     p.add_argument("form", help="form JSON file")
     p.add_argument("--surface", required=True, help="scroll(d,e), cone_rnc(d), veronese")
-    _add_common(p, seed=False)
+    _add_json_out(p)
     p.set_defaults(func=cmd_gram_space)
 
-    p = sub.add_parser("enumerate", help="enumerate rank-r Gram matrices of a form")
+    p = sub.add_parser("enumerate", help="enumerate rank-3 Gram matrices of a form")
     p.add_argument("form", help="form JSON file")
     p.add_argument("--surface", required=True, help="scroll(d,e), cone_rnc(d), veronese")
-    p.add_argument("--rank", type=int, default=3, help="target Gram rank (default 3)")
-    p.add_argument(
-        "--cluster-radius",
-        type=float,
-        default=None,
-        help="endpoint clustering radius (default 1e-6)",
-    )
     p.add_argument(
         "--dump-curve-samples",
         metavar="CSV",
         help="write real points of the curve f = 0 as CSV samples",
     )
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="master seed (uint64)")
+    _add_json_out(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("factor", help="factor a psd matrix polynomial as B B^T")
     p.add_argument("matrix", help="symmetric matrix JSON file")
-    _add_common(p, seed=False)
+    _add_residual_tol(p)
+    _add_json_out(p)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("two-squares", help="all two-squares representations of a binary form")
     p.add_argument("form", help="binary form JSON file")
-    _add_common(p, seed=False)
+    _add_residual_tol(p)
+    _add_json_out(p)
     p.set_defaults(func=cmd_two_squares)
 
     p = sub.add_parser("table", help="reproduce the representation-count table")
@@ -449,12 +422,14 @@ def build_parser():
         default=DEFAULT_TABLE_SURFACES,
         help="comma-separated surface list (veronese is opt-in; default: %(default)s)",
     )
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="master seed (uint64)")
+    _add_json_out(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="re-verify an emitted certificate file")
     p.add_argument("certificate", help="JSON report from enumerate/factor/two-squares")
-    _add_common(p, seed=False)
+    _add_residual_tol(p)
+    _add_json_out(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

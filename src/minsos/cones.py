@@ -182,7 +182,7 @@ def lift_gram(Gp, a, b):
     return G
 
 
-def enumerate_cone(f, spec, cluster_radius=1e-6):
+def enumerate_cone(f, spec):
     """Classify all rank-3 Gram matrices of f on a cone via apex reduction.
 
     The complex census enumerates balanced factor pairs of the reduced form;
@@ -195,8 +195,8 @@ def enumerate_cone(f, spec, cluster_radius=1e-6):
     a, b, c = split(f, spec)
     g = reduce_form(f, spec)
     gfloat = g.to_complex() if g.field == RATIONAL else g
-    rm = binary_roots(gfloat, cluster_radius)
-    census = enumerate_rank_two(gfloat, cluster_radius)
+    rm = binary_roots(gfloat)
+    census = enumerate_rank_two(gfloat)
     counts = {
         "complex": census.counts["complex"],
         "real": census.counts["real"],
@@ -221,7 +221,7 @@ def enumerate_cone(f, spec, cluster_radius=1e-6):
             "verify_residual": float(verify_representation(f, lifted)),
         }
         entries.append(entry)
-    report = genericity_check(f, spec, cluster_radius)
+    report = genericity_check(f, spec)
     report.mark_observed_count(counts["complex"])
     warning = report.enumeration_warning
     notes = ["enumerated through the apex reduction to the base curve"]
@@ -230,7 +230,7 @@ def enumerate_cone(f, spec, cluster_radius=1e-6):
     notes.extend(report.notes)
     expected = expected_counts(spec)
     if counts["psd"] != 0:
-        two_sq = enumerate_two_squares(gfloat, cluster_radius)
+        two_sq = enumerate_two_squares(gfloat)
         if len(two_sq) != counts["psd"]:
             notes.append(
                 "two-squares census mismatch: %d vs %d psd classes"

@@ -22,13 +22,7 @@ from .errors import (
     PathFailureBudgetExceeded,
     RankTooLarge,
 )
-from .gram import (
-    PSD_TOL,
-    RANK_TOL,
-    extract_representation,
-    inertia,
-    verify_representation,
-)
+from .gram import extract_representation, inertia, verify_representation
 from .surfaces import CONE_RNC, SCROLL, VERONESE, genericity_check
 from .tracking import (
     STATUS_CONVERGED,
@@ -39,6 +33,9 @@ from .tracking import (
     track_all,
 )
 
+# endpoint post-processing, all relative: minors vanish to RESIDUAL_TOL,
+# endpoints within CLUSTER_RADIUS merge, points within REAL_TOL of the real
+# locus are realized; more than FAIL_BUDGET failed paths abort the run
 RESIDUAL_TOL = 1e-8
 CLUSTER_RADIUS = 1e-6
 REAL_TOL = 1e-6
@@ -283,20 +280,20 @@ def _canonical_key(point):
     return tuple(key)
 
 
-def _validate(system, block, sweep_id, residual_tol):
+def _validate(system, block, sweep_id):
     """Endpoints whose minors all vanish, as (point, residual, sweep_id)."""
     survivors = []
     junk = 0
     for point in block:
         resid = system.residual(point)
-        if resid <= residual_tol:
+        if resid <= RESIDUAL_TOL:
             survivors.append((point.copy(), resid, sweep_id))
         else:
             junk += 1
     return survivors, junk
 
 
-def _cluster(survivors, cluster_radius):
+def _cluster(survivors):
     """Merge validated endpoints, visited in canonical order.
 
     Returns [representative, best residual, per-sweep path counts] lists.
@@ -307,7 +304,7 @@ def _cluster(survivors, cluster_radius):
     ):
         for entry in clusters:
             rep = entry[0]
-            tol = cluster_radius * max(1.0, float(np.max(np.abs(rep))))
+            tol = CLUSTER_RADIUS * max(1.0, float(np.max(np.abs(rep))))
             if np.max(np.abs(point - rep)) <= tol:
                 entry[2][sweep_id] += 1
                 entry[1] = min(entry[1], resid)
@@ -319,19 +316,12 @@ def _cluster(survivors, cluster_radius):
     return clusters
 
 
-def solve(
-    system,
-    seed=0,
-    residual_tol=None,
-    cluster_radius=None,
-    real_tol=None,
-    fail_budget=FAIL_BUDGET,
-):
+def solve(system, seed=0):
     """Track the seeded square subsystem and post-process its endpoints.
 
-    Endpoints are kept when every minor vanishes to residual_tol (relative),
-    merged within cluster_radius, and sorted canonically so the result is a
-    deterministic function of (system, seed).  Points within real_tol of the
+    Endpoints are kept when every minor vanishes to RESIDUAL_TOL (relative),
+    merged within CLUSTER_RADIUS, and sorted canonically so the result is a
+    deterministic function of (system, seed).  Points within REAL_TOL of the
     real locus are re-polished from their real parts and stored real.
 
     When paths fail, or two validated endpoints of the first sweep fall in
@@ -339,12 +329,9 @@ def solve(
     set does not depend on gamma, so the union of validated endpoints can
     only recover what the first sweep lost.
 
-    Raises PathFailureBudgetExceeded when more than fail_budget of the
+    Raises PathFailureBudgetExceeded when more than FAIL_BUDGET of the
     non-diverging paths fail to converge.
     """
-    residual_tol = RESIDUAL_TOL if residual_tol is None else residual_tol
-    cluster_radius = CLUSTER_RADIUS if cluster_radius is None else cluster_radius
-    real_tol = REAL_TOL if real_tol is None else real_tol
     rng = np.random.default_rng(seed)
     gamma = np.exp(2j * np.pi * rng.uniform())
     gamma2 = np.exp(2j * np.pi * rng.uniform())
@@ -354,7 +341,7 @@ def solve(
     diverged = int(np.sum(statuses == STATUS_DIVERGED))
     failed = int(np.sum(statuses == STATUS_FAILED))
     tracked = total - diverged
-    if tracked > 0 and failed > fail_budget * tracked:
+    if tracked > 0 and failed > FAIL_BUDGET * tracked:
         raise PathFailureBudgetExceeded(failed, total)
     # stalled paths that sit at a large parameter norm with vanishing minors
     # are escaping toward solutions at infinity of the affine chart
@@ -365,19 +352,17 @@ def solve(
         if norm > 1e3 and system.residual(endpoints[i]) <= 1e-4:
             escaping += 1
             escape_norm = max(escape_norm, norm)
-    survivors, junk = _validate(
-        system, endpoints[statuses == STATUS_CONVERGED], 0, residual_tol
-    )
-    clusters = _cluster(survivors, cluster_radius)
+    survivors, junk = _validate(system, endpoints[statuses == STATUS_CONVERGED], 0)
+    clusters = _cluster(survivors)
     # two paths on one solution means a path jumped and another solution
     # may be lost; an independent gamma sends the paths along other routes
     collided = any(counts[0] > 1 for _, _, counts in clusters)
     second_sweep = failed > 0 or collided
     if second_sweep:
         e2, s2, _steps = track_all(psys, gamma2)
-        more, junk2 = _validate(system, e2[s2 == STATUS_CONVERGED], 1, residual_tol)
+        more, junk2 = _validate(system, e2[s2 == STATUS_CONVERGED], 1)
         junk += junk2
-        clusters = _cluster(survivors + more, cluster_radius)
+        clusters = _cluster(survivors + more)
     points = []
     real_flags = []
     residuals = []
@@ -387,7 +372,7 @@ def solve(
         # only a true multiplicity repeats in every sweep that saw the point
         size = min(c for c in counts if c)
         real_flag = False
-        if float(np.max(np.abs(rep.imag))) <= real_tol * max(
+        if float(np.max(np.abs(rep.imag))) <= REAL_TOL * max(
             1.0, float(np.max(np.abs(rep)))
         ):
             # the gate is the residual of the realized real point, not the
@@ -398,7 +383,7 @@ def solve(
             if not np.all(np.isfinite(realized)):
                 realized = candidate
             real_resid = system.residual(realized)
-            if real_resid <= residual_tol:
+            if real_resid <= RESIDUAL_TOL:
                 rep = realized
                 resid = real_resid
                 real_flag = True
@@ -520,16 +505,15 @@ class CountReport:
         }
 
 
-def classify(space, solutions, genericity=None, rank_tol=None, psd_tol=None):
+def classify(space, solutions):
     """Count and classify the solutions; extract certificates at psd points.
 
     Real points are split by the inertia of G(theta): no negative eigenvalue
     means a sum of rank squares (a psd point), otherwise the representation
-    is a signed mix.  A warning is attached when the observed complex count
-    falls short of the generic count for the surface.
+    is a signed mix.  The genericity diagnostics of the space's form feed the
+    notes, and a warning is attached when the observed complex count falls
+    short of the generic count for the surface.
     """
-    rank_tol = RANK_TOL if rank_tol is None else rank_tol
-    psd_tol = PSD_TOL if psd_tol is None else psd_tol
     counts = {
         "complex": len(solutions.points),
         "real": sum(1 for r in solutions.is_real if r),
@@ -542,22 +526,23 @@ def classify(space, solutions, genericity=None, rank_tol=None, psd_tol=None):
             continue
         theta = point.real
         G = space.gram_at(theta)
-        ine = inertia(G, tol=psd_tol)
+        ine = inertia(G)
         psd = ine[1] == 0
         counts["psd" if psd else "indefinite"] += 1
         entry = {"theta": theta, "inertia": ine, "psd": psd}
         if psd:
-            rep = extract_representation(space, G, rank_tol=rank_tol)
+            rep = extract_representation(space, G)
             entry["representation"] = rep
             entry["verify_residual"] = float(verify_representation(space.form, rep))
         entries.append(entry)
     expected = expected_counts(getattr(space, "surface", None))
     notes = []
-    if genericity is None and space.surface is not None and space.form is not None:
+    genericity = None
+    if space.surface is not None and space.form is not None:
         try:
             genericity = genericity_check(space.form, space.surface)
         except Exception:  # diagnostics only; classification proceeds without
-            genericity = None
+            pass
     warning = None
     if genericity is not None:
         if genericity.delta_squarefree is False:
@@ -613,14 +598,7 @@ def classify(space, solutions, genericity=None, rank_tol=None, psd_tol=None):
     )
 
 
-def enumerate_rank(
-    space,
-    rank=3,
-    seed=0,
-    residual_tol=None,
-    cluster_radius=None,
-    real_tol=None,
-):
+def enumerate_rank(space, rank=3, seed=0):
     """Full pipeline: minors, homotopy, classification, for one seed.
 
     The seed feeds two independent streams (combination coefficients and the
@@ -629,13 +607,7 @@ def enumerate_rank(
     ss = np.random.SeedSequence(seed)
     combo_seed, gamma_seed = (int(s) for s in ss.generate_state(2, np.uint64))
     system = minor_system(space, rank, seed=combo_seed)
-    solutions = solve(
-        system,
-        seed=gamma_seed,
-        residual_tol=residual_tol,
-        cluster_radius=cluster_radius,
-        real_tol=real_tol,
-    )
+    solutions = solve(system, seed=gamma_seed)
     report = classify(space, solutions)
     report.solution_set = solutions
     return report

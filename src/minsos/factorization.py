@@ -37,8 +37,14 @@ from .gram import (
 from .surfaces import MonomialBasis
 
 FEAS_TOL = 1e-10
+# alternating projections get FEAS_FIRST_BUDGET rounds before factor falls
+# back to the reflections, which get FEAS_BUDGET
+FEAS_FIRST_BUDGET = 20_000
 FEAS_BUDGET = 100_000
-GRID_POINTS = 101
+# the psd screen: directions theta = j pi / PSD_DIRECTIONS of P^1, and a
+# negative eigenvalue counts beyond PSD_SCREEN_TOL times the largest coefficient
+PSD_DIRECTIONS = 160
+PSD_SCREEN_TOL = 1e-9
 RESIDUAL_BOUND = 1e-8
 REDUCE_TOL = 1e-11
 REDUCE_BUDGET = 40_000
@@ -244,33 +250,33 @@ def prism_gram_space(A):
     return spec, gram_space_from_basis(f, spec.basis())
 
 
-def psd_feasible(space, tol=FEAS_TOL, budget=FEAS_BUDGET, return_info=False):
+def psd_feasible(space):
     """A psd point of the Gram fiber, by alternating projections.
 
     Alternates eigenvalue clipping (projection onto the psd cone) with the
     orthogonal projection back onto the affine fiber.  The iterate always
     lies exactly on the fiber; it is returned once its smallest eigenvalue
-    clears -tol relative to the spectral radius.  The distance moved per
-    round is monotonically nonincreasing.
+    clears -FEAS_TOL relative to the spectral radius.  The distance moved
+    per round is monotonically nonincreasing.  Returns (G, info) with the
+    rounds taken and the distance of each.
 
-    Raises IterationBudgetExceeded with the final gap when the budget runs
-    out (the gap certifies how infeasible the pair of sets still looks).
+    Raises IterationBudgetExceeded with the final gap when FEAS_FIRST_BUDGET
+    rounds run out (the gap certifies how infeasible the pair of sets still
+    looks).
     """
     G = space.project_fiber(space.G0_f)
     distances = []
-    for iteration in range(budget):
+    for iteration in range(FEAS_FIRST_BUDGET):
         evals, evecs = np.linalg.eigh(G)
         smax = max(float(np.max(np.abs(evals))), 1e-300)
         lam_min = float(evals[0])
-        if lam_min >= -tol * smax:
-            if return_info:
-                return G, {"iterations": iteration, "distances": distances}
-            return G
+        if lam_min >= -FEAS_TOL * smax:
+            return G, {"iterations": iteration, "distances": distances}
         clipped = evecs @ np.diag(np.maximum(evals, 0.0)) @ evecs.T
         distances.append(float(np.linalg.norm(G - clipped)))
         G = space.project_fiber(clipped)
     gap = distances[-1] if distances else 0.0
-    raise IterationBudgetExceeded(budget, gap)
+    raise IterationBudgetExceeded(FEAS_FIRST_BUDGET, gap)
 
 
 def _psd_clip(G):
@@ -278,18 +284,19 @@ def _psd_clip(G):
     return (evecs * np.maximum(evals, 0.0)) @ evecs.T
 
 
-def _feasible_reflections(space, tol=FEAS_TOL, budget=FEAS_BUDGET):
+def _feasible_reflections(space):
     """Douglas-Rachford feasibility fallback for near-tangential fibers.
 
     Plain alternating projections converge arbitrarily slowly when the
     fiber meets the psd cone at a shallow angle; the reflection iteration
     z <- z + P_fiber(2 P_psd(z) - z) - P_psd(z) is far less sensitive.
-    Returns a fiber point with lambda_min >= -tol * spectral radius.
+    Returns (G, info) with G a fiber point with lambda_min >= -FEAS_TOL *
+    spectral radius; raises IterationBudgetExceeded after FEAS_BUDGET rounds.
     """
     z = np.asarray(space.G0_f, dtype=float).copy()
     check_every = 8
     gap = np.inf
-    for iteration in range(budget):
+    for iteration in range(FEAS_BUDGET):
         y = _psd_clip(z)
         w = space.project_fiber(2.0 * y - z)
         z = z + w - y
@@ -298,15 +305,15 @@ def _feasible_reflections(space, tol=FEAS_TOL, budget=FEAS_BUDGET):
             evals = np.linalg.eigvalsh(x)
             smax = max(float(np.max(np.abs(evals))), 1e-300)
             gap = max(0.0, -float(evals[0]))
-            if evals[0] >= -tol * smax:
+            if evals[0] >= -FEAS_TOL * smax:
                 return x, {"iterations": iteration, "method": "reflections"}
-    raise IterationBudgetExceeded(budget, gap)
+    raise IterationBudgetExceeded(FEAS_BUDGET, gap)
 
 
-def _numeric_rank(G, rank_tol):
+def _numeric_rank(G):
     evals = np.linalg.eigvalsh(G)
     smax = max(float(np.max(np.abs(evals))), 1e-300)
-    return int(np.sum(evals > rank_tol * smax))
+    return int(np.sum(evals > RANK_TOL * smax))
 
 
 def _truncate_psd(G, target_rank):
@@ -317,7 +324,7 @@ def _truncate_psd(G, target_rank):
     return (V * keep) @ V.T
 
 
-def _face_walk(space, G, target_rank, rank_tol):
+def _face_walk(space, G, target_rank):
     """Boundary steps along fiber directions supported on range(G).
 
     Each step solves for Delta = sum c_i K_i with Delta @ null(G) = 0
@@ -331,7 +338,7 @@ def _face_walk(space, G, target_rank, rank_tol):
     for _round in range(4 * N + 4):
         evals, evecs = np.linalg.eigh(G)
         smax = max(float(np.max(np.abs(evals))), 1e-300)
-        live = evals > rank_tol * smax
+        live = evals > RANK_TOL * smax
         r = int(np.sum(live))
         if r <= target_rank:
             return G
@@ -371,7 +378,7 @@ def _face_walk(space, G, target_rank, rank_tol):
     return G
 
 
-def _rank_newton(space, G, target_rank, rank_tol):
+def _rank_newton(space, G, target_rank):
     """Newton polish onto an isolated rank-target psd point of the fiber.
 
     The vanishing of the null-block U^T G(theta) U gives z(z+1)/2 equations
@@ -393,8 +400,8 @@ def _rank_newton(space, G, target_rank, rank_tol):
         U = evecs[:, order[:z]]
         Fvec = (U.T @ cur @ U)[iu]
         if float(np.max(np.abs(Fvec))) <= 1e-13 * smax:
-            live = evals > rank_tol * smax
-            psd_ok = bool(np.all(evals >= -rank_tol * smax))
+            live = evals > RANK_TOL * smax
+            psd_ok = bool(np.all(evals >= -RANK_TOL * smax))
             return psd_ok and int(np.sum(live)) <= target_rank, cur
         J = (U.T @ space.kernel_f @ U)[:, iu[0], iu[1]].T
         try:
@@ -408,7 +415,7 @@ def _rank_newton(space, G, target_rank, rank_tol):
     return False, cur
 
 
-def _rank_projection_cycle(space, G, target_rank, rank_tol, budget):
+def _rank_projection_cycle(space, G, target_rank):
     """Alternate fiber projection with psd rank-target_rank truncation.
 
     The rank-(target) psd points of the fiber are isolated, so this is a
@@ -419,13 +426,13 @@ def _rank_projection_cycle(space, G, target_rank, rank_tol, budget):
     scale = max(1.0, float(np.linalg.norm(G)))
     gap = np.inf
     polish_at = 1e-3
-    for _ in range(budget):
+    for _ in range(REDUCE_BUDGET):
         T = _truncate_psd(G, target_rank)
         gap = float(np.linalg.norm(G - T)) / scale
         if gap <= REDUCE_TOL:
             return True, G, gap
         if gap <= polish_at:
-            ok, polished = _rank_newton(space, G, target_rank, rank_tol)
+            ok, polished = _rank_newton(space, G, target_rank)
             if ok:
                 return True, polished, 0.0
             polish_at *= 0.1  # not in the basin yet; keep cycling
@@ -433,14 +440,7 @@ def _rank_projection_cycle(space, G, target_rank, rank_tol, budget):
     return False, G, gap
 
 
-def rank_reduce(
-    space,
-    G,
-    target_rank,
-    rank_tol=None,
-    budget=REDUCE_BUDGET,
-    restarts=REDUCE_RESTARTS,
-):
+def rank_reduce(space, G, target_rank):
     """Reduce a psd fiber point to rank <= target_rank, staying in the fiber.
 
     Phase one walks to the psd boundary along fiber directions supported on
@@ -449,35 +449,34 @@ def rank_reduce(
     because the rank-(n+1) points are isolated; phase two switches to
     alternating projections between the fiber and the psd rank-<=target
     cone, seeded deterministically and restarted from perturbed fiber
-    points when a cycle fails to converge.
+    points when a cycle fails to converge: up to REDUCE_BUDGET rounds per
+    cycle and REDUCE_RESTARTS restarts.  Eigenvalues within RANK_TOL of the
+    spectral radius count as zero.
 
     Raises StuckAboveTarget with the best achieved rank when every attempt
-    fails; callers may retry with a larger budget.
+    fails.
     """
-    rank_tol = RANK_TOL if rank_tol is None else rank_tol
     G = np.asarray(G, dtype=float)
     G = space.project_fiber(0.5 * (G + G.T))
-    G = _face_walk(space, G, target_rank, rank_tol)
-    if _numeric_rank(G, rank_tol) <= target_rank:
+    G = _face_walk(space, G, target_rank)
+    if _numeric_rank(G) <= target_rank:
         # the eigenvalues dropped here still sit at the feasibility tolerance
         # (about -1e-10 of the largest); the polish takes them to rounding
-        ok, polished = _rank_newton(space, G, target_rank, rank_tol)
+        ok, polished = _rank_newton(space, G, target_rank)
         return polished if ok else G
 
     k = space.kdim
     scale = max(1.0, float(np.linalg.norm(G)))
     rng = np.random.default_rng(np.random.SeedSequence([REDUCE_SEED, space.size, k]))
-    best_rank = _numeric_rank(G, rank_tol)
+    best_rank = _numeric_rank(G)
     start = G
-    for _attempt in range(restarts + 1):
-        ok, Gout, _gap = _rank_projection_cycle(
-            space, start, target_rank, rank_tol, budget
-        )
+    for _attempt in range(REDUCE_RESTARTS + 1):
+        ok, Gout, _gap = _rank_projection_cycle(space, start, target_rank)
         if ok:
-            achieved = _numeric_rank(Gout, rank_tol)
+            achieved = _numeric_rank(Gout)
             if achieved <= target_rank:
                 return Gout
-        best_rank = min(best_rank, _numeric_rank(Gout, rank_tol))
+        best_rank = min(best_rank, _numeric_rank(Gout))
         # restart from a perturbed psd fiber point near the failed iterate
         bump = (rng.standard_normal(k) @ space.kernel_flat).reshape(G.shape)
         bump *= 0.25 * scale / max(1e-300, float(np.linalg.norm(bump)))
@@ -533,17 +532,25 @@ def _column_from_vector(vec, spec):
     return out
 
 
-def check_psd_on_grid(A, grid=GRID_POINTS, tol=1e-9):
-    """Sample A over directions of P^1; raises NotPSD with a witness."""
+def check_psd_on_grid(A):
+    """Screen A for psd-ness over directions of P^1; raises NotPSD with a witness.
+
+    With deg a_ij = d_i + d_j, A(lambda u, lambda v) = D A(u, v) D for
+    D = diag(lambda^d_i), a congruence, so the sign of the smallest
+    eigenvalue is constant along each ray through the origin (and equal at
+    (u, v) and (-u, -v)).  One point per direction therefore suffices: A is
+    evaluated at (cos theta, sin theta) for theta = j pi / PSD_DIRECTIONS,
+    j = 0..PSD_DIRECTIONS-1, and a smallest eigenvalue below -PSD_SCREEN_TOL
+    times the largest coefficient of A raises NotPSD((u, v, lambda_min)).
+    This is a screen, not a proof: a negative region narrower than the
+    spacing of the directions can pass.
+    """
     scale = max(A.max_abs_coeff(), 1e-300)
-    for u in np.linspace(-1.0, 1.0, grid):
-        for v in np.linspace(-1.0, 1.0, grid):
-            if u == 0.0 and v == 0.0:
-                continue
-            M = A.evaluate(float(u), float(v))
-            lam = float(np.linalg.eigvalsh(M)[0])
-            if lam < -tol * scale:
-                raise NotPSD((float(u), float(v), lam))
+    for theta in np.pi * np.arange(PSD_DIRECTIONS) / PSD_DIRECTIONS:
+        u, v = float(np.cos(theta)), float(np.sin(theta))
+        lam = float(np.linalg.eigvalsh(A.evaluate(u, v))[0])
+        if lam < -PSD_SCREEN_TOL * scale:
+            raise NotPSD((u, v, lam))
 
 
 def factor_residual(A, columns):
@@ -572,26 +579,26 @@ def factor_residual(A, columns):
     return verify_representation(f, rep)
 
 
-def factor(A, tol=FEAS_TOL, budget=FEAS_BUDGET, grid=GRID_POINTS):
+def factor(A):
     """Factor a psd bivariate matrix polynomial as A = B B^T, B n x (n+1).
 
-    Pipeline: grid psd check, prism embedding, Gram space, alternating
-    projections to a psd fiber point, rank reduction to n+1, column
-    extraction.  When rank reduction stalls above n+1 (non-generic input)
-    the achieved factorization is returned with a warning; up to 2n columns
-    still certify psd-ness.
+    Pipeline: psd screen over directions of P^1 (check_psd_on_grid), prism
+    embedding, Gram space, alternating projections to a psd fiber point
+    (psd_feasible, then _feasible_reflections when its budget runs out),
+    rank reduction to n+1, column extraction.  When rank reduction stalls
+    above n+1 (non-generic input) the achieved factorization is returned
+    with a warning; up to 2n columns still certify psd-ness.
 
     Raises NotPSD (with witness) or IterationBudgetExceeded.
     """
     if A.n == 1:
         return _factor_binary(A)
-    check_psd_on_grid(A, grid=grid)
+    check_psd_on_grid(A)
     spec, space = prism_gram_space(A)
     try:
-        first_budget = min(budget, 20_000)
-        G, info = psd_feasible(space, tol=tol, budget=first_budget, return_info=True)
+        G, info = psd_feasible(space)
     except IterationBudgetExceeded:
-        G, info = _feasible_reflections(space, tol=tol, budget=budget)
+        G, info = _feasible_reflections(space)
     target = spec.target_rank
     warning = None
     try:

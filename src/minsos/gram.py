@@ -24,9 +24,9 @@ from .errors import (
 from .exact_linalg import solve_affine
 from .surfaces import MonomialBasis, monomial_basis
 
-# eigenvalue thresholds, exposed as module config
+# relative thresholds: an eigenvalue counts when it exceeds RANK_TOL times
+# the spectral radius; a fiber point may miss the form by FIBER_TOL
 RANK_TOL = 1e-8
-PSD_TOL = 1e-8
 FIBER_TOL = 1e-8
 
 
@@ -201,9 +201,11 @@ def build_gram_space(f, spec):
     return gram_space_from_basis(f, basis, surface=spec)
 
 
-def inertia(G, tol=None):
-    """(nPlus, nMinus, nZero) eigenvalue counts of a real symmetric matrix."""
-    tol = RANK_TOL if tol is None else tol
+def inertia(G):
+    """(nPlus, nMinus, nZero) eigenvalue counts of a real symmetric matrix.
+
+    An eigenvalue counts as zero within RANK_TOL of the spectral radius.
+    """
     if isinstance(G, (list, tuple)):
         G = np.array([[float(v) for v in row] for row in G])
     G = np.asarray(G)
@@ -218,18 +220,20 @@ def inertia(G, tol=None):
         raise NonSymmetric("matrix is not symmetric")
     eigs = np.linalg.eigvalsh(0.5 * (G + G.T))
     smax = max(np.max(np.abs(eigs)), 1e-300)
-    nplus = int(np.sum(eigs > tol * smax))
-    nminus = int(np.sum(eigs < -tol * smax))
+    nplus = int(np.sum(eigs > RANK_TOL * smax))
+    nminus = int(np.sum(eigs < -RANK_TOL * smax))
     return (nplus, nminus, len(eigs) - nplus - nminus)
 
 
-def symmetric_rank(G, tol=None):
-    """Numerical rank of a (possibly complex) symmetric matrix via SVD."""
-    tol = RANK_TOL if tol is None else tol
+def symmetric_rank(G):
+    """Numerical rank of a (possibly complex) symmetric matrix via SVD.
+
+    Singular values below RANK_TOL times the largest count as zero.
+    """
     svals = np.linalg.svd(np.asarray(G, dtype=complex), compute_uv=False)
     if svals.size == 0 or svals[0] == 0:
         return 0
-    return int(np.sum(svals > tol * svals[0]))
+    return int(np.sum(svals > RANK_TOL * svals[0]))
 
 
 @dataclass
@@ -350,24 +354,24 @@ def representation_from_forms(basis, forms, signs=None):
     return Representation(basis=basis, vectors=vectors, signs=list(signs), exact=exact)
 
 
-def extract_representation(space, G, rank_tol=None, fiber_tol=None):
+def extract_representation(space, G):
     """Signed linear forms from a real symmetric fiber point, by eigenpairs.
 
-    Eigenvalues are sorted by descending absolute value; each kept form is
+    Eigenvalues are sorted by descending absolute value; those within
+    RANK_TOL of the spectral radius are dropped, and each kept form is
     sqrt(|lambda|) times its unit eigenvector with the first significant
-    coefficient made positive.
+    coefficient made positive.  Raises NotInFiber when G misses the form by
+    more than FIBER_TOL relative to its largest coefficient.
     """
-    rank_tol = RANK_TOL if rank_tol is None else rank_tol
-    fiber_tol = FIBER_TOL if fiber_tol is None else fiber_tol
     if isinstance(G, (list, tuple)):
         G = np.array([[float(v) for v in row] for row in G])
     G = np.asarray(G)
     if np.iscomplexobj(G):
-        if np.max(np.abs(G.imag)) > rank_tol * max(1.0, np.max(np.abs(G))):
+        if np.max(np.abs(G.imag)) > RANK_TOL * max(1.0, np.max(np.abs(G))):
             raise NonSymmetric("extraction needs a real symmetric matrix")
         G = G.real
     resid = float(space.fiber_residual(G))
-    if resid > fiber_tol * max(1.0, float(space.form_norm())):
+    if resid > FIBER_TOL * max(1.0, float(space.form_norm())):
         raise NotInFiber("fiber residual %.3e exceeds tolerance" % resid)
     evals, evecs = np.linalg.eigh(0.5 * (G + G.T))
     order = np.argsort(-np.abs(evals), kind="stable")
@@ -376,7 +380,7 @@ def extract_representation(space, G, rank_tol=None, fiber_tol=None):
     signs = []
     for idx in order:
         lam = evals[idx]
-        if abs(lam) <= rank_tol * smax:
+        if abs(lam) <= RANK_TOL * smax:
             continue
         vec = np.sqrt(abs(lam)) * evecs[:, idx]
         vmax = np.max(np.abs(vec))

@@ -16,6 +16,9 @@ from .factorization import SymMatrixPoly
 from .surfaces import VERONESE, genericity_check, monomial_basis, quadratic_form_blocks
 
 MAX_ATTEMPTS = 64
+# curve_samples walks s over [-CURVE_RADIUS, CURVE_RADIUS] in CURVE_POINTS steps
+CURVE_RADIUS = 3.0
+CURVE_POINTS = 400
 
 
 def _rng(seed, attempt):
@@ -138,17 +141,19 @@ def random_nonneg_binary(d, seed=0):
     raise UnsupportedDegree("failed to draw distinct quadratic factors")
 
 
-def curve_samples(f, spec, radius=3.0, count=400):
+def curve_samples(f, spec):
     """Sample real points of the zero set of a form on a scroll or cone.
 
-    Dehomogenizes at ``t = y = 1`` and, for each sample of the ruling
-    coordinate, solves the resulting real quadratic in the fiber coordinate.
+    Dehomogenizes at ``t = y = 1`` and, for each of ``CURVE_POINTS`` evenly
+    spaced samples of the ruling coordinate ``s`` in
+    ``[-CURVE_RADIUS, CURVE_RADIUS]``, solves the resulting real quadratic
+    in the fiber coordinate.
     Yields ``(s, branch, x)`` rows; branches without real solutions are
     skipped.
     """
     a_form, b_form, c_form = quadratic_form_blocks(f, spec)
     rows = []
-    for s in np.linspace(-radius, radius, count):
+    for s in np.linspace(-CURVE_RADIUS, CURVE_RADIUS, CURVE_POINTS):
         sc = complex(s)
         a = complex(a_form.eval(sc, 1.0))
         b = complex(b_form.eval(sc, 1.0))

@@ -304,11 +304,17 @@ def _squarefree_exact(g):
     return binary_gcd(gs, gt).deg == 0
 
 
-def projective_roots(g, cluster_radius=1e-6):
+# relative distance within which numeric roots count as one multiple root
+ROOT_CLUSTER_RADIUS = 1e-6
+
+
+def projective_roots(g, cluster_radius=ROOT_CLUSTER_RADIUS):
     """Numeric projective roots of a binary form with multiplicities.
 
     Returns a list of (root, multiplicity) where root is a complex number
-    (value of s/t) or the string "inf" for the root at infinity.
+    (value of s/t) or the string "inf" for the root at infinity.  Roots
+    within cluster_radius (relative to the largest root, at least 1) merge
+    into one root of higher multiplicity.
     """
     coeffs = [complex(c) for c in g.coeffs]
     out = []
@@ -335,16 +341,17 @@ def projective_roots(g, cluster_radius=1e-6):
     return out
 
 
-def _squarefree_numeric(g, cluster_radius=1e-6):
+def _squarefree_numeric(g):
     if g.is_zero():
         return False
-    return all(mult == 1 for _, mult in projective_roots(g, cluster_radius))
+    return all(mult == 1 for _, mult in projective_roots(g))
 
 
-def binary_squarefree(g, cluster_radius=1e-6):
+def binary_squarefree(g):
+    """Squarefreeness: exact gcd for rational forms, root clustering otherwise."""
     if g.field == RATIONAL:
         return _squarefree_exact(g)
-    return _squarefree_numeric(g, cluster_radius)
+    return _squarefree_numeric(g)
 
 
 @dataclass
@@ -390,15 +397,15 @@ class GenericityReport:
         }
 
 
-def genericity_check(f, spec, cluster_radius=1e-6):
+def genericity_check(f, spec):
     """Genericity diagnostics for a quadratic form.
 
     For scrolls and cones: (i) squarefreeness of the normalized discriminant
-    (exact gcd in rational mode, root clustering in float mode), and (ii)
-    smoothness of the curve V(f) in P^1 x P^1, which is equivalent to
-    squarefreeness of the raw discriminant b^2 - ac including its forced
-    t-power (a multiple branch point or a degenerate fiber is exactly a
-    singular point of the double cover).
+    (exact gcd in rational mode, roots clustered at ROOT_CLUSTER_RADIUS in
+    float mode), and (ii) smoothness of the curve V(f) in P^1 x P^1, which is
+    equivalent to squarefreeness of the raw discriminant b^2 - ac including
+    its forced t-power (a multiple branch point or a degenerate fiber is
+    exactly a singular point of the double cover).
     """
     report = GenericityReport(surface=spec)
     if spec.kind == VERONESE:
@@ -417,8 +424,8 @@ def genericity_check(f, spec, cluster_radius=1e-6):
         report.curve_smooth = False
         report.notes.append("identically zero discriminant (f is a square)")
         return report
-    report.delta_squarefree = binary_squarefree(delta, cluster_radius)
-    report.curve_smooth = binary_squarefree(raw, cluster_radius)
+    report.delta_squarefree = binary_squarefree(delta)
+    report.curve_smooth = binary_squarefree(raw)
     if spec.kind == SCROLL:
         report.expected_complex = 4 ** spec.genus
     else:

@@ -29,6 +29,7 @@ H_MIN = 1e-14
 NEWTON_TOL = 1e-9
 NEWTON_ITERS = 4
 POLISH_TOL = 1e-14
+POLISH_ITERS = 10
 DIVERGENCE_CUTOFF = 1e8
 # a stalled path is only declared divergent from well beyond any plausible
 # solution norm; finite solutions of modest conditioning can sit at 1e5-1e6
@@ -184,22 +185,21 @@ def _track_one(system, gamma, x):
             if h < H_MIN:
                 return _stalled(x), steps, x
     # endpoint polish on the target system alone (t = 1)
-    polished, xp = _newton(system, gamma, x, 1.0, 10, POLISH_TOL)
+    polished, xp = _newton(system, gamma, x, 1.0, POLISH_ITERS, POLISH_TOL)
     if polished and np.all(np.isfinite(xp)):
         x = xp
     return STATUS_CONVERGED, steps, x
 
 
-def track_all(system, gamma, starts=None):
+def track_all(system, gamma):
     """Track every start point of the total-degree homotopy.
 
-    Returns (endpoints, statuses, steps) arrays indexed by path.  Paths are
-    independent; results are written to per-path slots, so the output does
-    not depend on execution order.
+    The start points are system.start_points(), the roots of unity of the
+    start system.  Returns (endpoints, statuses, steps) arrays indexed by
+    path.  Paths are independent; results are written to per-path slots, so
+    the output does not depend on execution order.
     """
-    if starts is None:
-        starts = system.start_points()
-    starts = np.asarray(starts, dtype=np.complex128)
+    starts = system.start_points()
     paths = starts.shape[0]
     out_x = np.empty((paths, system.k), dtype=np.complex128)
     out_status = np.empty(paths, dtype=np.int64)
@@ -210,12 +210,14 @@ def track_all(system, gamma, starts=None):
     return out_x, out_status, out_steps
 
 
-def newton_polish(system, x, iters=10, tol=POLISH_TOL):
+def newton_polish(system, x):
     """Polish a point on the target system itself; returns (ok, x).
 
-    On failure x is the last Newton iterate.
+    Runs up to POLISH_ITERS Newton steps to POLISH_TOL, the endpoint polish
+    of a tracked path.  On failure x is the last Newton iterate.
     """
-    ok, x = _newton(system, 0j, np.array(x, dtype=np.complex128), 1.0, iters, tol)
+    x = np.array(x, dtype=np.complex128)
+    ok, x = _newton(system, 0j, x, 1.0, POLISH_ITERS, POLISH_TOL)
     return bool(ok), x
 
 

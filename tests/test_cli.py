@@ -9,7 +9,8 @@ import pytest
 from minsos import cli
 from minsos.biform import TermPoly
 from minsos.sampling import random_dyad_matrix, random_nonneg_binary, random_positive_form
-from minsos.surfaces import scroll, veronese
+from minsos.enumerator import expected_counts
+from minsos.surfaces import cone_rnc, scroll, veronese
 
 # certificates emitted before every residual went through one coefficient map
 DATA = Path(__file__).parent / "data"
@@ -44,6 +45,21 @@ def test_enumerate_verify_round_trip_is_byte_identical(tmp_path):
     report = json.loads(outputs[0])
     assert set(report) == {"kind", "surface", "seed", "rank", "form", "report", "solutions"}
     assert report["report"]["counts"]["psd"] == 2
+
+
+def test_enumerate_on_a_cone_writes_a_certificate_that_verifies(tmp_path):
+    # the cone path once passed an unset clustering radius to the root finder
+    # and died with a TypeError unless the radius was given by hand
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(random_positive_form(cone_rnc(4), seed=3).to_json()))
+    out = tmp_path / "cone.json"
+    argv = ["enumerate", str(form_path), "--surface", "cone_rnc(4)", "--json-out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert cli.main(["verify", str(out)]) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["rank"] == 3
+    assert report["report"]["counts"] == expected_counts(cone_rnc(4))
+    assert len(report["report"]["entries"]) == 11  # 8 psd and 3 indefinite
 
 
 def test_enumerate_dumps_real_points_of_the_curve(tmp_path):

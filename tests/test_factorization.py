@@ -1,11 +1,13 @@
 """Factorization A = B B^T: random dyad matrices, the residual, NotPSD."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from minsos.biform import BinaryForm
 from minsos.errors import DimensionMismatch, NonSymmetric, NotPSD
-from minsos.factorization import SymMatrixPoly, factor, factor_residual
+from minsos.factorization import SymMatrixPoly, check_psd_on_grid, factor, factor_residual
 from minsos.sampling import random_dyad_matrix
 
 
@@ -100,16 +102,42 @@ def test_factor_residual_rejects_wrong_column_degrees():
         factor_residual(A, wrong)
 
 
+def _diag(*entries):
+    n = len(entries)
+    return SymMatrixPoly([
+        [entries[i] if i == j else BinaryForm.zero(entries[i].deg) for j in range(n)]
+        for i in range(n)
+    ])
+
+
 def test_indefinite_matrix_raises_not_psd_with_witness():
-    # diag(s^2, -t^2) is negative wherever t != 0
-    A = SymMatrixPoly(
-        [
-            [BinaryForm([0, 0, 1], 2), BinaryForm.zero(2)],
-            [BinaryForm.zero(2), BinaryForm([-1, 0, 0], 2)],
-        ]
-    )
-    with pytest.raises(NotPSD) as info:
-        factor(A)
-    u, v, lam = info.value.witness
-    assert v != 0.0 and lam < 0.0
-    assert np.linalg.eigvalsh(A.evaluate(u, v))[0] == pytest.approx(lam)
+    cases = [
+        # diag(s^2, -t^2) is negative wherever t != 0
+        (_diag(BinaryForm([0, 0, 1], 2), BinaryForm([-1, 0, 0], 2)),
+         lambda u, v: v != 0.0),
+        # diag(s^2 + t^2, t^2 - s^2/400) is negative only where |t| < |s|/20
+        (_diag(BinaryForm([1, 0, 1], 2), BinaryForm([1, 0, Fraction(-1, 400)], 2)),
+         lambda u, v: abs(v) < abs(u) / 20),
+        # (s - t)^2 - (s^2 + t^2)/400 is negative only within about 0.035 rad of s = t
+        (_diag(BinaryForm([1, 0, 1], 2),
+               BinaryForm([Fraction(399, 400), -2, Fraction(399, 400)], 2)),
+         lambda u, v: (u - v) ** 2 < (u * u + v * v) / 400),
+        # and its mirror near s = -t, where s and t have opposite signs
+        (_diag(BinaryForm([1, 0, 1], 2),
+               BinaryForm([Fraction(399, 400), 2, Fraction(399, 400)], 2)),
+         lambda u, v: (u + v) ** 2 < (u * u + v * v) / 400),
+    ]
+    for A, in_negative_region in cases:
+        with pytest.raises(NotPSD) as info:
+            factor(A)
+        u, v, lam = info.value.witness
+        assert lam < 0.0 and in_negative_region(u, v)
+        assert np.linalg.eigvalsh(A.evaluate(u, v))[0] == pytest.approx(lam)
+
+
+def test_psd_screen_passes_singular_psd_matrices():
+    # a single dyad c c^T is singular in every direction, diag((s - t)^2, s^2 + t^2)
+    # along s = t, which the screen samples; rounding must not read as negative
+    dyad, _ = random_dyad_matrix((2, 1), seed=0, ncols=1)
+    for A in (dyad, _diag(BinaryForm([1, -2, 1], 2), BinaryForm([1, 0, 1], 2))):
+        check_psd_on_grid(A)

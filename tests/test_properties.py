@@ -1,4 +1,4 @@
-"""Properties checked on random inputs: form JSON and the apex reduction."""
+"""Properties checked on random inputs: form and certificate JSON, the apex reduction."""
 
 from fractions import Fraction
 
@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from minsos.biform import RATIONAL, BinaryForm, TermPoly
 from minsos.cones import lift_gram, schur_reduce_gram
+from minsos.gram import Representation
+from minsos.surfaces import MonomialBasis
 
 SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -70,3 +72,33 @@ def cone_gram_data(draw):
 def test_schur_reduce_inverts_lift_gram_exactly(drawn):
     Gp, a, b = drawn
     assert schur_reduce_gram(lift_gram(Gp, a, b), b.deg) == Gp
+
+
+@st.composite
+def representations(draw):
+    """A signed representation over a random monomial basis, exact or float."""
+    nvars = draw(st.integers(1, 4))
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), min_size=1,
+                          max_size=6, unique=True))
+    names = tuple("v%d" % i for i in range(nvars))
+    basis = MonomialBasis(tuple(monos), nvars, names)
+    exact = draw(st.booleans())
+    coeffs = rationals if exact else st.floats(-1e6, 1e6, allow_nan=False)
+    vectors = draw(st.lists(st.lists(coeffs, min_size=len(monos), max_size=len(monos)),
+                            min_size=1, max_size=4))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(vectors),
+                          max_size=len(vectors)))
+    return Representation(basis=basis, vectors=vectors, signs=signs, exact=exact)
+
+
+@SETTINGS
+@given(representations())
+def test_representation_json_round_trip(rep):
+    back = Representation.from_json(rep.to_json())
+    assert back.basis == rep.basis
+    assert back.signs == rep.signs
+    assert back.exact == rep.exact
+    if rep.exact:
+        assert back.gram_exact() == rep.gram_exact()
+    else:
+        assert (back.gram() == rep.gram()).all()
