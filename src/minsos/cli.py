@@ -429,7 +429,6 @@ def build_parser():
     p = sub.add_parser("verify", help="re-verify an emitted certificate file")
     p.add_argument("certificate", help="JSON report from enumerate/factor/two-squares")
     _add_residual_tol(p)
-    _add_json_out(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

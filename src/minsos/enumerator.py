@@ -324,10 +324,11 @@ def solve(system, seed=0):
     deterministic function of (system, seed).  Points within REAL_TOL of the
     real locus are re-polished from their real parts and stored real.
 
-    When paths fail, or two validated endpoints of the first sweep fall in
-    one cluster, one more sweep runs with an independent gamma: the solution
-    set does not depend on gamma, so the union of validated endpoints can
-    only recover what the first sweep lost.
+    When paths fail other than by stalling on their escape to infinity, or
+    two validated endpoints of the first sweep fall in one cluster, one more
+    sweep runs with an independent gamma: the solution set does not depend
+    on gamma, so the union of validated endpoints can only recover what the
+    first sweep lost.
 
     Raises PathFailureBudgetExceeded when more than FAIL_BUDGET of the
     non-diverging paths fail to converge.
@@ -357,7 +358,8 @@ def solve(system, seed=0):
     # two paths on one solution means a path jumped and another solution
     # may be lost; an independent gamma sends the paths along other routes
     collided = any(counts[0] > 1 for _, _, counts in clusters)
-    second_sweep = failed > 0 or collided
+    # an escaping path heads to a solution at infinity, which no sweep keeps
+    second_sweep = failed - escaping > 0 or collided
     if second_sweep:
         e2, s2, _steps = track_all(psys, gamma2)
         more, junk2 = _validate(system, e2[s2 == STATUS_CONVERGED], 1)

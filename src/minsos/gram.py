@@ -303,15 +303,18 @@ class Representation:
             "varNames": list(self.basis.var_names),
             "vectors": [vec_json(v) for v in self.vectors],
             "signs": list(self.signs),
+            "exact": self.exact,
         }
 
     @classmethod
     def from_json(cls, data):
+        """Read to_json's layout; without "exact" (earlier releases) it is
+        inferred: exact when every coefficient is a num/den pair."""
         monos = tuple(tuple(int(e) for e in m) for m in data["basis"])
         names = tuple(data["varNames"])
         basis = MonomialBasis(monos, len(names), names)
         vectors = []
-        exact = True
+        rational = True
         for raw in data["vectors"]:
             vec = []
             for c in raw:
@@ -319,8 +322,11 @@ class Representation:
                     vec.append(Fraction(int(c["num"]), int(c.get("den", 1))))
                 else:
                     vec.append(float(c))
-                    exact = False
+                    rational = False
             vectors.append(vec)
+        exact = bool(data.get("exact", rational))
+        if exact and not rational:
+            raise ValueError("an exact representation holds float coefficients")
         return cls(
             basis=basis,
             vectors=vectors,

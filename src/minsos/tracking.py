@@ -5,11 +5,18 @@ with start system S_i(x) = x_i^(d_i) - 1 from t = 0 to t = 1, using an Euler
 predictor and a Newton corrector with adaptive step control.
 
 All equations of the target system share one monomial table, which also
-holds every monomial of their first partial derivatives.  At a point, a
-table of the powers x_v^e is built by repeated multiplication, the monomial
-vector is one gather over the exponent table, and F and the Jacobian are
-the matrix products C @ mono and D @ mono.  Paths are tracked one at a time
-with plain numpy calls.
+holds every monomial of their first partial derivatives.  At P points, a
+table of the powers x_v^e is built by repeated multiplication, each
+monomial value is a product of one gathered power per variable, and F and
+the Jacobian are one matrix product with the stacked coefficients.
+
+The path is the batch axis: every path of a homotopy advances in one array
+step.  Each path keeps its own t, step size, step count and status; the
+predictor solve and the Newton corrector run on the stacked Jacobians, and
+accept or reject, step-size change and every stopping rule are applied per
+path by masks, by the rules of a tracker that follows one path at a time.
+Finished paths leave the active set, so a step costs what the paths still
+running cost.
 """
 
 from __future__ import annotations
@@ -43,7 +50,9 @@ class PolySystem:
     Coefficients are stored densely over one monomial table that holds the
     union support and every first derivative of it: C[i, j] is the
     coefficient of monomial exps[j] in equation i, and D[i, v, j] is the
-    coefficient of monomial exps[j] in dF_i/dx_v.
+    coefficient of monomial exps[j] in dF_i/dx_v.  Both are kept stacked as
+    _CD, so F and the flattened J at P points are one product of _CD with
+    the (monomials, P) table of monomial values.
     """
 
     def __init__(self, polys, k):
@@ -69,8 +78,7 @@ class PolySystem:
                     if expo[v]:
                         D[i, v, index[_lower(expo, v)]] += expo[v] * complex(coeff)
         self.exps = np.array(monos, dtype=np.int64)
-        self.C = C
-        self.D = D
+        self._CD = np.concatenate([C, D.reshape(k * k, -1)])
         self.degrees = np.array(
             [max((sum(e) for e in poly), default=0) for poly in polys],
             dtype=np.int64,
@@ -94,15 +102,24 @@ class PolySystem:
 
     def evaluate(self, x):
         """F(x) for a single point."""
-        return self._eval_FJ(np.asarray(x, dtype=np.complex128))[1]
+        return self._eval_FJ(np.asarray(x, dtype=np.complex128)[None])[1][0]
 
     def _eval_FJ(self, x):
-        """(powers, F, J) at one point; powers[v, e] = x_v^e."""
-        powers = np.repeat(x[:, None], self.top + 1, axis=1)
+        """(powers, F, J) at the rows of x (P, k); powers[v, e, p] = x[p, v]^e.
+
+        The point index runs last in powers and in the monomial table, so
+        each product and gather works on whole rows of P values.
+        """
+        xT = x.T
+        powers = np.empty((self.k, self.top + 1, len(x)), dtype=np.complex128)
         powers[:, 0] = 1.0
-        powers = np.cumprod(powers, axis=1)
-        mono = powers[self._vars, self.exps].prod(axis=1)
-        return powers, self.C @ mono, self.D @ mono
+        for e in range(1, self.top + 1):
+            np.multiply(powers[:, e - 1], xT, out=powers[:, e])
+        mono = powers[0, self.exps[:, 0]]
+        for v in range(1, self.k):
+            mono *= powers[v, self.exps[:, v]]
+        FJ = (self._CD @ mono).T
+        return powers, FJ[:, : self.k], FJ[:, self.k :].reshape(-1, self.k, self.k)
 
 
 def _lower(expo, v):
@@ -110,85 +127,71 @@ def _lower(expo, v):
 
 
 def _homotopy(system, gamma, x, t):
-    """H(x, t), dH/dx and dH/dt at one point."""
+    """H(x, t), dH/dx and dH/dt at the rows of x (P, k), each at its own t (P,)."""
     powers, F, J = system._eval_FJ(x)
+    v = system._vars
     degs = system.degrees
-    xd1 = powers[system._vars, degs - 1]
-    S = powers[system._vars, degs] - 1.0
-    gt = gamma * (1.0 - t)
-    H = gt * S + t * F
-    Hx = t * J
-    Hx[system._vars, system._vars] += gt * degs * xd1
+    xd1 = powers[v, degs - 1].T
+    S = powers[v, degs].T - 1.0
+    gt = (gamma * (1.0 - t))[:, None]
+    H = gt * S + t[:, None] * F
+    Hx = t[:, None, None] * J
+    Hx[:, v, v] += gt * degs * xd1
     return H, Hx, F - gamma * S
 
 
+def _solve(A, b):
+    """Solve A[p] y[p] = b[p] for every p; returns (y, solved).
+
+    A singular matrix fails only its own row, whose y is left zero.
+    """
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        # the stacked solve raises for the whole stack; find the singular rows
+        y = np.zeros_like(b)
+        solved = np.ones(len(b), dtype=bool)
+        for p in range(len(b)):
+            try:
+                y[p] = np.linalg.solve(A[p], b[p])
+            except np.linalg.LinAlgError:
+                solved[p] = False
+        return y, solved
+
+
 def _newton(system, gamma, x, t, iters, tol):
-    """Newton correction of x at fixed t; returns (converged, last iterate)."""
+    """Newton correction of each row of x (P, k) at its own t (P,).
+
+    Returns (converged, last iterates).  Each row stops on its own: when it
+    converges, when its Jacobian is singular, or when its step is NaN or
+    hopelessly large.
+    """
+    x = x.copy()
+    converged = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
     for _ in range(iters):
-        H, Hx, _Ht = _homotopy(system, gamma, x, t)
-        try:
-            dx = np.linalg.solve(Hx, H)
-        except np.linalg.LinAlgError:
-            return False, x
-        x = x - dx
-        norm_dx = np.abs(dx).max()
-        norm_x = np.abs(x).max()
-        if np.isnan(norm_dx):
-            return False, x
-        if norm_dx <= tol * (1.0 + norm_x):
-            return True, x
-        if norm_dx > 0.25 * (1.0 + norm_x):
-            # hopeless prediction; bail before burning more iterations
-            return False, x
-    return False, x
+        if not live.size:
+            break
+        H, Hx, _Ht = _homotopy(system, gamma, x[live], t[live])
+        dx, solved = _solve(Hx, H)
+        live, dx = live[solved], dx[solved]
+        xl = x[live] - dx
+        x[live] = xl
+        norm_dx = np.abs(dx).max(axis=1)
+        scale = 1.0 + np.abs(xl).max(axis=1)
+        done = norm_dx <= tol * scale
+        converged[live[done]] = True
+        # a NaN step or a hopeless prediction bails before burning more iterations
+        bail = np.isnan(norm_dx) | (norm_dx > 0.25 * scale)
+        live = live[~done & ~bail]
+    return converged, x
 
 
 def _stalled(x):
-    if np.abs(x).max() > STALL_DIVERGED:
-        return STATUS_DIVERGED
-    return STATUS_FAILED
-
-
-def _track_one(system, gamma, x):
-    """Track one path from t=0 to t=1; returns (status, steps, endpoint)."""
-    t = 0.0
-    h = H_INIT
-    consec = 0
-    steps = 0
-    while t < 1.0:
-        if steps >= MAX_STEPS:
-            return _stalled(x), steps, x
-        steps += 1
-        hstep = min(h, 1.0 - t)
-        # Euler predictor: dx/dt = -Hx^{-1} Ht with Ht = F - gamma * S
-        _H, Hx, Ht = _homotopy(system, gamma, x, t)
-        try:
-            dx = np.linalg.solve(Hx, Ht)
-        except np.linalg.LinAlgError:
-            ok = False
-        else:
-            ok, xtrial = _newton(
-                system, gamma, x - hstep * dx, t + hstep, NEWTON_ITERS, NEWTON_TOL
-            )
-        if ok:
-            t += hstep
-            x = xtrial
-            if np.abs(x).max() > DIVERGENCE_CUTOFF:
-                return STATUS_DIVERGED, steps, x
-            consec += 1
-            if consec >= 2:
-                consec = 0
-                h = min(h * 2.0, H_MAX)
-        else:
-            consec = 0
-            h = h * 0.5
-            if h < H_MIN:
-                return _stalled(x), steps, x
-    # endpoint polish on the target system alone (t = 1)
-    polished, xp = _newton(system, gamma, x, 1.0, POLISH_ITERS, POLISH_TOL)
-    if polished and np.all(np.isfinite(xp)):
-        x = xp
-    return STATUS_CONVERGED, steps, x
+    """Status of stalled paths at their last points x (P, k)."""
+    return np.where(
+        np.abs(x).max(axis=1) > STALL_DIVERGED, STATUS_DIVERGED, STATUS_FAILED
+    )
 
 
 def track_all(system, gamma):
@@ -196,17 +199,67 @@ def track_all(system, gamma):
 
     The start points are system.start_points(), the roots of unity of the
     start system.  Returns (endpoints, statuses, steps) arrays indexed by
-    path.  Paths are independent; results are written to per-path slots, so
-    the output does not depend on execution order.
+    path.  All paths advance together, one predictor-corrector step per
+    iteration; a path leaves the active set when it reaches t = 1, diverges
+    past DIVERGENCE_CUTOFF, or stalls (MAX_STEPS steps, or a step size below
+    H_MIN).  Converged endpoints are then polished together on the target
+    system.
     """
-    starts = system.start_points()
-    paths = starts.shape[0]
-    out_x = np.empty((paths, system.k), dtype=np.complex128)
-    out_status = np.empty(paths, dtype=np.int64)
-    out_steps = np.empty(paths, dtype=np.int64)
     gamma = complex(gamma)
-    for p in range(paths):
-        out_status[p], out_steps[p], out_x[p] = _track_one(system, gamma, starts[p])
+    out_x = system.start_points()
+    paths = out_x.shape[0]
+    out_status = np.full(paths, STATUS_CONVERGED, dtype=np.int64)
+    out_steps = np.zeros(paths, dtype=np.int64)
+    # state of the active paths; row r is path idx[r]
+    idx = np.arange(paths)
+    x = out_x.copy()
+    t = np.zeros(paths)
+    h = np.full(paths, H_INIT)
+    consec = np.zeros(paths, dtype=np.int64)
+    steps = np.zeros(paths, dtype=np.int64)
+    while idx.size:
+        steps += 1
+        hstep = np.minimum(h, 1.0 - t)
+        # Euler predictor: dx/dt = -Hx^{-1} Ht with Ht = F - gamma * S
+        _H, Hx, Ht = _homotopy(system, gamma, x, t)
+        dx, solved = _solve(Hx, Ht)
+        sel = np.nonzero(solved)[0]
+        ok, xtrial = _newton(
+            system,
+            gamma,
+            x[sel] - hstep[sel, None] * dx[sel],
+            t[sel] + hstep[sel],
+            NEWTON_ITERS,
+            NEWTON_TOL,
+        )
+        accepted = np.zeros(idx.size, dtype=bool)
+        accepted[sel] = ok
+        x[sel[ok]] = xtrial[ok]
+        t = np.where(accepted, t + hstep, t)
+        consec = np.where(accepted, consec + 1, 0)
+        grow = consec >= 2
+        consec[grow] = 0
+        h = np.where(grow, np.minimum(h * 2.0, H_MAX), np.where(accepted, h, h * 0.5))
+        diverged = accepted & (np.abs(x).max(axis=1) > DIVERGENCE_CUTOFF)
+        running = ~diverged & (t < 1.0)
+        stalled = running & ((~accepted & (h < H_MIN)) | (steps >= MAX_STEPS))
+        ended = ~running | stalled
+        if ended.any():
+            out = idx[ended]
+            out_x[out] = x[ended]
+            out_steps[out] = steps[ended]
+            out_status[idx[diverged]] = STATUS_DIVERGED
+            out_status[idx[stalled]] = _stalled(x[stalled])
+            keep = ~ended
+            idx, x, t, h = idx[keep], x[keep], t[keep], h[keep]
+            consec, steps = consec[keep], steps[keep]
+    # endpoint polish on the target system alone (t = 1)
+    done = np.nonzero(out_status == STATUS_CONVERGED)[0]
+    polished, xp = _newton(
+        system, gamma, out_x[done], np.ones(done.size), POLISH_ITERS, POLISH_TOL
+    )
+    good = polished & np.all(np.isfinite(xp), axis=1)
+    out_x[done[good]] = xp[good]
     return out_x, out_status, out_steps
 
 
@@ -216,9 +269,9 @@ def newton_polish(system, x):
     Runs up to POLISH_ITERS Newton steps to POLISH_TOL, the endpoint polish
     of a tracked path.  On failure x is the last Newton iterate.
     """
-    x = np.array(x, dtype=np.complex128)
-    ok, x = _newton(system, 0j, x, 1.0, POLISH_ITERS, POLISH_TOL)
-    return bool(ok), x
+    x = np.array(x, dtype=np.complex128)[None]
+    ok, x = _newton(system, 0j, x, np.ones(1), POLISH_ITERS, POLISH_TOL)
+    return bool(ok[0]), x[0]
 
 
 def warm_up():

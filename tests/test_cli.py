@@ -47,6 +47,14 @@ def test_enumerate_verify_round_trip_is_byte_identical(tmp_path):
     assert report["report"]["counts"]["psd"] == 2
 
 
+def test_verify_takes_no_json_out(tmp_path):
+    # verify writes no report; the flag it once accepted never wrote one
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", str(DATA / "factor_n1.json"), "--json-out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
 def test_enumerate_on_a_cone_writes_a_certificate_that_verifies(tmp_path):
     # the cone path once passed an unset clustering radius to the root finder
     # and died with a TypeError unless the radius was given by hand

@@ -222,3 +222,17 @@ def test_genus_two_scroll_counts(seed):
     report = enumerate_rank(build_gram_space(f, scroll(2, 1)), 3, seed)
     assert report.counts == {"complex": 16, "real": 4, "psd": 4, "indefinite": 0}
     assert report.warning is None
+
+
+@pytest.mark.slow
+def test_genus_three_scroll_counts():
+    # one sweep of 4096 paths: every path that fails here stalls on its way
+    # to infinity, which sends no second sweep
+    spec = scroll(2, 2)
+    f = random_positive_form(spec, seed=0)
+    report = enumerate_rank(build_gram_space(f, spec), 3, 0)
+    assert report.counts == expected_counts(spec)
+    assert report.warning is None
+    stats = report.path_stats
+    assert stats["failed"] == stats["stalledEscaping"] > 0
+    assert not stats["secondSweep"]

@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minsos.biform import RATIONAL, BinaryForm, TermPoly
+from minsos.binary_sos import rnc_basis
 from minsos.cones import lift_gram, schur_reduce_gram
 from minsos.gram import Representation
 from minsos.surfaces import MonomialBasis
@@ -76,7 +78,8 @@ def test_schur_reduce_inverts_lift_gram_exactly(drawn):
 
 @st.composite
 def representations(draw):
-    """A signed representation over a random monomial basis, exact or float."""
+    """A signed representation over a random monomial basis, exact or float,
+    of zero to four forms."""
     nvars = draw(st.integers(1, 4))
     monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), min_size=1,
                           max_size=6, unique=True))
@@ -85,7 +88,7 @@ def representations(draw):
     exact = draw(st.booleans())
     coeffs = rationals if exact else st.floats(-1e6, 1e6, allow_nan=False)
     vectors = draw(st.lists(st.lists(coeffs, min_size=len(monos), max_size=len(monos)),
-                            min_size=1, max_size=4))
+                            min_size=0, max_size=4))
     signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(vectors),
                           max_size=len(vectors)))
     return Representation(basis=basis, vectors=vectors, signs=signs, exact=exact)
@@ -93,6 +96,8 @@ def representations(draw):
 
 @SETTINGS
 @given(representations())
+# no coefficient is left to infer exactness from
+@example(Representation(rnc_basis(2), [], [], exact=False))
 def test_representation_json_round_trip(rep):
     back = Representation.from_json(rep.to_json())
     assert back.basis == rep.basis
@@ -102,3 +107,10 @@ def test_representation_json_round_trip(rep):
         assert back.gram_exact() == rep.gram_exact()
     else:
         assert (back.gram() == rep.gram()).all()
+
+
+def test_exact_representation_with_float_coefficients_is_rejected():
+    data = Representation(rnc_basis(1), [[1.5, 0.25]], [1]).to_json()
+    data["exact"] = True
+    with pytest.raises(ValueError):
+        Representation.from_json(data)

@@ -10,8 +10,11 @@ import itertools
 import numpy as np
 import pytest
 
+from minsos import tracking
 from minsos.tracking import (
     STATUS_CONVERGED,
+    STATUS_DIVERGED,
+    STATUS_FAILED,
     PolySystem,
     newton_polish,
     track_all,
@@ -114,19 +117,19 @@ def test_F_and_jacobian_match_scalar_reference(k, deg):
         F = np.empty(k, dtype=np.complex128)
         J = np.empty(k * k, dtype=np.complex128)
         _eval_FJ(C, D, parent, pvar, x, np.empty(len(parent), complex), F, J)
-        _powers, F_new, J_new = sys_._eval_FJ(x)
-        np.testing.assert_allclose(F_new, F, rtol=1e-12)
+        _powers, F_new, J_new = sys_._eval_FJ(x[None])
+        np.testing.assert_allclose(F_new[0], F, rtol=1e-12)
         np.testing.assert_allclose(sys_.evaluate(x), F, rtol=1e-12)
-        np.testing.assert_allclose(J_new, J.reshape(k, k), rtol=1e-12)
+        np.testing.assert_allclose(J_new[0], J.reshape(k, k), rtol=1e-12)
 
 
 def test_jacobian_of_sparse_support():
     # d(xy)/dy = x: the monomial x itself is in no equation's support
     polys = [{(1, 1): 2.0 + 1j}, {(0, 1): 1.0, (0, 0): -3.0}]
     x = np.array([0.3 - 1.2j, 2.0 + 0.5j])
-    _powers, F, J = PolySystem(polys, 2)._eval_FJ(x)
-    np.testing.assert_allclose(F, [(2.0 + 1j) * x[0] * x[1], x[1] - 3.0])
-    np.testing.assert_allclose(J, [[(2.0 + 1j) * x[1], (2.0 + 1j) * x[0]], [0, 1]])
+    _powers, F, J = PolySystem(polys, 2)._eval_FJ(x[None])
+    np.testing.assert_allclose(F[0], [(2.0 + 1j) * x[0] * x[1], x[1] - 3.0])
+    np.testing.assert_allclose(J[0], [[(2.0 + 1j) * x[1], (2.0 + 1j) * x[0]], [0, 1]])
 
 
 def test_total_paths_is_degree_product():
@@ -207,6 +210,118 @@ def test_tracking_deterministic_for_fixed_gamma():
     assert np.array_equal(n1, n2)
 
 
+# ------------------------------------------------ serial reference tracker
+
+
+def _reference_track(polys, k, gamma):
+    """Track each path alone with plain loops, by the tracker's constants.
+
+    Returns (endpoints, statuses, steps) in start-point order: the tuples of
+    d_i-th roots of unity, the last variable varying fastest.
+    """
+    C, D, parent, pvar = _reference_tables(polys, k)
+    degs = [max(sum(e) for e in poly) for poly in polys]
+    mono = np.empty(len(parent), dtype=complex)
+
+    def power(z, d):
+        p = 1.0 + 0.0j
+        for _ in range(d):
+            p = p * z
+        return p
+
+    def homotopy(x, t):
+        F = np.empty(k, dtype=complex)
+        J = np.empty(k * k, dtype=complex)
+        _eval_FJ(C, D, parent, pvar, x, mono, F, J)
+        S = np.array([power(x[v], degs[v]) - 1.0 for v in range(k)])
+        gt = gamma * (1.0 - t)
+        Hx = t * J.reshape(k, k)
+        for v in range(k):
+            Hx[v, v] += gt * degs[v] * power(x[v], degs[v] - 1)
+        return gt * S + t * F, Hx, F - gamma * S
+
+    def newton(x, t, iters, tol):
+        for _ in range(iters):
+            H, Hx, _Ht = homotopy(x, t)
+            try:
+                dx = np.linalg.solve(Hx, H)
+            except np.linalg.LinAlgError:
+                return False, x
+            x = x - dx
+            norm_dx = np.abs(dx).max()
+            norm_x = np.abs(x).max()
+            if np.isnan(norm_dx):
+                return False, x
+            if norm_dx <= tol * (1.0 + norm_x):
+                return True, x
+            if norm_dx > 0.25 * (1.0 + norm_x):
+                return False, x
+        return False, x
+
+    def stalled(x):
+        if np.abs(x).max() > tracking.STALL_DIVERGED:
+            return STATUS_DIVERGED
+        return STATUS_FAILED
+
+    def track(x):
+        t, h, consec, steps = 0.0, tracking.H_INIT, 0, 0
+        while t < 1.0:
+            if steps >= tracking.MAX_STEPS:
+                return stalled(x), steps, x
+            steps += 1
+            hstep = min(h, 1.0 - t)
+            _H, Hx, Ht = homotopy(x, t)
+            try:
+                dx = np.linalg.solve(Hx, Ht)
+            except np.linalg.LinAlgError:
+                ok = False
+            else:
+                ok, xtrial = newton(
+                    x - hstep * dx, t + hstep, tracking.NEWTON_ITERS, tracking.NEWTON_TOL
+                )
+            if ok:
+                t += hstep
+                x = xtrial
+                if np.abs(x).max() > tracking.DIVERGENCE_CUTOFF:
+                    return STATUS_DIVERGED, steps, x
+                consec += 1
+                if consec >= 2:
+                    consec = 0
+                    h = min(h * 2.0, tracking.H_MAX)
+            else:
+                consec = 0
+                h = h * 0.5
+                if h < tracking.H_MIN:
+                    return stalled(x), steps, x
+        polished, xp = newton(x, 1.0, tracking.POLISH_ITERS, tracking.POLISH_TOL)
+        if polished and np.all(np.isfinite(xp)):
+            x = xp
+        return STATUS_CONVERGED, steps, x
+
+    roots = [np.exp(2j * np.pi * np.arange(d) / d) for d in degs]
+    runs = [track(np.array(start)) for start in itertools.product(*roots)]
+    statuses, steps, endpoints = zip(*runs)
+    return np.array(endpoints), np.array(statuses), np.array(steps)
+
+
+@pytest.mark.parametrize("k,deg", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("angle", [0.37, 2.61])
+def test_batched_tracker_matches_serial_reference(k, deg, angle):
+    rng = np.random.default_rng(7 * k + deg)
+    polys = [
+        {e: complex(*rng.standard_normal(2)) for e in _graded_monomials(k, deg)}
+        for _ in range(k)
+    ]
+    gamma = np.exp(1j * angle)
+    endpoints, statuses, steps = track_all(PolySystem(polys, k), gamma)
+    ref_x, ref_status, ref_steps = _reference_track(polys, k, gamma)
+    assert statuses.tolist() == ref_status.tolist()
+    assert steps.tolist() == ref_steps.tolist()
+    conv = statuses == STATUS_CONVERGED
+    assert conv.sum() == deg**k
+    np.testing.assert_allclose(endpoints[conv], ref_x[conv], rtol=1e-10, atol=1e-10)
+
+
 # -------------------------------------------------------------------- polish
 
 
@@ -227,6 +342,20 @@ def test_newton_polish_quadratic_residual_drop():
     ok, refined = newton_polish(sys_, x)
     assert ok
     assert np.max(np.abs(sys_.evaluate(refined))) < 1e-12
+
+
+def test_singular_jacobian_fails_only_its_own_path():
+    # x^2 - 1 has the Jacobian 2x, exactly singular at x = 0
+    sys_ = PolySystem([{(2,): 1.0, (0,): -1.0}], 1)
+    ok, _x = newton_polish(sys_, np.array([0.0 + 0j]))
+    assert not ok
+    starts = np.array([[1.1 + 0j], [0.0 + 0j], [-0.9 + 0.1j]])
+    ok, x = tracking._newton(
+        sys_, 0j, starts, np.ones(3), tracking.POLISH_ITERS, tracking.POLISH_TOL
+    )
+    assert ok.tolist() == [True, False, True]
+    np.testing.assert_allclose(x[[0, 2], 0], [1.0, -1.0], atol=1e-14)
+    assert x[1, 0] == 0.0
 
 
 # ------------------------------------------------------------------- backend
