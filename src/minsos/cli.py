@@ -19,7 +19,7 @@ from . import __version__
 from .biform import BinaryForm, TermPoly
 from .binary_sos import enumerate_rank_two, enumerate_two_squares, rep_forms
 from .cones import enumerate_cone
-from .enumerator import enumerate_rank, expected_counts
+from .enumerator import enumerate_rank
 from .errors import (
     IterationBudgetExceeded,
     MinsosError,
@@ -28,7 +28,7 @@ from .errors import (
 from .factorization import SymMatrixPoly, factor, factor_residual
 from .gram import Representation, build_gram_space, verify_representation
 from .sampling import curve_samples, distinct_seeds, random_positive_form
-from .surfaces import CONE_RNC, SCROLL, VERONESE, SurfaceSpec, cone_rnc, scroll, veronese
+from .surfaces import CONE_RNC, cone_rnc, expected_counts, scroll, veronese
 
 EXIT_OK = 0
 EXIT_INPUT = 2

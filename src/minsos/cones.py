@@ -22,7 +22,7 @@ from .binary_sos import (
     roots as binary_roots,
 )
 from .biform import RATIONAL, BinaryForm
-from .enumerator import CountReport, expected_counts
+from .enumerator import CountReport
 from .errors import ApexCoefficientNotPositive, DimensionMismatch, NotAScroll
 from .gram import (
     Representation,
@@ -33,6 +33,7 @@ from .gram import (
 from .surfaces import (
     CONE_RNC,
     cone_rnc,
+    expected_counts,
     genericity_check,
     monomial_basis,
     quadratic_form_blocks,

@@ -12,7 +12,6 @@ and classified by inertia.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -23,7 +22,7 @@ from .errors import (
     RankTooLarge,
 )
 from .gram import extract_representation, inertia, verify_representation
-from .surfaces import CONE_RNC, SCROLL, VERONESE, genericity_check
+from .surfaces import expected_counts, genericity_check
 from .tracking import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
@@ -253,9 +252,6 @@ class SolutionSet:
     def __len__(self):
         return len(self.points)
 
-    def real_points(self):
-        return [p.real for p, r in zip(self.points, self.is_real) if r]
-
     def to_json(self):
         pts = []
         for point, real_flag, resid, size in zip(
@@ -414,42 +410,6 @@ def solve(system, seed=0):
     )
 
 
-def expected_counts(surface):
-    """Generic solution counts by surface kind, or None when unknown.
-
-    Smooth scrolls: 4^g complex rank-3 points, 2^g of them psd, and 2^g
-    more indefinite exactly when g is odd.  Cones over the degree-d rational
-    normal curve: counts of balanced factor pairs of the reduced binary
-    form (all pairings, conjugation-stable pairings, conjugate pairings).
-    Veronese surface: the classical 63 / 15 / 8.
-    """
-    if surface is None:
-        return None
-    if surface.kind == SCROLL:
-        g = surface.genus
-        psd = 2**g
-        indefinite = 2**g if g % 2 == 1 else 0
-        return {
-            "complex": 4**g,
-            "real": psd + indefinite,
-            "psd": psd,
-            "indefinite": indefinite,
-        }
-    if surface.kind == CONE_RNC:
-        d = surface.d
-        psd = 2 ** (d - 1)
-        both_real = math.comb(d, d // 2) // 2 if d % 2 == 0 else 0
-        return {
-            "complex": math.comb(2 * d, d) // 2,
-            "real": psd + both_real,
-            "psd": psd,
-            "indefinite": both_real,
-        }
-    if surface.kind == VERONESE:
-        return {"complex": 63, "real": 15, "psd": 8, "indefinite": 7}
-    return None
-
-
 @dataclass
 class CountReport:
     """Classification of the solutions of one enumeration run."""
@@ -461,9 +421,6 @@ class CountReport:
     path_stats: dict
     notes: list = dataclass_field(default_factory=list)
     solution_set: object = None  # SolutionSet when produced by enumerate_rank
-
-    def representations(self):
-        return [e["representation"] for e in self.entries if e.get("representation")]
 
     def psd_entries(self):
         return [e for e in self.entries if e.get("psd")]

@@ -4,15 +4,15 @@ A symmetric n x n matrix A of homogeneous binary forms with deg a_ij =
 d_i + d_j defines a quadratic form f = sum a_ij x_i x_j on the prism over
 the standard (n-1)-simplex truncated at heights d_i (for n = 2 this is the
 rational normal scroll).  A psd point of the Gram family of f is found by
-alternating projections, reduced to rank n+1 by boundary steps along fiber
-directions supported on the range, and read off columnwise as the factor B
-with n+1 columns and row degrees d_i.
+alternating projections, taken to an isolated psd point of rank n+1 by
+alternating rank-(n+1) truncation with the fiber projection and a Newton
+polish, and read off columnwise as the factor B with n+1 columns and row
+degrees d_i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,11 +45,7 @@ FEAS_BUDGET = 100_000
 # negative eigenvalue counts beyond PSD_SCREEN_TOL times the largest coefficient
 PSD_DIRECTIONS = 160
 PSD_SCREEN_TOL = 1e-9
-RESIDUAL_BOUND = 1e-8
-REDUCE_TOL = 1e-11
 REDUCE_BUDGET = 40_000
-REDUCE_RESTARTS = 12
-REDUCE_SEED = 96557
 
 
 class SymMatrixPoly:
@@ -324,60 +320,6 @@ def _truncate_psd(G, target_rank):
     return (V * keep) @ V.T
 
 
-def _face_walk(space, G, target_rank):
-    """Boundary steps along fiber directions supported on range(G).
-
-    Each step solves for Delta = sum c_i K_i with Delta @ null(G) = 0
-    (equivalently Delta = V W V^T on the range of G), then walks to the psd
-    boundary along the extreme generalized eigenvalue, dropping the rank.
-    Stops without error at a point where no direction remains; the caller
-    continues with rank-projection cycling from there.
-    """
-    N = space.size
-    k = space.kdim
-    for _round in range(4 * N + 4):
-        evals, evecs = np.linalg.eigh(G)
-        smax = max(float(np.max(np.abs(evals))), 1e-300)
-        live = evals > RANK_TOL * smax
-        r = int(np.sum(live))
-        if r <= target_rank:
-            return G
-        V = evecs[:, live]
-        lam = evals[live]
-        null = evecs[:, ~live]  # includes clipped negatives
-        # directions with Delta @ null = 0: right-null vectors of the
-        # stacked constraint matrix rows (one row per kernel generator)
-        constraint = (space.kernel_f @ null).reshape(k, -1)
-        _u, svals, vh = np.linalg.svd(constraint.T, full_matrices=True)
-        smax_c = svals[0] if svals.size else 0.0
-        candidates = []
-        for idx in range(vh.shape[0] - 1, -1, -1):
-            sigma = svals[idx] if idx < svals.size else 0.0
-            if smax_c > 0 and sigma > 1e-9 * smax_c:
-                break
-            candidates.append(vh[idx])
-        stepped = False
-        inv_sqrt = 1.0 / np.sqrt(lam)
-        for c in candidates:
-            delta = (c @ space.kernel_flat).reshape(N, N)
-            W = V.T @ delta @ V
-            M = inv_sqrt[:, None] * W * inv_sqrt[None, :]
-            mu = np.linalg.eigvalsh(0.5 * (M + M.T))
-            mu_scale = float(np.max(np.abs(mu))) if mu.size else 0.0
-            if mu_scale <= 1e-12:
-                continue
-            if mu[0] < -1e-12 * mu_scale:
-                tau = -1.0 / mu[0]
-            else:
-                tau = -1.0 / mu[-1]
-            G = G + tau * delta
-            stepped = True
-            break
-        if not stepped:
-            return G
-    return G
-
-
 def _rank_newton(space, G, target_rank):
     """Newton polish onto an isolated rank-target psd point of the fiber.
 
@@ -415,73 +357,40 @@ def _rank_newton(space, G, target_rank):
     return False, cur
 
 
-def _rank_projection_cycle(space, G, target_rank):
-    """Alternate fiber projection with psd rank-target_rank truncation.
-
-    The rank-(target) psd points of the fiber are isolated, so this is a
-    root-finding iteration rather than a convex method; once the truncation
-    gap is small the Newton polish takes over and finishes quadratically.
-    Returns (converged, fiber point, final gap).
-    """
-    scale = max(1.0, float(np.linalg.norm(G)))
-    gap = np.inf
-    polish_at = 1e-3
-    for _ in range(REDUCE_BUDGET):
-        T = _truncate_psd(G, target_rank)
-        gap = float(np.linalg.norm(G - T)) / scale
-        if gap <= REDUCE_TOL:
-            return True, G, gap
-        if gap <= polish_at:
-            ok, polished = _rank_newton(space, G, target_rank)
-            if ok:
-                return True, polished, 0.0
-            polish_at *= 0.1  # not in the basin yet; keep cycling
-        G = space.project_fiber(T)
-    return False, G, gap
-
-
 def rank_reduce(space, G, target_rank):
     """Reduce a psd fiber point to rank <= target_rank, staying in the fiber.
 
-    Phase one walks to the psd boundary along fiber directions supported on
-    the range of G, which strictly drops the rank while such directions
-    exist.  Generic fibers run out of face directions above the target
-    because the rank-(n+1) points are isolated; phase two switches to
-    alternating projections between the fiber and the psd rank-<=target
-    cone, seeded deterministically and restarted from perturbed fiber
-    points when a cycle fails to converge: up to REDUCE_BUDGET rounds per
-    cycle and REDUCE_RESTARTS restarts.  Eigenvalues within RANK_TOL of the
-    spectral radius count as zero.
+    The rank-target psd points of a generic fiber are isolated, so this is
+    root finding rather than a convex method.  A point already at the
+    target rank goes straight to the Newton polish (_rank_newton), which
+    takes the eigenvalues dropped at the feasibility tolerance to rounding.
+    Any other point alternates psd rank-target truncation with the
+    projection back onto the fiber until the truncation gap is at most 1e-3
+    of the matrix norm, and the Newton polish finishes quadratically from
+    there.  A polish that fails (Newton left for a root that is not psd)
+    lowers the gap at which the next polish starts tenfold; the cycle
+    creeps closer to its limit meanwhile.  Eigenvalues within RANK_TOL of
+    the spectral radius count as zero.
 
-    Raises StuckAboveTarget with the best achieved rank when every attempt
-    fails.
+    Raises StuckAboveTarget with the rank reached when REDUCE_BUDGET rounds
+    run out.
     """
     G = np.asarray(G, dtype=float)
     G = space.project_fiber(0.5 * (G + G.T))
-    G = _face_walk(space, G, target_rank)
     if _numeric_rank(G) <= target_rank:
-        # the eigenvalues dropped here still sit at the feasibility tolerance
-        # (about -1e-10 of the largest); the polish takes them to rounding
         ok, polished = _rank_newton(space, G, target_rank)
         return polished if ok else G
-
-    k = space.kdim
     scale = max(1.0, float(np.linalg.norm(G)))
-    rng = np.random.default_rng(np.random.SeedSequence([REDUCE_SEED, space.size, k]))
-    best_rank = _numeric_rank(G)
-    start = G
-    for _attempt in range(REDUCE_RESTARTS + 1):
-        ok, Gout, _gap = _rank_projection_cycle(space, start, target_rank)
-        if ok:
-            achieved = _numeric_rank(Gout)
-            if achieved <= target_rank:
-                return Gout
-        best_rank = min(best_rank, _numeric_rank(Gout))
-        # restart from a perturbed psd fiber point near the failed iterate
-        bump = (rng.standard_normal(k) @ space.kernel_flat).reshape(G.shape)
-        bump *= 0.25 * scale / max(1e-300, float(np.linalg.norm(bump)))
-        start = space.project_fiber(_truncate_psd(Gout + bump, target_rank))
-    raise StuckAboveTarget(best_rank, target_rank)
+    polish_at = 1e-3
+    for _ in range(REDUCE_BUDGET):
+        T = _truncate_psd(G, target_rank)
+        if float(np.linalg.norm(G - T)) / scale <= polish_at:
+            ok, polished = _rank_newton(space, G, target_rank)
+            if ok:
+                return polished
+            polish_at *= 0.1  # outside Newton's basin; cycle closer first
+        G = space.project_fiber(T)
+    raise StuckAboveTarget(_numeric_rank(G), target_rank)
 
 
 @dataclass
@@ -585,9 +494,10 @@ def factor(A):
     Pipeline: psd screen over directions of P^1 (check_psd_on_grid), prism
     embedding, Gram space, alternating projections to a psd fiber point
     (psd_feasible, then _feasible_reflections when its budget runs out),
-    rank reduction to n+1, column extraction.  When rank reduction stalls
-    above n+1 (non-generic input) the achieved factorization is returned
-    with a warning; up to 2n columns still certify psd-ness.
+    rank reduction to n+1 (rank_reduce: truncation cycle, then Newton
+    polish), column extraction.  When rank_reduce raises StuckAboveTarget,
+    the psd fiber point is factored as it stands and returned with a
+    warning; its extra columns still certify psd-ness.
 
     Raises NotPSD (with witness) or IterationBudgetExceeded.
     """

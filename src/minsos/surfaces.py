@@ -3,8 +3,9 @@
 Three kinds are supported: rational normal scrolls Scroll(d, e) (from the
 trapezoid with vertices (0,0), (0,1), (d,0), (e,1)), the Veronese surface in
 P^5, and the cone over a rational normal curve.  The module provides their
-monomial bases, genus and degree bookkeeping, discriminants of quadratic
-forms, and genericity diagnostics.
+monomial bases, genus and degree bookkeeping, the generic counts of rank-3
+Gram matrices (expected_counts), discriminants of quadratic forms, and
+genericity diagnostics.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -120,6 +122,42 @@ def veronese():
 
 def cone_rnc(d):
     return SurfaceSpec(CONE_RNC, d)
+
+
+def expected_counts(surface):
+    """Generic solution counts by surface kind, or None when unknown.
+
+    Smooth scrolls: 4^g complex rank-3 points, 2^g of them psd, and 2^g
+    more indefinite exactly when g is odd.  Cones over the degree-d rational
+    normal curve: counts of balanced factor pairs of the reduced binary
+    form (all pairings, conjugation-stable pairings, conjugate pairings).
+    Veronese surface: the classical 63 / 15 / 8.
+    """
+    if surface is None:
+        return None
+    if surface.kind == SCROLL:
+        g = surface.genus
+        psd = 2**g
+        indefinite = 2**g if g % 2 == 1 else 0
+        return {
+            "complex": 4**g,
+            "real": psd + indefinite,
+            "psd": psd,
+            "indefinite": indefinite,
+        }
+    if surface.kind == CONE_RNC:
+        d = surface.d
+        psd = 2 ** (d - 1)
+        both_real = comb(d, d // 2) // 2 if d % 2 == 0 else 0
+        return {
+            "complex": comb(2 * d, d) // 2,
+            "real": psd + both_real,
+            "psd": psd,
+            "indefinite": both_real,
+        }
+    if surface.kind == VERONESE:
+        return {"complex": 63, "real": 15, "psd": 8, "indefinite": 7}
+    return None
 
 
 @dataclass(frozen=True)
@@ -409,7 +447,7 @@ def genericity_check(f, spec):
     """
     report = GenericityReport(surface=spec)
     if spec.kind == VERONESE:
-        report.expected_complex = 63
+        report.expected_complex = expected_counts(spec)["complex"]
         report.notes.append("discriminant diagnostics undefined for the Veronese")
         return report
     try:
@@ -426,11 +464,5 @@ def genericity_check(f, spec):
         return report
     report.delta_squarefree = binary_squarefree(delta)
     report.curve_smooth = binary_squarefree(raw)
-    if spec.kind == SCROLL:
-        report.expected_complex = 4 ** spec.genus
-    else:
-        # cone over the degree-d rational normal curve: pairings of 2d roots
-        from math import comb
-
-        report.expected_complex = comb(2 * spec.d, spec.d) // 2
+    report.expected_complex = expected_counts(spec)["complex"]
     return report

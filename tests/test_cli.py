@@ -2,15 +2,17 @@
 
 import csv
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from minsos import cli
 from minsos.biform import TermPoly
+from minsos.errors import IterationBudgetExceeded, PathFailureBudgetExceeded
+from minsos.gram import gram_residual
 from minsos.sampling import random_dyad_matrix, random_nonneg_binary, random_positive_form
-from minsos.enumerator import expected_counts
-from minsos.surfaces import cone_rnc, scroll, veronese
+from minsos.surfaces import MonomialBasis, cone_rnc, expected_counts, scroll, veronese
 
 # certificates emitted before every residual went through one coefficient map
 DATA = Path(__file__).parent / "data"
@@ -45,6 +47,59 @@ def test_enumerate_verify_round_trip_is_byte_identical(tmp_path):
     report = json.loads(outputs[0])
     assert set(report) == {"kind", "surface", "seed", "rank", "form", "report", "solutions"}
     assert report["report"]["counts"]["psd"] == 2
+
+
+def test_gram_space_report_is_byte_identical_and_exact(tmp_path):
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(random_positive_form(scroll(1, 1), seed=3).to_json()))
+    outputs = []
+    for run in range(2):
+        out = tmp_path / ("space%d.json" % run)
+        argv = ["gram-space", str(form_path), "--surface", "scroll(1,1)", "--json-out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    space = json.loads(outputs[0])["space"]
+    form = TermPoly.from_json(space["form"])
+    monos = tuple(tuple(m) for m in space["basis"])
+    basis = MonomialBasis(monos, len(space["varNames"]), tuple(space["varNames"]))
+
+    def matrix(rows):
+        return [[Fraction(v["num"], v["den"]) for v in row] for row in rows]
+
+    G0 = matrix(space["G0"])
+    assert gram_residual(form, basis, G0) == 0
+    assert len(space["kernel"]) == space["k"] == 1
+    for K in map(matrix, space["kernel"]):
+        # K expands to zero, so G0 + K stays on the fiber, and K itself is not zero
+        shifted = [[g + x for g, x in zip(rg, rk)] for rg, rk in zip(G0, K)]
+        assert gram_residual(form, basis, shifted) == 0
+        assert gram_residual(form, basis, [[2 * x for x in row] for row in K]) > 0
+
+
+def _raises(exc):
+    def run(*args, **kwargs):
+        raise exc
+
+    return run
+
+
+def test_factor_solver_failure_exits_three(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "factor", _raises(IterationBudgetExceeded(20_000, 0.25)))
+    src = tmp_path / "matrix.json"
+    src.write_text(json.dumps(random_dyad_matrix((2, 1), seed=0)[0].to_json()))
+    assert cli.main(["factor", str(src)]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and "20000 iterations" in err
+
+
+def test_enumerate_solver_failure_exits_three(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "enumerate_rank", _raises(PathFailureBudgetExceeded(9, 64)))
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(random_positive_form(scroll(1, 1), seed=3).to_json()))
+    assert cli.main(["enumerate", str(form_path), "--surface", "scroll(1,1)"]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and "9 of 64 paths failed" in err
 
 
 def test_verify_takes_no_json_out(tmp_path):

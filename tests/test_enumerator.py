@@ -15,7 +15,6 @@ from minsos.biform import TermPoly
 from minsos.enumerator import (
     CountReport,
     enumerate_rank,
-    expected_counts,
     minor_system,
     solve,
 )
@@ -23,7 +22,7 @@ from minsos.errors import RankTooLarge
 from minsos.exact_linalg import solve_affine
 from minsos.gram import build_gram_space, verify_representation
 from minsos.sampling import random_positive_form
-from minsos.surfaces import cone_rnc, scroll, veronese
+from minsos.surfaces import cone_rnc, expected_counts, scroll, veronese
 
 
 def _exact_det(M):

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from minsos import factorization
 from minsos.biform import BinaryForm
-from minsos.errors import DimensionMismatch, NonSymmetric, NotPSD
+from minsos.errors import DimensionMismatch, NonSymmetric, NotPSD, StuckAboveTarget
 from minsos.factorization import SymMatrixPoly, check_psd_on_grid, factor, factor_residual
 from minsos.sampling import random_dyad_matrix
 
@@ -33,17 +34,20 @@ def _reference_residual(A, columns):
     return worst
 
 
-@pytest.mark.parametrize("heights", [(2, 1), (1, 1, 1), (3, 3, 2), (2,)])
-def test_factor_reaches_n_plus_one_columns(heights):
-    A, _ = random_dyad_matrix(heights, seed=0)
-    n = len(heights)
-    result = factor(A)
-    bound = 1e-8 * max(1.0, A.max_abs_coeff())
-    assert result.residual <= bound
-    assert _reference_residual(A, result.columns) <= bound
+def _assert_n_plus_one_columns(A, result):
+    n = A.n
     assert result.rank == n + 1 and result.ncols == n + 1
     B = np.array([np.concatenate([_coeffs(form) for form in col]) for col in result.columns])
     assert np.linalg.matrix_rank(B) == n + 1
+    assert result.residual <= 1e-8 * max(1.0, A.max_abs_coeff())
+
+
+@pytest.mark.parametrize("heights", [(2, 1), (1, 1, 1), (3, 3, 2), (2,)])
+def test_factor_reaches_n_plus_one_columns(heights):
+    A, _ = random_dyad_matrix(heights, seed=0)
+    result = factor(A)
+    _assert_n_plus_one_columns(A, result)
+    assert _reference_residual(A, result.columns) <= 1e-8 * max(1.0, A.max_abs_coeff())
     assert result.warning is None
 
 
@@ -53,6 +57,72 @@ def test_factor_residual_at_rounding_level(heights, seed):
     # eigenvalues stayed near -1e-10 of the largest and the residual near 5e-9
     A, _ = random_dyad_matrix(heights, seed=seed)
     assert factor(A).residual <= 1e-12 * max(1.0, A.max_abs_coeff())
+
+
+def test_feasibility_fallback_factors_a_shallow_fiber(monkeypatch):
+    # n+1 dyads put this fiber at a shallow angle to the psd cone:
+    # psd_feasible exhausts its budget and the reflections take over
+    calls = []
+    reflections = factorization._feasible_reflections
+
+    def counted(space):
+        calls.append(space)
+        return reflections(space)
+
+    monkeypatch.setattr(factorization, "_feasible_reflections", counted)
+    A, _ = random_dyad_matrix((2, 1), seed=4, ncols=3)
+    result = factor(A)
+    assert len(calls) == 1
+    _assert_n_plus_one_columns(A, result)
+    assert result.warning is None
+
+
+@pytest.mark.parametrize("stall", ["polish fails", "budget runs out"])
+def test_rank_reduction_failure_raises_and_factor_warns(monkeypatch, stall):
+    # the psd fiber point of this draw has rank 4 > n+1 = 3, so it enters the cycle
+    A, _ = random_dyad_matrix((2, 1), seed=0)
+    spec, space = factorization.prism_gram_space(A)
+    G, _info = factorization.psd_feasible(space)
+    assert factorization._numeric_rank(G) > spec.target_rank
+    polishes = []
+
+    def failed_polish(space, G, target):
+        polishes.append(G)
+        return False, G
+
+    if stall == "polish fails":
+        monkeypatch.setattr(factorization, "_rank_newton", failed_polish)
+        monkeypatch.setattr(factorization, "REDUCE_BUDGET", 2000)
+    else:
+        monkeypatch.setattr(factorization, "REDUCE_BUDGET", 0)
+    with pytest.raises(StuckAboveTarget) as info:
+        factorization.rank_reduce(space, G, spec.target_rank)
+    assert info.value.achieved >= info.value.target == spec.target_rank
+    assert bool(polishes) == (stall == "polish fails")
+    result = factor(A)
+    assert result.warning is not None and "stalled" in result.warning
+    assert result.ncols > spec.target_rank
+    assert result.residual <= 1e-8 * max(1.0, A.max_abs_coeff())
+
+
+def test_failed_polish_backs_off_and_recovers(monkeypatch):
+    # the first polish of this draw, at a truncation gap of 1e-3, runs off to a
+    # root that is not psd; the cycle goes on to a gap of 1e-4, and the second
+    # polish lands on the psd rank-4 point
+    polished = []
+    newton = factorization._rank_newton
+
+    def counted(space, G, target):
+        ok, out = newton(space, G, target)
+        polished.append(ok)
+        return ok, out
+
+    monkeypatch.setattr(factorization, "_rank_newton", counted)
+    A, _ = random_dyad_matrix((1, 1, 1), seed=3, ncols=4)
+    result = factor(A)
+    assert polished == [False, True]
+    _assert_n_plus_one_columns(A, result)
+    assert result.warning is None
 
 
 def test_matrix_json_round_trip_and_malformed_entries():
