@@ -66,17 +66,6 @@ class RootMultiset:
             out.append((value.conjugate(), mult))
         return out
 
-    def to_json(self):
-        return {
-            "degree": self.degree,
-            "lead": self.lead,
-            "infMult": self.inf_mult,
-            "realRoots": [[float(v.real), int(m)] for v, m in self.real_roots],
-            "pairs": [
-                [[float(v.real), float(v.imag)], int(m)] for v, m in self.pairs
-            ],
-        }
-
 
 def _polish_root(poly, dpoly, r, iters=4):
     for _ in range(iters):

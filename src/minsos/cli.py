@@ -37,6 +37,10 @@ EXIT_VERIFY = 4
 
 SOLVER_ERRORS = (PathFailureBudgetExceeded, IterationBudgetExceeded)
 
+# a result verifies when its residual is at most VERIFY_TOL times
+# max(1, largest coefficient of the input)
+VERIFY_TOL = 1e-8
+
 DEFAULT_TABLE_SURFACES = "cone_rnc(4),scroll(2,2),scroll(3,1)"
 
 # commas inside scroll(d,e) are not list separators
@@ -92,6 +96,17 @@ def emit(args, payload):
     if getattr(args, "json_out", None):
         write_json(args.json_out, payload)
         print("report written to %s" % args.json_out)
+
+
+def _verified(residual, max_coeff):
+    return residual <= VERIFY_TOL * max(1.0, float(abs(max_coeff)))
+
+
+def _entries_verified(report, form):
+    """Whether every re-verified entry of a count report is within bound."""
+    residuals = [entry.get("verify_residual") for entry in report.entries]
+    worst = max((r for r in residuals if r is not None), default=0.0)
+    return _verified(worst, form.max_abs_coeff())
 
 
 def _fmt_theta(theta):
@@ -159,6 +174,9 @@ def cmd_enumerate(args):
         "solutions": solutions_json,
     }
     emit(args, payload)
+    if not _entries_verified(report, form):
+        print("FAIL: residual above bound", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -166,12 +184,11 @@ def cmd_factor(args):
     data = load_json(args.matrix)
     A = SymMatrixPoly.from_json(data)
     result = factor(A)
-    scale = max(1.0, A.max_abs_coeff())
     print(
         "factored %d x %d matrix, degree pattern %s, %d columns, rank %d"
         % (A.n, A.n, result.heights, result.ncols, result.rank)
     )
-    print("residual %.3e (bound %.1e relative)" % (result.residual, args.residual_tol))
+    print("residual %.3e (bound %.1e relative)" % (result.residual, VERIFY_TOL))
     if result.warning:
         print("warning: " + result.warning)
     for i, row in enumerate(result.rows()):
@@ -186,7 +203,7 @@ def cmd_factor(args):
         "result": result.to_json(),
     }
     emit(args, payload)
-    if result.residual > args.residual_tol * scale:
+    if not _verified(result.residual, A.max_abs_coeff()):
         print("FAIL: residual above bound", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
@@ -198,7 +215,6 @@ def cmd_two_squares(args):
         raise ValueError("two-squares expects a binary form JSON (deg + coeffs)")
     reps = enumerate_two_squares(form)
     census = enumerate_rank_two(form)
-    scale = max(1.0, float(form.max_abs_coeff()))
     print(
         "%d inequivalent two-squares representations (census: %s)"
         % (len(reps), census.counts)
@@ -234,7 +250,7 @@ def cmd_two_squares(args):
         "census": census.to_json(),
     }
     emit(args, payload)
-    if worst > args.residual_tol * scale:
+    if not _verified(worst, form.max_abs_coeff()):
         print("FAIL: residual above bound", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
@@ -271,6 +287,9 @@ def cmd_table(args):
         if flags:
             status = EXIT_VERIFY
         print(line)
+        if not _entries_verified(report, form):
+            print("FAIL: %s residual above bound" % spec, file=sys.stderr)
+            status = EXIT_VERIFY
         if report.warning:
             print("  warning: " + report.warning)
         rows.append(
@@ -289,9 +308,8 @@ def cmd_table(args):
     return status
 
 
-def _verify_enumeration(data, tol):
+def _verify_enumeration(data):
     form = form_from_json(data["form"])
-    scale = max(1.0, float(abs(form.max_abs_coeff())))
     failures = []
     checked = 0
     for idx, entry in enumerate(data["report"]["entries"]):
@@ -301,7 +319,7 @@ def _verify_enumeration(data, tol):
         rep = Representation.from_json(rep_json)
         resid = float(verify_representation(form, rep))
         checked += 1
-        ok = resid <= tol * scale
+        ok = _verified(resid, form.max_abs_coeff())
         if entry.get("psd") and any(s != 1 for s in rep.signs):
             ok = False
         print(
@@ -314,14 +332,13 @@ def _verify_enumeration(data, tol):
     return failures
 
 
-def _verify_two_squares(data, tol):
+def _verify_two_squares(data):
     form = form_from_json(data["form"])
-    scale = max(1.0, float(abs(form.max_abs_coeff())))
     failures = []
     for idx, item in enumerate(data["representations"]):
         rep = Representation.from_json(item["representation"])
         resid = verify_representation(form, rep)
-        ok = resid <= tol * scale
+        ok = _verified(resid, form.max_abs_coeff())
         print(
             "rep %d: residual %.3e  %s" % (idx, resid, "PASS" if ok else "FAIL")
         )
@@ -330,14 +347,13 @@ def _verify_two_squares(data, tol):
     return failures
 
 
-def _verify_factorization(data, tol):
+def _verify_factorization(data):
     A = SymMatrixPoly.from_json(data["matrix"])
     columns = [
         [BinaryForm.from_json(f) for f in col] for col in data["result"]["columns"]
     ]
     resid = factor_residual(A, columns)
-    scale = max(1.0, A.max_abs_coeff())
-    ok = resid <= tol * scale
+    ok = _verified(resid, A.max_abs_coeff())
     print("factorization residual %.3e  %s" % (resid, "PASS" if ok else "FAIL"))
     return [] if ok else [0]
 
@@ -345,13 +361,12 @@ def _verify_factorization(data, tol):
 def cmd_verify(args):
     data = load_json(args.certificate)
     kind = data.get("kind")
-    tol = args.residual_tol
     if kind == "enumeration":
-        failures = _verify_enumeration(data, tol)
+        failures = _verify_enumeration(data)
     elif kind == "twoSquares":
-        failures = _verify_two_squares(data, tol)
+        failures = _verify_two_squares(data)
     elif kind == "factorization":
-        failures = _verify_factorization(data, tol)
+        failures = _verify_factorization(data)
     else:
         raise ValueError("certificate kind %r is not verifiable" % (kind,))
     if failures:
@@ -362,16 +377,6 @@ def cmd_verify(args):
 
 
 # -- parser -----------------------------------------------------------------
-
-
-def _add_residual_tol(p):
-    p.add_argument(
-        "--residual-tol",
-        type=float,
-        default=1e-8,
-        help="verification bound only: the result passes when its residual is at"
-        " most this times max(1, largest coefficient) (default %(default)g)",
-    )
 
 
 def _add_json_out(p):
@@ -406,13 +411,11 @@ def build_parser():
 
     p = sub.add_parser("factor", help="factor a psd matrix polynomial as B B^T")
     p.add_argument("matrix", help="symmetric matrix JSON file")
-    _add_residual_tol(p)
     _add_json_out(p)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("two-squares", help="all two-squares representations of a binary form")
     p.add_argument("form", help="binary form JSON file")
-    _add_residual_tol(p)
     _add_json_out(p)
     p.set_defaults(func=cmd_two_squares)
 
@@ -428,7 +431,6 @@ def build_parser():
 
     p = sub.add_parser("verify", help="re-verify an emitted certificate file")
     p.add_argument("certificate", help="JSON report from enumerate/factor/two-squares")
-    _add_residual_tol(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

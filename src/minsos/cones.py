@@ -33,6 +33,7 @@ from .gram import (
 from .surfaces import (
     CONE_RNC,
     cone_rnc,
+    count_warning,
     expected_counts,
     genericity_check,
     monomial_basis,
@@ -223,8 +224,7 @@ def enumerate_cone(f, spec):
         }
         entries.append(entry)
     report = genericity_check(f, spec)
-    report.mark_observed_count(counts["complex"])
-    warning = report.enumeration_warning
+    warning = count_warning(spec, counts["complex"])
     notes = ["enumerated through the apex reduction to the base curve"]
     if report.delta_squarefree is False:
         notes.append("discriminant is not squarefree")

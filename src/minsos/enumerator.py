@@ -22,7 +22,7 @@ from .errors import (
     RankTooLarge,
 )
 from .gram import extract_representation, inertia, verify_representation
-from .surfaces import expected_counts, genericity_check
+from .surfaces import count_warning, expected_counts, genericity_check
 from .tracking import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
@@ -135,7 +135,6 @@ class MinorSystem:
     seed: int
     mono_exps: np.ndarray  # (nmono, k) exponent rows, graded order
     minors: np.ndarray  # (nminors, nmono) dense coefficient rows
-    minor_pairs: list
     combos: np.ndarray  # (k, nmono) complex coefficient rows
     degrees: np.ndarray  # (k,) total degrees of the combinations
 
@@ -174,16 +173,6 @@ class MinorSystem:
             polys.append(poly)
         return PolySystem(polys, self.k)
 
-    def to_json(self):
-        return {
-            "rank": self.rank,
-            "seed": self.seed,
-            "k": self.k,
-            "minorCount": len(self.minor_pairs),
-            "degrees": [int(d) for d in self.degrees],
-            "totalPaths": self.total_paths,
-        }
-
 
 def minor_system(space, rank, seed=0):
     """Expand the (rank+1)-minors of G(theta) and draw a square subsystem.
@@ -207,17 +196,15 @@ def minor_system(space, rank, seed=0):
     shifts = _shift_tables(monos, index, k, m)
     expander = _AffineDet(space.G0_f, space.kernel_f, monos, index, shifts)
     subsets = list(itertools.combinations(range(N), m))
-    pairs = []
     rows = []
     for i, I in enumerate(subsets):
         memo = {}
         for J in subsets[i:]:
-            pairs.append((I, J))
             rows.append(expander.minor(I, J, memo))
     minors = np.array(rows)
     rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal((k, len(pairs))) + 1j * rng.standard_normal(
-        (k, len(pairs))
+    coeff = rng.standard_normal((k, len(rows))) + 1j * rng.standard_normal(
+        (k, len(rows))
     )
     combos = coeff @ minors
     degrees = []
@@ -232,7 +219,6 @@ def minor_system(space, rank, seed=0):
         seed=seed,
         mono_exps=np.array(monos, dtype=np.int64),
         minors=minors,
-        minor_pairs=pairs,
         combos=combos,
         degrees=np.array(degrees, dtype=np.int64),
     )
@@ -494,33 +480,16 @@ def classify(space, solutions):
             entry["representation"] = rep
             entry["verify_residual"] = float(verify_representation(space.form, rep))
         entries.append(entry)
-    expected = expected_counts(getattr(space, "surface", None))
+    expected = expected_counts(space.surface)
     notes = []
-    genericity = None
     if space.surface is not None and space.form is not None:
-        try:
-            genericity = genericity_check(space.form, space.surface)
-        except Exception:  # diagnostics only; classification proceeds without
-            pass
-    warning = None
-    if genericity is not None:
+        genericity = genericity_check(space.form, space.surface)
         if genericity.delta_squarefree is False:
             notes.append("discriminant is not squarefree")
         if genericity.curve_smooth is False:
             notes.append("branch curve is singular")
-        genericity.mark_observed_count(counts["complex"])
-        warning = genericity.enumeration_warning
         notes.extend(genericity.notes)
-    if (
-        warning is None
-        and expected is not None
-        and counts["complex"] < expected["complex"]
-    ):
-        warning = "non-generic form: %d rank-%d Gram matrices found, expected %d" % (
-            counts["complex"],
-            solutions.system.rank,
-            expected["complex"],
-        )
+    warning = count_warning(space.surface, counts["complex"])
     if warning is not None:
         multi = [
             (i, size)

@@ -177,14 +177,6 @@ class PrismSpec:
         return max(self.heights)
 
     @property
-    def ambient_dim(self):
-        return sum(d + 1 for d in self.heights) - 1
-
-    @property
-    def dim(self):
-        return self.n
-
-    @property
     def target_rank(self):
         return self.n + 1
 
@@ -361,9 +353,10 @@ def rank_reduce(space, G, target_rank):
     """Reduce a psd fiber point to rank <= target_rank, staying in the fiber.
 
     The rank-target psd points of a generic fiber are isolated, so this is
-    root finding rather than a convex method.  A point already at the
-    target rank goes straight to the Newton polish (_rank_newton), which
-    takes the eigenvalues dropped at the feasibility tolerance to rounding.
+    root finding rather than a convex method.  A point already at or below
+    the target rank goes straight to the Newton polish (_rank_newton) at
+    its own rank, which takes the eigenvalues dropped at the feasibility
+    tolerance to rounding.
     Any other point alternates psd rank-target truncation with the
     projection back onto the fiber until the truncation gap is at most 1e-3
     of the matrix norm, and the Newton polish finishes quadratically from
@@ -377,8 +370,11 @@ def rank_reduce(space, G, target_rank):
     """
     G = np.asarray(G, dtype=float)
     G = space.project_fiber(0.5 * (G + G.T))
-    if _numeric_rank(G) <= target_rank:
-        ok, polished = _rank_newton(space, G, target_rank)
+    rank = _numeric_rank(G)
+    if rank <= target_rank:
+        # polish at the point's own rank: below the target, the rank-target
+        # locus is not isolated there and Newton on it fails
+        ok, polished = _rank_newton(space, G, rank)
         return polished if ok else G
     scale = max(1.0, float(np.linalg.norm(G)))
     polish_at = 1e-3

@@ -1,10 +1,11 @@
 """Gram matrices of quadratic forms on surfaces of minimal degree.
 
 The affine space of Gram matrices of a form f over a monomial basis m is
-{G : m^T G m = f}; it is computed exactly over the rationals as a particular
-solution G0 plus a kernel basis K_1..K_k.  Rank-r points of this space are
-exactly the representations of f as a signed sum of r squares, extracted
-here by eigendecomposition.
+{G : m^T G m = f}.  Each entry G[a, b] lands on the single monomial
+m_a * m_b, so the space is read off the basis's pair map in closed form, as
+an exact rational particular solution G0 plus a kernel basis K_1..K_k.
+Rank-r points of this space are exactly the representations of f as a
+signed sum of r squares, extracted here by eigendecomposition.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import (
     NotAQuadraticForm,
     NotInFiber,
 )
-from .exact_linalg import solve_affine
 from .surfaces import MonomialBasis, monomial_basis
 
 # relative thresholds: an eigenvalue counts when it exceeds RANK_TOL times
@@ -159,6 +159,32 @@ class GramSpace:
         return data
 
 
+def solve_affine(pairs, rhs):
+    """Solve sum over p of mult[p] * u[p] = rhs[row[p]] for vech(G) exactly.
+
+    Every pair lands on one monomial, so the equations share no unknown.
+    The particular solution puts rhs of each monomial on the first pair of
+    that monomial (np.triu_indices order), divided by the pair's mult; every
+    further pair p spans one kernel vector, 1 at p and -mult[p] / mult[first]
+    at the first pair, in pair order.  Returns (particular, kernel) as lists
+    of Fractions over the pairs.
+    """
+    npairs = len(pairs.row)
+    particular = [Fraction(0)] * npairs
+    kernel = []
+    first = {}
+    for p, (r, m) in enumerate(zip(pairs.row.tolist(), pairs.mult.tolist())):
+        q = first.setdefault(r, p)
+        if q == p:
+            particular[p] = rhs[r] / m
+            continue
+        vec = [Fraction(0)] * npairs
+        vec[p] = Fraction(1)
+        vec[q] = Fraction(-m, int(pairs.mult[q]))
+        kernel.append(vec)
+    return particular, kernel
+
+
 def gram_space_from_basis(form, basis, surface=None):
     """Solve m^T G m = f exactly for symmetric G over the given basis."""
     form_terms = _form_terms(form)
@@ -173,15 +199,8 @@ def gram_space_from_basis(form, basis, surface=None):
         raise NotAQuadraticForm(
             "form has monomials outside the doubled polytope: %r" % unreachable[:3]
         )
-    # one row per monomial of 2P, one column per entry of vech(G)
-    rows = [[Fraction(0)] * len(pairs.row) for _ in pairs.monomials]
-    for p, (r, m) in enumerate(zip(pairs.row, pairs.mult)):
-        rows[r][p] = Fraction(int(m))
     rhs = [Fraction(form_terms.get(key, 0)) for key in pairs.monomials]
-    try:
-        particular, null_basis = solve_affine(rows, rhs)
-    except ValueError as exc:  # pragma: no cover - admissible forms are solvable
-        raise NotAQuadraticForm(str(exc)) from None
+    particular, null_basis = solve_affine(pairs, rhs)
 
     def unflatten(vec):
         M = [[Fraction(0)] * n for _ in range(n)]

@@ -160,6 +160,18 @@ def expected_counts(surface):
     return None
 
 
+def count_warning(surface, observed):
+    """The non-generic-form warning when fewer than the generic number of
+    complex rank-3 points were found, or None."""
+    expected = expected_counts(surface)
+    if expected is None or observed >= expected["complex"]:
+        return None
+    return "non-generic form: %d rank-3 Gram matrices found, expected %d" % (
+        observed,
+        expected["complex"],
+    )
+
+
 @dataclass(frozen=True)
 class PairMap:
     """The products m_a * m_b, a <= b, of a basis as rows over 2P.
@@ -397,42 +409,17 @@ class GenericityReport:
     """Diagnostics for the genericity of a quadratic form on a surface.
 
     delta_squarefree and curve_smooth are None when the discriminant theory
-    does not apply (Veronese surface).  enumeration_warning is filled post
-    hoc by the rank enumerator when the observed complex count falls short
-    of the generic one.
+    does not apply (Veronese surface).
     """
 
     surface: SurfaceSpec
     delta_squarefree: bool | None = None
     curve_smooth: bool | None = None
-    expected_complex: int | None = None
-    enumeration_warning: str | None = None
     notes: list = dataclass_field(default_factory=list)
 
     @property
     def generic_so_far(self):
-        flags = [self.delta_squarefree]
-        return all(f for f in flags if f is not None) and (
-            self.enumeration_warning is None
-        )
-
-    def mark_observed_count(self, observed):
-        if self.expected_complex is not None and observed < self.expected_complex:
-            self.enumeration_warning = (
-                "non-generic form: %d rank-3 Gram matrices found, expected %d"
-                % (observed, self.expected_complex)
-            )
-        return self.enumeration_warning
-
-    def to_json(self):
-        return {
-            "surface": self.surface.to_json(),
-            "deltaSquarefree": self.delta_squarefree,
-            "curveSmooth": self.curve_smooth,
-            "expectedComplex": self.expected_complex,
-            "warning": self.enumeration_warning,
-            "notes": list(self.notes),
-        }
+        return self.delta_squarefree is not False
 
 
 def genericity_check(f, spec):
@@ -447,7 +434,6 @@ def genericity_check(f, spec):
     """
     report = GenericityReport(surface=spec)
     if spec.kind == VERONESE:
-        report.expected_complex = expected_counts(spec)["complex"]
         report.notes.append("discriminant diagnostics undefined for the Veronese")
         return report
     try:
@@ -464,5 +450,4 @@ def genericity_check(f, spec):
         return report
     report.delta_squarefree = binary_squarefree(delta)
     report.curve_smooth = binary_squarefree(raw)
-    report.expected_complex = expected_counts(spec)["complex"]
     return report

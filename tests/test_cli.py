@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from minsos import cli
+from minsos import cli, enumerator
 from minsos.biform import TermPoly
 from minsos.errors import IterationBudgetExceeded, PathFailureBudgetExceeded
 from minsos.gram import gram_residual
@@ -100,6 +100,17 @@ def test_enumerate_solver_failure_exits_three(tmp_path, monkeypatch, capsys):
     assert cli.main(["enumerate", str(form_path), "--surface", "scroll(1,1)"]) == cli.EXIT_SOLVER
     err = capsys.readouterr().err
     assert err.startswith("solver failure: ") and "9 of 64 paths failed" in err
+
+
+def test_enumerate_and_table_exit_verify_on_a_large_residual(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(enumerator, "verify_representation", lambda form, rep: 1.0)
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(random_positive_form(scroll(1, 1), seed=3).to_json()))
+    argv = ["enumerate", str(form_path), "--surface", "scroll(1,1)"]
+    assert cli.main(argv) == cli.EXIT_VERIFY
+    assert "residual above bound" in capsys.readouterr().err
+    assert cli.main(["table", "--surfaces", "scroll(1,1)"]) == cli.EXIT_VERIFY
+    assert "scroll(1,1) residual above bound" in capsys.readouterr().err
 
 
 def test_verify_takes_no_json_out(tmp_path):

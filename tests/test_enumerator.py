@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from minsos import enumerator
 from minsos.biform import TermPoly
 from minsos.enumerator import (
     CountReport,
@@ -18,8 +19,7 @@ from minsos.enumerator import (
     minor_system,
     solve,
 )
-from minsos.errors import RankTooLarge
-from minsos.exact_linalg import solve_affine
+from minsos.errors import DegreeMismatch, RankTooLarge
 from minsos.gram import build_gram_space, verify_representation
 from minsos.sampling import random_positive_form
 from minsos.surfaces import cone_rnc, expected_counts, scroll, veronese
@@ -46,15 +46,31 @@ def _exact_det(M):
     return det
 
 
+def _interpolate(nodes, values):
+    """Exact monomial coefficients of the polynomial through the points.
+
+    Newton divided differences, then the Newton form expanded by Horner.
+    """
+    diffs = list(values)
+    for j in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (nodes[i] - nodes[i - j])
+    coeffs = [Fraction(0)] * len(nodes)
+    for node, diff in zip(nodes[::-1], diffs[::-1]):
+        # coeffs <- coeffs * (x - node) + diff
+        coeffs = [diff] + coeffs[:-1]
+        for p in range(len(coeffs) - 1):
+            coeffs[p] -= node * coeffs[p + 1]
+    return coeffs
+
+
 def _det_poly_roots(space):
     """Roots of det G(theta) for a kdim-1 space, via exact interpolation."""
     assert space.kdim == 1
     deg = space.size  # det of an affine pencil has degree <= matrix size
-    nodes = list(range(-(deg // 2), deg - deg // 2 + 1))
-    vandermonde = [[Fraction(node) ** p for p in range(deg + 1)] for node in nodes]
+    nodes = [Fraction(node) for node in range(-(deg // 2), deg - deg // 2 + 1)]
     values = [_exact_det(space.gram_at_exact([node])) for node in nodes]
-    coeffs, basis = solve_affine(vandermonde, values)
-    assert not basis  # interpolation at deg+1 nodes is determined
+    coeffs = _interpolate(nodes, values)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return np.roots([float(c) for c in coeffs[::-1]])
@@ -235,3 +251,26 @@ def test_genus_three_scroll_counts():
     stats = report.path_stats
     assert stats["failed"] == stats["stalledEscaping"] > 0
     assert not stats["secondSweep"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1])
+def test_veronese_counts(seed):
+    spec = veronese()
+    f = random_positive_form(spec, seed=seed)
+    report = enumerate_rank(build_gram_space(f, spec), 3, seed)
+    assert report.counts == {"complex": 63, "real": 15, "psd": 8, "indefinite": 7}
+    assert report.warning is None
+    assert not report.path_stats["secondSweep"]
+
+
+def test_genericity_failure_propagates(monkeypatch):
+    # the diagnostics run on every classification; their errors are not
+    # swallowed into a report without notes
+    def broken(form, spec):
+        raise DegreeMismatch("block structure violated")
+
+    monkeypatch.setattr(enumerator, "genericity_check", broken)
+    space = build_gram_space(random_positive_form(scroll(1, 1), seed=3), scroll(1, 1))
+    with pytest.raises(DegreeMismatch):
+        enumerate_rank(space, seed=5)

@@ -51,11 +51,21 @@ def test_factor_reaches_n_plus_one_columns(heights):
     assert result.warning is None
 
 
-@pytest.mark.parametrize("heights, seed", [((2, 1), 2), ((1, 1, 1), 1), ((2, 1), 7)])
-def test_factor_residual_at_rounding_level(heights, seed):
+@pytest.mark.parametrize(
+    "heights, seed, ncols",
+    [
+        pytest.param((2, 1), 2, None, id="heights0-2"),
+        pytest.param((1, 1, 1), 1, None, id="heights1-1"),
+        pytest.param((2, 1), 7, None, id="heights2-7"),
+    ]
+    + [pytest.param((1, 1, 1), s, 1, id="one-dyad-%d" % s) for s in (1, 2, 3, 4, 7)],
+)
+def test_factor_residual_at_rounding_level(heights, seed, ncols):
     # rank_reduce leaves these through an early exit; unpolished, the dropped
-    # eigenvalues stayed near -1e-10 of the largest and the residual near 5e-9
-    A, _ = random_dyad_matrix(heights, seed=seed)
+    # eigenvalues stayed near -1e-10 of the largest and the residual near 5e-9.
+    # A single dyad has a rank-1 Gram point, where the rank-(n+1) locus is
+    # not isolated: the polish must run at the point's own rank (was 1e-10)
+    A, _ = random_dyad_matrix(heights, seed=seed, ncols=ncols)
     assert factor(A).residual <= 1e-12 * max(1.0, A.max_abs_coeff())
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from minsos.biform import TermPoly
 from minsos.errors import DimensionMismatch, NotInFiber
+from minsos.factorization import PrismSpec
 from minsos.gram import (
     Representation,
     build_gram_space,
@@ -20,6 +21,7 @@ from minsos.gram import (
     gram_residual,
     inertia,
     representation_from_forms,
+    solve_affine,
     symmetric_rank,
     verify_representation,
 )
@@ -58,6 +60,69 @@ def test_kernel_matrices_expand_to_zero_exactly():
         shifted = [[g + x for g, x in zip(rg, rk)] for rg, rk in zip(space.G0, K)]
         assert space.fiber_residual(shifted) == 0
         assert space.fiber_residual([[2 * x for x in row] for row in K]) > 0
+
+
+def _gauss_jordan_solve(matrix, rhs):
+    """Reference: Fraction Gauss-Jordan on [A | b], first-nonzero pivots.
+
+    Returns (particular, kernel): free variables zero in the particular
+    solution, one kernel vector per free column (that variable set to 1).
+    """
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    ncols = len(matrix[0])
+    pivots = []
+    for c in range(ncols + 1):
+        r = len(pivots)
+        pivot_row = next((rr for rr in range(r, len(rows)) if rows[rr][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for rr in range(len(rows)):
+            if rr != r and rows[rr][c] != 0:
+                factor = rows[rr][c]
+                rows[rr] = [v - factor * p for v, p in zip(rows[rr], rows[r])]
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    assert ncols not in pivots  # consistent
+    particular = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        particular[c] = rows[r][ncols]
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][fc]
+        kernel.append(vec)
+    return particular, kernel
+
+
+_SOLVE_BASES = {
+    "scroll11": lambda: monomial_basis(scroll(1, 1), 1),
+    "scroll21": lambda: monomial_basis(scroll(2, 1), 1),
+    "scroll22": lambda: monomial_basis(scroll(2, 2), 1),
+    "scroll32": lambda: monomial_basis(scroll(3, 2), 1),
+    "veronese": lambda: monomial_basis(veronese(), 1),
+    "cone3": lambda: monomial_basis(cone_rnc(3), 1),
+    "cone6": lambda: monomial_basis(cone_rnc(6), 1),
+    "prism21": lambda: PrismSpec((2, 1)).basis(),
+    "prism332": lambda: PrismSpec((3, 3, 2)).basis(),
+    "prism4332": lambda: PrismSpec((4, 3, 3, 2)).basis(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVE_BASES))
+def test_solve_affine_matches_gauss_jordan(name):
+    # one row per monomial of 2P, one column per pair; mult is 1 or 2
+    pairs = _SOLVE_BASES[name]().pair_map
+    matrix = [[0] * len(pairs.row) for _ in pairs.monomials]
+    for p, (r, m) in enumerate(zip(pairs.row, pairs.mult)):
+        matrix[r][p] = int(m)
+    rhs = [Fraction(r % 7 - 3, r % 5 + 1) for r in range(len(pairs.monomials))]
+    assert solve_affine(pairs, rhs) == _gauss_jordan_solve(matrix, rhs)
 
 
 def _loop_residual(f, basis, G):

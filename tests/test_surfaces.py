@@ -11,12 +11,18 @@ from fractions import Fraction
 
 import pytest
 
+from minsos import surfaces
 from minsos.biform import BinaryForm, TermPoly
+from minsos.cones import enumerate_cone
+from minsos.enumerator import enumerate_rank
 from minsos.errors import DegreeMismatch, NotAScroll
+from minsos.gram import build_gram_space
+from minsos.sampling import random_positive_form
 from minsos.surfaces import (
     SurfaceSpec,
     binary_squarefree,
     cone_rnc,
+    count_warning,
     discriminant,
     genericity_check,
     hilbert_data,
@@ -271,7 +277,6 @@ def test_genericity_generic_form():
     )
     report = genericity_check(f, scroll(1, 1))
     assert report.delta_squarefree is True
-    assert report.expected_complex == 4  # 4^genus with genus 1
     assert report.generic_so_far
 
 
@@ -285,19 +290,30 @@ def test_genericity_square_form_flagged():
 
 
 def test_genericity_expected_counts_by_kind():
-    f = _psd_pair_form()
-    assert genericity_check(f, scroll(1, 1)).expected_complex == 4
-    from minsos.sampling import random_positive_form
+    # the count warning reads the generic complex count of each surface kind
+    for spec, generic in ((scroll(1, 1), 4), (cone_rnc(3), 10), (veronese(), 63)):
+        assert count_warning(spec, generic) is None
+        assert count_warning(spec, generic - 1) == (
+            "non-generic form: %d rank-3 Gram matrices found, expected %d"
+            % (generic - 1, generic)
+        )
+    assert count_warning(None, 0) is None
 
+
+def test_count_warning_on_classify_and_cone(monkeypatch):
+    real_counts = surfaces.expected_counts
+
+    def one_more(surface):
+        counts = dict(real_counts(surface))
+        counts["complex"] += 1
+        return counts
+
+    monkeypatch.setattr(surfaces, "expected_counts", one_more)
+    f = random_positive_form(scroll(1, 1), seed=3)
+    report = enumerate_rank(build_gram_space(f, scroll(1, 1)), seed=5)
+    assert report.counts["complex"] == 4
+    assert report.warning == "non-generic form: 4 rank-3 Gram matrices found, expected 5"
+    assert any(note.startswith("path endpoints:") for note in report.notes)
     g = random_positive_form(cone_rnc(3), seed=2)
-    assert genericity_check(g, cone_rnc(3)).expected_complex == 10  # C(6,3)/2
-    h = random_positive_form(veronese(), seed=2)
-    assert genericity_check(h, veronese()).expected_complex == 63
-
-
-def test_mark_observed_count_sets_warning():
-    report = genericity_check(_psd_pair_form(), scroll(1, 1))
-    assert report.mark_observed_count(4) is None
-    msg = report.mark_observed_count(3)
-    assert msg is not None and "expected 4" in msg
-    assert not report.generic_so_far
+    report = enumerate_cone(g, cone_rnc(3))
+    assert report.warning == "non-generic form: 10 rank-3 Gram matrices found, expected 11"
