@@ -12,8 +12,8 @@ roots, gcd and the t-valuation need every coefficient.
 
 Coefficients are exact rationals (:class:`fractions.Fraction`) by default;
 complex doubles are supported as a second coefficient field for numerical
-work.  Conversion between the two is explicit via ``to_complex``, never
-silent.
+work.  Conversion between the two is never silent: ``BinaryForm.to_complex``
+converts a binary form, and a TermPoly is built in the field of its terms.
 """
 
 from __future__ import annotations
@@ -265,7 +265,8 @@ def binary_gcd(f, g):
 class TermPoly:
     """Sparse polynomial: exponent tuples of length nvars to coefficients.
 
-    terms holds only nonzero coefficients; field is RATIONAL or COMPLEX.
+    A container: forms are built as term dicts.  terms holds only nonzero
+    coefficients; field is RATIONAL or COMPLEX.
     """
 
     __slots__ = ("nvars", "terms", "field")
@@ -295,34 +296,6 @@ class TermPoly:
     def __repr__(self):
         return "TermPoly(nvars=%d, %d terms)" % (self.nvars, len(self.terms))
 
-    def __add__(self, other):
-        if self.nvars != other.nvars:
-            raise DegreeMismatch("arity mismatch")
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            terms[expo] = terms.get(expo, 0) + coeff
-        return TermPoly(self.nvars, terms, field=self.field)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        if self.nvars != other.nvars:
-            raise DegreeMismatch("arity mismatch")
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return TermPoly(self.nvars, terms, field=self.field)
-
-    def scale(self, scalar):
-        return TermPoly(
-            self.nvars,
-            {e: c * scalar for e, c in self.terms.items()},
-            field=self.field,
-        )
-
     def eval(self, point):
         if len(point) != self.nvars:
             raise DegreeMismatch("point arity mismatch")
@@ -337,13 +310,6 @@ class TermPoly:
 
     def max_abs_coeff(self):
         return max(abs(c) for c in self.terms.values()) if self.terms else 0
-
-    def to_complex(self):
-        return TermPoly(
-            self.nvars,
-            {e: complex(c) for e, c in self.terms.items()},
-            field=COMPLEX,
-        )
 
     def to_json(self):
         return {

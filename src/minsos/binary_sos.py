@@ -47,13 +47,6 @@ class RootMultiset:
     real_roots: list
     pairs: list
 
-    def total(self):
-        return (
-            self.inf_mult
-            + sum(m for _, m in self.real_roots)
-            + 2 * sum(m for _, m in self.pairs)
-        )
-
     def entries(self):
         """Flat conjugate-closed list of (root or "inf", multiplicity)."""
         out = []
@@ -250,10 +243,6 @@ class PairingClass:
     side_a: tuple  # (entry index, count) pairs
     side_b: tuple
     kind: str  # "psd", "indefinite", "nsd", or "complex"
-
-    @property
-    def is_real(self):
-        return self.kind != "complex"
 
 
 @dataclass

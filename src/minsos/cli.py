@@ -28,7 +28,7 @@ from .errors import (
 from .factorization import SymMatrixPoly, factor, factor_residual
 from .gram import Representation, build_gram_space, verify_representation
 from .sampling import curve_samples, distinct_seeds, random_positive_form
-from .surfaces import CONE_RNC, cone_rnc, expected_counts, scroll, veronese
+from .surfaces import CONE_RNC, cone_rnc, scroll, veronese
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -102,11 +102,16 @@ def _verified(residual, max_coeff):
     return residual <= VERIFY_TOL * max(1.0, float(abs(max_coeff)))
 
 
+def _worst_residual(report):
+    """The largest re-verification residual of a count report, or None."""
+    residuals = [entry.get("verify_residual") for entry in report.entries]
+    return max((r for r in residuals if r is not None), default=None)
+
+
 def _entries_verified(report, form):
     """Whether every re-verified entry of a count report is within bound."""
-    residuals = [entry.get("verify_residual") for entry in report.entries]
-    worst = max((r for r in residuals if r is not None), default=0.0)
-    return _verified(worst, form.max_abs_coeff())
+    worst = _worst_residual(report)
+    return worst is None or _verified(worst, form.max_abs_coeff())
 
 
 def _fmt_theta(theta):
@@ -140,20 +145,21 @@ def _dump_curve(path, form, spec):
     print("curve samples written to %s (%d points)" % (path, len(rows)))
 
 
+def _enumerate(form, spec, seed):
+    """Count report of the rank-3 Gram matrices of a form: the apex reduction
+    on cones, the homotopy over the Gram space otherwise."""
+    if spec.kind == CONE_RNC:
+        return enumerate_cone(form, spec)
+    return enumerate_rank(build_gram_space(form, spec), rank=3, seed=seed)
+
+
 def cmd_enumerate(args):
     spec = parse_surface(args.surface)
     form = load_form(args.form)
     if args.dump_curve_samples:
         _dump_curve(args.dump_curve_samples, form, spec)
-    if spec.kind == CONE_RNC:
-        report = enumerate_cone(form, spec)
-        solutions_json = None
-    else:
-        space = build_gram_space(form, spec)
-        report = enumerate_rank(space, rank=3, seed=args.seed)
-        solutions_json = (
-            report.solution_set.to_json() if report.solution_set else None
-        )
+    report = _enumerate(form, spec, args.seed)
+    solutions_json = report.solution_set.to_json() if report.solution_set else None
     for line in report.summary_lines():
         print(line)
     for entry in report.entries:
@@ -265,12 +271,8 @@ def cmd_table(args):
     for i, spec in enumerate(specs):
         form_seed, enum_seed = seeds[2 * i], seeds[2 * i + 1]
         form = random_positive_form(spec, seed=form_seed)
-        if spec.kind == CONE_RNC:
-            report = enumerate_cone(form, spec)
-        else:
-            space = build_gram_space(form, spec)
-            report = enumerate_rank(space, rank=3, seed=enum_seed)
-        expected = expected_counts(spec)
+        report = _enumerate(form, spec, enum_seed)
+        expected = report.expected
         got = report.counts
         flags = []
         if expected is not None:
@@ -287,7 +289,8 @@ def cmd_table(args):
         if flags:
             status = EXIT_VERIFY
         print(line)
-        if not _entries_verified(report, form):
+        verified = _entries_verified(report, form)
+        if not verified:
             print("FAIL: %s residual above bound" % spec, file=sys.stderr)
             status = EXIT_VERIFY
         if report.warning:
@@ -301,6 +304,8 @@ def cmd_table(args):
                 "expected": dict(expected) if expected else None,
                 "deviations": flags,
                 "warning": report.warning,
+                "worstResidual": _worst_residual(report),
+                "verified": verified,
             }
         )
     payload = {"kind": "table", "seed": args.seed, "rows": rows}

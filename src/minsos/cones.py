@@ -10,7 +10,6 @@ points on the cone are enumerated through rank-2 points on the curve.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +20,7 @@ from .binary_sos import (
     enumerate_two_squares,
     roots as binary_roots,
 )
-from .biform import RATIONAL, BinaryForm
+from .biform import RATIONAL
 from .enumerator import CountReport
 from .errors import ApexCoefficientNotPositive, DimensionMismatch, NotAScroll
 from .gram import (
@@ -89,99 +88,27 @@ def reduce_form(f, spec):
     return c - scaled
 
 
-def _exact_sqrt(a):
-    """Rational square root of a positive rational, or None."""
-    a = Fraction(a)
-    num, den = a.numerator, a.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 def lift(rep, a, b):
     """Lift a representation of g = c - b^2/a on the base to one of f.
 
     Prepends the square of sqrt(a) * apex + b/sqrt(a) over the cone basis
     (base block first, apex last) and pushes each base form w to its
     pullback apex-free form.  Rank increases by exactly one; signs, reality
-    and psd-ness are preserved.  Exact when rep is exact and a is a rational
-    perfect square.
+    and psd-ness are preserved.  The lift is in floats.
     """
     d = len(rep.basis) - 1
     if b.deg != d:
         raise DimensionMismatch("cross term degree %d != base degree %d" % (b.deg, d))
-    basis = monomial_basis(cone_rnc(d), 1)
-    root = _exact_sqrt(a) if isinstance(a, (int, Fraction)) else None
-    exact = rep.exact and root is not None and b.field == RATIONAL
-    if exact:
-        sqrt_a = root
-        apex_vec = [coeff / sqrt_a for coeff in b.coeffs] + [sqrt_a]
-        vectors = [[Fraction(c) for c in vec] + [Fraction(0)] for vec in rep.vectors]
-    else:
-        sqrt_a = float(np.sqrt(float(a)))
-        # complex-typed b still encodes a real form; the final verification
-        # against f catches any genuinely complex input
-        apex_vec = [complex(coeff).real / sqrt_a for coeff in b.coeffs] + [sqrt_a]
-        vectors = [[float(c) for c in vec] + [0.0] for vec in rep.vectors]
+    sqrt_a = float(np.sqrt(float(a)))
+    # complex-typed b still encodes a real form; the final verification
+    # against f catches any genuinely complex input
+    apex_vec = [complex(coeff).real / sqrt_a for coeff in b.coeffs] + [sqrt_a]
+    vectors = [[float(c) for c in vec] + [0.0] for vec in rep.vectors]
     return Representation(
-        basis=basis,
+        basis=monomial_basis(cone_rnc(d)),
         vectors=[apex_vec] + vectors,
         signs=[1] + list(rep.signs),
-        exact=exact,
     )
-
-
-def schur_reduce_gram(G, d):
-    """Base Gram matrix G' = C - u u^T / a from a cone Gram matrix.
-
-    The cone basis has the apex last: G = [[C, u], [u^T, a]] in block form.
-    Exact over Fractions, float otherwise.
-    """
-    n = d + 2
-    if isinstance(G, np.ndarray):
-        if G.shape != (n, n):
-            raise DimensionMismatch("expected a %d x %d Gram matrix" % (n, n))
-        a = G[n - 1, n - 1]
-        if not (a > 0):
-            raise ApexCoefficientNotPositive("apex entry %r is not positive" % (a,))
-        u = G[: n - 1, n - 1]
-        return G[: n - 1, : n - 1] - np.outer(u, u) / a
-    a = Fraction(G[n - 1][n - 1])
-    if not (a > 0):
-        raise ApexCoefficientNotPositive("apex entry %r is not positive" % (a,))
-    out = []
-    for i in range(n - 1):
-        row = []
-        for j in range(n - 1):
-            row.append(Fraction(G[i][j]) - Fraction(G[i][n - 1]) * Fraction(G[j][n - 1]) / a)
-        out.append(row)
-    return out
-
-
-def lift_gram(Gp, a, b):
-    """Inverse of schur_reduce_gram on Gram matrices of g = c - b^2/a."""
-    d = b.deg
-    n = d + 2
-    if isinstance(Gp, np.ndarray):
-        G = np.zeros((n, n))
-        af = float(a)
-        u = np.array([float(c) for c in b.coeffs])
-        G[: n - 1, : n - 1] = Gp + np.outer(u, u) / af
-        G[: n - 1, n - 1] = u
-        G[n - 1, : n - 1] = u
-        G[n - 1, n - 1] = af
-        return G
-    a = Fraction(a)
-    u = [Fraction(c) for c in b.coeffs]
-    G = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n - 1):
-        for j in range(n - 1):
-            G[i][j] = Fraction(Gp[i][j]) + u[i] * u[j] / a
-        G[i][n - 1] = u[i]
-        G[n - 1][i] = u[i]
-    G[n - 1][n - 1] = a
-    return G
 
 
 def enumerate_cone(f, spec):

@@ -142,10 +142,6 @@ class MinorSystem:
     def k(self):
         return self.space.kdim
 
-    @property
-    def total_paths(self):
-        return int(np.prod(self.degrees))
-
     def _monomial_values(self, theta):
         theta = np.asarray(theta, dtype=np.complex128)
         return np.prod(theta[None, :] ** self.mono_exps, axis=1)
@@ -407,9 +403,6 @@ class CountReport:
     path_stats: dict
     notes: list = dataclass_field(default_factory=list)
     solution_set: object = None  # SolutionSet when produced by enumerate_rank
-
-    def psd_entries(self):
-        return [e for e in self.entries if e.get("psd")]
 
     def summary_lines(self):
         lines = []

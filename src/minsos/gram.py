@@ -216,7 +216,7 @@ def gram_space_from_basis(form, basis, surface=None):
 
 def build_gram_space(f, spec):
     """Gram space of a quadratic form on a surface of minimal degree."""
-    basis = monomial_basis(spec, 1)
+    basis = monomial_basis(spec)
     return gram_space_from_basis(f, basis, surface=spec)
 
 
@@ -242,17 +242,6 @@ def inertia(G):
     nplus = int(np.sum(eigs > RANK_TOL * smax))
     nminus = int(np.sum(eigs < -RANK_TOL * smax))
     return (nplus, nminus, len(eigs) - nplus - nminus)
-
-
-def symmetric_rank(G):
-    """Numerical rank of a (possibly complex) symmetric matrix via SVD.
-
-    Singular values below RANK_TOL times the largest count as zero.
-    """
-    svals = np.linalg.svd(np.asarray(G, dtype=complex), compute_uv=False)
-    if svals.size == 0 or svals[0] == 0:
-        return 0
-    return int(np.sum(svals > RANK_TOL * svals[0]))
 
 
 @dataclass
@@ -352,31 +341,6 @@ class Representation:
             signs=[int(s) for s in data["signs"]],
             exact=exact,
         )
-
-
-def representation_from_forms(basis, forms, signs=None):
-    """Build a Representation from linear forms over the basis.
-
-    Each form is a TermPoly or a map from basis monomials to coefficients.
-    """
-    index = {m: i for i, m in enumerate(basis.monomials)}
-    vectors = []
-    exact = True
-    for form in forms:
-        vec = [Fraction(0)] * len(basis)
-        terms = form.terms if isinstance(form, TermPoly) else form
-        for expo, coeff in terms.items():
-            if expo not in index:
-                raise NotAQuadraticForm("form monomial %r outside basis" % (expo,))
-            if not isinstance(coeff, (int, Fraction)):
-                exact = False
-            vec[index[expo]] = coeff
-        vectors.append(vec)
-    if signs is None:
-        signs = [1] * len(vectors)
-    if not exact:
-        vectors = [[float(c) for c in vec] for vec in vectors]
-    return Representation(basis=basis, vectors=vectors, signs=list(signs), exact=exact)
 
 
 def extract_representation(space, G):

@@ -46,7 +46,7 @@ def random_positive_form(spec, seed=0):
     seed is re-keyed, so the returned instance is generic for enumeration
     whenever the screen can certify that.
     """
-    basis = monomial_basis(spec, 1)
+    basis = monomial_basis(spec)
     monos = list(basis.monomials)
     n = len(monos)
     for attempt in range(MAX_ATTEMPTS):

@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .biform import RATIONAL, BinaryForm, binary_gcd
-from .errors import DegreeMismatch, NotAScroll, UnsupportedDegree
+from .errors import DegreeMismatch, NotAScroll
 
 SCROLL = "scroll"
 VERONESE = "veronese"
@@ -99,17 +99,6 @@ class SurfaceSpec:
         if self.kind == VERONESE:
             return {"kind": VERONESE}
         return {"kind": CONE_RNC, "d": self.d}
-
-    @classmethod
-    def from_json(cls, data):
-        kind = data.get("kind")
-        if kind == SCROLL:
-            return cls(SCROLL, int(data["d"]), int(data["e"]))
-        if kind == VERONESE:
-            return cls(VERONESE)
-        if kind == CONE_RNC:
-            return cls(CONE_RNC, int(data["d"]))
-        raise DegreeMismatch("unknown surface kind %r" % (kind,))
 
 
 def scroll(d, e):
@@ -239,58 +228,32 @@ class MonomialBasis:
         return "*".join(parts) if parts else "1"
 
 
-def _scroll_like_basis(d, e, k):
-    """Basis of R[X]_k for the trapezoid with heights (d, e); e = 0 for cones.
+def _scroll_like_basis(d, e):
+    """Basis of R[X]_1 for the trapezoid with heights (d, e); e = 0 for cones.
 
-    Degree one: the y-block y s^i t^(d-i) for i = 0..d, then the x-block
-    x s^i t^(d-i) for i = 0..e (all of bidegree (d, 1)).  Degree two: lattice
-    points of the doubled trapezoid, bihomogenized to bidegree (2d, 2).
+    The y-block y s^i t^(d-i) for i = 0..d, then the x-block x s^i t^(d-i)
+    for i = 0..e (all of bidegree (d, 1)).
     """
-    monos = []
-    if k == 1:
-        for i in range(d + 1):
-            monos.append((i, d - i, 0, 1))
-        for i in range(e + 1):
-            monos.append((i, d - i, 1, 0))
-    else:
-        for q in range(3):
-            top = 2 * d - q * (d - e)
-            for p in range(top + 1):
-                monos.append((p, 2 * d - p, q, 2 - q))
+    monos = [(i, d - i, 0, 1) for i in range(d + 1)]
+    monos += [(i, d - i, 1, 0) for i in range(e + 1)]
     return MonomialBasis(tuple(monos), 4, ("s", "t", "x", "y"))
 
 
-def _veronese_basis(k):
-    """Ternary monomials of degree 2k in (u, v, w), reverse-lex order."""
-    deg = 2 * k
+def _veronese_basis():
+    """Ternary monomials of degree two in (u, v, w), reverse-lex order."""
     monos = []
-    for a in range(deg, -1, -1):
-        for b in range(deg - a, -1, -1):
-            monos.append((a, b, deg - a - b))
+    for a in range(2, -1, -1):
+        for b in range(2 - a, -1, -1):
+            monos.append((a, b, 2 - a - b))
     return MonomialBasis(tuple(monos), 3, ("u", "v", "w"))
 
 
-def monomial_basis(spec, k):
-    """Monomial basis of R[X]_k for k in {1, 2}."""
-    if k not in (1, 2):
-        raise UnsupportedDegree("only the graded pieces k = 1, 2 are available")
+def monomial_basis(spec):
+    """Monomial basis of R[X]_1; its pair_map lists the monomials of R[X]_2."""
     if spec.kind == VERONESE:
-        return _veronese_basis(k)
+        return _veronese_basis()
     d, e = spec.ruling_heights
-    return _scroll_like_basis(d, e, k)
-
-
-def hilbert_data(spec):
-    """(genus, curve degree, Ehrhart coefficients) for a scroll.
-
-    The Ehrhart polynomial of the trapezoid is
-    (d+e)/2 * T^2 + (d+e+2)/2 * T + 1.
-    """
-    if spec.kind != SCROLL:
-        raise NotAScroll("hilbert_data requires a scroll")
-    d, e = spec.d, spec.e
-    coeffs = (Fraction(d + e, 2), Fraction(d + e + 2, 2), Fraction(1))
-    return (d + e - 1, 2 * (d + e), coeffs)
+    return _scroll_like_basis(d, e)
 
 
 def quadratic_form_blocks(f, spec):

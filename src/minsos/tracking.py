@@ -87,10 +87,6 @@ class PolySystem:
         self.top = int(max(self.degrees.max(initial=0), self.exps.max(initial=0)))
         self._vars = np.arange(k)
 
-    @property
-    def total_paths(self):
-        return int(np.prod(self.degrees))
-
     def start_points(self):
         """All tuples of d_i-th roots of unity, as a (paths, k) array."""
         roots = []

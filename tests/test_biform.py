@@ -99,18 +99,6 @@ def test_binary_to_complex():
 # a quadratic form on a scroll or cone is a TermPoly over (s, t, x, y)
 
 
-def test_biform_product_bidegrees_add():
-    f = TermPoly(4, {(0, 1, 0, 1): 1})  # t y
-    g = TermPoly(4, {(1, 0, 1, 0): 1})  # s x
-    assert (f * g).terms == {(1, 1, 1, 1): 1}
-
-
-def test_biform_square_hand_expansion():
-    # (s y + t x)^2 = s^2 y^2 + 2 s t x y + t^2 x^2
-    f = TermPoly(4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): 1})
-    assert (f * f).terms == {(2, 0, 0, 2): 1, (1, 1, 1, 1): 2, (0, 2, 2, 0): 1}
-
-
 def test_biform_eval_matches_term_sum():
     f = TermPoly(4, {(2, 0, 2, 0): 3, (0, 2, 0, 2): Fraction(1, 2)})
     # at (s,t,x,y) = (1,2,3,4): 3*1*9 + 1/2*4*16 = 27 + 32 = 59
@@ -121,21 +109,17 @@ def test_biform_json_roundtrip():
     f = TermPoly(4, {(2, 0, 0, 2): Fraction(-3, 7), (0, 2, 2, 0): 2})
     g = TermPoly.from_json(f.to_json())
     assert g == f and g.field == RATIONAL
-    fc = f.to_complex()
+    fc = TermPoly(4, {expo: complex(c) for expo, c in f.terms.items()})
     gc = TermPoly.from_json(fc.to_json())
     assert gc == fc and gc.field == COMPLEX
 
 
 def test_biform_zero_and_scale():
+    # forms are built as term dicts; zero coefficients are dropped
     assert TermPoly(4, {(2, 0, 2, 0): 0}).is_zero()
-    f = TermPoly(4, {(2, 0, 2, 0): 4})
-    assert f.scale(Fraction(1, 4)).terms == {(2, 0, 2, 0): 1}
-
-
-def test_biform_to_complex_preserves_values():
-    f = TermPoly(4, {(2, 0, 2, 0): 3})
-    fc = f.to_complex()
-    assert fc.eval((1.0, 0.0, 2.0, 0.0)) == pytest.approx(12.0)
+    f = TermPoly(4, {(2, 0, 2, 0): 4, (0, 2, 0, 2): 0})
+    scaled = TermPoly(4, {expo: c * Fraction(1, 4) for expo, c in f.terms.items()})
+    assert scaled.terms == {(2, 0, 2, 0): 1}
 
 
 def test_termpoly_reads_the_degst_layout():
@@ -174,24 +158,10 @@ def test_degst_layout_rejects_terms_off_its_bidegree(term):
 # ----------------------------------------------------------------- TermPoly
 
 
-def test_termpoly_mul_and_eval():
-    # (x0 + x1)^2 at (1, 2) = 9
-    f = TermPoly(2, {(1, 0): 1, (0, 1): 1})
-    sq = f * f
-    assert sq.eval((1, 2)) == 9
-    assert sq.terms[(1, 1)] == 2
-
-
 def test_termpoly_json_roundtrip():
     f = TermPoly(3, {(2, 0, 0): Fraction(1, 2), (0, 1, 1): -3})
     g = TermPoly.from_json(f.to_json())
     assert g == f
-
-
-def test_termpoly_to_complex():
-    f = TermPoly(2, {(1, 1): 2})
-    fc = f.to_complex()
-    assert fc.eval((1 + 1j, 1 - 1j)) == pytest.approx(4.0 + 0j)
 
 
 def test_binary_form_termpoly_view_values_agree():

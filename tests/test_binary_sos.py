@@ -48,7 +48,7 @@ def test_roots_conjugate_pairs():
     expected = [-2j, -1j, 1j, 2j]
     for a, b in zip(got, expected):
         assert abs(a - b) < 1e-10
-    assert rm.total() == 4
+    assert sum(mult for _, mult in rm.entries()) == 4
 
 
 def test_roots_with_multiplicity():

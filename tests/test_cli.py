@@ -27,9 +27,23 @@ def test_table_exits_verify_on_mismatch(monkeypatch, capsys):
     def wrong_counts(surface):
         return {"complex": 5, "real": 4, "psd": 2, "indefinite": 2}
 
-    monkeypatch.setattr(cli, "expected_counts", wrong_counts)
+    # the table compares against the report's expected counts, which
+    # classify reads from expected_counts
+    monkeypatch.setattr(enumerator, "expected_counts", wrong_counts)
     assert cli.main(["table", "--surfaces", "scroll(1,1)"]) == cli.EXIT_VERIFY
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_table_json_shows_which_row_failed_verification(tmp_path, monkeypatch):
+    out = tmp_path / "table.json"
+    argv = ["table", "--surfaces", "scroll(1,1)", "--json-out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["verified"] is True and 0 <= row["worstResidual"] <= cli.VERIFY_TOL
+    monkeypatch.setattr(enumerator, "verify_representation", lambda form, rep: 1.0)
+    assert cli.main(argv) == cli.EXIT_VERIFY
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["verified"] is False and row["worstResidual"] == 1.0
 
 
 def test_enumerate_verify_round_trip_is_byte_identical(tmp_path):

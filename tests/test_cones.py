@@ -1,12 +1,13 @@
-"""Apex reduction on cones: exact Schur round trips and lifted census.
+"""Apex reduction on cones: the exact split, the lift and the lifted census.
 
 Oracle notes.  A cone form f = a * apex^2 + 2 * apex * b + c reduces to
-g = c - b^2 / a on the base curve; representations and Gram matrices lift
-back by adjoining the square of sqrt(a) * apex + b / sqrt(a).  Both maps are
-implemented exactly over the rationals, so the round-trip assertions use
-equality, not tolerances.  Census counts are balanced-pairing counts of the
-reduced binary form: C(2d, d)/2 complex classes, 2^(d-1) of them psd, plus
-C(d, d/2)/2 indefinite ones for even d.
+g = c - b^2 / a on the base curve; representations lift back by adjoining
+the square of sqrt(a) * apex + b / sqrt(a).  The split is exact over the
+rationals, so the rebuild asserts equality; the lift is in floats and is
+checked against f.  The coefficients of f live on the doubled polytope 2P,
+which is read off the cone basis's pair_map.  Census counts are
+balanced-pairing counts of the reduced binary form: C(2d, d)/2 complex
+classes, 2^(d-1) of them psd, plus C(d, d/2)/2 indefinite ones for even d.
 """
 
 from fractions import Fraction
@@ -15,23 +16,12 @@ import numpy as np
 import pytest
 
 from minsos.biform import BinaryForm, TermPoly
-from minsos.cones import (
-    enumerate_cone,
-    lift,
-    lift_gram,
-    reduce_form,
-    schur_reduce_gram,
-    split,
-)
+from minsos.cones import enumerate_cone, lift, reduce_form, split
 from minsos.errors import ApexCoefficientNotPositive, NotAScroll
-from minsos.gram import (
-    Representation,
-    build_gram_space,
-    verify_representation,
-)
+from minsos.gram import Representation, verify_representation
 from minsos.binary_sos import enumerate_two_squares, rnc_basis
 from minsos.sampling import random_positive_form
-from minsos.surfaces import cone_rnc, monomial_basis, scroll
+from minsos.surfaces import cone_rnc, scroll
 
 
 def _cone_form(d=2, seed=4):
@@ -39,8 +29,8 @@ def _cone_form(d=2, seed=4):
 
 
 def _times_xy(g, x_power):
-    """g(s, t) * x^x_power * y^(2 - x_power) as a form over (s, t, x, y)."""
-    return TermPoly(4, {(i, j, x_power, 2 - x_power): c for (i, j), c in g.terms.items()})
+    """Terms of g(s, t) * x^x_power * y^(2 - x_power) over (s, t, x, y)."""
+    return {(i, j, x_power, 2 - x_power): c for (i, j), c in g.terms.items()}
 
 
 # ------------------------------------------------------------------ split
@@ -55,12 +45,12 @@ def test_split_reconstructs_form_exactly():
         assert a > 0
         assert b.deg == d and c.deg == 2 * d
         # rebuild a x^2 t^(2d) + 2 x t^d y b + y^2 c  (apex block is x)
-        apex = TermPoly(4, {(0, 2 * d, 2, 0): Fraction(a)})
+        # the three blocks have distinct xy-degrees, so their terms never meet
+        apex = {(0, 2 * d, 2, 0): Fraction(a)}
         t_d = BinaryForm([1] + [0] * d, d)
-        cross = _times_xy(t_d * b, x_power=1)
+        cross = _times_xy((t_d * b).scale(2), x_power=1)
         base = _times_xy(c, x_power=0)
-        total = apex + cross.scale(2) + base
-        assert total == f
+        assert TermPoly(4, {**apex, **cross, **base}) == f
 
 
 def test_split_rejects_nonpositive_apex():
@@ -82,78 +72,25 @@ def test_reduce_form_hand_value():
     assert g.coeffs == [0, 0, 0, 0, 4]
 
 
-# ---------------------------------------------------------- gram round trip
-
-
-def test_schur_gram_roundtrip_exact():
-    spec = cone_rnc(2)
-    f = _cone_form(2)
-    a, b, _ = split(f, spec)
-    space = build_gram_space(f, spec)
-    G = space.gram_at_exact([Fraction(1, 3)] * space.kdim)
-    Gp = schur_reduce_gram(G, spec.d)
-    back = lift_gram(Gp, a, b)
-    assert back == G  # exact Fractions, no tolerance
-
-
-def test_schur_gram_roundtrip_float():
-    spec = cone_rnc(3)
-    f = _cone_form(3, seed=8)
-    a, b, _ = split(f, spec)
-    space = build_gram_space(f, spec)
-    G = space.gram_at(np.full(space.kdim, 0.2))
-    back = lift_gram(schur_reduce_gram(G, spec.d), float(a), b)
-    assert np.max(np.abs(back - G)) < 1e-12
-
-
-def test_schur_rejects_nonpositive_apex_entry():
-    G = np.zeros((4, 4))
-    with pytest.raises(ApexCoefficientNotPositive):
-        schur_reduce_gram(G, 2)
-
-
-def test_reduced_gram_is_base_fiber_point():
-    # reducing a fiber point of f lands on the fiber of g = c - b^2/a
-    spec = cone_rnc(2)
-    f = _cone_form(2)
-    a, b, _ = split(f, spec)
-    g = reduce_form(f, spec)
-    space = build_gram_space(f, spec)
-    G = space.gram_at_exact([Fraction(2, 7)] * space.kdim)
-    Gp = schur_reduce_gram(G, spec.d)
-    # expand m^T Gp m over the base monomials s^i t^(d-i) and compare to g
-    basis = rnc_basis(spec.d)
-    expanded = {}
-    n = len(basis)
-    for i in range(n):
-        for j in range(n):
-            if Gp[i][j]:
-                key = tuple(x + y for x, y in zip(basis[i], basis[j]))
-                expanded[key] = expanded.get(key, 0) + Gp[i][j]
-    for s_pow in range(2 * spec.d + 1):
-        # basis monomials are (s, t) exponent pairs
-        key = (s_pow, 2 * spec.d - s_pow)
-        assert expanded.get(key, 0) == g.coeffs[s_pow]
-
-
 # --------------------------------------------------------------------- lift
 
 
 def test_lift_exact_when_apex_is_square():
-    # g = (s^2 - 2 t^2)^2 + (3 s t)^2 lifts over a = 4 (exact square root)
+    # g = (s^2 - 2 t^2)^2 + (3 s t)^2 lifts over a = 4; rational input with
+    # a square apex coefficient still gives a float lift
     basis = rnc_basis(2)
     rep = Representation(
         basis=basis, vectors=[[-2, 0, 1], [0, 3, 0]], signs=[1, 1], exact=True
     )
     b = BinaryForm([1, 1, 1], 2)
     lifted = lift(rep, 4, b)
-    assert lifted.exact
+    assert not lifted.exact
     assert lifted.nforms == 3
     assert len(lifted.basis) == 4  # base block plus apex
     # lifted Gram has apex entry a and cross column b
-    G = lifted.gram_exact()
-    assert G[3][3] == 4
-    assert [G[i][3] for i in range(3)] == [1, 1, 1]
+    G = lifted.gram()
+    assert abs(G[3, 3] - 4) < 1e-12
+    assert np.max(np.abs(G[:3, 3] - [1, 1, 1])) < 1e-12
 
 
 def test_lift_verifies_against_cone_form():

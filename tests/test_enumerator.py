@@ -153,7 +153,7 @@ def test_enumerate_g1_fixture_counts_and_thetas():
 def test_enumerate_entries_are_verified_rank3():
     space = build_gram_space(_g1_form(), scroll(1, 1))
     report = enumerate_rank(space, seed=0)
-    psd_entries = report.psd_entries()
+    psd_entries = [entry for entry in report.entries if entry["psd"]]
     assert len(psd_entries) == 2
     for entry in psd_entries:
         assert entry["verify_residual"] <= 1e-8
@@ -199,7 +199,7 @@ def test_path_stats_accounting():
     space = build_gram_space(_g1_form(), scroll(1, 1))
     report = enumerate_rank(space, seed=0)
     stats = report.path_stats
-    assert stats["paths"] == report.solution_set.system.poly_system().total_paths
+    assert stats["paths"] == len(report.solution_set.system.poly_system().start_points())
     assert stats["converged"] + stats["diverged"] + stats["failed"] == stats["paths"]
     assert stats["solutions"] == len(report.solution_set.points)
 

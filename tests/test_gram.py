@@ -20,9 +20,7 @@ from minsos.gram import (
     extract_representation,
     gram_residual,
     inertia,
-    representation_from_forms,
     solve_affine,
-    symmetric_rank,
     verify_representation,
 )
 from minsos.sampling import random_positive_form
@@ -101,13 +99,13 @@ def _gauss_jordan_solve(matrix, rhs):
 
 
 _SOLVE_BASES = {
-    "scroll11": lambda: monomial_basis(scroll(1, 1), 1),
-    "scroll21": lambda: monomial_basis(scroll(2, 1), 1),
-    "scroll22": lambda: monomial_basis(scroll(2, 2), 1),
-    "scroll32": lambda: monomial_basis(scroll(3, 2), 1),
-    "veronese": lambda: monomial_basis(veronese(), 1),
-    "cone3": lambda: monomial_basis(cone_rnc(3), 1),
-    "cone6": lambda: monomial_basis(cone_rnc(6), 1),
+    "scroll11": lambda: monomial_basis(scroll(1, 1)),
+    "scroll21": lambda: monomial_basis(scroll(2, 1)),
+    "scroll22": lambda: monomial_basis(scroll(2, 2)),
+    "scroll32": lambda: monomial_basis(scroll(3, 2)),
+    "veronese": lambda: monomial_basis(veronese()),
+    "cone3": lambda: monomial_basis(cone_rnc(3)),
+    "cone6": lambda: monomial_basis(cone_rnc(6)),
     "prism21": lambda: PrismSpec((2, 1)).basis(),
     "prism332": lambda: PrismSpec((3, 3, 2)).basis(),
     "prism4332": lambda: PrismSpec((4, 3, 3, 2)).basis(),
@@ -150,7 +148,7 @@ def test_gram_residual_matches_loop_reference():
 
 def test_gram_residual_counts_form_terms_outside_2p():
     # s^3 t x y is not a product of two scroll(1,1) basis monomials
-    basis = monomial_basis(scroll(1, 1), 1)
+    basis = monomial_basis(scroll(1, 1))
     f = TermPoly(4, {(3, 1, 1, 1): 5})
     zero = [[Fraction(0)] * 4 for _ in range(4)]
     assert gram_residual(f, basis, zero) == 5
@@ -217,7 +215,6 @@ def test_space_json_has_shape_fields():
 def test_inertia_known_signature():
     G = np.diag([3.0, 1.0, 0.0, -2.0])
     assert inertia(G) == (2, 1, 1)
-    assert symmetric_rank(G) == 3
 
 
 def test_inertia_scales_with_matrix():
@@ -232,7 +229,7 @@ def test_inertia_scales_with_matrix():
 def test_extract_representation_diagonal_gram():
     # f = sum of squared basis monomials has G = I on the fiber
     spec = scroll(1, 1)
-    basis = monomial_basis(spec, 1)
+    basis = monomial_basis(spec)
     terms = {}
     for mono in basis:
         key = tuple(2 * e for e in mono)
@@ -253,7 +250,7 @@ def test_extract_rejects_off_fiber_matrix():
 
 def test_representation_expand_exact():
     # (t y + s x)^2 + (s y)^2 over the scroll(1,1) basis [ty, sy, tx, sx]
-    basis = monomial_basis(scroll(1, 1), 1)
+    basis = monomial_basis(scroll(1, 1))
     rep = Representation(
         basis=basis, vectors=[[1, 0, 0, 1], [0, 1, 0, 0]], signs=[1, 1], exact=True
     )
@@ -269,19 +266,8 @@ def test_representation_expand_exact():
     assert verify_representation(f, rep) == 0
 
 
-def test_representation_from_forms_biform_input():
-    # l1 = t y + s x, l2 = s y over (s, t, x, y); expansion matches the square sum
-    basis = monomial_basis(scroll(1, 1), 1)
-    l1 = TermPoly(4, {(0, 1, 0, 1): 1, (1, 0, 1, 0): 1})
-    l2 = TermPoly(4, {(1, 0, 0, 1): 1})
-    rep = representation_from_forms(basis, [l1, l2])
-    assert rep.exact and rep.nforms == 2
-    f = l1 * l1 + l2 * l2
-    assert verify_representation(f, rep) == 0
-
-
 def test_representation_gram_and_signs():
-    basis = monomial_basis(scroll(1, 1), 1)
+    basis = monomial_basis(scroll(1, 1))
     rep = Representation(
         basis=basis,
         vectors=[[1, 0, 0, 0], [0, 1, 0, 0]],
@@ -295,7 +281,7 @@ def test_representation_gram_and_signs():
 
 
 def test_representation_json_roundtrip_exact_and_float():
-    basis = monomial_basis(scroll(1, 1), 1)
+    basis = monomial_basis(scroll(1, 1))
     exact = Representation(
         basis=basis, vectors=[[Fraction(1, 2), 0, 0, 1]], signs=[1], exact=True
     )
@@ -311,7 +297,7 @@ def test_representation_json_roundtrip_exact_and_float():
 
 def test_equivalent_detects_gauge_rotation():
     # rotating the pair (p, q) leaves p^2 + q^2 and hence the Gram fixed
-    basis = monomial_basis(scroll(1, 1), 1)
+    basis = monomial_basis(scroll(1, 1))
     c, s = np.cos(0.7), np.sin(0.7)
     p, q = np.array([1.0, 2.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0, -1.0])
 
@@ -326,14 +312,14 @@ def test_equivalent_detects_gauge_rotation():
 
 
 def test_representation_rejects_vectors_of_the_wrong_length():
-    basis = monomial_basis(scroll(1, 1), 1)
+    basis = monomial_basis(scroll(1, 1))
     for vec in ([1, 0, 0], [1, 0, 0, 0, 1]):
         with pytest.raises(DimensionMismatch):
             Representation(basis=basis, vectors=[vec], signs=[1], exact=True)
 
 
 def test_verify_representation_flags_mismatch():
-    basis = monomial_basis(scroll(1, 1), 1)
+    basis = monomial_basis(scroll(1, 1))
     rep = Representation(basis=basis, vectors=[[1, 0, 0, 0]], signs=[1], exact=True)
     f = TermPoly(4, {(0, 2, 0, 2): 1, (2, 0, 2, 0): 1})  # t^2 y^2 + s^2 x^2
     assert verify_representation(f, rep) == 1

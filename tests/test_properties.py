@@ -1,4 +1,4 @@
-"""Properties checked on random inputs: form and certificate JSON, the apex reduction."""
+"""Properties checked on random inputs: form and certificate JSON."""
 
 from fractions import Fraction
 
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from minsos.biform import RATIONAL, BinaryForm, TermPoly
 from minsos.binary_sos import rnc_basis
-from minsos.cones import lift_gram, schur_reduce_gram
 from minsos.gram import Representation
 from minsos.surfaces import MonomialBasis
 
@@ -51,29 +50,6 @@ def test_termpoly_json_round_trip_in_both_layouts(drawn):
         g = TermPoly.from_json(data)
         assert g == f
         assert g.nvars == 4 and g.field == RATIONAL
-
-
-@st.composite
-def cone_gram_data(draw):
-    """(Gp, a, b): a symmetric base Gram matrix, a > 0 and b of degree d."""
-    d = draw(st.integers(1, 4))
-    upper = draw(st.lists(rationals, min_size=(d + 1) * (d + 2) // 2,
-                          max_size=(d + 1) * (d + 2) // 2))
-    Gp = [[Fraction(0)] * (d + 1) for _ in range(d + 1)]
-    it = iter(upper)
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            Gp[i][j] = Gp[j][i] = next(it)
-    a = draw(st.fractions(min_value=Fraction(1, 60), max_value=50, max_denominator=60))
-    b = BinaryForm(draw(st.lists(rationals, min_size=d + 1, max_size=d + 1)), d)
-    return Gp, a, b
-
-
-@SETTINGS
-@given(cone_gram_data())
-def test_schur_reduce_inverts_lift_gram_exactly(drawn):
-    Gp, a, b = drawn
-    assert schur_reduce_gram(lift_gram(Gp, a, b), b.deg) == Gp
 
 
 @st.composite

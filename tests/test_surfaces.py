@@ -1,8 +1,8 @@
 """Surface catalogue: combinatorial invariants, bases, genericity screens.
 
 Oracle notes.  Basis sizes are lattice-point counts of the height-(d, e)
-trapezoid: degree one has (d+1) + (e+1) points, degree two has
-(2d+1) + (d+e+1) + (2e+1).  A surface of minimal degree satisfies
+trapezoid: degree one has (d+1) + (e+1) points, and the doubled trapezoid
+2P, read off the basis's pair map, has (2d+1) + (d+e+1) + (2e+1).  A surface of minimal degree satisfies
 deg = codim + 1 by definition, which pins ambient_dim/degree/codim against
 each other.
 """
@@ -25,7 +25,6 @@ from minsos.surfaces import (
     count_warning,
     discriminant,
     genericity_check,
-    hilbert_data,
     monomial_basis,
     projective_roots,
     quadratic_form_blocks,
@@ -76,8 +75,9 @@ def test_spec_validation():
 
 
 def test_spec_json_and_str_roundtrip():
-    for spec in (scroll(2, 1), veronese(), cone_rnc(3)):
-        assert SurfaceSpec.from_json(spec.to_json()) == spec
+    assert scroll(2, 1).to_json() == {"kind": "scroll", "d": 2, "e": 1}
+    assert veronese().to_json() == {"kind": "veronese"}
+    assert cone_rnc(3).to_json() == {"kind": "cone_rnc", "d": 3}
     assert str(scroll(2, 1)) == "scroll(2,1)"
     assert str(cone_rnc(4)) == "cone_rnc(4)"
     assert str(veronese()) == "veronese"
@@ -87,32 +87,31 @@ def test_spec_json_and_str_roundtrip():
 
 
 def test_degree_one_basis_sizes():
-    assert len(monomial_basis(scroll(1, 1), 1)) == 4
-    assert len(monomial_basis(scroll(2, 1), 1)) == 5
-    assert len(monomial_basis(scroll(2, 2), 1)) == 6
-    assert len(monomial_basis(veronese(), 1)) == 6
-    assert len(monomial_basis(cone_rnc(4), 1)) == 6
+    assert len(monomial_basis(scroll(1, 1))) == 4
+    assert len(monomial_basis(scroll(2, 1))) == 5
+    assert len(monomial_basis(scroll(2, 2))) == 6
+    assert len(monomial_basis(veronese())) == 6
+    assert len(monomial_basis(cone_rnc(4))) == 6
 
 
 def test_degree_two_basis_sizes():
     # trapezoid lattice counts doubled: (2d+1) + (d+e+1) + (2e+1)
-    assert len(monomial_basis(scroll(2, 1), 2)) == 12
-    assert len(monomial_basis(scroll(2, 2), 2)) == 15
-    assert len(monomial_basis(cone_rnc(4), 2)) == 15
-    assert len(monomial_basis(veronese(), 2)) == 15
+    sizes = ((scroll(2, 1), 12), (scroll(2, 2), 15), (cone_rnc(4), 15), (veronese(), 15))
+    for spec, size in sizes:
+        assert len(monomial_basis(spec).pair_map.monomials) == size
 
 
 def test_scroll_basis_is_t_lifted():
     # every degree-one basis monomial has full st-degree d, xy-degree 1
     for spec in (scroll(2, 1), scroll(3, 1), cone_rnc(3)):
         d = spec.ruling_heights[0]
-        for mono in monomial_basis(spec, 1):
+        for mono in monomial_basis(spec):
             assert mono[0] + mono[1] == d
             assert mono[2] + mono[3] == 1
 
 
 def test_cone_basis_order_base_block_then_apex():
-    basis = monomial_basis(cone_rnc(2), 1)
+    basis = monomial_basis(cone_rnc(2))
     # base block y s^i t^(2-i), then the single apex monomial x t^2
     assert basis.monomials == (
         (0, 2, 0, 1),
@@ -123,32 +122,19 @@ def test_cone_basis_order_base_block_then_apex():
 
 
 def test_basis_labels_and_index():
-    basis = monomial_basis(scroll(1, 1), 1)
+    basis = monomial_basis(scroll(1, 1))
     labels = [basis.label(i) for i in range(len(basis))]
     assert labels == ["t*y", "s*y", "t*x", "s*x"]
     assert basis.index((1, 0, 0, 1)) == 1
 
 
 def test_veronese_basis_monomials():
-    basis = monomial_basis(veronese(), 1)
+    basis = monomial_basis(veronese())
     assert len(basis) == 6
     assert all(sum(m) == 2 for m in basis)
     assert basis.nvars == 3
     # quadratic piece: all ternary quartics
-    basis2 = monomial_basis(veronese(), 2)
-    assert all(sum(m) == 4 for m in basis2)
-
-
-def test_hilbert_data_scroll():
-    genus, curve_deg, ehrhart = hilbert_data(scroll(2, 1))
-    assert genus == 2
-    assert curve_deg == 6
-    # Ehrhart polynomial evaluated at T = 1 and 2 counts lattice points
-    count = lambda T: ehrhart[0] * T * T + ehrhart[1] * T + ehrhart[2]
-    assert count(1) == len(monomial_basis(scroll(2, 1), 1))
-    assert count(2) == len(monomial_basis(scroll(2, 1), 2))
-    with pytest.raises(NotAScroll):
-        hilbert_data(veronese())
+    assert all(sum(m) == 4 for m in basis.pair_map.monomials)
 
 
 # ----------------------------------------------------- blocks, discriminant
@@ -176,7 +162,8 @@ def test_quadratic_form_blocks_reconstruct():
             (0, 2, 0, 2): 5,  # c = 5 t^2
         },
     )
-    for form in (f, f.to_complex()):
+    fc = TermPoly(4, {expo: complex(c) for expo, c in f.terms.items()})
+    for form in (f, fc):
         a, b, c = quadratic_form_blocks(form, scroll(1, 1))
         assert a.coeffs == [0, 0, 1]  # s^2
         assert b.coeffs == [0, 3, 0]  # 3 s t
@@ -281,9 +268,10 @@ def test_genericity_generic_form():
 
 
 def test_genericity_square_form_flagged():
-    # f = (s y + t x)^2 has identically zero discriminant
-    h = TermPoly(4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): 1})
-    report = genericity_check(h * h, scroll(1, 1))
+    # f = (s y + t x)^2 = s^2 y^2 + 2 s t x y + t^2 x^2 has identically zero
+    # discriminant
+    f = TermPoly(4, {(2, 0, 0, 2): 1, (1, 1, 1, 1): 2, (0, 2, 2, 0): 1})
+    report = genericity_check(f, scroll(1, 1))
     assert report.delta_squarefree is False
     assert not report.generic_so_far
     assert any("square" in note for note in report.notes)

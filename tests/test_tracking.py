@@ -135,7 +135,7 @@ def test_jacobian_of_sparse_support():
 def test_total_paths_is_degree_product():
     sys_ = PolySystem([{(3, 0): 1.0, (0, 0): 1.0}, {(0, 2): 1.0, (1, 0): 1.0}], 2)
     assert sys_.degrees.tolist() == [3, 2]
-    assert sys_.total_paths == 6
+    assert len(sys_.start_points()) == 6
 
 
 def test_start_points_solve_start_system():
