@@ -142,27 +142,22 @@ def roots(f):
     )
 
 
-def is_nonnegative(f):
-    """True iff the real binary form f is nonnegative on R^2.
+def _nonnegative(rm):
+    """Whether the form with root multiset rm is nonnegative on R^2.
 
-    Every real root (including infinity) must have even multiplicity and
-    the sign at a non-root sample point must be positive.
+    Every real root (infinity included) must have even multiplicity; the
+    form then has the sign of its leading coefficient away from its roots.
     """
-    if f.is_zero():
-        return True
-    if f.deg % 2 == 1:
-        return False
-    rm = roots(f)
-    if rm.inf_mult % 2 == 1:
-        return False
-    if any(mult % 2 == 1 for _, mult in rm.real_roots):
-        return False
-    # all real roots have even multiplicity, so one sample sign decides
-    s0 = 1.0 + 2.0 * max([0.0] + [abs(v) for v, _ in rm.real_roots])
-    val = complex(f.eval(s0, 1.0)).real
-    if val == 0.0:  # the sample accidentally hit a root; nudge it
-        val = complex(f.eval(s0 + 0.375, 1.0)).real
-    return val > 0.0
+    return (
+        rm.lead > 0
+        and rm.inf_mult % 2 == 0
+        and all(mult % 2 == 0 for _, mult in rm.real_roots)
+    )
+
+
+def is_nonnegative(f):
+    """True iff the real binary form f is nonnegative on R^2."""
+    return f.is_zero() or (f.deg % 2 == 0 and _nonnegative(roots(f)))
 
 
 def _homogenize(poly_desc, deg):
@@ -183,12 +178,42 @@ def _representation_from_pq(p_coeffs, q_coeffs, d, signs=(1, 1)):
     return Representation(basis=basis, vectors=vectors, signs=list(signs), exact=False)
 
 
+def _root_product(choice):
+    """Descending s-coefficients of prod (s - root)^count over (root, count).
+
+    The root at infinity is skipped: homogenization supplies its t factors.
+    """
+    pi = np.array([1.0 + 0.0j])
+    for root, count in choice:
+        if root == "inf":
+            continue
+        for _ in range(count):
+            pi = np.convolve(pi, np.array([1.0, -root]))
+    return pi
+
+
+def _conjugate_choice_rep(rm, choice, sign=1):
+    """The representation sign * (p^2 + q^2) with p + i q = pi.
+
+    pi = sqrt|lead| * prod (s - root t)^count over choice, which takes half
+    of every real root and, from each conjugate pair, counts summing to the
+    pair's multiplicity, so that pi * conj(pi) = |f|.
+    """
+    pi = np.sqrt(abs(rm.lead)) * _root_product(choice)
+    d = rm.degree // 2
+    coeffs = _homogenize(pi, d)  # t^(inf_mult/2) fills the top slots
+    p = [c.real for c in coeffs]
+    q = [c.imag for c in coeffs]
+    return _representation_from_pq(p, q, d, signs=(sign, sign))
+
+
 def rep_forms(rep):
     """The two binary forms (p, q) of a two-squares Representation."""
     d = len(rep.basis) - 1
     return tuple(BinaryForm([float(c) for c in vec], d) for vec in rep.vectors)
 
 
+# perfbench pins this pairwise dedup; it goes with ROADMAP direction 0
 def _dedup(reps):
     kept = []
     for rep in reps:
@@ -209,30 +234,16 @@ def enumerate_two_squares(f):
     """
     if f.is_zero():
         raise ValueError("the zero form has degenerate representations")
-    if not is_nonnegative(f):
-        raise NotNonnegative("the form takes negative values")
     rm = roots(f)
-    d = f.deg // 2
-    sqrt_c = float(np.sqrt(rm.lead))
-    # common real factor: real roots and infinity contribute half powers
-    common = np.array([1.0 + 0.0j])
-    for value, mult in rm.real_roots:
-        for _ in range(mult // 2):
-            common = np.convolve(common, np.array([1.0, -value]))
+    if not _nonnegative(rm):
+        raise NotNonnegative("the form takes negative values")
+    half_real = [(value, mult // 2) for value, mult in rm.real_roots]
     reps = []
-    choices = [range(mult + 1) for _, mult in rm.pairs]
-    for assign in itertools.product(*choices):
-        pi = common.astype(np.complex128)
+    for assign in itertools.product(*(range(mult + 1) for _, mult in rm.pairs)):
+        choice = list(half_real)
         for (value, mult), a in zip(rm.pairs, assign):
-            for _ in range(a):
-                pi = np.convolve(pi, np.array([1.0, -value]))
-            for _ in range(mult - a):
-                pi = np.convolve(pi, np.array([1.0, -value.conjugate()]))
-        pi = sqrt_c * pi
-        coeffs = _homogenize(pi, d)  # t^(inf_mult/2) fills the top slots
-        p = [c.real for c in coeffs]
-        q = [c.imag for c in coeffs]
-        reps.append(_representation_from_pq(p, q, d))
+            choice += [(value, a), (value.conjugate(), mult - a)]
+        reps.append(_conjugate_choice_rep(rm, choice))
     return _dedup(reps)
 
 
@@ -277,20 +288,12 @@ def enumerate_rank_two(f):
     d = rm.degree // 2
     entries = rm.entries()
     nent = len(entries)
-    # conjugation as a permutation of entry indices
-    conj = list(range(nent))
-    scale = max(
-        [1.0] + [abs(r) for r, _ in entries if r != "inf"]
-    )
-    for i, (root, _) in enumerate(entries):
-        if root == "inf":
-            conj[i] = i
-            continue
-        target = root.conjugate()
-        for j, (other, _) in enumerate(entries):
-            if other != "inf" and abs(other - target) <= PAIR_TOL * scale:
-                conj[i] = j
-                break
+    # conjugation as a permutation of entry indices: infinity and the real
+    # roots are fixed, the two slots of each conjugate pair swap
+    fixed = nent - 2 * len(rm.pairs)
+    conj = list(range(fixed))
+    for i in range(fixed, nent, 2):
+        conj += [i + 1, i]
     mults = [m for _, m in entries]
     seen = set()
     classes = []
@@ -315,46 +318,31 @@ def enumerate_rank_two(f):
         counts["complex"] += 1
         if kind != "complex":
             counts["real"] += 1
-            counts[kind if kind != "nsd" else "nsd"] += 1
+            counts[kind] += 1
     return RankTwoReport(counts=counts, classes=classes)
 
 
-def class_representation(f, cls, rm=None):
+def class_representation(rm, cls):
     """Signed rank <= 2 representation realizing a real pairing class.
 
-    Conjugate classes give f = p^2 + q^2 (or the negative for nsd); both-real
-    classes give the difference of squares f = ((u+v)/2)^2 - ((u-v)/2)^2
-    built from the two real factors u, v.  rm is the root multiset of f that
-    the class indexes; it is recomputed by roots(f) when not given.
+    rm is the root multiset that the class indexes.  Conjugate classes give
+    f = p^2 + q^2 (or the negative for nsd); both-real classes give the
+    difference of squares f = ((u+v)/2)^2 - ((u-v)/2)^2 built from the two
+    real factors u, v.
     """
     if cls.kind == "complex":
         raise ValueError("only conjugation-stable classes have real Gram points")
-    if rm is None:
-        rm = roots(f)
     entries = rm.entries()
-    d = rm.degree // 2
 
-    def side_poly(side):
-        pi = np.array([1.0 + 0.0j])
-        for idx, count in side:
-            root, _ = entries[idx]
-            if root == "inf":
-                continue  # the homogenization supplies the t factors
-            for _ in range(count):
-                pi = np.convolve(pi, np.array([1.0, -root]))
-        return pi
+    def side(pairs):
+        return [(entries[idx][0], count) for idx, count in pairs]
 
-    ua = side_poly(cls.side_a)
     if cls.kind in ("psd", "nsd"):
-        pi = np.sqrt(abs(rm.lead)) * ua
-        coeffs = _homogenize(pi, d)
-        p = [c.real for c in coeffs]
-        q = [c.imag for c in coeffs]
         sign = 1 if cls.kind == "psd" else -1
-        return _representation_from_pq(p, q, d, signs=(sign, sign))
-    vb = side_poly(cls.side_b)
-    u = _homogenize(rm.lead * ua, d)
-    v = _homogenize(vb, d)
+        return _conjugate_choice_rep(rm, side(cls.side_a), sign)
+    d = rm.degree // 2
+    u = _homogenize(rm.lead * _root_product(side(cls.side_a)), d)
+    v = _homogenize(_root_product(side(cls.side_b)), d)
     p = [((x + y) / 2.0).real for x, y in zip(u, v)]
     q = [((x - y) / 2.0).real for x, y in zip(u, v)]
     return _representation_from_pq(p, q, d, signs=(1, -1))

@@ -77,9 +77,9 @@ def split(f, spec):
     return a, b, c_form
 
 
-def reduce_form(f, spec):
-    """The Schur complement g = c - b^2/a on the base curve (degree 2d)."""
-    a, b, c = split(f, spec)
+def reduce_form(a, b, c):
+    """The Schur complement g = c - b^2/a on the base curve (degree 2d) of
+    the split (a, b, c) of a cone form."""
     if b.field == RATIONAL and isinstance(a, (int, Fraction)):
         scaled = (b * b).scale(Fraction(1, 1) / Fraction(a))
     else:
@@ -122,7 +122,7 @@ def enumerate_cone(f, spec):
     _require_cone(spec)
     space = build_gram_space(f, spec)
     a, b, c = split(f, spec)
-    g = reduce_form(f, spec)
+    g = reduce_form(a, b, c)
     gfloat = g.to_complex() if g.field == RATIONAL else g
     rm = binary_roots(gfloat)
     census = enumerate_rank_two(gfloat)
@@ -136,7 +136,7 @@ def enumerate_cone(f, spec):
     for cls in census.classes:
         if cls.kind == "complex":
             continue
-        base_rep = class_representation(gfloat, cls, rm=rm)
+        base_rep = class_representation(rm, cls)
         lifted = lift(base_rep, a, b)
         G = lifted.gram()
         ine = inertia(G)

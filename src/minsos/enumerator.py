@@ -479,8 +479,6 @@ def classify(space, solutions):
         genericity = genericity_check(space.form, space.surface)
         if genericity.delta_squarefree is False:
             notes.append("discriminant is not squarefree")
-        if genericity.curve_smooth is False:
-            notes.append("branch curve is singular")
         notes.extend(genericity.notes)
     warning = count_warning(space.surface, counts["complex"])
     if warning is not None:

@@ -6,7 +6,7 @@ class MinsosError(Exception):
 
 
 class UnsupportedDegree(MinsosError):
-    """Requested graded piece is not available (only k in {1, 2})."""
+    """A sampler cannot draw an instance of the requested degree or shape."""
 
 
 class NotAScroll(MinsosError):

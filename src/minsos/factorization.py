@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .biform import COMPLEX, BinaryForm, TermPoly
-from .binary_sos import rnc_basis
+from .binary_sos import _conjugate_choice_rep, _nonnegative, rep_forms, rnc_basis, roots
 from .errors import (
     DimensionMismatch,
     IterationBudgetExceeded,
@@ -534,10 +534,11 @@ def factor(A):
 
 
 def _factor_binary(A):
-    """n = 1: a sum of two squares of the single entry."""
-    from .binary_sos import enumerate_two_squares, rep_forms
-    from .errors import NotNonnegative
+    """n = 1: a sum of two squares of the single entry.
 
+    Its columns are p and q with p + i q = sqrt(lead) * (half of each real
+    root) * (the conjugate root of each pair, with full multiplicity).
+    """
     form = A.entries[0][0]
     if form.deg % 2 == 1:
         raise OddDiagonalDegree("entry has odd degree %d" % form.deg)
@@ -546,11 +547,12 @@ def _factor_binary(A):
         # a zero row has height 0 in degree_pattern, as for n >= 2
         zero = BinaryForm.zero(0, field=COMPLEX)
         return FactorResult(heights=(0,), columns=[[zero], [zero]], residual=0.0, rank=0)
-    try:
-        reps = enumerate_two_squares(form)
-    except NotNonnegative as exc:
-        raise NotPSD((None, None, str(exc))) from None
-    p, q = rep_forms(reps[0])
+    rm = roots(form)
+    if not _nonnegative(rm):
+        raise NotPSD((None, None, "the form takes negative values"))
+    choice = [(value, mult // 2) for value, mult in rm.real_roots]
+    choice += [(value.conjugate(), mult) for value, mult in rm.pairs]
+    p, q = rep_forms(_conjugate_choice_rep(rm, choice))
     return FactorResult(
         heights=(d,),
         columns=[[p], [q]],

@@ -371,13 +371,14 @@ def binary_squarefree(g):
 class GenericityReport:
     """Diagnostics for the genericity of a quadratic form on a surface.
 
-    delta_squarefree and curve_smooth are None when the discriminant theory
-    does not apply (Veronese surface).
+    delta_squarefree is None when the discriminant theory does not apply
+    (Veronese surface).  On a scroll the curve V(f) is a double cover of P^1
+    branched at the roots of the normalized discriminant, so it is smooth
+    exactly when delta_squarefree holds.
     """
 
     surface: SurfaceSpec
     delta_squarefree: bool | None = None
-    curve_smooth: bool | None = None
     notes: list = dataclass_field(default_factory=list)
 
     @property
@@ -388,29 +389,23 @@ class GenericityReport:
 def genericity_check(f, spec):
     """Genericity diagnostics for a quadratic form.
 
-    For scrolls and cones: (i) squarefreeness of the normalized discriminant
+    For scrolls and cones: squarefreeness of the normalized discriminant
     (exact gcd in rational mode, roots clustered at ROOT_CLUSTER_RADIUS in
-    float mode), and (ii) smoothness of the curve V(f) in P^1 x P^1, which is
-    equivalent to squarefreeness of the raw discriminant b^2 - ac including
-    its forced t-power (a multiple branch point or a degenerate fiber is
-    exactly a singular point of the double cover).
+    float mode).  The factor t^(2(d-e)) that b^2 - ac carries on every form
+    comes from the ruling heights, not from f, and is left out.
     """
     report = GenericityReport(surface=spec)
     if spec.kind == VERONESE:
         report.notes.append("discriminant diagnostics undefined for the Veronese")
         return report
     try:
-        a, b, c = quadratic_form_blocks(f, spec)
+        delta = discriminant(f, spec)
     except DegreeMismatch as exc:
         report.notes.append("block structure violated: %s" % exc)
         return report
-    raw = b * b - a * c
-    delta = discriminant(f, spec)
     if delta.is_zero():
         report.delta_squarefree = False
-        report.curve_smooth = False
         report.notes.append("identically zero discriminant (f is a square)")
         return report
     report.delta_squarefree = binary_squarefree(delta)
-    report.curve_smooth = binary_squarefree(raw)
     return report

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from minsos.binary_sos import (
+    class_representation,
     enumerate_rank_two,
     enumerate_two_squares,
     is_nonnegative,
@@ -146,6 +147,39 @@ def test_rank_two_census_generic_counts():
         assert report.counts["psd"] == 2 ** (d - 1)
         both_real = comb(d, d // 2) // 2 if d % 2 == 0 else 0
         assert report.counts["indefinite"] == both_real
+
+
+def _nongeneric():
+    # t^2 (s - t)^2 (s^2 + t^2)^2: a double root at infinity, a double real
+    # root and a doubled conjugate pair
+    t, s_minus_t, circle = BinaryForm([1, 0, 0], 2), BinaryForm([-1, 1], 1), BinaryForm([1, 0, 1], 2)
+    return t * s_minus_t * s_minus_t * circle * circle
+
+
+def test_nongeneric_census_hand_counts():
+    # Splits take (v_inf, v_1, v_i, v_-i) with each v <= 2 and sum 4: 19
+    # vectors, (1,1,1,1) self-complementary, so 10 classes.  Both factors are
+    # real when v_i = v_-i: {(2,2,0,0)}, {(2,0,1,1), (0,2,1,1)}, {(1,1,1,1)}.
+    # They are conjugate when v_inf = v_1 = 1 and v_i + v_-i = 2, leaving
+    # {(1,1,2,0), (1,1,0,2)} once (1,1,1,1), whose two factors are equal, is
+    # labeled by the both-real rule (its Gram matrix is psd of rank 1).
+    f = _nongeneric()
+    rm = roots(f)
+    assert (rm.inf_mult, [m for _, m in rm.real_roots], [m for _, m in rm.pairs]) == (2, [2], [2])
+    report = enumerate_rank_two(f)
+    assert report.counts == {"complex": 10, "real": 4, "psd": 1, "indefinite": 3, "nsd": 0}
+    for cls in report.classes:
+        if cls.kind != "complex":
+            rep = class_representation(rm, cls)
+            assert verify_representation(f, rep) < 1e-10
+            assert rep.is_psd() == (cls.kind == "psd")
+    # pi = t (s - t) (s - i t)^a (s + i t)^(2-a): a = 0 and a = 2 conjugate,
+    # and a = 1 gives the real pi, f = p^2 with q = 0
+    reps = enumerate_two_squares(f)
+    assert len(reps) == 2
+    for rep in reps:
+        assert verify_representation(f, rep) < 1e-10
+    assert sum(rep_forms(rep)[1].is_zero() for rep in reps) == 1
 
 
 def test_rank_two_census_json():

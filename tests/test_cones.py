@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from minsos import cones
 from minsos.biform import BinaryForm, TermPoly
 from minsos.cones import enumerate_cone, lift, reduce_form, split
 from minsos.errors import ApexCoefficientNotPositive, NotAScroll
@@ -67,7 +68,7 @@ def test_reduce_form_hand_value():
         4,
         {(0, 4, 2, 0): 1, (2, 2, 1, 1): 2, (4, 0, 0, 2): 5},
     )
-    g = reduce_form(f, cone_rnc(2))
+    g = reduce_form(*split(f, cone_rnc(2)))
     # g = 5 s^4 - (s^2)^2 / 1 = 4 s^4
     assert g.coeffs == [0, 0, 0, 0, 4]
 
@@ -96,8 +97,8 @@ def test_lift_exact_when_apex_is_square():
 def test_lift_verifies_against_cone_form():
     spec = cone_rnc(2)
     f = _cone_form(2)
-    a, b, _ = split(f, spec)
-    g = reduce_form(f, spec)
+    a, b, c = split(f, spec)
+    g = reduce_form(a, b, c)
     reps = enumerate_two_squares(g.to_complex())
     assert reps
     for rep in reps:
@@ -132,6 +133,15 @@ def test_enumerate_cone_entries_verified():
         assert rep.nforms == 3
         assert entry["psd"] == rep.is_psd()
         assert entry["psd"] == (entry["inertia"][1] == 0)
+
+
+def test_enumerate_cone_notes_two_squares_mismatch(monkeypatch):
+    f = _cone_form(3, seed=2)
+    assert not any("mismatch" in note for note in enumerate_cone(f, cone_rnc(3)).notes)
+    real_census = cones.enumerate_two_squares
+    monkeypatch.setattr(cones, "enumerate_two_squares", lambda g: real_census(g)[1:])
+    report = enumerate_cone(f, cone_rnc(3))
+    assert "two-squares census mismatch: 3 vs 4 psd classes" in report.notes
 
 
 def test_enumerate_cone_rejects_scroll():

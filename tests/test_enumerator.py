@@ -15,6 +15,8 @@ from minsos import enumerator
 from minsos.biform import TermPoly
 from minsos.enumerator import (
     CountReport,
+    SolutionSet,
+    classify,
     enumerate_rank,
     minor_system,
     solve,
@@ -22,7 +24,7 @@ from minsos.enumerator import (
 from minsos.errors import DegreeMismatch, RankTooLarge
 from minsos.gram import build_gram_space, verify_representation
 from minsos.sampling import random_positive_form
-from minsos.surfaces import cone_rnc, expected_counts, scroll, veronese
+from minsos.surfaces import cone_rnc, expected_counts, genericity_check, scroll, veronese
 
 
 def _exact_det(M):
@@ -274,3 +276,15 @@ def test_genericity_failure_propagates(monkeypatch):
     space = build_gram_space(random_positive_form(scroll(1, 1), seed=3), scroll(1, 1))
     with pytest.raises(DegreeMismatch):
         enumerate_rank(space, seed=5)
+
+
+@pytest.mark.parametrize("spec", [scroll(2, 1), scroll(3, 1)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generic_scroll_reports_no_singular_curve(spec, seed):
+    # b^2 - ac carries t^(2(d-e)) on every form of scroll(d, e); only the
+    # normalized discriminant says whether the curve is singular
+    f = random_positive_form(spec, seed=seed)
+    assert genericity_check(f, spec).delta_squarefree is True
+    nothing = SolutionSet(None, [], [], [], [], {})
+    report = classify(build_gram_space(f, spec), nothing)
+    assert not any("singular" in note for note in report.notes)

@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minsos import factorization
+from minsos import binary_sos, factorization
 from minsos.biform import BinaryForm
 from minsos.errors import DimensionMismatch, NonSymmetric, NotPSD, StuckAboveTarget
 from minsos.factorization import SymMatrixPoly, check_psd_on_grid, factor, factor_residual
-from minsos.sampling import random_dyad_matrix
+from minsos.sampling import random_dyad_matrix, random_nonneg_binary
 
 
 def _coeffs(form):
@@ -171,6 +171,24 @@ def test_zero_binary_entry_factors_with_height_zero():
     result = factor(A)
     assert result.heights == (0,) and result.rank == 0
     assert factor_residual(A, result.columns) == 0.0
+
+
+def test_one_by_one_factor_is_the_first_two_squares_class(monkeypatch):
+    # the n = 1 columns are the first two-squares representation, built
+    # directly from one root choice with no census and no dedup
+    forms = [random_nonneg_binary(d, seed=1) for d in (2, 5, 8)]
+    forms.append(BinaryForm([1, -2, 3, -4, 3, -2, 1, 0, 0], 8))  # t^2 (s-t)^2 (s^2+t^2)^2
+    firsts = [binary_sos.rep_forms(binary_sos.enumerate_two_squares(f)[0]) for f in forms]
+
+    def no_dedup(*args, **kwargs):
+        raise AssertionError("factor compared two-squares representations")
+
+    monkeypatch.setattr(binary_sos, "equivalent", no_dedup)
+    for f, first in zip(forms, firsts):
+        result = factor(SymMatrixPoly([[f]]))
+        assert result.heights == (f.deg // 2,)
+        assert [col[0].coeffs for col in result.columns] == [g.coeffs for g in first]
+        assert result.residual <= 1e-8 * float(f.max_abs_coeff())
 
 
 def test_factor_residual_rejects_wrong_column_degrees():
