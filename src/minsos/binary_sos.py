@@ -278,8 +278,9 @@ def enumerate_rank_two(f):
 
     Each class corresponds to a rank <= 2 complex Gram matrix of f over the
     rational normal curve basis.  A class is real when the unordered pair is
-    conjugation-stable: either both factors are real (an indefinite Gram) or
-    they are conjugate (a definite one, psd for positive leading scale).
+    conjugation-stable: either they are conjugate (a definite Gram, psd for
+    positive leading scale; also when they are equal and real, f = u^2) or
+    both are real and distinct (an indefinite Gram).
     For a squarefree form of degree 2d this yields binom(2d, d)/2 classes.
     """
     rm = roots(f)
@@ -305,11 +306,12 @@ def enumerate_rank_two(f):
             continue
         seen.add(key)
         conj_vec = tuple(vec[conj[i]] for i in range(nent))
-        if conj_vec == vec:
+        if conj_vec == comp:
+            # conjugate factors, or f = u^2 when they are also real
+            kind = "psd" if rm.lead > 0 else "nsd"
+        elif conj_vec == vec:
             # both factors real: a difference of squares
             kind = "indefinite"
-        elif conj_vec == comp:
-            kind = "psd" if rm.lead > 0 else "nsd"
         else:
             kind = "complex"
         side_a = tuple((i, v) for i, v in enumerate(vec) if v)

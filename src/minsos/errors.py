@@ -72,7 +72,10 @@ class IterationBudgetExceeded(MinsosError):
 
 
 class StuckAboveTarget(MinsosError):
-    """Rank reduction found no usable direction above the target rank."""
+    """Rank reduction found no fiber point L L^T with L of the target width.
+
+    achieved is the rank of the psd point that rank reduction started from.
+    """
 
     def __init__(self, achieved, target, message=None):
         self.achieved = achieved

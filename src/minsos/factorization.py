@@ -4,10 +4,9 @@ A symmetric n x n matrix A of homogeneous binary forms with deg a_ij =
 d_i + d_j defines a quadratic form f = sum a_ij x_i x_j on the prism over
 the standard (n-1)-simplex truncated at heights d_i (for n = 2 this is the
 rational normal scroll).  A psd point of the Gram family of f is found by
-alternating projections, taken to an isolated psd point of rank n+1 by
-alternating rank-(n+1) truncation with the fiber projection and a Newton
-polish, and read off columnwise as the factor B with n+1 columns and row
-degrees d_i.
+alternating projections and taken to a fiber point G = L L^T with L real
+and n+1 columns wide by Gauss-Newton on L; that point is read off
+columnwise as the factor B with n+1 columns and row degrees d_i.
 """
 
 from __future__ import annotations
@@ -28,10 +27,10 @@ from .errors import (
     StuckAboveTarget,
 )
 from .gram import (
-    RANK_TOL,
     Representation,
     extract_representation,
     gram_space_from_basis,
+    inertia,
     verify_representation,
 )
 from .surfaces import MonomialBasis
@@ -45,7 +44,9 @@ FEAS_BUDGET = 100_000
 # negative eigenvalue counts beyond PSD_SCREEN_TOL times the largest coefficient
 PSD_DIRECTIONS = 160
 PSD_SCREEN_TOL = 1e-9
-REDUCE_BUDGET = 40_000
+# rank_reduce: Newton steps, and the residual relative to max(1, |f|)
+REDUCE_ITERS = 50
+REDUCE_TOL = 1e-13
 
 
 class SymMatrixPoly:
@@ -298,95 +299,39 @@ def _feasible_reflections(space):
     raise IterationBudgetExceeded(FEAS_BUDGET, gap)
 
 
-def _numeric_rank(G):
-    evals = np.linalg.eigvalsh(G)
-    smax = max(float(np.max(np.abs(evals))), 1e-300)
-    return int(np.sum(evals > RANK_TOL * smax))
-
-
-def _truncate_psd(G, target_rank):
-    """Nearest matrix that is psd of rank at most target_rank (Frobenius)."""
-    evals, evecs = np.linalg.eigh(G)
-    keep = np.maximum(evals[-target_rank:], 0.0)
-    V = evecs[:, -target_rank:]
-    return (V * keep) @ V.T
-
-
-def _rank_newton(space, G, target_rank):
-    """Newton polish onto an isolated rank-target psd point of the fiber.
-
-    The vanishing of the null-block U^T G(theta) U gives z(z+1)/2 equations
-    in the k fiber coordinates (an exactly determined system for prisms,
-    where k = z(z+1)/2 with z = N - target); U is refreshed from the current
-    eigenvectors each step, giving quadratic convergence near the root.
-    Returns (ok, fiber point).
-    """
-    z = space.size - target_rank
-    if z <= 0:
-        return True, G
-    iu = np.triu_indices(z)
-    theta = space.fiber_coordinates(G)
-    cur = space.gram_at(theta)
-    for _step in range(30):
-        evals, evecs = np.linalg.eigh(cur)
-        smax = max(float(np.max(np.abs(evals))), 1e-300)
-        order = np.argsort(np.abs(evals))
-        U = evecs[:, order[:z]]
-        Fvec = (U.T @ cur @ U)[iu]
-        if float(np.max(np.abs(Fvec))) <= 1e-13 * smax:
-            live = evals > RANK_TOL * smax
-            psd_ok = bool(np.all(evals >= -RANK_TOL * smax))
-            return psd_ok and int(np.sum(live)) <= target_rank, cur
-        J = (U.T @ space.kernel_f @ U)[:, iu[0], iu[1]].T
-        try:
-            step, *_ = np.linalg.lstsq(J, -Fvec, rcond=None)
-        except np.linalg.LinAlgError:
-            return False, cur
-        if not np.all(np.isfinite(step)):
-            return False, cur
-        theta = theta + step
-        cur = space.gram_at(theta)
-    return False, cur
-
-
 def rank_reduce(space, G, target_rank):
-    """Reduce a psd fiber point to rank <= target_rank, staying in the fiber.
+    """A psd fiber point of rank <= target_rank, as L L^T with L real.
 
-    The rank-target psd points of a generic fiber are isolated, so this is
-    root finding rather than a convex method.  A point already at or below
-    the target rank goes straight to the Newton polish (_rank_newton) at
-    its own rank, which takes the eigenvalues dropped at the feasibility
-    tolerance to rounding.
-    Any other point alternates psd rank-target truncation with the
-    projection back onto the fiber until the truncation gap is at most 1e-3
-    of the matrix norm, and the Newton polish finishes quadratically from
-    there.  A polish that fails (Newton left for a root that is not psd)
-    lowers the gap at which the next polish starts tenfold; the cycle
-    creeps closer to its limit meanwhile.  Eigenvalues within RANK_TOL of
-    the spectral radius count as zero.
+    Gauss-Newton on the N x target_rank factor L (Burer & Monteiro's
+    substitution): the residual is the pair-map coefficients of L L^T minus
+    those of the fiber, and pair p contributes mult[p] * L[b[p]] at a[p] and
+    mult[p] * L[a[p]] at b[p] to its row of the Jacobian.  For a prism the
+    system is square up to the O(target_rank) gauge L -> L Q, which the
+    minimum-norm least-squares step absorbs.  Every real solution is psd by
+    construction.  L starts at the leading eigenpairs of G, eigenvalues
+    clipped at 0, and Newton stops once the residual is within REDUCE_TOL
+    of the form's largest coefficient.
 
-    Raises StuckAboveTarget with the rank reached when REDUCE_BUDGET rounds
-    run out.
+    Raises StuckAboveTarget with the rank of G when REDUCE_ITERS steps run
+    out or L leaves the finite numbers.
     """
-    G = np.asarray(G, dtype=float)
-    G = space.project_fiber(0.5 * (G + G.T))
-    rank = _numeric_rank(G)
-    if rank <= target_rank:
-        # polish at the point's own rank: below the target, the rank-target
-        # locus is not isolated there and Newton on it fails
-        ok, polished = _rank_newton(space, G, rank)
-        return polished if ok else G
-    scale = max(1.0, float(np.linalg.norm(G)))
-    polish_at = 1e-3
-    for _ in range(REDUCE_BUDGET):
-        T = _truncate_psd(G, target_rank)
-        if float(np.linalg.norm(G - T)) / scale <= polish_at:
-            ok, polished = _rank_newton(space, G, target_rank)
-            if ok:
-                return polished
-            polish_at *= 0.1  # outside Newton's basin; cycle closer first
-        G = space.project_fiber(T)
-    raise StuckAboveTarget(_numeric_rank(G), target_rank)
+    pairs = space.basis.pair_map
+    want = pairs.coefficients(space.G0_f)
+    tol = REDUCE_TOL * max(1.0, space.form_norm())
+    evals, evecs = np.linalg.eigh(G)
+    L = evecs[:, -target_rank:] * np.sqrt(np.maximum(evals[-target_rank:], 0.0))
+    for steps in range(REDUCE_ITERS + 1):
+        F = pairs.coefficients(L @ L.T) - want
+        if np.max(np.abs(F)) <= tol:
+            return L @ L.T
+        if steps == REDUCE_ITERS or not np.all(np.isfinite(F)):
+            break
+        J = np.zeros((len(F),) + L.shape)
+        np.add.at(J, (pairs.row, pairs.a), pairs.mult[:, None] * L[pairs.b])
+        np.add.at(J, (pairs.row, pairs.b), pairs.mult[:, None] * L[pairs.a])
+        step, *_ = np.linalg.lstsq(J.reshape(len(F), -1), -F, rcond=None)
+        L = L + step.reshape(L.shape)
+    raise StuckAboveTarget(inertia(G)[0], target_rank)
 
 
 @dataclass
@@ -490,8 +435,8 @@ def factor(A):
     Pipeline: psd screen over directions of P^1 (check_psd_on_grid), prism
     embedding, Gram space, alternating projections to a psd fiber point
     (psd_feasible, then _feasible_reflections when its budget runs out),
-    rank reduction to n+1 (rank_reduce: truncation cycle, then Newton
-    polish), column extraction.  When rank_reduce raises StuckAboveTarget,
+    rank reduction to n+1 (rank_reduce: Gauss-Newton on the factor L of
+    G = L L^T), column extraction.  When rank_reduce raises StuckAboveTarget,
     the psd fiber point is factored as it stands and returned with a
     warning; its extra columns still certify psd-ness.
 

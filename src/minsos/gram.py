@@ -53,11 +53,7 @@ def gram_residual(f, basis, G):
         for r, m, a, b in zip(pairs.row, pairs.mult, pairs.a, pairs.b):
             diff[r] += m * G[a][b]
     else:
-        diff = np.bincount(
-            pairs.row,
-            weights=pairs.mult * G[pairs.a, pairs.b],
-            minlength=len(pairs.monomials),
-        ).tolist()
+        diff = pairs.coefficients(G).tolist()
     outside = 0
     for expo, c in _form_terms(f).items():
         r = pairs.index.get(expo)

@@ -180,6 +180,12 @@ class PairMap:
     row: np.ndarray
     mult: np.ndarray
 
+    def coefficients(self, G):
+        """The coefficients of m^T G m over monomials, for a float array G."""
+        return np.bincount(
+            self.row, weights=self.mult * G[self.a, self.b], minlength=len(self.monomials)
+        )
+
 
 @dataclass(frozen=True)
 class MonomialBasis:

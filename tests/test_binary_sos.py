@@ -160,14 +160,14 @@ def test_nongeneric_census_hand_counts():
     # Splits take (v_inf, v_1, v_i, v_-i) with each v <= 2 and sum 4: 19
     # vectors, (1,1,1,1) self-complementary, so 10 classes.  Both factors are
     # real when v_i = v_-i: {(2,2,0,0)}, {(2,0,1,1), (0,2,1,1)}, {(1,1,1,1)}.
-    # They are conjugate when v_inf = v_1 = 1 and v_i + v_-i = 2, leaving
-    # {(1,1,2,0), (1,1,0,2)} once (1,1,1,1), whose two factors are equal, is
-    # labeled by the both-real rule (its Gram matrix is psd of rank 1).
+    # They are conjugate when v_inf = v_1 = 1 and v_i + v_-i = 2:
+    # {(1,1,2,0), (1,1,0,2)} and {(1,1,1,1)}, whose two factors are equal and
+    # real, f = u^2 (its Gram matrix is psd of rank 1), so that class is psd.
     f = _nongeneric()
     rm = roots(f)
     assert (rm.inf_mult, [m for _, m in rm.real_roots], [m for _, m in rm.pairs]) == (2, [2], [2])
     report = enumerate_rank_two(f)
-    assert report.counts == {"complex": 10, "real": 4, "psd": 1, "indefinite": 3, "nsd": 0}
+    assert report.counts == {"complex": 10, "real": 4, "psd": 2, "indefinite": 2, "nsd": 0}
     for cls in report.classes:
         if cls.kind != "complex":
             rep = class_representation(rm, cls)
@@ -176,7 +176,7 @@ def test_nongeneric_census_hand_counts():
     # pi = t (s - t) (s - i t)^a (s + i t)^(2-a): a = 0 and a = 2 conjugate,
     # and a = 1 gives the real pi, f = p^2 with q = 0
     reps = enumerate_two_squares(f)
-    assert len(reps) == 2
+    assert len(reps) == 2 == report.counts["psd"]
     for rep in reps:
         assert verify_representation(f, rep) < 1e-10
     assert sum(rep_forms(rep)[1].is_zero() for rep in reps) == 1

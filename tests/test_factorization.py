@@ -9,6 +9,7 @@ from minsos import binary_sos, factorization
 from minsos.biform import BinaryForm
 from minsos.errors import DimensionMismatch, NonSymmetric, NotPSD, StuckAboveTarget
 from minsos.factorization import SymMatrixPoly, check_psd_on_grid, factor, factor_residual
+from minsos.gram import inertia
 from minsos.sampling import random_dyad_matrix, random_nonneg_binary
 
 
@@ -42,9 +43,16 @@ def _assert_n_plus_one_columns(A, result):
     assert result.residual <= 1e-8 * max(1.0, A.max_abs_coeff())
 
 
-@pytest.mark.parametrize("heights", [(2, 1), (1, 1, 1), (3, 3, 2), (2,)])
-def test_factor_reaches_n_plus_one_columns(heights):
-    A, _ = random_dyad_matrix(heights, seed=0)
+@pytest.mark.parametrize(
+    "heights, seed, ncols",
+    [
+        pytest.param(heights, 0, None, id="heights%d" % i)
+        for i, heights in enumerate([(2, 1), (1, 1, 1), (3, 3, 2), (2,)])
+    ]
+    + [pytest.param((1, 1, 1), 3, 4, id="heights1-3-ncols4")],
+)
+def test_factor_reaches_n_plus_one_columns(heights, seed, ncols):
+    A, _ = random_dyad_matrix(heights, seed=seed, ncols=ncols)
     result = factor(A)
     _assert_n_plus_one_columns(A, result)
     assert _reference_residual(A, result.columns) <= 1e-8 * max(1.0, A.max_abs_coeff())
@@ -61,10 +69,10 @@ def test_factor_reaches_n_plus_one_columns(heights):
     + [pytest.param((1, 1, 1), s, 1, id="one-dyad-%d" % s) for s in (1, 2, 3, 4, 7)],
 )
 def test_factor_residual_at_rounding_level(heights, seed, ncols):
-    # rank_reduce leaves these through an early exit; unpolished, the dropped
-    # eigenvalues stayed near -1e-10 of the largest and the residual near 5e-9.
-    # A single dyad has a rank-1 Gram point, where the rank-(n+1) locus is
-    # not isolated: the polish must run at the point's own rank (was 1e-10)
+    # the feasible points of these draws already have rank <= n+1, with the
+    # dropped eigenvalues near -1e-10 of the largest: factored as they stand,
+    # the residual is near 5e-9.  A single dyad has a rank-1 Gram point,
+    # where the n+1 columns of the factor L are rank deficient
     A, _ = random_dyad_matrix(heights, seed=seed, ncols=ncols)
     assert factor(A).residual <= 1e-12 * max(1.0, A.max_abs_coeff())
 
@@ -87,52 +95,33 @@ def test_feasibility_fallback_factors_a_shallow_fiber(monkeypatch):
     assert result.warning is None
 
 
-@pytest.mark.parametrize("stall", ["polish fails", "budget runs out"])
-def test_rank_reduction_failure_raises_and_factor_warns(monkeypatch, stall):
-    # the psd fiber point of this draw has rank 4 > n+1 = 3, so it enters the cycle
+def test_rank_reduction_failure_raises_and_factor_warns(monkeypatch):
+    # the psd fiber point of this draw has rank 4 > n+1 = 3
     A, _ = random_dyad_matrix((2, 1), seed=0)
     spec, space = factorization.prism_gram_space(A)
     G, _info = factorization.psd_feasible(space)
-    assert factorization._numeric_rank(G) > spec.target_rank
-    polishes = []
-
-    def failed_polish(space, G, target):
-        polishes.append(G)
-        return False, G
-
-    if stall == "polish fails":
-        monkeypatch.setattr(factorization, "_rank_newton", failed_polish)
-        monkeypatch.setattr(factorization, "REDUCE_BUDGET", 2000)
-    else:
-        monkeypatch.setattr(factorization, "REDUCE_BUDGET", 0)
+    assert inertia(G)[0] > spec.target_rank
+    reduced = factorization.rank_reduce(space, G, spec.target_rank)
+    nplus, nminus, _zero = inertia(reduced)
+    assert nminus == 0 and nplus <= spec.target_rank
+    assert space.fiber_residual(reduced) <= 1e-12 * max(1.0, space.form_norm())
+    monkeypatch.setattr(factorization, "REDUCE_ITERS", 0)
     with pytest.raises(StuckAboveTarget) as info:
         factorization.rank_reduce(space, G, spec.target_rank)
     assert info.value.achieved >= info.value.target == spec.target_rank
-    assert bool(polishes) == (stall == "polish fails")
     result = factor(A)
     assert result.warning is not None and "stalled" in result.warning
     assert result.ncols > spec.target_rank
     assert result.residual <= 1e-8 * max(1.0, A.max_abs_coeff())
 
 
-def test_failed_polish_backs_off_and_recovers(monkeypatch):
-    # the first polish of this draw, at a truncation gap of 1e-3, runs off to a
-    # root that is not psd; the cycle goes on to a gap of 1e-4, and the second
-    # polish lands on the psd rank-4 point
-    polished = []
-    newton = factorization._rank_newton
-
-    def counted(space, G, target):
-        ok, out = newton(space, G, target)
-        polished.append(ok)
-        return ok, out
-
-    monkeypatch.setattr(factorization, "_rank_newton", counted)
-    A, _ = random_dyad_matrix((1, 1, 1), seed=3, ncols=4)
+def test_rank_reduction_of_a_draw_with_n_dyads():
+    # n dyads may give rank n, padded with a zero column to n+1
+    A, _ = random_dyad_matrix((1, 1, 1), seed=19, ncols=3)
     result = factor(A)
-    assert polished == [False, True]
-    _assert_n_plus_one_columns(A, result)
     assert result.warning is None
+    assert result.ncols == 4 and result.rank <= 4
+    assert result.residual <= 1e-12 * max(1.0, A.max_abs_coeff())
 
 
 def test_matrix_json_round_trip_and_malformed_entries():
