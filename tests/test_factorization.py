@@ -95,7 +95,8 @@ def test_feasibility_fallback_factors_a_shallow_fiber(monkeypatch):
     assert result.warning is None
 
 
-def test_rank_reduction_failure_raises_and_factor_warns(monkeypatch):
+@pytest.mark.parametrize("stall", ["polish fails", "budget runs out"])
+def test_rank_reduction_failure_raises_and_factor_warns(monkeypatch, stall):
     # the psd fiber point of this draw has rank 4 > n+1 = 3
     A, _ = random_dyad_matrix((2, 1), seed=0)
     spec, space = factorization.prism_gram_space(A)
@@ -105,10 +106,21 @@ def test_rank_reduction_failure_raises_and_factor_warns(monkeypatch):
     nplus, nminus, _zero = inertia(reduced)
     assert nminus == 0 and nplus <= spec.target_rank
     assert space.fiber_residual(reduced) <= 1e-12 * max(1.0, space.form_norm())
-    monkeypatch.setattr(factorization, "REDUCE_ITERS", 0)
+    steps = []
+
+    def diverging_step(J, rhs, rcond=None):
+        # a Gauss-Newton step that leaves the finite numbers
+        steps.append(J.shape)
+        return np.full(J.shape[1], np.nan), None, 0, None
+
+    if stall == "polish fails":
+        monkeypatch.setattr(factorization.np.linalg, "lstsq", diverging_step)
+    else:
+        monkeypatch.setattr(factorization, "REDUCE_ITERS", 0)
     with pytest.raises(StuckAboveTarget) as info:
         factorization.rank_reduce(space, G, spec.target_rank)
     assert info.value.achieved >= info.value.target == spec.target_rank
+    assert bool(steps) == (stall == "polish fails")
     result = factor(A)
     assert result.warning is not None and "stalled" in result.warning
     assert result.ncols > spec.target_rank
