@@ -75,10 +75,23 @@ class SymMatrixPoly:
         return out
 
     def evaluate(self, s, t):
-        """A(s, t) as a float matrix."""
-        return np.array(
-            [[complex(e.eval(s, t)).real for e in row] for row in self.entries]
-        )
+        """A(s, t) as a float array of shape (..., n, n).
+
+        s and t are scalars or arrays of one shape.  Entry (i, j) is the
+        real part of its coefficients contracted with the power table
+        s^k t^(d - k), d = deg a_ij: one product over every point, so a
+        scalar call gives the n x n matrix A(s, t).
+        """
+        top = max(e.deg for row in self.entries for e in row)
+        coeffs = np.zeros((self.n, self.n, top + 1, top + 1))
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                for k, c in enumerate(e.coeffs):
+                    coeffs[i, j, k, e.deg - k] = complex(c).real
+        powers = np.arange(top + 1)
+        spow = np.asarray(s, dtype=float)[..., None] ** powers
+        tpow = np.asarray(t, dtype=float)[..., None] ** powers
+        return np.einsum("...k,...l,ijkl->...ij", spow, tpow, coeffs)
 
     def to_json(self):
         out = {}
@@ -389,18 +402,21 @@ def check_psd_on_grid(A):
     D = diag(lambda^d_i), a congruence, so the sign of the smallest
     eigenvalue is constant along each ray through the origin (and equal at
     (u, v) and (-u, -v)).  One point per direction therefore suffices: A is
-    evaluated at (cos theta, sin theta) for theta = j pi / PSD_DIRECTIONS,
-    j = 0..PSD_DIRECTIONS-1, and a smallest eigenvalue below -PSD_SCREEN_TOL
-    times the largest coefficient of A raises NotPSD((u, v, lambda_min)).
-    This is a screen, not a proof: a negative region narrower than the
-    spacing of the directions can pass.
+    evaluated at once at (cos theta_j, sin theta_j), theta_j = j pi /
+    PSD_DIRECTIONS, j = 0..PSD_DIRECTIONS-1, and the smallest eigenvalues
+    of the stack come from one batched eigvalsh.  The first j whose smallest
+    eigenvalue lies below -PSD_SCREEN_TOL times the largest coefficient of A
+    raises NotPSD((u_j, v_j, lambda_min)).  This is a screen, not a proof: a
+    negative region narrower than the spacing of the directions can pass.
     """
     scale = max(A.max_abs_coeff(), 1e-300)
-    for theta in np.pi * np.arange(PSD_DIRECTIONS) / PSD_DIRECTIONS:
-        u, v = float(np.cos(theta)), float(np.sin(theta))
-        lam = float(np.linalg.eigvalsh(A.evaluate(u, v))[0])
-        if lam < -PSD_SCREEN_TOL * scale:
-            raise NotPSD((u, v, lam))
+    theta = np.pi * np.arange(PSD_DIRECTIONS) / PSD_DIRECTIONS
+    u, v = np.cos(theta), np.sin(theta)
+    lam = np.linalg.eigvalsh(A.evaluate(u, v))[:, 0]
+    bad = np.flatnonzero(lam < -PSD_SCREEN_TOL * scale)
+    if bad.size:
+        j = bad[0]
+        raise NotPSD((float(u[j]), float(v[j]), float(lam[j])))
 
 
 def factor_residual(A, columns):
@@ -424,6 +440,11 @@ def factor_residual(A, columns):
     else:
         spec, f = embed(A)
         basis = spec.basis()
+    return _columns_residual(f, basis, columns)
+
+
+def _columns_residual(f, basis, columns):
+    """max |coefficient of f - sum_c c^2| with each column c read over basis."""
     vectors = [[complex(c).real for form in col for c in form.coeffs] for col in columns]
     rep = Representation(basis=basis, vectors=vectors, signs=[1] * len(vectors))
     return verify_representation(f, rep)
@@ -436,9 +457,10 @@ def factor(A):
     embedding, Gram space, alternating projections to a psd fiber point
     (psd_feasible, then _feasible_reflections when its budget runs out),
     rank reduction to n+1 (rank_reduce: Gauss-Newton on the factor L of
-    G = L L^T), column extraction.  When rank_reduce raises StuckAboveTarget,
-    the psd fiber point is factored as it stands and returned with a
-    warning; its extra columns still certify psd-ness.
+    G = L L^T), column extraction, and the residual of the columns against
+    the form and basis of the Gram space.  When rank_reduce raises
+    StuckAboveTarget, the psd fiber point is factored as it stands and
+    returned with a warning; its extra columns still certify psd-ness.
 
     Raises NotPSD (with witness) or IterationBudgetExceeded.
     """
@@ -471,7 +493,7 @@ def factor(A):
     return FactorResult(
         heights=spec.heights,
         columns=columns,
-        residual=factor_residual(A, columns),
+        residual=_columns_residual(space.form, space.basis, columns),
         rank=rank,
         warning=warning,
         info={"feasIterations": info["iterations"]},

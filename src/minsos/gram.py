@@ -77,14 +77,18 @@ class GramSpace:
 
     def __post_init__(self):
         n = len(self.basis)
-        k = len(self.kernel)
         self.G0_f = np.array([[float(v) for v in row] for row in self.G0])
-        # the fiber map: row i is vec(K_i); K^T = Q R once, so projections
-        # and coordinates are matrix products and a k x k solve
-        self.kernel_flat = np.array(
-            [[float(v) for row in K for v in row] for K in self.kernel]
-        ).reshape(k, n * n)
-        self.kernel_f = self.kernel_flat.reshape(k, n, n)
+        # the fiber map: K_i in closed form off the pair map, as solve_affine
+        # builds it; row i of kernel_flat is vec(K_i), and K^T = Q R once, so
+        # projections and coordinates are matrix products and a k x k solve
+        pairs = self.basis.pair_map
+        p, q = kernel_pairs(pairs)
+        rows = np.arange(len(p))
+        self.kernel_f = np.zeros((len(p), n, n))
+        for at, value in ((p, 1.0), (q, -pairs.mult[p] / pairs.mult[q])):
+            self.kernel_f[rows, pairs.a[at], pairs.b[at]] = value
+            self.kernel_f[rows, pairs.b[at], pairs.a[at]] = value
+        self.kernel_flat = self.kernel_f.reshape(len(p), n * n)
         self._Q, self._R = np.linalg.qr(self.kernel_flat.T)
 
     @property
@@ -155,28 +159,42 @@ class GramSpace:
         return data
 
 
+def kernel_pairs(pairs):
+    """Index arrays (p, q) of the pairs that span the kernel of the fiber.
+
+    p lists, in pair order, every pair that is not the first pair of its
+    monomial (np.triu_indices order), and q[i] is that first pair for p[i].
+    Pair p[i] spans one kernel vector: 1 at p[i] and -mult[p[i]] /
+    mult[q[i]] at q[i].
+    """
+    first = np.unique(pairs.row, return_index=True)[1][pairs.row]
+    p = np.flatnonzero(first != np.arange(len(first)))
+    return p, first[p]
+
+
 def solve_affine(pairs, rhs):
     """Solve sum over p of mult[p] * u[p] = rhs[row[p]] for vech(G) exactly.
 
     Every pair lands on one monomial, so the equations share no unknown.
     The particular solution puts rhs of each monomial on the first pair of
     that monomial (np.triu_indices order), divided by the pair's mult; every
-    further pair p spans one kernel vector, 1 at p and -mult[p] / mult[first]
-    at the first pair, in pair order.  Returns (particular, kernel) as lists
-    of Fractions over the pairs.
+    further pair spans one kernel vector, as kernel_pairs lists them.
+    Returns (particular, kernel) as lists of Fractions over the pairs.
     """
     npairs = len(pairs.row)
-    particular = [Fraction(0)] * npairs
+    row, mult = pairs.row.tolist(), pairs.mult.tolist()
+    p, q = kernel_pairs(pairs)
+    first = np.ones(npairs, dtype=bool)
+    first[p] = False
+    particular = [
+        rhs[r] / m if is_first else Fraction(0)
+        for r, m, is_first in zip(row, mult, first.tolist())
+    ]
     kernel = []
-    first = {}
-    for p, (r, m) in enumerate(zip(pairs.row.tolist(), pairs.mult.tolist())):
-        q = first.setdefault(r, p)
-        if q == p:
-            particular[p] = rhs[r] / m
-            continue
+    for i, j in zip(p.tolist(), q.tolist()):
         vec = [Fraction(0)] * npairs
-        vec[p] = Fraction(1)
-        vec[q] = Fraction(-m, int(pairs.mult[q]))
+        vec[i] = Fraction(1)
+        vec[j] = Fraction(-mult[i], mult[j])
         kernel.append(vec)
     return particular, kernel
 

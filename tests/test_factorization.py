@@ -209,29 +209,108 @@ def _diag(*entries):
     ])
 
 
+# indefinite matrices, each with the region of (u, v) where it is not psd
+_INDEFINITE = [
+    # diag(s^2, -t^2) is negative wherever t != 0
+    (_diag(BinaryForm([0, 0, 1], 2), BinaryForm([-1, 0, 0], 2)),
+     lambda u, v: v != 0.0),
+    # diag(s^2 + t^2, t^2 - s^2/400) is negative only where |t| < |s|/20
+    (_diag(BinaryForm([1, 0, 1], 2), BinaryForm([1, 0, Fraction(-1, 400)], 2)),
+     lambda u, v: abs(v) < abs(u) / 20),
+    # (s - t)^2 - (s^2 + t^2)/400 is negative only within about 0.035 rad of s = t
+    (_diag(BinaryForm([1, 0, 1], 2),
+           BinaryForm([Fraction(399, 400), -2, Fraction(399, 400)], 2)),
+     lambda u, v: (u - v) ** 2 < (u * u + v * v) / 400),
+    # and its mirror near s = -t, where s and t have opposite signs
+    (_diag(BinaryForm([1, 0, 1], 2),
+           BinaryForm([Fraction(399, 400), 2, Fraction(399, 400)], 2)),
+     lambda u, v: (u + v) ** 2 < (u * u + v * v) / 400),
+]
+
+
 def test_indefinite_matrix_raises_not_psd_with_witness():
-    cases = [
-        # diag(s^2, -t^2) is negative wherever t != 0
-        (_diag(BinaryForm([0, 0, 1], 2), BinaryForm([-1, 0, 0], 2)),
-         lambda u, v: v != 0.0),
-        # diag(s^2 + t^2, t^2 - s^2/400) is negative only where |t| < |s|/20
-        (_diag(BinaryForm([1, 0, 1], 2), BinaryForm([1, 0, Fraction(-1, 400)], 2)),
-         lambda u, v: abs(v) < abs(u) / 20),
-        # (s - t)^2 - (s^2 + t^2)/400 is negative only within about 0.035 rad of s = t
-        (_diag(BinaryForm([1, 0, 1], 2),
-               BinaryForm([Fraction(399, 400), -2, Fraction(399, 400)], 2)),
-         lambda u, v: (u - v) ** 2 < (u * u + v * v) / 400),
-        # and its mirror near s = -t, where s and t have opposite signs
-        (_diag(BinaryForm([1, 0, 1], 2),
-               BinaryForm([Fraction(399, 400), 2, Fraction(399, 400)], 2)),
-         lambda u, v: (u + v) ** 2 < (u * u + v * v) / 400),
-    ]
-    for A, in_negative_region in cases:
+    for A, in_negative_region in _INDEFINITE:
         with pytest.raises(NotPSD) as info:
             factor(A)
         u, v, lam = info.value.witness
         assert lam < 0.0 and in_negative_region(u, v)
         assert np.linalg.eigvalsh(A.evaluate(u, v))[0] == pytest.approx(lam)
+
+
+def _entrywise(A, s, t):
+    """Reference: A(s, t) entry by entry through BinaryForm.eval."""
+    return np.array([[complex(e.eval(s, t)).real for e in row] for row in A.entries])
+
+
+def _with_zero_entry(A):
+    entries = [row[:] for row in A.entries]
+    entries[0][1] = entries[1][0] = BinaryForm.zero(entries[0][1].deg)
+    return SymMatrixPoly(entries)
+
+
+def _complex_entries(A):
+    return SymMatrixPoly([[e.to_complex() for e in row] for row in A.entries])
+
+
+@pytest.mark.parametrize("kind", ["dyads", "zero-entry", "complex"])
+def test_evaluate_on_arrays_equals_stacked_scalar_calls(kind):
+    A, _ = random_dyad_matrix((3, 2, 1), seed=5)
+    A = {"dyads": A, "zero-entry": _with_zero_entry(A), "complex": _complex_entries(A)}[kind]
+    rng = np.random.default_rng(2)
+    s, t = rng.standard_normal((2, 3, 4))
+    got = A.evaluate(s, t)
+    assert got.shape == (3, 4, A.n, A.n) and got.dtype == float
+    stacked = np.array([[A.evaluate(a, b) for a, b in zip(sr, tr)] for sr, tr in zip(s, t)])
+    # one product either way; only the summation order may differ
+    np.testing.assert_allclose(got, stacked, rtol=1e-15, atol=1e-15 * A.max_abs_coeff())
+    reference = np.array([[_entrywise(A, a, b) for a, b in zip(sr, tr)] for sr, tr in zip(s, t)])
+    np.testing.assert_allclose(got, reference, rtol=1e-13, atol=1e-13 * A.max_abs_coeff())
+    assert A.evaluate(0.5, -2.0).shape == (A.n, A.n)
+
+
+def _first_failing_direction(A):
+    """Reference screen: the first of the PSD_DIRECTIONS directions, one at a time."""
+    scale = max(A.max_abs_coeff(), 1e-300)
+    for j in range(factorization.PSD_DIRECTIONS):
+        theta = np.pi * j / factorization.PSD_DIRECTIONS
+        u, v = np.cos(theta), np.sin(theta)
+        if np.linalg.eigvalsh(_entrywise(A, u, v))[0] < -factorization.PSD_SCREEN_TOL * scale:
+            return j
+    return None
+
+
+def _screen_cases():
+    cases = [A for A, _region in _INDEFINITE]
+    heights = [(2, 1), (1, 1, 1), (3, 3, 2), (3, 1), (2, 2, 1)]
+    for seed in range(10):
+        A, _ = random_dyad_matrix(heights[seed % len(heights)], seed=seed)
+        cases.append(A)
+        # a00 - c (cos phi s + sin phi t)^(2 d_0) is negative around phi
+        phi = np.pi * (0.2 + 0.07 * seed)
+        u, v = (Fraction(x).limit_denominator(1000) for x in (np.cos(phi), np.sin(phi)))
+        entries = [row[:] for row in A.entries]
+        a00 = entries[0][0]
+        bump = BinaryForm([1], 0)
+        for _ in range(a00.deg):
+            bump = bump * BinaryForm([v, u], 1)
+        peak = a00.eval(u, v) / (u * u + v * v) ** (a00.deg // 2)
+        entries[0][0] = a00 - bump.scale(Fraction(11, 10) * peak)
+        cases.append(SymMatrixPoly(entries))
+    return cases
+
+
+def test_psd_screen_agrees_with_a_loop_over_directions():
+    for A in _screen_cases():
+        want = _first_failing_direction(A)
+        if want is None:
+            check_psd_on_grid(A)
+            continue
+        with pytest.raises(NotPSD) as info:
+            check_psd_on_grid(A)
+        u, v, lam = info.value.witness
+        theta = np.pi * want / factorization.PSD_DIRECTIONS
+        assert (u, v) == (np.cos(theta), np.sin(theta))
+        assert lam == pytest.approx(np.linalg.eigvalsh(_entrywise(A, u, v))[0], rel=1e-12)
 
 
 def test_psd_screen_passes_singular_psd_matrices():

@@ -12,7 +12,7 @@ import pytest
 
 from minsos.biform import TermPoly
 from minsos.errors import DimensionMismatch, NotInFiber
-from minsos.factorization import PrismSpec
+from minsos.factorization import PrismSpec, prism_gram_space
 from minsos.gram import (
     Representation,
     build_gram_space,
@@ -23,7 +23,7 @@ from minsos.gram import (
     solve_affine,
     verify_representation,
 )
-from minsos.sampling import random_positive_form
+from minsos.sampling import random_dyad_matrix, random_positive_form
 from minsos.surfaces import cone_rnc, monomial_basis, scroll, veronese
 
 
@@ -199,6 +199,32 @@ def test_project_fiber_idempotent_and_on_fiber():
     assert space.fiber_residual(P) < 1e-9 * max(1.0, space.form_norm())
     P2 = space.project_fiber(P)
     assert np.max(np.abs(P2 - P)) < 1e-12
+
+
+def _prism_space(heights):
+    return prism_gram_space(random_dyad_matrix(heights, seed=1)[0])[1]
+
+
+_KERNEL_SPACES = {
+    "scroll11": lambda: _space(scroll(1, 1)),
+    "scroll21": lambda: _space(scroll(2, 1)),
+    "scroll22": lambda: _space(scroll(2, 2)),
+    "veronese": lambda: _space(veronese()),
+    "cone3": lambda: _space(cone_rnc(3)),
+    "cone6": lambda: _space(cone_rnc(6)),
+    "prism21": lambda: _prism_space((2, 1)),
+    "prism111": lambda: _prism_space((1, 1, 1)),
+    "prism332": lambda: _prism_space((3, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_SPACES))
+def test_kernel_flat_is_the_exact_kernel(name):
+    # the float fiber map is read off the pair map; it must be the exact kernel
+    space = _KERNEL_SPACES[name]()
+    exact = np.array(space.kernel, dtype=float).reshape(space.kdim, -1)
+    assert np.array_equal(space.kernel_flat, exact)
+    assert np.array_equal(space.kernel_f, exact.reshape(space.kdim, space.size, space.size))
 
 
 def test_space_json_has_shape_fields():
