@@ -273,17 +273,17 @@ class RankTwoReport:
         }
 
 
-def enumerate_rank_two(f):
-    """Classify all balanced factor pairs {u, v} of a real binary form.
+def enumerate_rank_two(rm):
+    """Classify all balanced factor pairs {u, v} of a real binary form f.
 
-    Each class corresponds to a rank <= 2 complex Gram matrix of f over the
-    rational normal curve basis.  A class is real when the unordered pair is
-    conjugation-stable: either they are conjugate (a definite Gram, psd for
-    positive leading scale; also when they are equal and real, f = u^2) or
-    both are real and distinct (an indefinite Gram).
+    rm is the root multiset of f, as roots(f) gives it; the classes index
+    its entries().  Each class corresponds to a rank <= 2 complex Gram
+    matrix of f over the rational normal curve basis.  A class is real when
+    the unordered pair is conjugation-stable: either they are conjugate (a
+    definite Gram, psd for positive leading scale; also when they are equal
+    and real, f = u^2) or both are real and distinct (an indefinite Gram).
     For a squarefree form of degree 2d this yields binom(2d, d)/2 classes.
     """
-    rm = roots(f)
     if rm.degree % 2 == 1:
         raise ValueError("balanced splits need even degree")
     d = rm.degree // 2

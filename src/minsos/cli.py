@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .biform import BinaryForm, TermPoly
-from .binary_sos import enumerate_rank_two, enumerate_two_squares, rep_forms
+from .binary_sos import enumerate_rank_two, enumerate_two_squares, rep_forms, roots
 from .cones import enumerate_cone
 from .enumerator import enumerate_rank
 from .errors import (
@@ -220,7 +220,7 @@ def cmd_two_squares(args):
     if not isinstance(form, BinaryForm):
         raise ValueError("two-squares expects a binary form JSON (deg + coeffs)")
     reps = enumerate_two_squares(form)
-    census = enumerate_rank_two(form)
+    census = enumerate_rank_two(roots(form))
     print(
         "%d inequivalent two-squares representations (census: %s)"
         % (len(reps), census.counts)

@@ -125,7 +125,7 @@ def enumerate_cone(f, spec):
     g = reduce_form(a, b, c)
     gfloat = g.to_complex() if g.field == RATIONAL else g
     rm = binary_roots(gfloat)
-    census = enumerate_rank_two(gfloat)
+    census = enumerate_rank_two(rm)
     counts = {
         "complex": census.counts["complex"],
         "real": census.counts["real"],

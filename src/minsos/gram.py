@@ -3,9 +3,10 @@
 The affine space of Gram matrices of a form f over a monomial basis m is
 {G : m^T G m = f}.  Each entry G[a, b] lands on the single monomial
 m_a * m_b, so the space is read off the basis's pair map in closed form, as
-an exact rational particular solution G0 plus a kernel basis K_1..K_k.
-Rank-r points of this space are exactly the representations of f as a
-signed sum of r squares, extracted here by eigendecomposition.
+a particular solution G0 plus one kernel matrix K_i for every pair whose
+monomial an earlier pair already reaches.  Rank-r points of this space are
+exactly the representations of f as a signed sum of r squares, extracted
+here by eigendecomposition.
 """
 
 from __future__ import annotations
@@ -67,29 +68,39 @@ def gram_residual(f, basis, G):
 
 @dataclass
 class GramSpace:
-    """Affine family G(theta) = G0 + sum theta_i K_i of Gram matrices."""
+    """Affine family G(theta) = G0 + sum theta_i K_i of Gram matrices.
+
+    G0_f (N x N) and kernel_f (k x N x N) hold G0 and the K_i as floats, read
+    off the basis's pair map: G0 is solve_affine's particular solution and
+    K_i the kernel matrix of the i-th pair kernel_pairs lists.  to_json
+    writes both exactly, as rationals.
+    """
 
     basis: MonomialBasis
     form: object
-    G0: list  # exact rational rows
-    kernel: list  # list of exact rational matrices
     surface: object = None
 
     def __post_init__(self):
         n = len(self.basis)
-        self.G0_f = np.array([[float(v) for v in row] for row in self.G0])
-        # the fiber map: K_i in closed form off the pair map, as solve_affine
-        # builds it; row i of kernel_flat is vec(K_i), and K^T = Q R once, so
-        # projections and coordinates are matrix products and a k x k solve
         pairs = self.basis.pair_map
+        self.G0_f = np.zeros((n, n))
+        self.G0_f[pairs.a, pairs.b] = self.G0_f[pairs.b, pairs.a] = solve_affine(
+            pairs, self._rhs(float)
+        )
         p, q = kernel_pairs(pairs)
         rows = np.arange(len(p))
         self.kernel_f = np.zeros((len(p), n, n))
         for at, value in ((p, 1.0), (q, -pairs.mult[p] / pairs.mult[q])):
             self.kernel_f[rows, pairs.a[at], pairs.b[at]] = value
             self.kernel_f[rows, pairs.b[at], pairs.a[at]] = value
-        self.kernel_flat = self.kernel_f.reshape(len(p), n * n)
-        self._Q, self._R = np.linalg.qr(self.kernel_flat.T)
+        # K^T = Q R once, so projections and coordinates are matrix products
+        # and a k x k solve
+        self._Q, self._R = np.linalg.qr(self.kernel_f.reshape(len(p), n * n).T)
+
+    def _rhs(self, number):
+        """The coefficients of f over the monomials of 2P, each as number(c)."""
+        terms = _form_terms(self.form)
+        return [number(terms.get(key, 0)) for key in self.basis.pair_map.monomials]
 
     @property
     def size(self):
@@ -97,7 +108,7 @@ class GramSpace:
 
     @property
     def kdim(self):
-        return len(self.kernel)
+        return len(self.kernel_f)
 
     def gram_at(self, theta):
         """G(theta) as a numpy array (complex when theta is complex)."""
@@ -106,20 +117,8 @@ class GramSpace:
             raise DimensionMismatch(
                 "theta has shape %r, expected (%d,)" % (theta.shape, self.kdim)
             )
-        return self.G0_f + (theta @ self.kernel_flat).reshape(self.G0_f.shape)
-
-    def gram_at_exact(self, theta):
-        """G(theta) as exact rational rows; theta entries must be rational."""
-        if len(theta) != self.kdim:
-            raise DimensionMismatch("theta length %d != k = %d" % (len(theta), self.kdim))
-        n = self.size
-        G = [[Fraction(v) for v in row] for row in self.G0]
-        for t, K in zip(theta, self.kernel):
-            t = Fraction(t)
-            for a in range(n):
-                for b in range(n):
-                    G[a][b] += t * K[a][b]
-        return G
+        kernel = self.kernel_f.reshape(self.kdim, -1)
+        return self.G0_f + (theta @ kernel).reshape(self.G0_f.shape)
 
     def fiber_residual(self, G):
         """max |coefficient of m^T G m - f| (exact zero for exact fiber points)."""
@@ -139,18 +138,30 @@ class GramSpace:
         return max((abs(float(v)) for v in _form_terms(self.form).values()), default=0.0)
 
     def to_json(self):
-        def mat(rows):
+        """The basis, k, and G0 and the K_i as exact rational matrices."""
+        n = self.size
+        pairs = self.basis.pair_map
+        a, b, mult = pairs.a.tolist(), pairs.b.tolist(), pairs.mult.tolist()
+
+        def mat(entries):
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for pair, value in entries:
+                rows[a[pair]][b[pair]] = rows[b[pair]][a[pair]] = value
             return [
                 [{"num": v.numerator, "den": v.denominator} for v in row]
                 for row in rows
             ]
 
+        p, q = kernel_pairs(pairs)
         data = {
             "basis": [list(m) for m in self.basis.monomials],
             "varNames": list(self.basis.var_names),
             "k": self.kdim,
-            "G0": mat(self.G0),
-            "kernel": [mat(K) for K in self.kernel],
+            "G0": mat(enumerate(solve_affine(pairs, self._rhs(Fraction)))),
+            "kernel": [
+                mat([(i, Fraction(1)), (j, Fraction(-mult[i], mult[j]))])
+                for i, j in zip(p.tolist(), q.tolist())
+            ],
         }
         if self.surface is not None:
             data["surface"] = self.surface.to_json()
@@ -173,59 +184,34 @@ def kernel_pairs(pairs):
 
 
 def solve_affine(pairs, rhs):
-    """Solve sum over p of mult[p] * u[p] = rhs[row[p]] for vech(G) exactly.
+    """A particular vech(G) of sum over p of mult[p] * u[p] = rhs[row[p]].
 
     Every pair lands on one monomial, so the equations share no unknown.
-    The particular solution puts rhs of each monomial on the first pair of
-    that monomial (np.triu_indices order), divided by the pair's mult; every
-    further pair spans one kernel vector, as kernel_pairs lists them.
-    Returns (particular, kernel) as lists of Fractions over the pairs.
+    The solution puts rhs of each monomial on the first pair of that
+    monomial (np.triu_indices order), divided by the pair's mult, and zero
+    on every further pair; those pairs span the kernel, as kernel_pairs
+    lists them.  Returns a list over the pairs in the number type of rhs.
     """
-    npairs = len(pairs.row)
-    row, mult = pairs.row.tolist(), pairs.mult.tolist()
-    p, q = kernel_pairs(pairs)
-    first = np.ones(npairs, dtype=bool)
-    first[p] = False
-    particular = [
-        rhs[r] / m if is_first else Fraction(0)
-        for r, m, is_first in zip(row, mult, first.tolist())
-    ]
-    kernel = []
-    for i, j in zip(p.tolist(), q.tolist()):
-        vec = [Fraction(0)] * npairs
-        vec[i] = Fraction(1)
-        vec[j] = Fraction(-mult[i], mult[j])
-        kernel.append(vec)
-    return particular, kernel
+    mult = pairs.mult.tolist()
+    u = [type(rhs[0])(0)] * len(mult)
+    for r, p in enumerate(np.unique(pairs.row, return_index=True)[1].tolist()):
+        u[p] = rhs[r] / mult[p]
+    return u
 
 
 def gram_space_from_basis(form, basis, surface=None):
-    """Solve m^T G m = f exactly for symmetric G over the given basis."""
+    """The Gram space of m^T G m = f for symmetric G over the given basis."""
     form_terms = _form_terms(form)
     if form.nvars != basis.nvars:
         raise NotAQuadraticForm(
             "form arity %d != basis arity %d" % (form.nvars, basis.nvars)
         )
-    n = len(basis)
-    pairs = basis.pair_map
-    unreachable = [key for key in form_terms if key not in pairs.index]
+    unreachable = [key for key in form_terms if key not in basis.pair_map.index]
     if unreachable:
         raise NotAQuadraticForm(
             "form has monomials outside the doubled polytope: %r" % unreachable[:3]
         )
-    rhs = [Fraction(form_terms.get(key, 0)) for key in pairs.monomials]
-    particular, null_basis = solve_affine(pairs, rhs)
-
-    def unflatten(vec):
-        M = [[Fraction(0)] * n for _ in range(n)]
-        for a, b, value in zip(pairs.a, pairs.b, vec):
-            M[a][b] = value
-            M[b][a] = value
-        return M
-
-    G0 = unflatten(particular)
-    kernel = [unflatten(vec) for vec in null_basis]
-    return GramSpace(basis=basis, form=form, G0=G0, kernel=kernel, surface=surface)
+    return GramSpace(basis=basis, form=form, surface=surface)
 
 
 def build_gram_space(f, spec):

@@ -130,7 +130,7 @@ def test_rep_forms_expand_to_f():
 
 
 def test_rank_two_census_hand_counts():
-    report = enumerate_rank_two(_fixture())
+    report = enumerate_rank_two(roots(_fixture()))
     assert report.counts["complex"] == 3
     assert report.counts["real"] == 3
     assert report.counts["psd"] == 2
@@ -142,7 +142,7 @@ def test_rank_two_census_generic_counts():
 
     for d in (2, 3, 4):
         f = random_nonneg_binary(d, seed=40 + d)
-        report = enumerate_rank_two(f)
+        report = enumerate_rank_two(roots(f))
         assert report.counts["complex"] == comb(2 * d, d) // 2
         assert report.counts["psd"] == 2 ** (d - 1)
         both_real = comb(d, d // 2) // 2 if d % 2 == 0 else 0
@@ -166,7 +166,7 @@ def test_nongeneric_census_hand_counts():
     f = _nongeneric()
     rm = roots(f)
     assert (rm.inf_mult, [m for _, m in rm.real_roots], [m for _, m in rm.pairs]) == (2, [2], [2])
-    report = enumerate_rank_two(f)
+    report = enumerate_rank_two(rm)
     assert report.counts == {"complex": 10, "real": 4, "psd": 2, "indefinite": 2, "nsd": 0}
     for cls in report.classes:
         if cls.kind != "complex":
@@ -183,7 +183,7 @@ def test_nongeneric_census_hand_counts():
 
 
 def test_rank_two_census_json():
-    report = enumerate_rank_two(_fixture())
+    report = enumerate_rank_two(roots(_fixture()))
     data = report.to_json()
     assert data["counts"]["psd"] == 2
     assert len(data["classes"]) == 3

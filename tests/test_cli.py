@@ -91,6 +91,17 @@ def test_gram_space_report_is_byte_identical_and_exact(tmp_path):
         assert gram_residual(form, basis, [[2 * x for x in row] for row in K]) > 0
 
 
+def test_gram_space_report_matches_the_checked_in_report(tmp_path):
+    # the report was written by `minsos gram-space` when every GramSpace
+    # still stored its exact G0 and kernel matrices
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(random_positive_form(scroll(2, 1), seed=3).to_json()))
+    out = tmp_path / "space.json"
+    argv = ["gram-space", str(form_path), "--surface", "scroll(2,1)", "--json-out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert out.read_bytes() == (DATA / "gram_space_scroll21.json").read_bytes()
+
+
 def _raises(exc):
     def run(*args, **kwargs):
         raise exc

@@ -67,11 +67,23 @@ def _interpolate(nodes, values):
 
 
 def _det_poly_roots(space):
-    """Roots of det G(theta) for a kdim-1 space, via exact interpolation."""
+    """Roots of det G(theta) for a kdim-1 space, via exact interpolation.
+
+    G(theta) = G0 + theta K is summed over the rationals from the exact
+    matrices of the space's JSON report.
+    """
     assert space.kdim == 1
+    data = space.to_json()
+    G0, K = (
+        [[Fraction(v["num"], v["den"]) for v in row] for row in rows]
+        for rows in (data["G0"], *data["kernel"])
+    )
     deg = space.size  # det of an affine pencil has degree <= matrix size
     nodes = [Fraction(node) for node in range(-(deg // 2), deg - deg // 2 + 1)]
-    values = [_exact_det(space.gram_at_exact([node])) for node in nodes]
+    values = [
+        _exact_det([[g + node * k for g, k in zip(rg, rk)] for rg, rk in zip(G0, K)])
+        for node in nodes
+    ]
     coeffs = _interpolate(nodes, values)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()

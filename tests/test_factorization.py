@@ -7,7 +7,13 @@ import pytest
 
 from minsos import binary_sos, factorization
 from minsos.biform import BinaryForm
-from minsos.errors import DimensionMismatch, NonSymmetric, NotPSD, StuckAboveTarget
+from minsos.errors import (
+    DimensionMismatch,
+    IterationBudgetExceeded,
+    NonSymmetric,
+    NotPSD,
+    StuckAboveTarget,
+)
 from minsos.factorization import SymMatrixPoly, check_psd_on_grid, factor, factor_residual
 from minsos.gram import inertia
 from minsos.sampling import random_dyad_matrix, random_nonneg_binary
@@ -75,6 +81,23 @@ def test_factor_residual_at_rounding_level(heights, seed, ncols):
     # where the n+1 columns of the factor L are rank deficient
     A, _ = random_dyad_matrix(heights, seed=seed, ncols=ncols)
     assert factor(A).residual <= 1e-12 * max(1.0, A.max_abs_coeff())
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(
+    strict=True,
+    raises=IterationBudgetExceeded,
+    reason="ROADMAP direction 3: both feasibility iterations exhaust their "
+    "budgets on these psd draws (final gaps 9.0e-8 and 2.1e-8); Gauss-Newton "
+    "from the projected point, with no feasibility step, factors both",
+)
+@pytest.mark.parametrize("seed", [8, 17])
+def test_factor_two_dyads_near_the_psd_boundary(seed):
+    # psd by construction: a sum of two dyads of heights (3, 1)
+    A, _ = random_dyad_matrix((3, 1), seed=seed, ncols=2)
+    result = factor(A)
+    _assert_n_plus_one_columns(A, result)
+    assert result.warning is None
 
 
 def test_feasibility_fallback_factors_a_shallow_fiber(monkeypatch):

@@ -1,8 +1,9 @@
 """Gram fibers: exact expansion identities, kernels, representations.
 
 The load-bearing identity is m^T G(theta) m = f for every theta, checked
-exactly over the rationals (no tolerances): G0 reproduces f and each kernel
-matrix expands to zero, so the whole affine fiber does.
+exactly over the rationals (no tolerances) on the matrices of the
+space's JSON report: G0 reproduces f and each kernel matrix expands to zero,
+so the whole affine fiber does.
 """
 
 from fractions import Fraction
@@ -20,6 +21,7 @@ from minsos.gram import (
     extract_representation,
     gram_residual,
     inertia,
+    kernel_pairs,
     solve_affine,
     verify_representation,
 )
@@ -29,6 +31,44 @@ from minsos.surfaces import cone_rnc, monomial_basis, scroll, veronese
 
 def _space(spec, seed=3):
     return build_gram_space(random_positive_form(spec, seed=seed), spec)
+
+
+def _prism_space(heights):
+    return prism_gram_space(random_dyad_matrix(heights, seed=1)[0])[1]
+
+
+_KERNEL_SPACES = {
+    "scroll11": lambda: _space(scroll(1, 1)),
+    "scroll21": lambda: _space(scroll(2, 1)),
+    "scroll22": lambda: _space(scroll(2, 2)),
+    "veronese": lambda: _space(veronese()),
+    "cone3": lambda: _space(cone_rnc(3)),
+    "cone6": lambda: _space(cone_rnc(6)),
+    "prism21": lambda: _prism_space((2, 1)),
+    "prism111": lambda: _prism_space((1, 1, 1)),
+    "prism332": lambda: _prism_space((3, 3, 2)),
+}
+
+
+def _exact_space(space):
+    """G0 and the kernel matrices as rows of Fractions, read off to_json()."""
+    data = space.to_json()
+
+    def matrix(rows):
+        return [[Fraction(v["num"], v["den"]) for v in row] for row in rows]
+
+    return matrix(data["G0"]), [matrix(K) for K in data["kernel"]]
+
+
+def _exact_gram(space, theta):
+    """G0 + sum theta_i K_i over the rationals, from the exact report."""
+    G0, kernel = _exact_space(space)
+    G = [row[:] for row in G0]
+    for t, K in zip(theta, kernel):
+        for a, row in enumerate(K):
+            for b, x in enumerate(row):
+                G[a][b] += Fraction(t) * x
+    return G
 
 
 # ------------------------------------------------------------- fiber basics
@@ -45,19 +85,24 @@ def test_kernel_dimensions():
 
 
 def test_g0_expands_to_form_exactly():
-    for spec in (scroll(2, 1), cone_rnc(3), veronese()):
-        space = _space(spec)
-        assert space.fiber_residual(space.G0) == 0
+    for make in _KERNEL_SPACES.values():
+        space = make()
+        G0, _kernel = _exact_space(space)
+        assert space.fiber_residual(G0) == 0
 
 
 def test_kernel_matrices_expand_to_zero_exactly():
     # m^T K m = 0 exactly, so adding any kernel matrix keeps G0 on the fiber
-    space = _space(scroll(2, 2))
-    for K in space.kernel:
-        assert all(K[a][b] == K[b][a] for a in range(space.size) for b in range(space.size))
-        shifted = [[g + x for g, x in zip(rg, rk)] for rg, rk in zip(space.G0, K)]
-        assert space.fiber_residual(shifted) == 0
-        assert space.fiber_residual([[2 * x for x in row] for row in K]) > 0
+    for make in _KERNEL_SPACES.values():
+        space = make()
+        G0, kernel = _exact_space(space)
+        assert len(kernel) == space.kdim
+        n = space.size
+        for K in kernel:
+            assert all(K[a][b] == K[b][a] for a in range(n) for b in range(n))
+            shifted = [[g + x for g, x in zip(rg, rk)] for rg, rk in zip(G0, K)]
+            assert space.fiber_residual(shifted) == 0
+            assert space.fiber_residual([[2 * x for x in row] for row in K]) > 0
 
 
 def _gauss_jordan_solve(matrix, rhs):
@@ -120,7 +165,17 @@ def test_solve_affine_matches_gauss_jordan(name):
     for p, (r, m) in enumerate(zip(pairs.row, pairs.mult)):
         matrix[r][p] = int(m)
     rhs = [Fraction(r % 7 - 3, r % 5 + 1) for r in range(len(pairs.monomials))]
-    assert solve_affine(pairs, rhs) == _gauss_jordan_solve(matrix, rhs)
+    particular, kernel = _gauss_jordan_solve(matrix, rhs)
+    assert solve_affine(pairs, rhs) == particular
+    # the kernel that kernel_pairs lists: 1 at p and -mult[p] / mult[q] at q
+    mult = pairs.mult.tolist()
+    closed_form = []
+    for p, q in zip(*(idx.tolist() for idx in kernel_pairs(pairs))):
+        vec = [Fraction(0)] * len(mult)
+        vec[p] = Fraction(1)
+        vec[q] = Fraction(-mult[p], mult[q])
+        closed_form.append(vec)
+    assert closed_form == kernel
 
 
 def _loop_residual(f, basis, G):
@@ -156,18 +211,21 @@ def test_gram_residual_counts_form_terms_outside_2p():
 
 
 def test_gram_at_exact_stays_on_fiber():
-    space = _space(scroll(2, 1))
-    theta = [Fraction(1, 3), Fraction(-2), Fraction(5, 7)]
-    G = space.gram_at_exact(theta)
-    assert space.fiber_residual(G) == 0
+    # G(theta) at rational theta, summed exactly from the report
+    for make in _KERNEL_SPACES.values():
+        space = make()
+        theta = [Fraction(i % 7 - 3, i % 4 + 1) for i in range(space.kdim)]
+        assert space.fiber_residual(_exact_gram(space, theta)) == 0
 
 
 def test_gram_at_matches_exact_evaluation():
-    space = _space(scroll(2, 1))
-    theta = [0.25, -1.5, 3.0]
-    G = space.gram_at(np.array(theta))
-    Ge = space.gram_at_exact([Fraction(1, 4), Fraction(-3, 2), 3])
-    assert np.max(np.abs(G - np.array([[float(v) for v in row] for row in Ge]))) < 1e-14
+    # dyadic theta, so the exact evaluation sees the same theta as gram_at
+    for make in _KERNEL_SPACES.values():
+        space = make()
+        theta = [Fraction(i % 9 - 4, 4) for i in range(space.kdim)]
+        G = space.gram_at(np.array([float(t) for t in theta]))
+        Ge = np.array([[float(v) for v in row] for row in _exact_gram(space, theta)])
+        assert np.max(np.abs(G - Ge)) < 1e-14
 
 
 def test_gram_at_complex_theta():
@@ -201,30 +259,15 @@ def test_project_fiber_idempotent_and_on_fiber():
     assert np.max(np.abs(P2 - P)) < 1e-12
 
 
-def _prism_space(heights):
-    return prism_gram_space(random_dyad_matrix(heights, seed=1)[0])[1]
-
-
-_KERNEL_SPACES = {
-    "scroll11": lambda: _space(scroll(1, 1)),
-    "scroll21": lambda: _space(scroll(2, 1)),
-    "scroll22": lambda: _space(scroll(2, 2)),
-    "veronese": lambda: _space(veronese()),
-    "cone3": lambda: _space(cone_rnc(3)),
-    "cone6": lambda: _space(cone_rnc(6)),
-    "prism21": lambda: _prism_space((2, 1)),
-    "prism111": lambda: _prism_space((1, 1, 1)),
-    "prism332": lambda: _prism_space((3, 3, 2)),
-}
-
-
 @pytest.mark.parametrize("name", sorted(_KERNEL_SPACES))
 def test_kernel_flat_is_the_exact_kernel(name):
-    # the float fiber map is read off the pair map; it must be the exact kernel
+    # the float fiber map (G0_f and the flat kernel, one row vec(K_i) per
+    # kernel matrix) is read off the pair map; it must be the exact report
     space = _KERNEL_SPACES[name]()
-    exact = np.array(space.kernel, dtype=float).reshape(space.kdim, -1)
-    assert np.array_equal(space.kernel_flat, exact)
-    assert np.array_equal(space.kernel_f, exact.reshape(space.kdim, space.size, space.size))
+    G0, kernel = _exact_space(space)
+    assert np.array_equal(space.G0_f, np.array(G0, dtype=float))
+    exact = np.array(kernel, dtype=float).reshape(space.kdim, -1)
+    assert np.array_equal(space.kernel_f.reshape(space.kdim, -1), exact)
 
 
 def test_space_json_has_shape_fields():
