@@ -11,15 +11,16 @@ inequivalent representations.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .biform import BinaryForm
-from .errors import NotNonnegative
-from .gram import Representation, equivalent
-from .surfaces import MonomialBasis, projective_roots
+from .errors import NotNonnegative, UnpairedRoot
+from .gram import EQUIVALENT_TOL, Representation, equivalent
+from .surfaces import ROOT_CLUSTER_RADIUS, MonomialBasis, projective_roots
 
 PAIR_TOL = 1e-8  # conjugate pairing tolerance
 
@@ -78,7 +79,9 @@ def roots(f):
     Roots are clustered by projective_roots at its ROOT_CLUSTER_RADIUS.
     Simple roots are polished on the dehomogenization; conjugate symmetry
     is enforced by matching roots to their conjugates within PAIR_TOL
-    (relative) and averaging.
+    (relative) and averaging.  Raises UnpairedRoot when a non-real root
+    finds no partner, as the scattered copies of a root of multiplicity 3
+    or more do.
     """
     if f.is_zero():
         raise ValueError("the zero form has no root multiset")
@@ -123,14 +126,13 @@ def roots(f):
                 best = gap
                 partner = j
         if partner is None:
-            raise ValueError(
-                "no conjugate partner for root %r (imag %g)" % (root, root.imag)
-            )
+            raise UnpairedRoot(root, ROOT_CLUSTER_RADIUS)
         used[partner] = True
         value = (root + rest[partner][0].conjugate()) / 2.0
         pairs.append((value, mult))
-    if any(not u for u in used):
-        raise ValueError("conjugate pairing failed")
+    for (root, _), u in zip(rest, used):
+        if not u:
+            raise UnpairedRoot(root, ROOT_CLUSTER_RADIUS)
     real_roots.sort(key=lambda rm: rm[0].real)
     pairs.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return RootMultiset(
@@ -213,11 +215,34 @@ def rep_forms(rep):
     return tuple(BinaryForm([float(c) for c in vec], d) for vec in rep.vectors)
 
 
-# perfbench pins this pairwise dedup; it goes with ROADMAP direction 0
+# perfbench counts the equivalent calls made here: this dedup goes once
+# perfbench no longer wraps equivalent (ROADMAP directions 0 and 1)
 def _dedup(reps):
-    kept = []
+    """The reps not equivalent to an earlier kept rep, in their order.
+
+    equivalent(a, b) bounds max |G_a - G_b| by EQUIVALENT_TOL * scale, so
+    the traces of a and b differ by at most n * EQUIVALENT_TOL * scale (n
+    the basis size, scale at least 1 and every max |G|).  The kept reps are
+    held sorted by trace, and a rep is compared only with those whose trace
+    lies within twice that bound of its own, the factor 2 absorbing the
+    rounding of the traces.
+    """
+    traces = []
+    scale = 1.0
     for rep in reps:
-        if not any(equivalent(rep, other) for other in kept):
+        G = rep.gram()
+        traces.append(float(np.trace(G)))
+        scale = max(scale, float(np.max(np.abs(G))))
+    kept = []
+    by_trace, near = [], []  # traces of the kept reps, sorted; the reps in that order
+    for rep, trace in zip(reps, traces):
+        width = 2.0 * len(rep.basis) * EQUIVALENT_TOL * scale
+        lo = bisect.bisect_left(by_trace, trace - width)
+        hi = bisect.bisect_right(by_trace, trace + width)
+        if not any(equivalent(rep, other) for other in near[lo:hi]):
+            at = bisect.bisect_right(by_trace, trace)
+            by_trace.insert(at, trace)
+            near.insert(at, rep)
             kept.append(rep)
     return kept
 
@@ -228,9 +253,15 @@ def enumerate_two_squares(f):
     Returns Representations over the basis s^i t^(d-i) with two vectors
     (p, q) each, deduplicated by the canonical Gram matrix.  Multiplicities
     are enumerated exhaustively, so the count is exact for simple complex
-    roots (2^(#pairs - 1)) and a complete dedup otherwise.
+    roots (2^(#pairs - 1)) and a complete dedup otherwise.  The dedup keeps
+    the first of each class: each of the M = prod (m_j + 1) root choices
+    meets equivalent only for the kept reps whose Gram trace lies within
+    2 (d + 1) EQUIVALENT_TOL scale of its own (scale = max(1, largest
+    |Gram entry|)), a window no equivalent pair can leave, so the dedup
+    makes about M calls instead of M^2 / 2.
 
-    Raises NotNonnegative when f is not nonnegative.
+    Raises NotNonnegative when f is not nonnegative, UnpairedRoot when its
+    roots cannot be paired (a complex root of multiplicity 3 or more).
     """
     if f.is_zero():
         raise ValueError("the zero form has degenerate representations")

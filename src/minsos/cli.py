@@ -2,9 +2,9 @@
 
 Subcommands: gram-space, enumerate, factor, two-squares, table, verify.
 Exit codes: 0 success, 2 input error, 3 solver failure (path budget or
-iteration budget exhausted), 4 verification failure.  Reports are emitted
-as JSON with sorted keys, so runs with equal seeds produce byte-identical
-files.
+iteration budget exhausted, or a complex root left unpaired), 4
+verification failure.  Reports are emitted as JSON with sorted keys, so
+runs with equal seeds produce byte-identical files.
 """
 
 import argparse
@@ -12,6 +12,7 @@ import csv
 import json
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,12 +22,20 @@ from .binary_sos import enumerate_rank_two, enumerate_two_squares, rep_forms, ro
 from .cones import enumerate_cone
 from .enumerator import enumerate_rank
 from .errors import (
+    DimensionMismatch,
     IterationBudgetExceeded,
     MinsosError,
     PathFailureBudgetExceeded,
+    UnpairedRoot,
 )
 from .factorization import SymMatrixPoly, factor, factor_residual
-from .gram import Representation, build_gram_space, verify_representation
+from .gram import (
+    Representation,
+    basis_from_json,
+    build_gram_space,
+    gram_residual,
+    verify_representation,
+)
 from .sampling import curve_samples, distinct_seeds, random_positive_form
 from .surfaces import CONE_RNC, cone_rnc, scroll, veronese
 
@@ -35,7 +44,7 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
-SOLVER_ERRORS = (PathFailureBudgetExceeded, IterationBudgetExceeded)
+SOLVER_ERRORS = (PathFailureBudgetExceeded, IterationBudgetExceeded, UnpairedRoot)
 
 # a result verifies when its residual is at most VERIFY_TOL times
 # max(1, largest coefficient of the input)
@@ -363,6 +372,32 @@ def _verify_factorization(data):
     return [] if ok else [0]
 
 
+def _verify_gram_space(data):
+    """Exact residuals of G0 and of every G0 + K_i: each must be zero."""
+    space = data["space"]
+    form = form_from_json(space["form"])
+    basis = basis_from_json(space)
+    n = len(basis)
+
+    def matrix(rows):
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise DimensionMismatch("a Gram matrix is not %d x %d" % (n, n))
+        return [[Fraction(int(v["num"]), int(v["den"])) for v in row] for row in rows]
+
+    G0 = matrix(space["G0"])
+    points = [("G0", G0)]
+    for i, rows in enumerate(space["kernel"]):
+        shifted = [[g + x for g, x in zip(rg, rk)] for rg, rk in zip(G0, matrix(rows))]
+        points.append(("G0 + K%d" % i, shifted))
+    failures = []
+    for idx, (name, G) in enumerate(points):
+        resid = gram_residual(form, basis, G)
+        print("%s: residual %s  %s" % (name, resid, "PASS" if resid == 0 else "FAIL"))
+        if resid != 0:
+            failures.append(idx)
+    return failures
+
+
 def cmd_verify(args):
     data = load_json(args.certificate)
     kind = data.get("kind")
@@ -372,6 +407,8 @@ def cmd_verify(args):
         failures = _verify_two_squares(data)
     elif kind == "factorization":
         failures = _verify_factorization(data)
+    elif kind == "gramSpace":
+        failures = _verify_gram_space(data)
     else:
         raise ValueError("certificate kind %r is not verifiable" % (kind,))
     if failures:
@@ -435,7 +472,9 @@ def build_parser():
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="re-verify an emitted certificate file")
-    p.add_argument("certificate", help="JSON report from enumerate/factor/two-squares")
+    p.add_argument(
+        "certificate", help="JSON report from enumerate/factor/two-squares/gram-space"
+    )
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -94,6 +94,24 @@ class NotPSD(MinsosError):
         super().__init__(message or "matrix polynomial is not PSD at %r" % (witness,))
 
 
+class UnpairedRoot(MinsosError):
+    """A non-real root found no conjugate partner within the pairing tolerance.
+
+    A root of multiplicity k comes back from the numeric root finder
+    scattered by about eps^(1/k); beyond the cluster radius its copies stay
+    simple roots, which may then fail to pair.
+    """
+
+    def __init__(self, root, cluster_radius, message=None):
+        self.root = root
+        self.cluster_radius = cluster_radius
+        super().__init__(
+            message
+            or "no conjugate partner for root %r: a multiple root may have "
+            "scattered beyond the cluster radius %g" % (root, cluster_radius)
+        )
+
+
 class NotNonnegative(MinsosError):
     """Binary form takes negative values on the real line."""
 

@@ -26,9 +26,11 @@ from .errors import (
 from .surfaces import MonomialBasis, monomial_basis
 
 # relative thresholds: an eigenvalue counts when it exceeds RANK_TOL times
-# the spectral radius; a fiber point may miss the form by FIBER_TOL
+# the spectral radius; a fiber point may miss the form by FIBER_TOL; two
+# float Gram matrices are equivalent within EQUIVALENT_TOL
 RANK_TOL = 1e-8
 FIBER_TOL = 1e-8
+EQUIVALENT_TOL = 1e-8
 
 
 def _form_terms(form):
@@ -318,9 +320,7 @@ class Representation:
     def from_json(cls, data):
         """Read to_json's layout; without "exact" (earlier releases) it is
         inferred: exact when every coefficient is a num/den pair."""
-        monos = tuple(tuple(int(e) for e in m) for m in data["basis"])
-        names = tuple(data["varNames"])
-        basis = MonomialBasis(monos, len(names), names)
+        basis = basis_from_json(data)
         vectors = []
         rational = True
         for raw in data["vectors"]:
@@ -383,12 +383,19 @@ def extract_representation(space, G):
     return Representation(basis=space.basis, vectors=vectors, signs=signs, exact=False)
 
 
+def basis_from_json(data):
+    """The MonomialBasis that a report writes as "basis" and "varNames"."""
+    monos = tuple(tuple(int(e) for e in m) for m in data["basis"])
+    names = tuple(data["varNames"])
+    return MonomialBasis(monos, len(names), names)
+
+
 def verify_representation(f, rep):
     """max |coefficient of f - sum sign_i l_i^2|; exact zero in rational mode."""
     return gram_residual(f, rep.basis, rep.gram_exact() if rep.exact else rep.gram())
 
 
-def equivalent(rep1, rep2, tol=1e-8):
+def equivalent(rep1, rep2, tol=EQUIVALENT_TOL):
     """Equality of the canonical Gram matrices, within tol (exact if possible)."""
     if rep1.basis.monomials != rep2.basis.monomials:
         return False

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from minsos import binary_sos
 from minsos.binary_sos import (
     class_representation,
     enumerate_rank_two,
@@ -30,7 +31,7 @@ from minsos.binary_sos import (
     roots,
 )
 from minsos.biform import BinaryForm
-from minsos.errors import NotNonnegative, UnsupportedDegree
+from minsos.errors import NotNonnegative, UnpairedRoot, UnsupportedDegree
 from minsos.gram import Representation, equivalent, verify_representation
 from minsos.sampling import random_nonneg_binary
 
@@ -124,6 +125,72 @@ def test_rep_forms_expand_to_f():
         abs(complex(a) - complex(b)) for a, b in zip(expanded.coeffs, f.coeffs)
     )
     assert diff < 1e-9 * float(f.max_abs_coeff())
+
+
+def _pairwise_dedup(reps):
+    """The quadratic keep-first scan that the trace sweep replaces."""
+    kept = []
+    for rep in reps:
+        if not any(equivalent(rep, other) for other in kept):
+            kept.append(rep)
+    return kept
+
+
+def _candidates_and_reps(monkeypatch, f):
+    """The root choices enumerate_two_squares dedups, and what it returns."""
+    seen = []
+    dedup = binary_sos._dedup
+
+    def recording(reps):
+        seen.append(reps)
+        return dedup(reps)
+
+    monkeypatch.setattr(binary_sos, "_dedup", recording)
+    reps = enumerate_two_squares(f)
+    (candidates,) = seen
+    return candidates, reps
+
+
+_Q = BinaryForm([1, 0, 1], 2)  # s^2 + t^2
+_R = BinaryForm([5, 2, 1], 2)  # s^2 + 2 s t + 5 t^2
+_L = BinaryForm([-3, 1], 1)  # s - 3 t
+
+
+@pytest.mark.parametrize(
+    "f",
+    [random_nonneg_binary(d, seed=s) for d in range(1, 8) for s in (0, 1, 2, 41)]
+    + [_Q * _Q * _R * _R, _L * _L * _Q * _R, _Q * _Q * _R, _L * _L * _R * _R],
+)
+def test_trace_sweep_keeps_what_the_pairwise_scan_keeps(monkeypatch, f):
+    candidates, reps = _candidates_and_reps(monkeypatch, f)
+    want = _pairwise_dedup(candidates)
+    assert len(reps) == len(want)
+    assert all(got is kept for got, kept in zip(reps, want))
+
+
+def test_two_squares_at_degree_ten_calls_equivalent_at_most_once_a_choice(monkeypatch):
+    calls = []
+    real = binary_sos.equivalent
+
+    def counted(rep1, rep2):
+        calls.append(1)
+        return real(rep1, rep2)
+
+    monkeypatch.setattr(binary_sos, "equivalent", counted)
+    candidates, reps = _candidates_and_reps(monkeypatch, random_nonneg_binary(10, seed=0))
+    assert len(candidates) == 1024
+    assert len(reps) == 512
+    # each conjugate twin meets its kept partner; the pairwise scan made 262,144 calls
+    assert 512 <= len(calls) <= len(candidates)
+
+
+@pytest.mark.parametrize("power", [3, 4])
+def test_a_complex_root_of_multiplicity_three_or_more_is_reported_unpaired(power):
+    f = _Q
+    for _ in range(power - 1):
+        f = f * _Q
+    with pytest.raises(UnpairedRoot, match="cluster radius 1e-06"):
+        enumerate_two_squares(f)
 
 
 # ------------------------------------------------------------ rank-2 census

@@ -2,13 +2,14 @@
 
 import csv
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from minsos import cli, enumerator
-from minsos.biform import TermPoly
+from minsos.biform import BinaryForm, TermPoly
 from minsos.errors import IterationBudgetExceeded, PathFailureBudgetExceeded
 from minsos.gram import gram_residual
 from minsos.sampling import random_dyad_matrix, random_nonneg_binary, random_positive_form
@@ -227,12 +228,31 @@ def test_two_squares_verify_round_trip_and_bumped_coefficient(tmp_path):
     assert _verify_edited(tmp_path, cert) == cli.EXIT_VERIFY
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["enumeration_scroll11", "two_squares_d3", "factor_heights21", "factor_n1"],
-)
+@pytest.mark.parametrize("name", sorted(path.stem for path in DATA.glob("*.json")))
 def test_certificates_from_earlier_releases_still_verify(name):
+    # every file in tests/data, the gram-space report among them
     assert cli.main(["verify", str(DATA / (name + ".json"))]) == cli.EXIT_OK
+
+
+def test_gram_space_verify_fails_on_a_bumped_entry(tmp_path, capsys):
+    report = json.loads((DATA / "gram_space_scroll21.json").read_text())
+    assert _verify_edited(tmp_path, report) == cli.EXIT_OK
+    report["space"]["kernel"][1][0][0]["num"] += 1
+    assert _verify_edited(tmp_path, report) == cli.EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "G0: residual 0  PASS" in out and re.search(r"G0 \+ K1: residual \S+  FAIL", out)
+    report["space"]["G0"][0].pop()
+    assert _verify_edited(tmp_path, report) == cli.EXIT_INPUT
+
+
+def test_two_squares_on_a_triple_complex_root_exits_three(tmp_path, capsys):
+    # (s^2 + t^2)^3 is nonnegative, but np.roots scatters each triple root
+    # by about 1e-5, beyond the clustering radius, and pairing fails
+    src = tmp_path / "cube.json"
+    src.write_text(json.dumps(BinaryForm([1, 0, 3, 0, 3, 0, 1], 6).to_json()))
+    assert cli.main(["two-squares", str(src)]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and "cluster radius 1e-06" in err
 
 
 @pytest.mark.parametrize(
