@@ -10,17 +10,20 @@ over (s, t, x_1..x_n).
 :class:`BinaryForm` is a homogeneous form in (s, t), stored densely because
 roots, gcd and the t-valuation need every coefficient.
 
-Coefficients are exact rationals (:class:`fractions.Fraction`) by default;
-complex doubles are supported as a second coefficient field for numerical
-work.  Conversion between the two is never silent: ``BinaryForm.to_complex``
-converts a binary form, and a TermPoly is built in the field of its terms.
+A TermPoly holds exact rationals (:class:`fractions.Fraction`) only, and so
+does every form read from JSON: a float coefficient is read as the rational
+it denotes, which ``Fraction(float)`` gives exactly.  A BinaryForm is exact
+too unless it is built from floats, as the computed columns of a
+factorization and the two squares p and q are; those hold complex doubles,
+and the two fields never mix silently.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import DegreeMismatch
+from .errors import DegreeMismatch, NotAQuadraticForm
 
 RATIONAL = "rational"
 COMPLEX = "complex"
@@ -40,10 +43,24 @@ def _classify_scalar(value):
 def _merge_field(fa, fb):
     if fa == fb:
         return fa
-    raise TypeError(
-        "mixed coefficient fields (%s vs %s); convert explicitly with to_complex()"
-        % (fa, fb)
-    )
+    raise TypeError("mixed coefficient fields (%s vs %s)" % (fa, fb))
+
+
+def _exact(value):
+    """The coefficient value as the exact rational it denotes.
+
+    A float converts exactly; a complex value must be real and finite.
+    Raises NotAQuadraticForm otherwise.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, complex):
+        if value.imag != 0:
+            raise NotAQuadraticForm("coefficient %r is not real" % (value,))
+        value = value.real
+    if isinstance(value, float) and not math.isfinite(value):
+        raise NotAQuadraticForm("coefficient %r is not finite" % (value,))
+    return Fraction(value)
 
 
 def _coeff_to_json(value, field):
@@ -53,9 +70,14 @@ def _coeff_to_json(value, field):
 
 
 def _coeff_from_json(entry):
+    """A coefficient from {"num", "den"}, {"re", "im"} or a bare number, exactly."""
+    if not isinstance(entry, dict):
+        if not isinstance(entry, (int, float)):
+            raise ValueError("coefficient %r is not a number" % (entry,))
+        return _exact(entry)
     if "num" in entry:
         return Fraction(int(entry["num"]), int(entry.get("den", 1)))
-    return complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+    return _exact(complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0))))
 
 
 class BinaryForm:
@@ -196,11 +218,6 @@ class BinaryForm:
     def max_abs_coeff(self):
         return max(abs(c) for c in self.coeffs) if self.coeffs else 0
 
-    def to_complex(self):
-        if self.field == COMPLEX:
-            return self
-        return BinaryForm([complex(c) for c in self.coeffs], self.deg, field=COMPLEX)
-
     def to_json(self):
         return {
             "deg": self.deg,
@@ -209,13 +226,7 @@ class BinaryForm:
 
     @classmethod
     def from_json(cls, data):
-        coeffs = [
-            _coeff_from_json(c)
-            if isinstance(c, dict)
-            else (Fraction(c) if isinstance(c, int) else complex(c))
-            for c in data["coeffs"]
-        ]
-        return cls(coeffs, int(data["deg"]))
+        return cls([_coeff_from_json(c) for c in data["coeffs"]], int(data["deg"]))
 
 
 def binary_gcd(f, g):
@@ -266,24 +277,22 @@ class TermPoly:
     """Sparse polynomial: exponent tuples of length nvars to coefficients.
 
     A container: forms are built as term dicts.  terms holds only nonzero
-    coefficients; field is RATIONAL or COMPLEX.
+    coefficients, each an exact rational; a float term converts exactly.
     """
 
-    __slots__ = ("nvars", "terms", "field")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms, field=None):
+    def __init__(self, nvars, terms):
         self.nvars = int(nvars)
         clean = {}
         for expo, coeff in terms.items():
             expo = tuple(int(e) for e in expo)
             if len(expo) != self.nvars:
                 raise DegreeMismatch("exponent tuple %r has wrong arity" % (expo,))
-            cfield, value = _classify_scalar(coeff)
-            field = cfield if field is None else _merge_field(field, cfield)
+            value = _exact(coeff)
             if value != 0:
                 clean[expo] = clean.get(expo, 0) + value
         self.terms = {e: c for e, c in clean.items() if c != 0}
-        self.field = field if field is not None else RATIONAL
 
     def is_zero(self):
         return not self.terms
@@ -315,7 +324,7 @@ class TermPoly:
         return {
             "nvars": self.nvars,
             "terms": [
-                {"expo": list(expo), **_coeff_to_json(self.terms[expo], self.field)}
+                {"expo": list(expo), **_coeff_to_json(self.terms[expo], RATIONAL)}
                 for expo in sorted(self.terms)
             ],
         }

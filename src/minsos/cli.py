@@ -322,53 +322,61 @@ def cmd_table(args):
     return status
 
 
-def _verify_enumeration(data):
-    form = form_from_json(data["form"])
+def _verify_squares(form, items, max_squares):
+    """Failed indices among (label, index, representation JSON, psd) items.
+
+    Each representation must verify against form within VERIFY_TOL, hold at
+    most max_squares squares, and have only positive signs when psd.
+    """
     failures = []
-    checked = 0
-    for idx, entry in enumerate(data["report"]["entries"]):
-        rep_json = entry.get("representation")
-        if rep_json is None:
-            continue
+    for label, idx, rep_json, psd in items:
         rep = Representation.from_json(rep_json)
         resid = float(verify_representation(form, rep))
-        checked += 1
-        ok = _verified(resid, form.max_abs_coeff())
-        if entry.get("psd") and any(s != 1 for s in rep.signs):
-            ok = False
+        ok = (
+            _verified(resid, form.max_abs_coeff())
+            and rep.nforms <= max_squares
+            and not (psd and any(s != 1 for s in rep.signs))
+        )
         print(
-            "entry %d: residual %.3e  %s" % (idx, resid, "PASS" if ok else "FAIL")
+            "%s %d: residual %.3e, %d of at most %d squares  %s"
+            % (label, idx, resid, rep.nforms, max_squares, "PASS" if ok else "FAIL")
         )
         if not ok:
             failures.append(idx)
-    if checked == 0:
+    if not items:
         print("certificate holds no representations to verify")
     return failures
 
 
+def _verify_enumeration(data):
+    items = [
+        ("entry", idx, entry["representation"], entry.get("psd"))
+        for idx, entry in enumerate(data["report"]["entries"])
+        if entry.get("representation") is not None
+    ]
+    return _verify_squares(form_from_json(data["form"]), items, int(data["rank"]))
+
+
 def _verify_two_squares(data):
-    form = form_from_json(data["form"])
-    failures = []
-    for idx, item in enumerate(data["representations"]):
-        rep = Representation.from_json(item["representation"])
-        resid = verify_representation(form, rep)
-        ok = _verified(resid, form.max_abs_coeff())
-        print(
-            "rep %d: residual %.3e  %s" % (idx, resid, "PASS" if ok else "FAIL")
-        )
-        if not ok:
-            failures.append(idx)
-    return failures
+    items = [
+        ("rep", idx, item["representation"], True)
+        for idx, item in enumerate(data["representations"])
+    ]
+    return _verify_squares(form_from_json(data["form"]), items, 2)
 
 
 def _verify_factorization(data):
+    """The residual of the columns, and at most n+1 of them unless the
+    result carries factor's rank-reduction warning."""
     A = SymMatrixPoly.from_json(data["matrix"])
-    columns = [
-        [BinaryForm.from_json(f) for f in col] for col in data["result"]["columns"]
-    ]
+    result = data["result"]
+    columns = [[BinaryForm.from_json(f) for f in col] for col in result["columns"]]
     resid = factor_residual(A, columns)
     ok = _verified(resid, A.max_abs_coeff())
     print("factorization residual %.3e  %s" % (resid, "PASS" if ok else "FAIL"))
+    if result.get("warning") is None and len(columns) > A.n + 1:
+        print("%d columns, at most %d allowed  FAIL" % (len(columns), A.n + 1))
+        ok = False
     return [] if ok else [0]
 
 

@@ -20,7 +20,6 @@ from .binary_sos import (
     enumerate_two_squares,
     roots as binary_roots,
 )
-from .biform import RATIONAL
 from .enumerator import CountReport
 from .errors import ApexCoefficientNotPositive, DimensionMismatch, NotAScroll
 from .gram import (
@@ -55,7 +54,7 @@ def split(f, spec):
     Returns (a, b, c) with a a scalar, b a BinaryForm of degree d and c one
     of degree 2d, by coefficient extraction in the apex variable.  b is half
     the xy-coefficient with its forced factor t^d divided out, so embedding
-    b in the xy block needs that factor back.  Exact for rational input.
+    b in the xy block needs that factor back.  All three are exact.
 
     Raises ApexCoefficientNotPositive when a <= 0 (f is then not positive
     along the apex direction).
@@ -65,11 +64,7 @@ def split(f, spec):
     a_form, b_form, c_form = quadratic_form_blocks(f, spec)
     b = b_form.divide_t_power(d)
     a_poly = a_form.divide_t_power(2 * d)
-    a = a_poly.coeffs[0] if a_poly.coeffs else 0
-    if isinstance(a, complex):
-        if abs(a.imag) > 1e-12 * max(1.0, abs(a)):
-            raise ApexCoefficientNotPositive("apex coefficient %r is not real" % (a,))
-        a = a.real
+    a = a_poly.coeffs[0]
     if not (a > 0):
         raise ApexCoefficientNotPositive(
             "apex coefficient %r is not positive" % (a,)
@@ -79,13 +74,8 @@ def split(f, spec):
 
 def reduce_form(a, b, c):
     """The Schur complement g = c - b^2/a on the base curve (degree 2d) of
-    the split (a, b, c) of a cone form."""
-    if b.field == RATIONAL and isinstance(a, (int, Fraction)):
-        scaled = (b * b).scale(Fraction(1, 1) / Fraction(a))
-    else:
-        scaled = (b * b).scale(1.0 / float(a))
-        c = c.to_complex()
-    return c - scaled
+    the split (a, b, c) of a cone form, exactly."""
+    return c - (b * b).scale(Fraction(1) / a)
 
 
 def lift(rep, a, b):
@@ -100,9 +90,7 @@ def lift(rep, a, b):
     if b.deg != d:
         raise DimensionMismatch("cross term degree %d != base degree %d" % (b.deg, d))
     sqrt_a = float(np.sqrt(float(a)))
-    # complex-typed b still encodes a real form; the final verification
-    # against f catches any genuinely complex input
-    apex_vec = [complex(coeff).real / sqrt_a for coeff in b.coeffs] + [sqrt_a]
+    apex_vec = [float(coeff) / sqrt_a for coeff in b.coeffs] + [sqrt_a]
     vectors = [[float(c) for c in vec] + [0.0] for vec in rep.vectors]
     return Representation(
         basis=monomial_basis(cone_rnc(d)),
@@ -123,8 +111,7 @@ def enumerate_cone(f, spec):
     space = build_gram_space(f, spec)
     a, b, c = split(f, spec)
     g = reduce_form(a, b, c)
-    gfloat = g.to_complex() if g.field == RATIONAL else g
-    rm = binary_roots(gfloat)
+    rm = binary_roots(g)
     census = enumerate_rank_two(rm)
     counts = {
         "complex": census.counts["complex"],
@@ -158,7 +145,7 @@ def enumerate_cone(f, spec):
     notes.extend(report.notes)
     expected = expected_counts(spec)
     if counts["psd"] != 0:
-        two_sq = enumerate_two_squares(gfloat)
+        two_sq = enumerate_two_squares(g)
         if len(two_sq) != counts["psd"]:
             notes.append(
                 "two-squares census mismatch: %d vs %d psd classes"

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .biform import COMPLEX, TermPoly
+from .biform import TermPoly
 from .errors import (
     DimensionMismatch,
     NonSymmetric,
@@ -31,15 +31,6 @@ from .surfaces import MonomialBasis, monomial_basis
 RANK_TOL = 1e-8
 FIBER_TOL = 1e-8
 EQUIVALENT_TOL = 1e-8
-
-
-def _form_terms(form):
-    """Exponent map of a TermPoly or BinaryForm with real coefficients."""
-    if form.field != COMPLEX:
-        return form.terms
-    if any(coeff.imag for coeff in form.terms.values()):
-        raise NotAQuadraticForm("form has non-real coefficients")
-    return {expo: coeff.real for expo, coeff in form.terms.items()}
 
 
 def gram_residual(f, basis, G):
@@ -58,7 +49,7 @@ def gram_residual(f, basis, G):
     else:
         diff = pairs.coefficients(G).tolist()
     outside = 0
-    for expo, c in _form_terms(f).items():
+    for expo, c in f.terms.items():
         r = pairs.index.get(expo)
         if r is None:
             outside = max(outside, abs(c))
@@ -101,7 +92,7 @@ class GramSpace:
 
     def _rhs(self, number):
         """The coefficients of f over the monomials of 2P, each as number(c)."""
-        terms = _form_terms(self.form)
+        terms = self.form.terms
         return [number(terms.get(key, 0)) for key in self.basis.pair_map.monomials]
 
     @property
@@ -137,7 +128,7 @@ class GramSpace:
         return np.linalg.solve(self._R, self._Q.T @ diff)
 
     def form_norm(self):
-        return max((abs(float(v)) for v in _form_terms(self.form).values()), default=0.0)
+        return max((abs(float(v)) for v in self.form.terms.values()), default=0.0)
 
     def to_json(self):
         """The basis, k, and G0 and the K_i as exact rational matrices."""
@@ -203,12 +194,11 @@ def solve_affine(pairs, rhs):
 
 def gram_space_from_basis(form, basis, surface=None):
     """The Gram space of m^T G m = f for symmetric G over the given basis."""
-    form_terms = _form_terms(form)
     if form.nvars != basis.nvars:
         raise NotAQuadraticForm(
             "form arity %d != basis arity %d" % (form.nvars, basis.nvars)
         )
-    unreachable = [key for key in form_terms if key not in basis.pair_map.index]
+    unreachable = [key for key in form.terms if key not in basis.pair_map.index]
     if unreachable:
         raise NotAQuadraticForm(
             "form has monomials outside the doubled polytope: %r" % unreachable[:3]

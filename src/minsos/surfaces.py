@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .biform import RATIONAL, BinaryForm, binary_gcd
+from .biform import BinaryForm, binary_gcd
 from .errors import DegreeMismatch, NotAScroll
 
 SCROLL = "scroll"
@@ -277,17 +277,16 @@ def quadratic_form_blocks(f, spec):
         )
     d, e = spec.ruling_heights
     deg = 2 * d
-    zero = Fraction(0) if f.field == RATIONAL else 0j
-    blocks = [[zero] * (deg + 1) for _ in range(3)]  # indexed by the power of x
+    blocks = [[Fraction(0)] * (deg + 1) for _ in range(3)]  # indexed by the power of x
     for (i, j, k, l), coeff in f.terms.items():
         if min(i, j, k, l) < 0 or i + j != deg or k + l != 2:
             raise DegreeMismatch(
                 "term %r violates bidegree (%d, 2)" % ((i, j, k, l), deg)
             )
         blocks[k][i] = coeff
-    a = BinaryForm(blocks[2], deg, field=f.field)
-    b = BinaryForm([coeff / 2 for coeff in blocks[1]], deg, field=f.field)
-    c = BinaryForm(blocks[0], deg, field=f.field)
+    a = BinaryForm(blocks[2], deg)
+    b = BinaryForm([coeff / 2 for coeff in blocks[1]], deg)
+    c = BinaryForm(blocks[0], deg)
     gap = d - e
     if a.t_valuation() < 2 * gap:
         raise DegreeMismatch("x^2 coefficient not divisible by t^%d" % (2 * gap))
@@ -309,7 +308,7 @@ def discriminant(f, spec):
     return raw.divide_t_power(2 * (d - e))
 
 
-def _squarefree_exact(g):
+def binary_squarefree(g):
     """Exact squarefreeness of a rational binary form via gcd of partials."""
     if g.is_zero():
         return False
@@ -360,19 +359,6 @@ def projective_roots(g, cluster_radius=ROOT_CLUSTER_RADIUS):
     return out
 
 
-def _squarefree_numeric(g):
-    if g.is_zero():
-        return False
-    return all(mult == 1 for _, mult in projective_roots(g))
-
-
-def binary_squarefree(g):
-    """Squarefreeness: exact gcd for rational forms, root clustering otherwise."""
-    if g.field == RATIONAL:
-        return _squarefree_exact(g)
-    return _squarefree_numeric(g)
-
-
 @dataclass
 class GenericityReport:
     """Diagnostics for the genericity of a quadratic form on a surface.
@@ -395,9 +381,8 @@ class GenericityReport:
 def genericity_check(f, spec):
     """Genericity diagnostics for a quadratic form.
 
-    For scrolls and cones: squarefreeness of the normalized discriminant
-    (exact gcd in rational mode, roots clustered at ROOT_CLUSTER_RADIUS in
-    float mode).  The factor t^(2(d-e)) that b^2 - ac carries on every form
+    For scrolls and cones: squarefreeness of the normalized discriminant, by
+    an exact gcd.  The factor t^(2(d-e)) that b^2 - ac carries on every form
     comes from the ruling heights, not from f, and is left out.
     """
     report = GenericityReport(surface=spec)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from minsos.biform import COMPLEX, RATIONAL, BinaryForm, TermPoly, binary_gcd
-from minsos.errors import DegreeMismatch
+from minsos.errors import DegreeMismatch, NotAQuadraticForm
 
 
 # ---------------------------------------------------------------- BinaryForm
@@ -70,10 +70,15 @@ def test_binary_json_roundtrip_exact():
 
 
 def test_binary_json_roundtrip_complex():
-    f = BinaryForm([1 + 2j, 0, -1j], 2)
+    # a float form writes re/im and reads back as the rationals its doubles
+    # denote; a non-real coefficient is no input
+    f = BinaryForm([0.1, 0.0, -2.5], 2)
+    assert f.field == COMPLEX
     g = BinaryForm.from_json(f.to_json())
-    assert g.field == f.field
-    assert all(abs(a - b) == 0 for a, b in zip(g.coeffs, f.coeffs))
+    assert g.field == RATIONAL
+    assert g.coeffs == [Fraction(0.1), 0, Fraction(-5, 2)]
+    with pytest.raises(NotAQuadraticForm):
+        BinaryForm.from_json(BinaryForm([1 + 2j, 0, -1j], 2).to_json())
 
 
 def test_binary_gcd_shared_factor():
@@ -88,11 +93,15 @@ def test_binary_gcd_shared_factor():
 
 
 def test_binary_to_complex():
-    # coeffs are indexed by s-power: t + 2s evaluates to 7 at (3, 1)
-    f = BinaryForm([1, 2], 1)
-    fc = f.to_complex()
+    # a form built from floats holds complex doubles, as the computed
+    # columns of a factorization do; coeffs are indexed by s-power, so
+    # t + 2s evaluates to 7 at (3, 1)
+    fc = BinaryForm([1.0, 2.0], 1)
+    assert fc.field == COMPLEX
     assert all(isinstance(c, complex) for c in fc.coeffs)
     assert fc.eval(3, 1) == 7 + 0j
+    with pytest.raises(TypeError):
+        fc + BinaryForm([1, 2], 1)
 
 
 # ------------------------------------------------- forms over (s, t, x, y)
@@ -108,10 +117,13 @@ def test_biform_eval_matches_term_sum():
 def test_biform_json_roundtrip():
     f = TermPoly(4, {(2, 0, 0, 2): Fraction(-3, 7), (0, 2, 2, 0): 2})
     g = TermPoly.from_json(f.to_json())
-    assert g == f and g.field == RATIONAL
-    fc = TermPoly(4, {expo: complex(c) for expo, c in f.terms.items()})
-    gc = TermPoly.from_json(fc.to_json())
-    assert gc == fc and gc.field == COMPLEX
+    assert g == f
+    # float and real complex terms convert exactly
+    fc = TermPoly(4, {(2, 0, 0, 2): -0.375, (0, 2, 2, 0): 2 + 0j})
+    assert fc.terms == {(2, 0, 0, 2): Fraction(-3, 8), (0, 2, 2, 0): 2}
+    assert TermPoly.from_json(fc.to_json()) == fc
+    with pytest.raises(NotAQuadraticForm):
+        TermPoly(4, {(2, 0, 0, 2): 1j})
 
 
 def test_biform_zero_and_scale():
@@ -134,10 +146,11 @@ def test_termpoly_reads_the_degst_layout():
     }
     f = TermPoly.from_json(data)
     assert f == TermPoly(4, {(2, 0, 0, 2): Fraction(-3, 7), (0, 2, 2, 0): 2})
-    assert f.field == RATIONAL
-    data["terms"] = [{"s": 1, "t": 1, "x": 1, "y": 1, "re": 0.5, "im": -1.0}]
-    fc = TermPoly.from_json(data)
-    assert fc.terms == {(1, 1, 1, 1): 0.5 - 1j} and fc.field == COMPLEX
+    data["terms"] = [{"s": 1, "t": 1, "x": 1, "y": 1, "re": 0.5, "im": 0.0}]
+    assert TermPoly.from_json(data).terms == {(1, 1, 1, 1): Fraction(1, 2)}
+    data["terms"][0]["im"] = -1.0
+    with pytest.raises(NotAQuadraticForm):
+        TermPoly.from_json(data)
 
 
 @pytest.mark.parametrize(

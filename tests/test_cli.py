@@ -273,3 +273,100 @@ def test_verify_rejects_factor_columns_of_the_wrong_degree(tmp_path):
     form["coeffs"].append({"re": 0.0, "im": 0.0})
     form["deg"] += 1
     assert _verify_edited(tmp_path, cert) == cli.EXIT_INPUT
+
+
+def _zero_square_added(cert):
+    """The certificate with one more zero square (or column) in every item."""
+    kind = cert["kind"]
+    if kind == "factorization":
+        cert["result"]["columns"].append(
+            [{"deg": d, "coeffs": [{"re": 0.0, "im": 0.0}] * (d + 1)}
+             for d in cert["result"]["heights"]]
+        )
+        return cert
+    if kind == "enumeration":
+        reps = [e["representation"] for e in cert["report"]["entries"] if e["representation"]]
+    else:
+        reps = [item["representation"] for item in cert["representations"]]
+    for rep in reps:
+        rep["vectors"].append([0.0] * len(rep["basis"]))
+        rep["signs"].append(1)
+    return cert
+
+
+@pytest.mark.parametrize(
+    "name", ["enumeration_scroll11", "two_squares_d3", "factor_heights21"]
+)
+def test_verify_rejects_a_certificate_padded_with_a_zero_square(tmp_path, name, capsys):
+    # the residual stays exact; only the count of squares is wrong
+    cert = _zero_square_added(json.loads((DATA / (name + ".json")).read_text()))
+    assert _verify_edited(tmp_path, cert) == cli.EXIT_VERIFY
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_lets_a_stalled_factorization_keep_its_extra_columns(tmp_path):
+    cert = _zero_square_added(json.loads((DATA / "factor_heights21.json").read_text()))
+    cert["result"]["warning"] = "rank reduction stalled at 4 (target 3); emitting extra columns"
+    assert _verify_edited(tmp_path, cert) == cli.EXIT_OK
+
+
+def _float_written(data):
+    """data with every {"num", "den"} coefficient written as {"re", "im"} floats."""
+    if isinstance(data, list):
+        return [_float_written(v) for v in data]
+    if not isinstance(data, dict):
+        return data
+    if "num" in data:
+        rest = {k: v for k, v in data.items() if k not in ("num", "den")}
+        return dict(rest, re=data["num"] / data.get("den", 1), im=0.0)
+    return {k: _float_written(v) for k, v in data.items()}
+
+
+@pytest.mark.parametrize(
+    "command, payload, extra",
+    [
+        ("enumerate", lambda: random_positive_form(scroll(1, 1), seed=3).to_json(),
+         ["--surface", "scroll(1,1)"]),
+        ("enumerate", lambda: random_positive_form(cone_rnc(3), seed=3).to_json(),
+         ["--surface", "cone_rnc(3)"]),
+        ("factor", lambda: json.loads((DATA / "factor_heights21.json").read_text())["matrix"],
+         []),
+        ("two-squares", lambda: random_nonneg_binary(3, seed=9).to_json(), []),
+    ],
+    ids=["scroll11", "cone3", "factor", "two-squares"],
+)
+def test_float_written_input_gives_the_rational_report(tmp_path, command, payload, extra):
+    # integers and eighths are exact in binary, so both files denote one input
+    rational = payload()
+    written = _float_written(rational)
+    assert written != rational
+    outputs = []
+    for name, data in (("rational", rational), ("float", written)):
+        src, out = tmp_path / (name + ".json"), tmp_path / (name + "_out.json")
+        src.write_text(json.dumps(data))
+        assert cli.main([command, str(src), "--json-out", str(out)] + extra) == cli.EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "command, payload, coeffs, extra",
+    [
+        ("enumerate", lambda: random_positive_form(scroll(1, 1), seed=3).to_json(),
+         lambda data: data["terms"], ["--surface", "scroll(1,1)"]),
+        ("factor", lambda: random_dyad_matrix((2, 1), seed=0)[0].to_json(),
+         lambda data: data["entries"]["0,0"]["coeffs"], []),
+        ("two-squares", lambda: random_nonneg_binary(3, seed=9).to_json(),
+         lambda data: data["coeffs"], []),
+    ],
+    ids=["enumerate", "factor", "two-squares"],
+)
+def test_a_non_real_coefficient_exits_two(tmp_path, capsys, command, payload, coeffs, extra):
+    data = payload()
+    first = coeffs(data)
+    first[0] = {k: v for k, v in first[0].items() if k not in ("num", "den")}
+    first[0].update(re=1.0, im=0.5)
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(data))
+    assert cli.main([command, str(src)] + extra) == cli.EXIT_INPUT
+    assert "is not real" in capsys.readouterr().err

@@ -99,10 +99,10 @@ def test_lift_verifies_against_cone_form():
     f = _cone_form(2)
     a, b, c = split(f, spec)
     g = reduce_form(a, b, c)
-    reps = enumerate_two_squares(g.to_complex())
+    reps = enumerate_two_squares(g)
     assert reps
     for rep in reps:
-        lifted = lift(rep, float(a), b.to_complex())
+        lifted = lift(rep, a, b)
         assert lifted.nforms == 3
         assert verify_representation(f, lifted) < 1e-8 * float(f.max_abs_coeff())
         assert lifted.is_psd()

@@ -21,10 +21,11 @@ from minsos.enumerator import (
     minor_system,
     solve,
 )
-from minsos.errors import DegreeMismatch, RankTooLarge
+from minsos.errors import DegreeMismatch, PathFailureBudgetExceeded, RankTooLarge
 from minsos.gram import build_gram_space, verify_representation
 from minsos.sampling import random_positive_form
 from minsos.surfaces import cone_rnc, expected_counts, genericity_check, scroll, veronese
+from minsos.tracking import STATUS_CONVERGED, STATUS_DIVERGED, STATUS_FAILED
 
 
 def _exact_det(M):
@@ -229,6 +230,33 @@ def test_report_json_and_summary_shapes():
     lines = report.summary_lines()
     assert any(line.startswith("counts:") for line in lines)
     assert any("expected" in line for line in lines)
+
+
+def _stub_tracker(monkeypatch, diverged, failed, converged):
+    """Make every sweep of solve end with the given path statuses."""
+    statuses = np.array(
+        [STATUS_DIVERGED] * diverged + [STATUS_FAILED] * failed + [STATUS_CONVERGED] * converged
+    )
+
+    def track_all(psys, gamma):
+        return np.ones((len(statuses), 1), dtype=complex), statuses.copy(), 0
+
+    monkeypatch.setattr(enumerator, "track_all", track_all)
+
+
+def test_solve_raises_once_failures_exceed_the_budget(monkeypatch):
+    # the budget counts the non-diverging paths: with 24 diverged and 40
+    # tracked it allows 2 failures, where 5 % of all 64 paths would allow 3
+    system = minor_system(build_gram_space(_g1_form(), scroll(1, 1)), 3, seed=0)
+    diverged, tracked = 24, 40
+    budget = enumerator.FAIL_BUDGET * tracked
+    assert budget == 2
+    _stub_tracker(monkeypatch, diverged, 2, tracked - 2)
+    assert solve(system, seed=0).path_stats["failed"] == 2
+    _stub_tracker(monkeypatch, diverged, 3, tracked - 3)
+    with pytest.raises(PathFailureBudgetExceeded) as info:
+        solve(system, seed=0)
+    assert (info.value.failed, info.value.total) == (3, diverged + tracked)
 
 
 # ------------------------------------------------------------- count gates

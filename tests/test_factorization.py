@@ -272,7 +272,9 @@ def _with_zero_entry(A):
 
 
 def _complex_entries(A):
-    return SymMatrixPoly([[e.to_complex() for e in row] for row in A.entries])
+    return SymMatrixPoly(
+        [[BinaryForm([complex(c) for c in e.coeffs], e.deg) for e in row] for row in A.entries]
+    )
 
 
 @pytest.mark.parametrize("kind", ["dyads", "zero-entry", "complex"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minsos.biform import RATIONAL, BinaryForm, TermPoly
+from minsos.biform import BinaryForm, TermPoly
 from minsos.binary_sos import rnc_basis
 from minsos.gram import Representation
 from minsos.surfaces import MonomialBasis
@@ -49,7 +49,14 @@ def test_termpoly_json_round_trip_in_both_layouts(drawn):
     for data in (f.to_json(), _degst_layout(deg_st, deg_xy, f)):
         g = TermPoly.from_json(data)
         assert g == f
-        assert g.nvars == 4 and g.field == RATIONAL
+        assert g.nvars == 4 and all(type(c) is Fraction for c in g.terms.values())
+    # written with re/im floats, each term reads back as the rational its
+    # double denotes
+    data = f.to_json()
+    for term in data["terms"]:
+        term["re"], term["im"] = term.pop("num") / term.pop("den"), 0.0
+    floats = {expo: Fraction(float(c)) for expo, c in f.terms.items()}
+    assert TermPoly.from_json(data) == TermPoly(4, floats)
 
 
 @st.composite

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from minsos import surfaces
-from minsos.biform import BinaryForm, TermPoly
+from minsos.biform import RATIONAL, BinaryForm, TermPoly
 from minsos.cones import enumerate_cone
 from minsos.enumerator import enumerate_rank
 from minsos.errors import DegreeMismatch, NotAScroll
@@ -162,13 +162,15 @@ def test_quadratic_form_blocks_reconstruct():
             (0, 2, 0, 2): 5,  # c = 5 t^2
         },
     )
-    fc = TermPoly(4, {expo: complex(c) for expo, c in f.terms.items()})
-    for form in (f, fc):
+    # float terms are read as the rationals they denote, so the blocks of
+    # a float-written form are the same exact forms
+    ff = TermPoly(4, {expo: float(c) for expo, c in f.terms.items()})
+    for form in (f, ff):
         a, b, c = quadratic_form_blocks(form, scroll(1, 1))
         assert a.coeffs == [0, 0, 1]  # s^2
         assert b.coeffs == [0, 3, 0]  # 3 s t
         assert c.coeffs == [5, 0, 0]  # 5 t^2
-        assert a.field == b.field == c.field == form.field
+        assert a.field == b.field == c.field == RATIONAL
 
 
 def test_blocks_reject_wrong_bidegree():
@@ -244,7 +246,9 @@ def test_binary_squarefree_exact_and_numeric():
     sq = BinaryForm([-1, 1], 1) * BinaryForm([-1, 1], 1)
     assert not binary_squarefree(sq)
     assert binary_squarefree(BinaryForm([-2, 1], 1) * BinaryForm([5, 1], 1))
-    assert not binary_squarefree(sq.to_complex())
+    # a pure power of s has a vanishing t-partial
+    assert not binary_squarefree(BinaryForm([0, 0, 3], 2))
+    assert binary_squarefree(BinaryForm([0, 1], 1))
 
 
 # ----------------------------------------------------------------- genericity
