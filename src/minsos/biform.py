@@ -8,7 +8,8 @@ Veronese surface one over (u, v, w), and a form on a factorization prism one
 over (s, t, x_1..x_n).
 
 :class:`BinaryForm` is a homogeneous form in (s, t), stored densely because
-roots, gcd and the t-valuation need every coefficient.
+roots, the square-free decomposition (:func:`squarefree_parts`) and the
+t-valuation need every coefficient.
 
 A TermPoly holds exact rationals (:class:`fractions.Fraction`) only, and so
 does every form read from JSON: a float coefficient is read as the rational
@@ -198,13 +199,6 @@ class BinaryForm:
             sp = sp * s
         return total
 
-    def diff_s(self):
-        if self.deg == 0:
-            return BinaryForm.zero(0, field=self.field)
-        return BinaryForm(
-            [i * self.coeffs[i] for i in range(1, self.deg + 1)], self.deg - 1
-        )
-
     def divide_t_power(self, k):
         """Exact division by t^k; raises when not divisible."""
         if k == 0:
@@ -229,48 +223,85 @@ class BinaryForm:
         return cls([_coeff_from_json(c) for c in data["coeffs"]], int(data["deg"]))
 
 
-def binary_gcd(f, g):
-    """Exact gcd of two rational binary forms, via the dehomogenized Euclid.
+def _primitive(p):
+    """Integer polynomial p divided by its content, leading coefficient > 0."""
+    while p and p[-1] == 0:
+        p = p[:-1]
+    if not p:
+        return p
+    content = math.gcd(*p) * (1 if p[-1] > 0 else -1)
+    return [c // content for c in p]
 
-    Returns a BinaryForm; the result is monic in its leading s-coefficient
-    except that shared t-powers are carried explicitly.
-    """
-    if f.field != RATIONAL or g.field != RATIONAL:
-        raise TypeError("exact gcd requires rational coefficients")
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    tv = min(f.t_valuation(), g.t_valuation())
-    a = f.divide_t_power(f.t_valuation())
-    b = g.divide_t_power(g.t_valuation())
-    # both now have nonzero constant term in t, gcd has no t factor
-    pa = a.coeffs[: a.s_degree() + 1]
-    pb = b.coeffs[: b.s_degree() + 1]
 
-    def poly_mod(u, v):
-        u = list(u)
-        dv = len(v) - 1
-        while len(u) - 1 >= dv and any(c != 0 for c in u):
-            while u and u[-1] == 0:
-                u.pop()
-            if len(u) - 1 < dv:
-                break
-            factor = u[-1] / v[-1]
-            shift = len(u) - 1 - dv
-            for i in range(dv + 1):
-                u[shift + i] -= factor * v[i]
-            u.pop()
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _pseudo_remainder(u, v):
+    """A nonzero multiple of u mod v, for integer u, v; stays over Z."""
+    u = list(u)
+    while len(u) >= len(v):
+        lead = u.pop()
+        shift = len(u) - len(v) + 1
+        u = [v[-1] * c for c in u]
+        for i, c in enumerate(v[:-1]):
+            u[shift + i] -= lead * c
         while u and u[-1] == 0:
             u.pop()
-        return u
+    return u
 
-    while pb:
-        pa, pb = pb, poly_mod(pa, pb)
-    lead = pa[-1]
-    pa = [c / lead for c in pa]
-    deg = len(pa) - 1 + tv
-    return BinaryForm(pa + [Fraction(0)] * tv, deg)
+
+def _quotient(u, v):
+    """u / v for integer u and primitive v dividing u; integral by Gauss's lemma."""
+    u = list(u)
+    q = [0] * max(len(u) - len(v) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = u[k + len(v) - 1] // v[-1]
+        for i, c in enumerate(v):
+            u[k + i] -= q[k] * c
+    return q
+
+
+def _gcd(u, v):
+    """Primitive gcd of integer polynomials by the primitive Euclid."""
+    while v:
+        u, v = v, _primitive(_pseudo_remainder(u, v))
+    return _primitive(u)
+
+
+def squarefree_parts(f):
+    """The square-free decomposition of a nonzero real binary form.
+
+    Returns (inf_mult, parts): inf_mult is the multiplicity of the root at
+    infinity (the power of t dividing f), and parts lists (part, k) with
+    each part a monic square-free BinaryForm of positive degree, prime to t
+    and to every other part, so that f = lead * t^inf_mult * prod part^k
+    exactly, lead the coefficient of the highest power of s.  Coefficients
+    are read as the rationals they denote.  The parts come from Yun's
+    algorithm (SYMSAC 1976) on the dehomogenized polynomial, its gcds from
+    the primitive Euclid over Z (Brown, J. ACM 1971).
+    """
+    coeffs = [_exact(c) for c in f.coeffs]
+    sdeg = f.s_degree()
+    if sdeg < 0:
+        raise ValueError("the zero form has no square-free decomposition")
+    denominators = math.lcm(*(c.denominator for c in coeffs))
+    p = _primitive([int(c * denominators) for c in coeffs[: sdeg + 1]])
+    dp = _derivative(p)
+    a = _gcd(p, dp)
+    b, c = _quotient(p, a), _quotient(dp, a)
+    parts = []
+    k = 1
+    # b is the product of the parts of multiplicity >= k, and gcd(b, c - b')
+    # the part of multiplicity k
+    while len(b) > 1:
+        d = [x - y for x, y in zip(c, _derivative(b))]
+        a = _gcd(b, _primitive(d))
+        if len(a) > 1:
+            parts.append((BinaryForm([Fraction(x, a[-1]) for x in a]), k))
+        b, c = _quotient(b, a), _quotient(d, a)
+        k += 1
+    return f.deg - sdeg, parts
 
 
 class TermPoly:

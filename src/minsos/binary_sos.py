@@ -7,6 +7,9 @@ from pi = sqrt(c) * R * (one root chosen from each conjugate pair, counted
 with multiplicity) as p = Re pi, q = Im pi; choices are counted modulo
 global conjugation.  For 2d simple complex roots this gives 2^(d-1)
 inequivalent representations.
+
+The multiplicities are exact, read off the square-free decomposition of
+the form (biform.squarefree_parts); only the root values are numeric.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biform import BinaryForm
+from .biform import BinaryForm, squarefree_parts
 from .errors import NotNonnegative, UnpairedRoot
 from .gram import EQUIVALENT_TOL, Representation, equivalent
-from .surfaces import ROOT_CLUSTER_RADIUS, MonomialBasis, projective_roots
+from .surfaces import MonomialBasis
 
 PAIR_TOL = 1e-8  # conjugate pairing tolerance
 
@@ -61,8 +64,8 @@ class RootMultiset:
         return out
 
 
-def _polish_root(poly, dpoly, r, iters=4):
-    for _ in range(iters):
+def _polish_root(poly, dpoly, r):
+    for _ in range(4):
         d = np.polyval(dpoly, r)
         if d == 0:
             break
@@ -76,32 +79,25 @@ def _polish_root(poly, dpoly, r, iters=4):
 def roots(f):
     """Root multiset of a real binary form, Newton-polished and paired.
 
-    Roots are clustered by projective_roots at its ROOT_CLUSTER_RADIUS.
-    Simple roots are polished on the dehomogenization; conjugate symmetry
-    is enforced by matching roots to their conjugates within PAIR_TOL
-    (relative) and averaging.  Raises UnpairedRoot when a non-real root
-    finds no partner, as the scattered copies of a root of multiplicity 3
-    or more do.
+    The multiplicities are exact: they come from the square-free
+    decomposition of f (biform.squarefree_parts), and each part's roots are
+    found by np.roots and Newton-polished on that part, where they are
+    simple.  Conjugate symmetry is enforced by matching roots to their
+    conjugates within PAIR_TOL (relative) and averaging.  Raises
+    UnpairedRoot when a non-real root finds no partner; the parts are real
+    and square-free, so only roots of a part that np.roots cannot resolve
+    to PAIR_TOL go unpaired.
     """
     if f.is_zero():
         raise ValueError("the zero form has no root multiset")
-    coeffs = [complex(c) for c in f.coeffs]
-    if any(abs(c.imag) != 0 for c in coeffs):
-        raise ValueError("root pairing requires real coefficients")
-    sdeg = f.s_degree()
-    lead = coeffs[sdeg].real
-    clusters = projective_roots(f)
-    inf_mult = 0
+    inf_mult, parts = squarefree_parts(f)
+    lead = f.coeffs[f.s_degree()].real
     finite = []
-    poly = np.array([c.real for c in coeffs[: sdeg + 1]][::-1])
-    dpoly = np.polyder(poly) if len(poly) > 1 else np.array([0.0])
-    for root, mult in clusters:
-        if root == "inf":
-            inf_mult = mult
-            continue
-        if mult == 1:
-            root = _polish_root(poly, dpoly, root)
-        finite.append((complex(root), mult))
+    for part, mult in parts:
+        # lead * part has the coefficients of f when f is square-free
+        poly = np.array([complex(lead * c) for c in reversed(part.coeffs)])
+        dpoly = np.polyder(poly.real)
+        finite += [(complex(_polish_root(poly.real, dpoly, r)), mult) for r in np.roots(poly)]
     scale = max([1.0] + [abs(r) for r, _ in finite])
     real_roots = []
     rest = []
@@ -126,13 +122,13 @@ def roots(f):
                 best = gap
                 partner = j
         if partner is None:
-            raise UnpairedRoot(root, ROOT_CLUSTER_RADIUS)
+            raise UnpairedRoot(root)
         used[partner] = True
         value = (root + rest[partner][0].conjugate()) / 2.0
         pairs.append((value, mult))
     for (root, _), u in zip(rest, used):
         if not u:
-            raise UnpairedRoot(root, ROOT_CLUSTER_RADIUS)
+            raise UnpairedRoot(root)
     real_roots.sort(key=lambda rm: rm[0].real)
     pairs.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return RootMultiset(
@@ -261,7 +257,7 @@ def enumerate_two_squares(f):
     makes about M calls instead of M^2 / 2.
 
     Raises NotNonnegative when f is not nonnegative, UnpairedRoot when its
-    roots cannot be paired (a complex root of multiplicity 3 or more).
+    roots cannot be paired (see roots).
     """
     if f.is_zero():
         raise ValueError("the zero form has degenerate representations")

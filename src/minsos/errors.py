@@ -97,19 +97,14 @@ class NotPSD(MinsosError):
 class UnpairedRoot(MinsosError):
     """A non-real root found no conjugate partner within the pairing tolerance.
 
-    A root of multiplicity k comes back from the numeric root finder
-    scattered by about eps^(1/k); beyond the cluster radius its copies stay
-    simple roots, which may then fail to pair.
+    Roots are found part by part of the exact square-free decomposition, so
+    every root is simple on its part; a root goes unpaired only when its
+    part is too ill-conditioned for the numeric root finder to resolve.
     """
 
-    def __init__(self, root, cluster_radius, message=None):
+    def __init__(self, root, message=None):
         self.root = root
-        self.cluster_radius = cluster_radius
-        super().__init__(
-            message
-            or "no conjugate partner for root %r: a multiple root may have "
-            "scattered beyond the cluster radius %g" % (root, cluster_radius)
-        )
+        super().__init__(message or "no conjugate partner for root %r" % (root,))
 
 
 class NotNonnegative(MinsosError):

@@ -385,8 +385,8 @@ def verify_representation(f, rep):
     return gram_residual(f, rep.basis, rep.gram_exact() if rep.exact else rep.gram())
 
 
-def equivalent(rep1, rep2, tol=EQUIVALENT_TOL):
-    """Equality of the canonical Gram matrices, within tol (exact if possible)."""
+def equivalent(rep1, rep2):
+    """Equality of the canonical Gram matrices, within EQUIVALENT_TOL (exact if possible)."""
     if rep1.basis.monomials != rep2.basis.monomials:
         return False
     if rep1.exact and rep2.exact:
@@ -396,4 +396,4 @@ def equivalent(rep1, rep2, tol=EQUIVALENT_TOL):
         )
     G1, G2 = rep1.gram(), rep2.gram()
     scale = max(1.0, float(np.max(np.abs(G1))), float(np.max(np.abs(G2))))
-    return bool(np.max(np.abs(G1 - G2)) <= tol * scale)
+    return bool(np.max(np.abs(G1 - G2)) <= EQUIVALENT_TOL * scale)

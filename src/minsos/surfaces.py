@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .biform import BinaryForm, binary_gcd
+from .biform import BinaryForm, squarefree_parts
 from .errors import DegreeMismatch, NotAScroll
 
 SCROLL = "scroll"
@@ -309,54 +309,11 @@ def discriminant(f, spec):
 
 
 def binary_squarefree(g):
-    """Exact squarefreeness of a rational binary form via gcd of partials."""
+    """Whether the binary form g has no multiple projective root, exactly."""
     if g.is_zero():
         return False
-    gs = g.diff_s()
-    gt = BinaryForm(
-        [(g.deg - i) * g.coeffs[i] for i in range(g.deg)], g.deg - 1
-    )
-    if gs.is_zero() or gt.is_zero():
-        # happens only for g = c*s^deg or c*t^deg with deg >= 2
-        return g.deg <= 1
-    return binary_gcd(gs, gt).deg == 0
-
-
-# relative distance within which numeric roots count as one multiple root
-ROOT_CLUSTER_RADIUS = 1e-6
-
-
-def projective_roots(g, cluster_radius=ROOT_CLUSTER_RADIUS):
-    """Numeric projective roots of a binary form with multiplicities.
-
-    Returns a list of (root, multiplicity) where root is a complex number
-    (value of s/t) or the string "inf" for the root at infinity.  Roots
-    within cluster_radius (relative to the largest root, at least 1) merge
-    into one root of higher multiplicity.
-    """
-    coeffs = [complex(c) for c in g.coeffs]
-    out = []
-    inf_mult = g.deg - g.s_degree()
-    if g.s_degree() < 0:
-        raise ValueError("zero form has no root set")
-    if inf_mult > 0:
-        out.append(("inf", inf_mult))
-    poly = coeffs[: g.s_degree() + 1]
-    if len(poly) > 1:
-        roots = np.roots(poly[::-1])
-        scale = max(1.0, max(abs(r) for r in roots))
-        used = [False] * len(roots)
-        for i, r in enumerate(roots):
-            if used[i]:
-                continue
-            cluster = [r]
-            used[i] = True
-            for j in range(i + 1, len(roots)):
-                if not used[j] and abs(roots[j] - r) <= cluster_radius * scale:
-                    cluster.append(roots[j])
-                    used[j] = True
-            out.append((complex(np.mean(cluster)), len(cluster)))
-    return out
+    inf_mult, parts = squarefree_parts(g)
+    return inf_mult <= 1 and all(k == 1 for _, k in parts)
 
 
 @dataclass
@@ -381,9 +338,10 @@ class GenericityReport:
 def genericity_check(f, spec):
     """Genericity diagnostics for a quadratic form.
 
-    For scrolls and cones: squarefreeness of the normalized discriminant, by
-    an exact gcd.  The factor t^(2(d-e)) that b^2 - ac carries on every form
-    comes from the ruling heights, not from f, and is left out.
+    For scrolls and cones: squarefreeness of the normalized discriminant,
+    exactly, by its square-free decomposition.  The factor t^(2(d-e)) that
+    b^2 - ac carries on every form comes from the ruling heights, not from
+    f, and is left out.
     """
     report = GenericityReport(surface=spec)
     if spec.kind == VERONESE:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from minsos.biform import COMPLEX, RATIONAL, BinaryForm, TermPoly, binary_gcd
+from minsos.biform import COMPLEX, RATIONAL, BinaryForm, TermPoly, squarefree_parts
 from minsos.errors import DegreeMismatch, NotAQuadraticForm
 
 
@@ -36,12 +36,6 @@ def test_binary_eval_exact_and_float():
     assert f.eval(2, 3) == 70
     assert f.eval(Fraction(1, 2), 1) == Fraction(1, 4) + Fraction(5, 2) + 4
     assert f.eval(2.0, 3.0) == pytest.approx(70.0)
-
-
-def test_binary_diff_s():
-    # d/ds (s^3 + 2 s t^2) = 3 s^2 + 2 t^2
-    f = BinaryForm([0, 2, 0, 1], 3)
-    assert f.diff_s().coeffs == [2, 0, 3]
 
 
 def test_binary_t_valuation_and_divide():
@@ -81,15 +75,25 @@ def test_binary_json_roundtrip_complex():
         BinaryForm.from_json(BinaryForm([1 + 2j, 0, -1j], 2).to_json())
 
 
-def test_binary_gcd_shared_factor():
-    # gcd((s+t)(s-t), (s+t)(s+2t)) is proportional to s+t
+def test_squarefree_parts_of_a_shared_factor():
+    # (s+t)(s-t) * (s+t)(s+2t) = (s+t)^2 (s^2 + s t - 2 t^2)
     common = BinaryForm([1, 1], 1)
-    f = common * BinaryForm([-1, 1], 1)
-    g = common * BinaryForm([2, 1], 1)
-    h = binary_gcd(f, g)
-    assert h.deg == 1
-    # proportionality: h(1, -1) = 0 identifies the root of s + t
-    assert h.eval(-1, 1) == 0 and h.eval(1, 1) != 0
+    f = common * BinaryForm([-1, 1], 1) * common * BinaryForm([2, 1], 1)
+    assert squarefree_parts(f) == (0, [(BinaryForm([-2, 1, 1], 2), 1), (common, 2)])
+    assert squarefree_parts(common) == (0, [(common, 1)])
+
+
+def test_squarefree_parts_reads_t_powers_and_float_coefficients():
+    # 3 t^2 (s - t/2)^2 = 3 s^2 t^2 - 3 s t^3 + 0.75 t^4, written in floats:
+    # a double root at infinity and a double root at s/t = 1/2
+    f = BinaryForm([0.75, -3.0, 3.0, 0.0, 0.0], 4)
+    assert f.field == COMPLEX
+    assert squarefree_parts(f) == (2, [(BinaryForm([Fraction(-1, 2), 1], 1), 2)])
+    s = BinaryForm([0, 1], 1)
+    assert squarefree_parts(s * s * s.scale(Fraction(5, 7))) == (0, [(s, 3)])
+    assert squarefree_parts(BinaryForm([-4, 0, 0], 2)) == (2, [])
+    with pytest.raises(ValueError):
+        squarefree_parts(BinaryForm.zero(3))
 
 
 def test_binary_to_complex():

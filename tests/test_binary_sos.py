@@ -31,7 +31,8 @@ from minsos.binary_sos import (
     roots,
 )
 from minsos.biform import BinaryForm
-from minsos.errors import NotNonnegative, UnpairedRoot, UnsupportedDegree
+from minsos.errors import NotNonnegative, UnsupportedDegree
+from minsos.factorization import SymMatrixPoly, factor
 from minsos.gram import Representation, equivalent, verify_representation
 from minsos.sampling import random_nonneg_binary
 
@@ -90,7 +91,7 @@ def test_two_squares_hand_enumeration():
         ),
     ]
     for target in targets:
-        assert any(equivalent(rep, target, tol=1e-8) for rep in reps)
+        assert any(equivalent(rep, target) for rep in reps)
     for rep in reps:
         assert verify_representation(f, rep) < 1e-10
 
@@ -185,12 +186,23 @@ def test_two_squares_at_degree_ten_calls_equivalent_at_most_once_a_choice(monkey
 
 
 @pytest.mark.parametrize("power", [3, 4])
-def test_a_complex_root_of_multiplicity_three_or_more_is_reported_unpaired(power):
+def test_a_complex_root_of_multiplicity_three_or_more_gives_the_census_psd_count(power):
+    # (s^2 + t^2)^k: pi = (s - i t)^a (s + i t)^(k - a), a = 0..k, one
+    # representation per a up to a <-> k - a, so 2 for k = 3 and 3 for k = 4
+    count = power // 2 + 1
     f = _Q
     for _ in range(power - 1):
         f = f * _Q
-    with pytest.raises(UnpairedRoot, match="cluster radius 1e-06"):
-        enumerate_two_squares(f)
+    rm = roots(f)
+    assert rm.pairs == [(1j, power)] and rm.real_roots == [] and rm.inf_mult == 0
+    assert is_nonnegative(f)
+    reps = enumerate_two_squares(f)
+    assert len(reps) == count == enumerate_rank_two(rm).counts["psd"]
+    for rep in reps:
+        assert verify_representation(f, rep) < 1e-10
+    result = factor(SymMatrixPoly([[f]]))
+    assert result.ncols == 2 and result.warning is None
+    assert result.residual <= 1e-8 * float(f.max_abs_coeff())
 
 
 # ------------------------------------------------------------ rank-2 census

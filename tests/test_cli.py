@@ -245,14 +245,15 @@ def test_gram_space_verify_fails_on_a_bumped_entry(tmp_path, capsys):
     assert _verify_edited(tmp_path, report) == cli.EXIT_INPUT
 
 
-def test_two_squares_on_a_triple_complex_root_exits_three(tmp_path, capsys):
-    # (s^2 + t^2)^3 is nonnegative, but np.roots scatters each triple root
-    # by about 1e-5, beyond the clustering radius, and pairing fails
-    src = tmp_path / "cube.json"
+def test_two_squares_on_a_triple_complex_root_writes_a_report_that_verifies(tmp_path):
+    # (s^2 + t^2)^3: the multiplicity of +-i comes from the exact square-free
+    # decomposition, and the two classes are the census's two psd classes
+    src, out = tmp_path / "cube.json", tmp_path / "out.json"
     src.write_text(json.dumps(BinaryForm([1, 0, 3, 0, 3, 0, 1], 6).to_json()))
-    assert cli.main(["two-squares", str(src)]) == cli.EXIT_SOLVER
-    err = capsys.readouterr().err
-    assert err.startswith("solver failure: ") and "cluster radius 1e-06" in err
+    assert cli.main(["two-squares", str(src), "--json-out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["verify", str(out)]) == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    assert len(report["representations"]) == report["census"]["counts"]["psd"] == 2
 
 
 @pytest.mark.parametrize(

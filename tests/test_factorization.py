@@ -150,6 +150,20 @@ def test_rank_reduction_failure_raises_and_factor_warns(monkeypatch, stall):
     assert result.residual <= 1e-8 * max(1.0, A.max_abs_coeff())
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="rank_reduce stalls at rank 4 on this diagonal matrix and emits four "
+    "columns with the rank-reduction warning (residual 4.4e-16)",
+)
+def test_factor_of_a_diagonal_matrix_reaches_three_columns():
+    # rows (s, t, 0) and (t, -s, s) factor diag(s^2 + t^2, 2 s^2 + t^2)
+    zero = BinaryForm.zero(2)
+    A = SymMatrixPoly([[BinaryForm([1, 0, 1]), zero], [zero, BinaryForm([1, 0, 2])]])
+    result = factor(A)
+    assert result.residual <= 1e-8 * max(1.0, A.max_abs_coeff())
+    assert result.ncols == 3 and result.warning is None
+
+
 def test_rank_reduction_of_a_draw_with_n_dyads():
     # n dyads may give rank n, padded with a zero column to n+1
     A, _ = random_dyad_matrix((1, 1, 1), seed=19, ncols=3)

@@ -1,13 +1,14 @@
-"""Properties checked on random inputs: form and certificate JSON."""
+"""Properties checked on random inputs: form and certificate JSON, root multiplicities."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minsos.biform import BinaryForm, TermPoly
-from minsos.binary_sos import rnc_basis
+from minsos.biform import BinaryForm, TermPoly, squarefree_parts
+from minsos.binary_sos import rnc_basis, roots
 from minsos.gram import Representation
 from minsos.surfaces import MonomialBasis
 
@@ -97,3 +98,68 @@ def test_exact_representation_with_float_coefficients_is_rejected():
     data["exact"] = True
     with pytest.raises(ValueError):
         Representation.from_json(data)
+
+
+multiplicities = st.integers(1, 4)
+
+
+@st.composite
+def factored_forms(draw):
+    """lead * t^m * s^k * prod (s - r t)^k * prod (s^2 + a s t + b t^2)^k, b > a^2 / 4.
+
+    Returns the form, m and the (factor, k) list; the roots r are distinct
+    and nonzero and the quadratics distinct, so the factors are coprime.
+    """
+    nonzero = st.fractions(-5, 5, max_denominator=6).filter(lambda r: r != 0)
+    reals = draw(st.lists(st.tuples(nonzero, multiplicities), max_size=3,
+                          unique_by=lambda rk: rk[0]))
+    quads = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 5), multiplicities),
+                          max_size=2, unique_by=lambda abk: abk[:2]))
+    factors = [(BinaryForm([-r, 1], 1), k) for r, k in reals]
+    factors += [(BinaryForm([a * a // 4 + b, a, 1], 2), k) for a, b, k in quads]
+    if draw(st.booleans()):
+        factors.append((BinaryForm([0, 1], 1), draw(multiplicities)))  # s
+    m = draw(st.integers(0, 4))
+    f = BinaryForm([draw(rationals.filter(lambda c: c != 0))] + [0] * m, m)
+    for factor, k in factors:
+        for _ in range(k):
+            f = f * factor
+    return f, m, factors
+
+
+def _root_mults(values):
+    """(value, multiplicity) sorted by real part, then imaginary part, to 6 places."""
+    return sorted(values, key=lambda vk: (round(vk[0].real, 6), round(vk[0].imag, 6)))
+
+
+@SETTINGS
+@given(factored_forms())
+def test_squarefree_parts_and_roots_report_the_built_multiplicities(drawn):
+    f, m, factors = drawn
+    inf_mult, parts = squarefree_parts(f)
+    assert inf_mult == m
+    rebuilt = BinaryForm([f.coeffs[f.s_degree()]] + [0] * m, m)
+    for part, k in parts:
+        assert squarefree_parts(part) == (0, [(part, 1)])
+        for _ in range(k):
+            rebuilt = rebuilt * part
+    assert rebuilt == f
+    # part k is the product of the factors built with multiplicity k
+    want = {}
+    for factor, k in factors:
+        want[k] = want[k] * factor if k in want else factor
+    assert parts == [(want[k], k) for k in sorted(want)]
+    # roots: each factor's roots carry the multiplicity it was built with
+    real, pairs = [], []
+    for factor, k in factors:
+        if factor.deg == 1:
+            real.append((complex(-factor.coeffs[0]), k))
+        else:
+            b, a, _ = factor.coeffs
+            pairs.append((complex(-a / 2, np.sqrt(float(b - a * a / 4))), k))
+    rm = roots(f)
+    assert rm.inf_mult == m
+    for got, built in ((rm.real_roots, real), (rm.pairs, pairs)):
+        got, built = _root_mults(got), _root_mults(built)
+        assert [k for _, k in got] == [k for _, k in built]
+        assert [v for v, _ in got] == pytest.approx([v for v, _ in built], abs=1e-9)

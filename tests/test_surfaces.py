@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from minsos import surfaces
+from minsos.binary_sos import roots
 from minsos.biform import RATIONAL, BinaryForm, TermPoly
 from minsos.cones import enumerate_cone
 from minsos.enumerator import enumerate_rank
@@ -26,7 +27,6 @@ from minsos.surfaces import (
     discriminant,
     genericity_check,
     monomial_basis,
-    projective_roots,
     quadratic_form_blocks,
     scroll,
     veronese,
@@ -211,44 +211,38 @@ def test_discriminant_nonpositive_on_reals_for_psd():
 
 def test_projective_roots_vs_numpy():
     # (s - t)(s - 2t)(s + 3t): roots 1, 2, -3
-    f = BinaryForm([1, 1], 1)
-    g = (
-        BinaryForm([-1, 1], 1)
-        * BinaryForm([-2, 1], 1)
-        * BinaryForm([3, 1], 1)
-    )
-    roots = projective_roots(g)
-    vals = sorted(r.real for r, _ in roots)
-    assert vals == pytest.approx([-3.0, 1.0, 2.0], abs=1e-10)
-    assert all(m == 1 for _, m in roots)
+    g = BinaryForm([-1, 1], 1) * BinaryForm([-2, 1], 1) * BinaryForm([3, 1], 1)
+    rm = roots(g)
+    values = [value.real for value, _ in rm.real_roots]
+    assert values == pytest.approx([-3.0, 1.0, 2.0], abs=1e-10)
+    assert all(mult == 1 for _, mult in rm.real_roots)
+    assert rm.pairs == [] and rm.inf_mult == 0
 
 
 def test_projective_roots_at_infinity():
     # t^2 (s - t): double root at infinity plus s/t = 1
-    g = BinaryForm([-1, 1], 1) * BinaryForm([1, 0, 0], 2)
-    roots = dict(projective_roots(g))
-    assert roots["inf"] == 2
-    finite = [r for r in roots if r != "inf"]
-    assert len(finite) == 1 and abs(finite[0] - 1.0) < 1e-10
+    rm = roots(BinaryForm([-1, 1], 1) * BinaryForm([1, 0, 0], 2))
+    assert rm.inf_mult == 2
+    assert len(rm.real_roots) == 1 and abs(rm.real_roots[0][0] - 1.0) < 1e-10
 
 
-def test_projective_roots_multiplicity_clustering():
-    # (s - t)^3: one triple root
+def test_projective_roots_of_a_triple_root():
+    # (s - t)^3: one triple root, exact to the last bit, with no radius to set
     g = BinaryForm([-1, 1], 1)
-    cube = g * g * g
-    roots = projective_roots(cube, cluster_radius=1e-4)
-    assert len(roots) == 1
-    root, mult = roots[0]
-    assert mult == 3 and abs(root - 1.0) < 1e-4
+    rm = roots(g * g * g)
+    assert rm.real_roots == [(1.0, 3)] and rm.pairs == []
 
 
 def test_binary_squarefree_exact_and_numeric():
     sq = BinaryForm([-1, 1], 1) * BinaryForm([-1, 1], 1)
     assert not binary_squarefree(sq)
     assert binary_squarefree(BinaryForm([-2, 1], 1) * BinaryForm([5, 1], 1))
-    # a pure power of s has a vanishing t-partial
+    # 3 s^2: a double root at s/t = 0
     assert not binary_squarefree(BinaryForm([0, 0, 3], 2))
     assert binary_squarefree(BinaryForm([0, 1], 1))
+    # a double root at infinity: t^2 (s - t)
+    assert not binary_squarefree(BinaryForm([-1, 1, 0, 0], 3))
+    assert binary_squarefree(BinaryForm([0, 1, 0], 2))  # s t
 
 
 # ----------------------------------------------------------------- genericity
