@@ -186,7 +186,9 @@ def test_two_squares_at_degree_ten_calls_equivalent_at_most_once_a_choice(monkey
 
 
 @pytest.mark.parametrize("power", [3, 4])
-def test_a_complex_root_of_multiplicity_three_or_more_gives_the_census_psd_count(power):
+def test_a_complex_root_of_multiplicity_three_or_more_is_reported_unpaired(power):
+    # The id is older than the exact multiplicities: (s^2 + t^2)^k raised
+    # UnpairedRoot then, and now pairs and gives the census psd count.
     # (s^2 + t^2)^k: pi = (s - i t)^a (s + i t)^(k - a), a = 0..k, one
     # representation per a up to a <-> k - a, so 2 for k = 3 and 3 for k = 4
     count = power // 2 + 1
