@@ -243,8 +243,11 @@ def _dedup(reps):
     return kept
 
 
-def enumerate_two_squares(f):
+def enumerate_two_squares(f, rm=None):
     """All inequivalent representations f = p^2 + q^2 of a nonnegative form.
+
+    rm is the root multiset of f as roots(f) gives it, when the caller
+    already holds it; it is computed here otherwise.
 
     Returns Representations over the basis s^i t^(d-i) with two vectors
     (p, q) each, deduplicated by the canonical Gram matrix.  Multiplicities
@@ -261,7 +264,8 @@ def enumerate_two_squares(f):
     """
     if f.is_zero():
         raise ValueError("the zero form has degenerate representations")
-    rm = roots(f)
+    if rm is None:
+        rm = roots(f)
     if not _nonnegative(rm):
         raise NotNonnegative("the form takes negative values")
     half_real = [(value, mult // 2) for value, mult in rm.real_roots]

@@ -228,8 +228,9 @@ def cmd_two_squares(args):
     form = load_form(args.form)
     if not isinstance(form, BinaryForm):
         raise ValueError("two-squares expects a binary form JSON (deg + coeffs)")
-    reps = enumerate_two_squares(form)
-    census = enumerate_rank_two(roots(form))
+    rm = roots(form)
+    reps = enumerate_two_squares(form, rm)
+    census = enumerate_rank_two(rm)
     print(
         "%d inequivalent two-squares representations (census: %s)"
         % (len(reps), census.counts)

@@ -145,7 +145,7 @@ def enumerate_cone(f, spec):
     notes.extend(report.notes)
     expected = expected_counts(spec)
     if counts["psd"] != 0:
-        two_sq = enumerate_two_squares(g)
+        two_sq = enumerate_two_squares(g, rm)
         if len(two_sq) != counts["psd"]:
             notes.append(
                 "two-squares census mismatch: %d vs %d psd classes"

@@ -1,8 +1,15 @@
 """Predictor-corrector path tracking for square polynomial systems.
 
 Tracks the total-degree homotopy H(x, t) = (1-t) * gamma * S(x) + t * F(x)
-with start system S_i(x) = x_i^(d_i) - 1 from t = 0 to t = 1, using an Euler
-predictor and a Newton corrector with adaptive step control.
+with start system S_i(x) = x_i^(d_i) - 1 from t = 0 to t = 1, using a cubic
+Hermite predictor and a Newton corrector with adaptive step control.
+
+The predictor needs no evaluation beyond the tangent v = -Hx^-1 Ht that
+each step solves for at its current point (t, x).  It extrapolates the cubic
+through that point and the path's last accepted point (t_p, x_p, v_p), with
+the tangents of both, to t + h.  A path with no accepted step yet takes the
+tangent step x + h v, and so does a path whose cubic strays from the
+tangent step by more than that step's length.
 
 All equations of the target system share one monomial table, which also
 holds every monomial of their first partial derivatives.  At P points, a
@@ -190,16 +197,51 @@ def _stalled(x):
     )
 
 
+def _predict(x_p, v_p, x, v, h0, h):
+    """Cubic Hermite extrapolation of each path from t to t + h.
+
+    Rows of x_p, v_p (P, k) are the last accepted points and their tangents,
+    at h0 (P,) = t - t_p before the current points x with tangents v; h (P,)
+    is the step.  The cubic through both points with both tangents is read
+    at s = 1 + h / h0 of the interval [t_p, t].
+
+    A row takes the tangent step x + h v instead when it has no accepted
+    step yet (h0 = 0), or when the cubic departs from the tangent step by
+    more than the tangent step itself moves (max norm).  The higher-order
+    terms then outweigh the first-order one, as where the path turns
+    sharply within a step, and the extrapolated point can sit in the
+    Newton basin of another path.
+    """
+    first = h0 == 0.0
+    h0 = np.where(first, 1.0, h0)
+    s = 1.0 + h / h0
+    s2 = s * s
+    s3 = s2 * s
+    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
+    h10 = (s3 - 2.0 * s2 + s) * h0
+    h01 = 3.0 * s2 - 2.0 * s3
+    h11 = (s3 - s2) * h0
+    cubic = h00[:, None] * x_p + h10[:, None] * v_p + h01[:, None] * x + h11[:, None] * v
+    step = h[:, None] * v
+    tangent = x + step
+    trust = ~first & (np.abs(cubic - tangent).max(axis=1) <= np.abs(step).max(axis=1))
+    return np.where(trust[:, None], cubic, tangent)
+
+
 def track_all(system, gamma):
     """Track every start point of the total-degree homotopy.
 
     The start points are system.start_points(), the roots of unity of the
     start system.  Returns (endpoints, statuses, steps) arrays indexed by
     path.  All paths advance together, one predictor-corrector step per
-    iteration; a path leaves the active set when it reaches t = 1, diverges
-    past DIVERGENCE_CUTOFF, or stalls (MAX_STEPS steps, or a step size below
-    H_MIN).  Converged endpoints are then polished together on the target
-    system.
+    iteration.  Each step predicts by _predict, the cubic Hermite
+    extrapolation from the path's last accepted point and its current one
+    (the tangent step until a step is accepted, or where the cubic strays
+    from it), and corrects by Newton at t + h; an accepted step makes the
+    current point the last accepted one.  A path leaves the active set when
+    it reaches t = 1, diverges past DIVERGENCE_CUTOFF, or stalls (MAX_STEPS
+    steps, or a step size below H_MIN).  Converged endpoints are then
+    polished together on the target system.
     """
     gamma = complex(gamma)
     out_x = system.start_points()
@@ -211,26 +253,35 @@ def track_all(system, gamma):
     x = out_x.copy()
     t = np.zeros(paths)
     h = np.full(paths, H_INIT)
+    # last accepted point of each path; t_p = t until a step is accepted
+    t_p = t.copy()
+    x_p = np.zeros_like(x)
+    v_p = np.zeros_like(x)
     consec = np.zeros(paths, dtype=np.int64)
     steps = np.zeros(paths, dtype=np.int64)
     while idx.size:
         steps += 1
         hstep = np.minimum(h, 1.0 - t)
-        # Euler predictor: dx/dt = -Hx^{-1} Ht with Ht = F - gamma * S
+        # tangent dx/dt = -Hx^{-1} Ht with Ht = F - gamma * S
         _H, Hx, Ht = _homotopy(system, gamma, x, t)
         dx, solved = _solve(Hx, Ht)
+        v = -dx
         sel = np.nonzero(solved)[0]
         ok, xtrial = _newton(
             system,
             gamma,
-            x[sel] - hstep[sel, None] * dx[sel],
+            _predict(x_p[sel], v_p[sel], x[sel], v[sel], t[sel] - t_p[sel], hstep[sel]),
             t[sel] + hstep[sel],
             NEWTON_ITERS,
             NEWTON_TOL,
         )
         accepted = np.zeros(idx.size, dtype=bool)
         accepted[sel] = ok
-        x[sel[ok]] = xtrial[ok]
+        moved = sel[ok]
+        x_p[moved] = x[moved]
+        v_p[moved] = v[moved]
+        x[moved] = xtrial[ok]
+        t_p = np.where(accepted, t, t_p)
         t = np.where(accepted, t + hstep, t)
         consec = np.where(accepted, consec + 1, 0)
         grow = consec >= 2
@@ -248,6 +299,7 @@ def track_all(system, gamma):
             out_status[idx[stalled]] = _stalled(x[stalled])
             keep = ~ended
             idx, x, t, h = idx[keep], x[keep], t[keep], h[keep]
+            t_p, x_p, v_p = t_p[keep], x_p[keep], v_p[keep]
             consec, steps = consec[keep], steps[keep]
     # endpoint polish on the target system alone (t = 1)
     done = np.nonzero(out_status == STATUS_CONVERGED)[0]

@@ -139,7 +139,7 @@ def test_enumerate_cone_notes_two_squares_mismatch(monkeypatch):
     f = _cone_form(3, seed=2)
     assert not any("mismatch" in note for note in enumerate_cone(f, cone_rnc(3)).notes)
     real_census = cones.enumerate_two_squares
-    monkeypatch.setattr(cones, "enumerate_two_squares", lambda g: real_census(g)[1:])
+    monkeypatch.setattr(cones, "enumerate_two_squares", lambda g, rm: real_census(g, rm)[1:])
     report = enumerate_cone(f, cone_rnc(3))
     assert "two-squares census mismatch: 3 vs 4 psd classes" in report.notes
 

@@ -10,7 +10,10 @@ import itertools
 import numpy as np
 import pytest
 
-from minsos import tracking
+from minsos import enumerator, tracking
+from minsos.gram import build_gram_space
+from minsos.sampling import random_positive_form
+from minsos.surfaces import scroll
 from minsos.tracking import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
@@ -263,8 +266,28 @@ def _reference_track(polys, k, gamma):
             return STATUS_DIVERGED
         return STATUS_FAILED
 
+    def predict(prev, t, x, v, h):
+        """Cubic Hermite through the last accepted point and the current one,
+        unless it strays from the tangent step by more than that step."""
+        tangent = x + h * v
+        if prev is None:
+            return tangent
+        t_p, x_p, v_p = prev
+        h0 = t - t_p
+        s = 1.0 + h / h0
+        cubic = (
+            (2 * s**3 - 3 * s**2 + 1) * x_p
+            + (s**3 - 2 * s**2 + s) * h0 * v_p
+            + (3 * s**2 - 2 * s**3) * x
+            + (s**3 - s**2) * h0 * v
+        )
+        if np.abs(cubic - tangent).max() > np.abs(h * v).max():
+            return tangent
+        return cubic
+
     def track(x):
         t, h, consec, steps = 0.0, tracking.H_INIT, 0, 0
+        prev = None
         while t < 1.0:
             if steps >= tracking.MAX_STEPS:
                 return stalled(x), steps, x
@@ -272,14 +295,18 @@ def _reference_track(polys, k, gamma):
             hstep = min(h, 1.0 - t)
             _H, Hx, Ht = homotopy(x, t)
             try:
-                dx = np.linalg.solve(Hx, Ht)
+                v = -np.linalg.solve(Hx, Ht)
             except np.linalg.LinAlgError:
                 ok = False
             else:
                 ok, xtrial = newton(
-                    x - hstep * dx, t + hstep, tracking.NEWTON_ITERS, tracking.NEWTON_TOL
+                    predict(prev, t, x, v, hstep),
+                    t + hstep,
+                    tracking.NEWTON_ITERS,
+                    tracking.NEWTON_TOL,
                 )
             if ok:
+                prev = (t, x, v)
                 t += hstep
                 x = xtrial
                 if np.abs(x).max() > tracking.DIVERGENCE_CUTOFF:
@@ -320,6 +347,91 @@ def test_batched_tracker_matches_serial_reference(k, deg, angle):
     conv = statuses == STATUS_CONVERGED
     assert conv.sum() == deg**k
     np.testing.assert_allclose(endpoints[conv], ref_x[conv], rtol=1e-10, atol=1e-10)
+
+
+# ----------------------------------------------------------------- predictor
+
+
+def test_predictor_reproduces_cubic_paths():
+    # the Hermite cubic through two points of a cubic x(t) with its
+    # derivatives there is x(t) itself, at any step and interval length
+    # over which the cubic stays near its tangent line
+    rng = np.random.default_rng(5)
+    P, k = 6, 3
+    coef = rng.standard_normal((4, P, k)) + 1j * rng.standard_normal((4, P, k))
+    coef[2:] *= 0.1
+
+    def x(t):
+        return sum(coef[j] * t[:, None] ** j for j in range(4))
+
+    def dx(t):
+        return sum(j * coef[j] * t[:, None] ** (j - 1) for j in range(1, 4))
+
+    t_p = rng.uniform(0.0, 0.5, P)
+    t = t_p + rng.uniform(0.01, 0.2, P)
+    h = rng.uniform(0.01, 0.4, P)
+    pred = tracking._predict(x(t_p), dx(t_p), x(t), dx(t), t - t_p, h)
+    np.testing.assert_allclose(pred, x(t + h), rtol=1e-12, atol=1e-12)
+
+
+def test_predictor_without_accepted_step_takes_tangent_step():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    h = np.array([0.1, 0.05, 0.25, 1e-3])
+    h0 = np.array([0.0, 0.1, 0.0, 0.2])
+    # the last accepted point of a path without one is never read
+    x_p = np.where(h0[:, None] == 0.0, np.nan, x - h0[:, None] * v)
+    pred = tracking._predict(x_p, v, x, v, h0, h)
+    np.testing.assert_allclose(pred, x + h[:, None] * v, rtol=1e-12)
+    first = h0 == 0.0
+    assert np.array_equal(pred[first], x[first] + h[first, None] * v[first])
+
+
+def test_predictor_falls_back_to_tangent_step_at_a_sharp_turn():
+    # x(t) = t + c t^3 bends away from its tangent line within one step when
+    # c is large; the cubic is then dropped for the tangent step
+    t_p, t, h = np.array([0.0, 0.0]), np.array([0.1, 0.1]), np.array([0.2, 0.2])
+    c = np.array([1.0, 1e3])
+    x = (t + c * t**3)[:, None] + 0j
+    v = (1.0 + 3.0 * c * t**2)[:, None] + 0j
+    x_p = (t_p + c * t_p**3)[:, None] + 0j
+    v_p = (1.0 + 3.0 * c * t_p**2)[:, None] + 0j
+    pred = tracking._predict(x_p, v_p, x, v, t - t_p, h)
+    s = t + h
+    np.testing.assert_allclose(pred[0, 0], s[0] + c[0] * s[0] ** 3, rtol=1e-12)
+    np.testing.assert_allclose(pred[1, 0], x[1, 0] + h[1] * v[1, 0], rtol=1e-12)
+
+
+def test_step_budget_on_scroll21_form(monkeypatch):
+    # a predictor regression would keep every count right and only cost
+    # steps: the Hermite predictor takes at most 166 steps on a path of this
+    # form (the Euler predictor took 262), with the same statuses
+    spec = scroll(2, 1)
+    space = build_gram_space(random_positive_form(spec, seed=0), spec)
+    runs = []
+
+    def recording(system, gamma):
+        runs.append(track_all(system, gamma))
+        return runs[-1]
+
+    monkeypatch.setattr(enumerator, "track_all", recording)
+    enumerator.enumerate_rank(space, 3, seed=0)
+    _x, statuses, steps = runs[0]
+    assert np.bincount(statuses, minlength=3).tolist() == [60, 4, 0]
+    assert steps.max() <= 190
+
+
+def test_sharp_turn_guard_keeps_every_solution():
+    # on this form an unguarded cubic extrapolation moves a path that ends at
+    # a solution onto another path, and the count drops to 15 with no second
+    # sweep to recover it; the tangent fallback at sharp turns keeps all 16
+    spec = scroll(2, 1)
+    space = build_gram_space(random_positive_form(spec, seed=1195), spec)
+    report = enumerator.enumerate_rank(space, 3, seed=1195)
+    assert report.counts["complex"] == 16
+    assert report.path_stats["converged"] == 60
+    assert not report.path_stats["secondSweep"]
 
 
 # -------------------------------------------------------------------- polish
