@@ -64,15 +64,24 @@ class RootMultiset:
         return out
 
 
-def _polish_root(poly, dpoly, r):
+def _polish_roots(poly, dpoly, r):
+    """Newton-polish all roots r of poly together; returns the polished array.
+
+    Each root runs up to four steps and stops on its own: before a step
+    where the derivative vanishes, or after a step below 1e-15 of its size.
+    """
+    r = np.array(r, dtype=np.complex128)
+    live = np.arange(len(r))
     for _ in range(4):
-        d = np.polyval(dpoly, r)
-        if d == 0:
+        d = np.polyval(dpoly, r[live])
+        live, d = live[d != 0], d[d != 0]
+        if not live.size:
             break
-        step = np.polyval(poly, r) / d
-        r = r - step
-        if abs(step) <= 1e-15 * (1.0 + abs(r)):
-            break
+        step = np.polyval(poly, r[live]) / d
+        rl = r[live] - step
+        r[live] = rl
+        # NaN fails the test and runs on, as a scalar loop would
+        live = live[~(np.abs(step) <= 1e-15 * (1.0 + np.abs(rl)))]
     return r
 
 
@@ -97,7 +106,8 @@ def roots(f):
         # lead * part has the coefficients of f when f is square-free
         poly = np.array([complex(lead * c) for c in reversed(part.coeffs)])
         dpoly = np.polyder(poly.real)
-        finite += [(complex(_polish_root(poly.real, dpoly, r)), mult) for r in np.roots(poly)]
+        polished = _polish_roots(poly.real, dpoly, np.roots(poly))
+        finite += [(complex(r), mult) for r in polished]
     scale = max([1.0] + [abs(r) for r, _ in finite])
     real_roots = []
     rest = []

@@ -142,20 +142,30 @@ class MinorSystem:
     def k(self):
         return self.space.kdim
 
-    def _monomial_values(self, theta):
-        theta = np.asarray(theta, dtype=np.complex128)
-        return np.prod(theta[None, :] ** self.mono_exps, axis=1)
+    def residuals(self, thetas):
+        """max |minor| at each row of thetas (P, k), relative to the scale of
+        G(theta) raised to the minor size.
 
-    def minor_values(self, theta):
-        """All minors evaluated at theta (complex vector)."""
-        return self.minors @ self._monomial_values(theta)
-
-    def residual(self, theta):
-        """max |minor| relative to the matrix scale raised to the minor size."""
-        vals = self.minor_values(theta)
-        G = self.space.gram_at(np.asarray(theta, dtype=np.complex128))
-        scale = max(1.0, float(np.max(np.abs(G)))) ** (self.rank + 1)
-        return float(np.max(np.abs(vals))) / scale
+        The rows go through one product per block.  A block holds as many
+        points as there are monomials, so its minor values take no more
+        memory than the minor table itself.
+        """
+        thetas = np.asarray(thetas, dtype=np.complex128)
+        out = np.empty(len(thetas))
+        block = len(self.mono_exps)
+        kernel = self.space.kernel_f.reshape(self.k, -1)
+        G0 = self.space.G0_f.reshape(-1)
+        for lo in range(0, len(thetas), block):
+            theta = thetas[lo : lo + block]
+            mono = np.prod(theta[:, None, :] ** self.mono_exps, axis=2)
+            # the minors are real: the real and imaginary parts of the
+            # monomials go through one real product
+            vals = np.concatenate([mono.real, mono.imag]) @ self.minors.T
+            G = G0 + theta @ kernel
+            scale = np.maximum(1.0, np.abs(G).max(axis=1)) ** (self.rank + 1)
+            n = len(theta)
+            out[lo : lo + n] = np.hypot(vals[:n], vals[n:]).max(axis=1) / scale
+        return out
 
     def poly_system(self):
         polys = []
@@ -260,15 +270,12 @@ def _canonical_key(point):
 
 def _validate(system, block, sweep_id):
     """Endpoints whose minors all vanish, as (point, residual, sweep_id)."""
-    survivors = []
-    junk = 0
-    for point in block:
-        resid = system.residual(point)
-        if resid <= RESIDUAL_TOL:
-            survivors.append((point.copy(), resid, sweep_id))
-        else:
-            junk += 1
-    return survivors, junk
+    resid = system.residuals(block)
+    good = resid <= RESIDUAL_TOL
+    survivors = [
+        (point, float(r), sweep_id) for point, r in zip(block[good], resid[good])
+    ]
+    return survivors, int(len(block) - good.sum())
 
 
 def _cluster(survivors):
@@ -302,11 +309,12 @@ def solve(system, seed=0):
     deterministic function of (system, seed).  Points within REAL_TOL of the
     real locus are re-polished from their real parts and stored real.
 
-    When paths fail other than by stalling on their escape to infinity, or
-    two validated endpoints of the first sweep fall in one cluster, one more
-    sweep runs with an independent gamma: the solution set does not depend
-    on gamma, so the union of validated endpoints can only recover what the
-    first sweep lost.
+    When paths fail other than by stalling on their escape to infinity, two
+    validated endpoints of the first sweep fall in one cluster, or its
+    clusters fall short of the surface's generic complex count (rank 3),
+    one more sweep runs with an independent gamma: the solution set does
+    not depend on gamma, so the union of validated endpoints can only
+    recover what the first sweep lost.
 
     Raises PathFailureBudgetExceeded when more than FAIL_BUDGET of the
     non-diverging paths fail to converge.
@@ -324,20 +332,23 @@ def solve(system, seed=0):
         raise PathFailureBudgetExceeded(failed, total)
     # stalled paths that sit at a large parameter norm with vanishing minors
     # are escaping toward solutions at infinity of the affine chart
-    escaping = 0
-    escape_norm = 0.0
-    for i in np.nonzero(statuses == STATUS_FAILED)[0]:
-        norm = float(np.max(np.abs(endpoints[i])))
-        if norm > 1e3 and system.residual(endpoints[i]) <= 1e-4:
-            escaping += 1
-            escape_norm = max(escape_norm, norm)
+    stalled = endpoints[statuses == STATUS_FAILED]
+    norm = np.abs(stalled).max(axis=1, initial=0.0)
+    far = norm > 1e3
+    norm = norm[far][system.residuals(stalled[far]) <= 1e-4]
+    escaping = len(norm)
+    escape_norm = float(norm.max(initial=0.0))
     survivors, junk = _validate(system, endpoints[statuses == STATUS_CONVERGED], 0)
     clusters = _cluster(survivors)
     # two paths on one solution means a path jumped and another solution
     # may be lost; an independent gamma sends the paths along other routes
     collided = any(counts[0] > 1 for _, _, counts in clusters)
+    # a path that jumps onto one running to infinity leaves no other trace
+    # than a solution short of the generic count, where that count is known
+    expected = expected_counts(system.space.surface) if system.rank == 3 else None
+    short = expected is not None and len(clusters) < expected["complex"]
     # an escaping path heads to a solution at infinity, which no sweep keeps
-    second_sweep = failed - escaping > 0 or collided
+    second_sweep = failed - escaping > 0 or collided or short
     if second_sweep:
         e2, s2, _steps = track_all(psys, gamma2)
         more, junk2 = _validate(system, e2[s2 == STATUS_CONVERGED], 1)
@@ -362,7 +373,7 @@ def solve(system, seed=0):
             realized = polished.real.astype(np.complex128)
             if not np.all(np.isfinite(realized)):
                 realized = candidate
-            real_resid = system.residual(realized)
+            real_resid = float(system.residuals(realized[None])[0])
             if real_resid <= RESIDUAL_TOL:
                 rep = realized
                 resid = real_resid

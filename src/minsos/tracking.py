@@ -4,26 +4,31 @@ Tracks the total-degree homotopy H(x, t) = (1-t) * gamma * S(x) + t * F(x)
 with start system S_i(x) = x_i^(d_i) - 1 from t = 0 to t = 1, using a cubic
 Hermite predictor and a Newton corrector with adaptive step control.
 
-The predictor needs no evaluation beyond the tangent v = -Hx^-1 Ht that
-each step solves for at its current point (t, x).  It extrapolates the cubic
-through that point and the path's last accepted point (t_p, x_p, v_p), with
-the tangents of both, to t + h.  A path with no accepted step yet takes the
-tangent step x + h v, and so does a path whose cubic strays from the
+Each Newton iteration solves Hx [dx, y] = [H, Ht] for both right-hand
+sides at once, so the corrector also returns the tangent v = -y = dx/dt
+of its last iteration.  The tangent of a path is solved for once, at its
+start point; after that an accepted step takes the tangent its corrector
+returned, and a rejected step keeps the tangent it had, since its point
+has not moved.  The predictor extrapolates the cubic through the current
+point (t, x, v) and the path's last accepted point (t_p, x_p, v_p), with
+the tangents of both, to t + h.  A path with no accepted step yet takes
+the tangent step x + h v, and so does a path whose cubic strays from the
 tangent step by more than that step's length.
 
 All equations of the target system share one monomial table, which also
 holds every monomial of their first partial derivatives.  At P points, a
 table of the powers x_v^e is built by repeated multiplication, each
-monomial value is a product of one gathered power per variable, and F and
-the Jacobian are one matrix product with the stacked coefficients.
+monomial value is a product of one gathered power per variable, and the
+Jacobian with F as an extra column is one matrix product with the stacked
+coefficients.  The start system is read off the same power table by one
+gather, so H, Hx and Ht cost one product.
 
 The path is the batch axis: every path of a homotopy advances in one array
 step.  Each path keeps its own t, step size, step count and status; the
-predictor solve and the Newton corrector run on the stacked Jacobians, and
-accept or reject, step-size change and every stopping rule are applied per
-path by masks, by the rules of a tracker that follows one path at a time.
-Finished paths leave the active set, so a step costs what the paths still
-running cost.
+Newton corrector runs on the stacked Jacobians, and accept or reject,
+step-size change and every stopping rule are applied per path by masks,
+by the rules of a tracker that follows one path at a time.  Finished paths
+leave the active set, so a step costs what the paths still running cost.
 """
 
 from __future__ import annotations
@@ -57,9 +62,10 @@ class PolySystem:
     Coefficients are stored densely over one monomial table that holds the
     union support and every first derivative of it: C[i, j] is the
     coefficient of monomial exps[j] in equation i, and D[i, v, j] is the
-    coefficient of monomial exps[j] in dF_i/dx_v.  Both are kept stacked as
-    _CD, so F and the flattened J at P points are one product of _CD with
-    the (monomials, P) table of monomial values.
+    coefficient of monomial exps[j] in dF_i/dx_v.  They are kept stacked
+    as _JF, row i * (k + 1) + v holding D[i, v] and row i * (k + 1) + k
+    holding C[i], so the Jacobian with F as its last column, at P points,
+    is one product of _JF with the (monomials, P) table of monomial values.
     """
 
     def __init__(self, polys, k):
@@ -76,23 +82,28 @@ class PolySystem:
                         support.add(_lower(expo, v))
         monos = sorted(support)
         index = {expo: j for j, expo in enumerate(monos)}
-        C = np.zeros((k, len(monos)), dtype=np.complex128)
-        D = np.zeros((k, k, len(monos)), dtype=np.complex128)
+        JF = np.zeros((k, k + 1, len(monos)), dtype=np.complex128)
         for i, poly in enumerate(polys):
             for expo, coeff in poly.items():
-                C[i, index[expo]] = complex(coeff)
+                JF[i, k, index[expo]] = complex(coeff)
                 for v in range(k):
                     if expo[v]:
-                        D[i, v, index[_lower(expo, v)]] += expo[v] * complex(coeff)
+                        JF[i, v, index[_lower(expo, v)]] += expo[v] * complex(coeff)
         self.exps = np.array(monos, dtype=np.int64)
-        self._CD = np.concatenate([C, D.reshape(k * k, -1)])
+        self._JF = JF.reshape(k * (k + 1), -1)
         self.degrees = np.array(
             [max((sum(e) for e in poly), default=0) for poly in polys],
             dtype=np.int64,
         )
         # highest power of one variable needed by F, J and the start system
         self.top = int(max(self.degrees.max(initial=0), self.exps.max(initial=0)))
-        self._vars = np.arange(k)
+        # rows of the flattened (k * (top + 1), P) power table: the powers
+        # x_v^e that make up each monomial, then x_v^d_v and x_v^(d_v - 1)
+        row = np.arange(k) * (self.top + 1)
+        self._mono_rows = self.exps + row
+        self._start_rows = np.concatenate(
+            [row + self.degrees, row + np.maximum(self.degrees - 1, 0)]
+        )
 
     def start_points(self):
         """All tuples of d_i-th roots of unity, as a (paths, k) array."""
@@ -105,24 +116,27 @@ class PolySystem:
 
     def evaluate(self, x):
         """F(x) for a single point."""
-        return self._eval_FJ(np.asarray(x, dtype=np.complex128)[None])[1][0]
+        return self._eval_JF(np.asarray(x, dtype=np.complex128)[None])[1][0, :, -1]
 
-    def _eval_FJ(self, x):
-        """(powers, F, J) at the rows of x (P, k); powers[v, e, p] = x[p, v]^e.
+    def _eval_JF(self, x):
+        """(powers, JF) at the rows of x (P, k).
 
-        The point index runs last in powers and in the monomial table, so
-        each product and gather works on whole rows of P values.
+        powers (k * (top + 1), P) holds x[p, v]^e in row v * (top + 1) + e;
+        JF[p] (k, k + 1) is the Jacobian at x[p] with F(x[p]) as its last
+        column.  The point index runs last in powers and in the monomial
+        table, so each product and gather works on whole rows of P values.
         """
-        xT = x.T
-        powers = np.empty((self.k, self.top + 1, len(x)), dtype=np.complex128)
+        P = len(x)
+        powers = np.empty((self.k, self.top + 1, P), dtype=np.complex128)
         powers[:, 0] = 1.0
+        xT = x.T
         for e in range(1, self.top + 1):
             np.multiply(powers[:, e - 1], xT, out=powers[:, e])
-        mono = powers[0, self.exps[:, 0]]
+        powers = powers.reshape(self.k * (self.top + 1), P)
+        mono = powers.take(self._mono_rows[:, 0], axis=0)
         for v in range(1, self.k):
-            mono *= powers[v, self.exps[:, v]]
-        FJ = (self._CD @ mono).T
-        return powers, FJ[:, : self.k], FJ[:, self.k :].reshape(-1, self.k, self.k)
+            mono *= powers.take(self._mono_rows[:, v], axis=0)
+        return powers, (self._JF @ mono).T.reshape(P, self.k, self.k + 1)
 
 
 def _lower(expo, v):
@@ -130,26 +144,39 @@ def _lower(expo, v):
 
 
 def _homotopy(system, gamma, x, t):
-    """H(x, t), dH/dx and dH/dt at the rows of x (P, k), each at its own t (P,)."""
-    powers, F, J = system._eval_FJ(x)
-    v = system._vars
-    degs = system.degrees
-    xd1 = powers[v, degs - 1].T
-    S = powers[v, degs].T - 1.0
+    """Hx and [H, Ht] at the rows of x (P, k), each at its own t (P,).
+
+    Returns (Hx, B): Hx (P, k, k) is dH/dx, and B (P, k, 2) holds H and
+    Ht = dH/dt = F - gamma * S as its two columns, the right-hand sides of
+    one Newton-and-tangent solve.  Hx is t * J scaled in place in the
+    product's array, and the start system's diagonal is added through a
+    strided view of it.
+    """
+    P, k = x.shape
+    powers, JF = system._eval_JF(x)
+    start = powers.take(system._start_rows, axis=0).T  # x_v^d_v, x_v^(d_v - 1)
     gt = (gamma * (1.0 - t))[:, None]
-    H = gt * S + t[:, None] * F
-    Hx = t[:, None, None] * J
-    Hx[:, v, v] += gt * degs * xd1
-    return H, Hx, F - gamma * S
+    tc = t[:, None]
+    F = JF[:, :, k]
+    S = start[:, :k] - 1.0
+    B = np.empty((P, k, 2), dtype=np.complex128)
+    np.multiply(tc, F, out=B[:, :, 0])
+    B[:, :, 0] += gt * S
+    np.subtract(F, gamma * S, out=B[:, :, 1])
+    Hx = JF[:, :, :k]
+    Hx *= tc[:, :, None]
+    diag = JF.reshape(P, k * (k + 1))[:, :: k + 2]
+    diag += gt * system.degrees * start[:, k:]
+    return Hx, B
 
 
 def _solve(A, b):
-    """Solve A[p] y[p] = b[p] for every p; returns (y, solved).
+    """Solve A[p] y[p] = b[p] for every p, b (P, k, m); returns (y, solved).
 
     A singular matrix fails only its own row, whose y is left zero.
     """
     try:
-        return np.linalg.solve(A, b[:, :, None])[:, :, 0], np.ones(len(b), dtype=bool)
+        return np.linalg.solve(A, b), np.ones(len(b), dtype=bool)
     except np.linalg.LinAlgError:
         # the stacked solve raises for the whole stack; find the singular rows
         y = np.zeros_like(b)
@@ -165,29 +192,36 @@ def _solve(A, b):
 def _newton(system, gamma, x, t, iters, tol):
     """Newton correction of each row of x (P, k) at its own t (P,).
 
-    Returns (converged, last iterates).  Each row stops on its own: when it
-    converges, when its Jacobian is singular, or when its step is NaN or
-    hopelessly large.
+    Returns (converged, last iterates, tangents).  Each iteration solves
+    Hx [dx, y] = [H, Ht] for both columns in one solve; the tangent of a
+    converged row is -y of its last iteration, dx/dt at the iterate before
+    its last update (rows that do not converge keep zero).  Each row stops
+    on its own: when it converges, when its Jacobian is singular, or when
+    its step is NaN or hopelessly large.
     """
     x = x.copy()
+    v = np.zeros_like(x)
     converged = np.zeros(len(x), dtype=bool)
     live = np.arange(len(x))
     for _ in range(iters):
         if not live.size:
             break
-        H, Hx, _Ht = _homotopy(system, gamma, x[live], t[live])
-        dx, solved = _solve(Hx, H)
-        live, dx = live[solved], dx[solved]
+        Hx, B = _homotopy(system, gamma, x[live], t[live])
+        y, solved = _solve(Hx, B)
+        live, y = live[solved], y[solved]
+        dx = y[:, :, 0]
         xl = x[live] - dx
         x[live] = xl
         norm_dx = np.abs(dx).max(axis=1)
         scale = 1.0 + np.abs(xl).max(axis=1)
         done = norm_dx <= tol * scale
-        converged[live[done]] = True
-        # a NaN step or a hopeless prediction bails before burning more iterations
-        bail = np.isnan(norm_dx) | (norm_dx > 0.25 * scale)
-        live = live[~done & ~bail]
-    return converged, x
+        finished = live[done]
+        converged[finished] = True
+        v[finished] = -y[done, :, 1]
+        # a hopeless prediction bails before burning more iterations, and
+        # so does a NaN step, since NaN fails every comparison
+        live = live[~done & (norm_dx <= 0.25 * scale)]
+    return converged, x, v
 
 
 def _stalled(x):
@@ -237,11 +271,14 @@ def track_all(system, gamma):
     iteration.  Each step predicts by _predict, the cubic Hermite
     extrapolation from the path's last accepted point and its current one
     (the tangent step until a step is accepted, or where the cubic strays
-    from it), and corrects by Newton at t + h; an accepted step makes the
-    current point the last accepted one.  A path leaves the active set when
-    it reaches t = 1, diverges past DIVERGENCE_CUTOFF, or stalls (MAX_STEPS
-    steps, or a step size below H_MIN).  Converged endpoints are then
-    polished together on the target system.
+    from it), and corrects by Newton at t + h.  The tangent at the current
+    point is solved for once at the start point; an accepted step takes
+    the tangent of its corrector's last iteration and makes the current
+    point the last accepted one, and a rejected step keeps both.  A path
+    leaves the active set when it reaches t = 1, diverges past
+    DIVERGENCE_CUTOFF, or stalls (MAX_STEPS steps, or a step size below
+    H_MIN).  Converged endpoints are then polished together on the target
+    system.
     """
     gamma = complex(gamma)
     out_x = system.start_points()
@@ -253,6 +290,10 @@ def track_all(system, gamma):
     x = out_x.copy()
     t = np.zeros(paths)
     h = np.full(paths, H_INIT)
+    # tangent dx/dt = -Hx^{-1} Ht at the start points; Hx = gamma diag(d x^(d-1))
+    # is regular at every root of unity
+    Hx, B = _homotopy(system, gamma, x, t)
+    v = -_solve(Hx, B)[0][:, :, 1]
     # last accepted point of each path; t_p = t until a step is accepted
     t_p = t.copy()
     x_p = np.zeros_like(x)
@@ -262,25 +303,19 @@ def track_all(system, gamma):
     while idx.size:
         steps += 1
         hstep = np.minimum(h, 1.0 - t)
-        # tangent dx/dt = -Hx^{-1} Ht with Ht = F - gamma * S
-        _H, Hx, Ht = _homotopy(system, gamma, x, t)
-        dx, solved = _solve(Hx, Ht)
-        v = -dx
-        sel = np.nonzero(solved)[0]
-        ok, xtrial = _newton(
+        accepted, xtrial, vtrial = _newton(
             system,
             gamma,
-            _predict(x_p[sel], v_p[sel], x[sel], v[sel], t[sel] - t_p[sel], hstep[sel]),
-            t[sel] + hstep[sel],
+            _predict(x_p, v_p, x, v, t - t_p, hstep),
+            t + hstep,
             NEWTON_ITERS,
             NEWTON_TOL,
         )
-        accepted = np.zeros(idx.size, dtype=bool)
-        accepted[sel] = ok
-        moved = sel[ok]
-        x_p[moved] = x[moved]
-        v_p[moved] = v[moved]
-        x[moved] = xtrial[ok]
+        moved = accepted[:, None]
+        x_p = np.where(moved, x, x_p)
+        v_p = np.where(moved, v, v_p)
+        x = np.where(moved, xtrial, x)
+        v = np.where(moved, vtrial, v)
         t_p = np.where(accepted, t, t_p)
         t = np.where(accepted, t + hstep, t)
         consec = np.where(accepted, consec + 1, 0)
@@ -298,12 +333,12 @@ def track_all(system, gamma):
             out_status[idx[diverged]] = STATUS_DIVERGED
             out_status[idx[stalled]] = _stalled(x[stalled])
             keep = ~ended
-            idx, x, t, h = idx[keep], x[keep], t[keep], h[keep]
+            idx, x, v, t, h = idx[keep], x[keep], v[keep], t[keep], h[keep]
             t_p, x_p, v_p = t_p[keep], x_p[keep], v_p[keep]
             consec, steps = consec[keep], steps[keep]
     # endpoint polish on the target system alone (t = 1)
     done = np.nonzero(out_status == STATUS_CONVERGED)[0]
-    polished, xp = _newton(
+    polished, xp, _v = _newton(
         system, gamma, out_x[done], np.ones(done.size), POLISH_ITERS, POLISH_TOL
     )
     good = polished & np.all(np.isfinite(xp), axis=1)
@@ -318,7 +353,7 @@ def newton_polish(system, x):
     of a tracked path.  On failure x is the last Newton iterate.
     """
     x = np.array(x, dtype=np.complex128)[None]
-    ok, x = _newton(system, 0j, x, np.ones(1), POLISH_ITERS, POLISH_TOL)
+    ok, x, _v = _newton(system, 0j, x, np.ones(1), POLISH_ITERS, POLISH_TOL)
     return bool(ok[0]), x[0]
 
 

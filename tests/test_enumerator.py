@@ -14,6 +14,8 @@ import pytest
 from minsos import enumerator
 from minsos.biform import TermPoly
 from minsos.enumerator import (
+    CLUSTER_RADIUS,
+    RESIDUAL_TOL,
     CountReport,
     SolutionSet,
     classify,
@@ -25,7 +27,7 @@ from minsos.errors import DegreeMismatch, PathFailureBudgetExceeded, RankTooLarg
 from minsos.gram import build_gram_space, verify_representation
 from minsos.sampling import random_positive_form
 from minsos.surfaces import cone_rnc, expected_counts, genericity_check, scroll, veronese
-from minsos.tracking import STATUS_CONVERGED, STATUS_DIVERGED, STATUS_FAILED
+from minsos.tracking import STATUS_CONVERGED, STATUS_DIVERGED, STATUS_FAILED, track_all
 
 
 def _exact_det(M):
@@ -198,8 +200,9 @@ def test_enumerate_deterministic_per_seed():
 def test_minor_system_residual_vanishes_at_solutions():
     space = build_gram_space(_g1_form(), scroll(1, 1))
     system = minor_system(space, 3, seed=0)
-    assert system.residual(np.array([1.0 + 0j])) < 1e-10
-    assert system.residual(np.array([0.5 + 0j])) > 1e-4
+    resid = system.residuals(np.array([[1.0 + 0j], [0.5 + 0j]]))
+    assert resid[0] < 1e-10
+    assert resid[1] > 1e-4
 
 
 def test_minor_system_rejects_bad_rank():
@@ -271,6 +274,37 @@ def test_path_jump_recovered_by_second_sweep():
     assert report.counts == expected_counts(scroll(1, 1))
     assert report.path_stats["secondSweep"]
     assert report.solution_set.cluster_sizes == [1, 1, 1, 1]
+
+
+def test_solution_lost_to_divergence_is_recovered_by_second_sweep(monkeypatch):
+    # the first sweep's only path to one solution ends diverged: no path
+    # fails and none collides, so only the count shortfall sends a sweep
+    spec = scroll(2, 1)
+    space = build_gram_space(random_positive_form(spec, seed=0), spec)
+    system = minor_system(space, 3, seed=0)
+    sweeps = []
+
+    def flipping(psys, gamma):
+        x, statuses, steps = track_all(psys, gamma)
+        if not sweeps:
+            resid = system.residuals(x)
+            valid = (statuses == STATUS_CONVERGED) & (resid <= RESIDUAL_TOL)
+            lost = np.nonzero(valid)[0][0]
+            near = np.abs(x - x[lost]).max(axis=1) <= CLUSTER_RADIUS * max(
+                1.0, np.abs(x[lost]).max()
+            )
+            assert near.sum() == 1
+            statuses[lost] = STATUS_DIVERGED
+        sweeps.append(statuses)
+        return x, statuses, steps
+
+    monkeypatch.setattr(enumerator, "track_all", flipping)
+    solutions = solve(system, seed=0)
+    stats = solutions.path_stats
+    assert stats["failed"] == 0
+    assert stats["secondSweep"]
+    assert len(sweeps) == 2
+    assert len(solutions) == expected_counts(spec)["complex"] == 16
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -120,19 +120,21 @@ def test_F_and_jacobian_match_scalar_reference(k, deg):
         F = np.empty(k, dtype=np.complex128)
         J = np.empty(k * k, dtype=np.complex128)
         _eval_FJ(C, D, parent, pvar, x, np.empty(len(parent), complex), F, J)
-        _powers, F_new, J_new = sys_._eval_FJ(x[None])
-        np.testing.assert_allclose(F_new[0], F, rtol=1e-12)
+        _powers, JF = sys_._eval_JF(x[None])
+        np.testing.assert_allclose(JF[0, :, k], F, rtol=1e-12)
         np.testing.assert_allclose(sys_.evaluate(x), F, rtol=1e-12)
-        np.testing.assert_allclose(J_new[0], J.reshape(k, k), rtol=1e-12)
+        np.testing.assert_allclose(JF[0, :, :k], J.reshape(k, k), rtol=1e-12)
 
 
 def test_jacobian_of_sparse_support():
     # d(xy)/dy = x: the monomial x itself is in no equation's support
     polys = [{(1, 1): 2.0 + 1j}, {(0, 1): 1.0, (0, 0): -3.0}]
     x = np.array([0.3 - 1.2j, 2.0 + 0.5j])
-    _powers, F, J = PolySystem(polys, 2)._eval_FJ(x[None])
-    np.testing.assert_allclose(F[0], [(2.0 + 1j) * x[0] * x[1], x[1] - 3.0])
-    np.testing.assert_allclose(J[0], [[(2.0 + 1j) * x[1], (2.0 + 1j) * x[0]], [0, 1]])
+    _powers, JF = PolySystem(polys, 2)._eval_JF(x[None])
+    np.testing.assert_allclose(JF[0, :, 2], [(2.0 + 1j) * x[0] * x[1], x[1] - 3.0])
+    np.testing.assert_allclose(
+        JF[0, :, :2], [[(2.0 + 1j) * x[1], (2.0 + 1j) * x[0]], [0, 1]]
+    )
 
 
 def test_total_paths_is_degree_product():
@@ -243,23 +245,29 @@ def _reference_track(polys, k, gamma):
             Hx[v, v] += gt * degs[v] * power(x[v], degs[v] - 1)
         return gt * S + t * F, Hx, F - gamma * S
 
+    def tangent_solve(x, t):
+        """(dx, v): the Newton step and the tangent dx/dt at (x, t)."""
+        H, Hx, Ht = homotopy(x, t)
+        y = np.linalg.solve(Hx, np.stack([H, Ht], axis=1))
+        return y[:, 0], -y[:, 1]
+
     def newton(x, t, iters, tol):
+        """(converged, x, tangent of the last iteration)."""
         for _ in range(iters):
-            H, Hx, _Ht = homotopy(x, t)
             try:
-                dx = np.linalg.solve(Hx, H)
+                dx, v = tangent_solve(x, t)
             except np.linalg.LinAlgError:
-                return False, x
+                return False, x, None
             x = x - dx
             norm_dx = np.abs(dx).max()
             norm_x = np.abs(x).max()
             if np.isnan(norm_dx):
-                return False, x
+                return False, x, None
             if norm_dx <= tol * (1.0 + norm_x):
-                return True, x
+                return True, x, v
             if norm_dx > 0.25 * (1.0 + norm_x):
-                return False, x
-        return False, x
+                return False, x, None
+        return False, x, None
 
     def stalled(x):
         if np.abs(x).max() > tracking.STALL_DIVERGED:
@@ -288,27 +296,24 @@ def _reference_track(polys, k, gamma):
     def track(x):
         t, h, consec, steps = 0.0, tracking.H_INIT, 0, 0
         prev = None
+        # the tangent is solved for at the start point only; an accepted
+        # step takes its corrector's last tangent, a rejected one keeps v
+        _dx, v = tangent_solve(x, t)
         while t < 1.0:
             if steps >= tracking.MAX_STEPS:
                 return stalled(x), steps, x
             steps += 1
             hstep = min(h, 1.0 - t)
-            _H, Hx, Ht = homotopy(x, t)
-            try:
-                v = -np.linalg.solve(Hx, Ht)
-            except np.linalg.LinAlgError:
-                ok = False
-            else:
-                ok, xtrial = newton(
-                    predict(prev, t, x, v, hstep),
-                    t + hstep,
-                    tracking.NEWTON_ITERS,
-                    tracking.NEWTON_TOL,
-                )
+            ok, xtrial, vtrial = newton(
+                predict(prev, t, x, v, hstep),
+                t + hstep,
+                tracking.NEWTON_ITERS,
+                tracking.NEWTON_TOL,
+            )
             if ok:
                 prev = (t, x, v)
                 t += hstep
-                x = xtrial
+                x, v = xtrial, vtrial
                 if np.abs(x).max() > tracking.DIVERGENCE_CUTOFF:
                     return STATUS_DIVERGED, steps, x
                 consec += 1
@@ -320,7 +325,7 @@ def _reference_track(polys, k, gamma):
                 h = h * 0.5
                 if h < tracking.H_MIN:
                     return stalled(x), steps, x
-        polished, xp = newton(x, 1.0, tracking.POLISH_ITERS, tracking.POLISH_TOL)
+        polished, xp, _v = newton(x, 1.0, tracking.POLISH_ITERS, tracking.POLISH_TOL)
         if polished and np.all(np.isfinite(xp)):
             x = xp
         return STATUS_CONVERGED, steps, x
@@ -434,6 +439,50 @@ def test_sharp_turn_guard_keeps_every_solution():
     assert not report.path_stats["secondSweep"]
 
 
+def test_one_evaluation_per_corrector_iteration(monkeypatch):
+    # the tangent comes from the corrector's last solve, so a lockstep
+    # iteration evaluates the homotopy at most NEWTON_ITERS times; the
+    # tangent at the start points adds one and the endpoint polish at most
+    # POLISH_ITERS (a separate tangent evaluation would add one per iteration)
+    spec = scroll(2, 1)
+    space = build_gram_space(random_positive_form(spec, seed=0), spec)
+    calls = []
+    homotopy = tracking._homotopy
+
+    def counting(*args):
+        calls.append(1)
+        return homotopy(*args)
+
+    sweeps = []
+
+    def recording(system, gamma):
+        before = len(calls)
+        out = track_all(system, gamma)
+        sweeps.append((len(calls) - before, int(out[2].max())))
+        return out
+
+    monkeypatch.setattr(tracking, "_homotopy", counting)
+    monkeypatch.setattr(enumerator, "track_all", recording)
+    enumerator.enumerate_rank(space, 3, seed=0)
+    assert sweeps
+    for evaluations, iterations in sweeps:
+        bound = tracking.NEWTON_ITERS * iterations + 1 + tracking.POLISH_ITERS
+        assert evaluations <= bound
+
+
+@pytest.mark.slow
+def test_scroll21_corpus_counts_without_second_sweep():
+    # 300 forms, each enumerated with its own seed: every one gives the
+    # generic counts from the first sweep alone
+    spec = scroll(2, 1)
+    for seed in range(1000, 1300):
+        space = build_gram_space(random_positive_form(spec, seed=seed), spec)
+        report = enumerator.enumerate_rank(space, 3, seed=seed)
+        want = {"complex": 16, "real": 4, "psd": 4, "indefinite": 0}
+        assert report.counts == want, seed
+        assert not report.path_stats["secondSweep"], seed
+
+
 # -------------------------------------------------------------------- polish
 
 
@@ -456,18 +505,40 @@ def test_newton_polish_quadratic_residual_drop():
     assert np.max(np.abs(sys_.evaluate(refined))) < 1e-12
 
 
+def test_corrector_returns_the_tangent_of_its_last_iteration():
+    # H = (1-t) gamma (x^3 - 1) + t f with f = x^3 - 2x + 1: one iteration
+    # that is accepted at once returns the Newton step and the tangent
+    # -Ht / Hx, both at the point it started from
+    sys_ = PolySystem([{(3,): 1.0, (1,): -2.0, (0,): 1.0}], 1)
+    gamma = np.exp(0.4j)
+    x0 = np.array([[0.3 + 0.8j], [-1.1 + 0.2j]])
+    t = np.array([0.25, 0.7])
+    ok, x1, v = tracking._newton(sys_, gamma, x0, t, 1, np.inf)
+    assert ok.all()
+    z = x0[:, 0]
+    f, df = z**3 - 2 * z + 1, 3 * z**2 - 2
+    H = (1 - t) * gamma * (z**3 - 1) + t * f
+    Hx = (1 - t) * gamma * 3 * z**2 + t * df
+    Ht = f - gamma * (z**3 - 1)
+    np.testing.assert_allclose(x1[:, 0], z - H / Hx, rtol=1e-13)
+    np.testing.assert_allclose(v[:, 0], -Ht / Hx, rtol=1e-13)
+
+
 def test_singular_jacobian_fails_only_its_own_path():
     # x^2 - 1 has the Jacobian 2x, exactly singular at x = 0
     sys_ = PolySystem([{(2,): 1.0, (0,): -1.0}], 1)
     ok, _x = newton_polish(sys_, np.array([0.0 + 0j]))
     assert not ok
     starts = np.array([[1.1 + 0j], [0.0 + 0j], [-0.9 + 0.1j]])
-    ok, x = tracking._newton(
+    ok, x, v = tracking._newton(
         sys_, 0j, starts, np.ones(3), tracking.POLISH_ITERS, tracking.POLISH_TOL
     )
     assert ok.tolist() == [True, False, True]
     np.testing.assert_allclose(x[[0, 2], 0], [1.0, -1.0], atol=1e-14)
     assert x[1, 0] == 0.0
+    # at t = 1 with gamma = 0, Ht = F vanishes at a root: so does its tangent,
+    # and the failed row keeps zero
+    np.testing.assert_allclose(v[:, 0], 0.0, atol=1e-12)
 
 
 # ------------------------------------------------------------------- backend
