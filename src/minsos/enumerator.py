@@ -27,6 +27,7 @@ from .tracking import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     STATUS_FAILED,
+    STATUS_STOPPED,
     PolySystem,
     newton_polish,
     track_all,
@@ -278,19 +279,25 @@ def _validate(system, block, sweep_id):
     return survivors, int(len(block) - good.sum())
 
 
+def _near(point, reps):
+    """Mask of the rows of reps (R, k) within CLUSTER_RADIUS of point, the
+    radius taken relative to each representative's own scale."""
+    tol = CLUSTER_RADIUS * np.maximum(1.0, np.abs(reps).max(axis=1))
+    return np.abs(point - reps).max(axis=1) <= tol
+
+
 def _cluster(survivors):
     """Merge validated endpoints, visited in canonical order.
 
     Returns [representative, best residual, per-sweep path counts] lists.
+    A point joins the first cluster whose representative is _near it.
     """
     clusters = []
     for point, resid, sweep_id in sorted(
         survivors, key=lambda item: _canonical_key(item[0])
     ):
         for entry in clusters:
-            rep = entry[0]
-            tol = CLUSTER_RADIUS * max(1.0, float(np.max(np.abs(rep))))
-            if np.max(np.abs(point - rep)) <= tol:
+            if _near(point, entry[0][None])[0]:
                 entry[2][sweep_id] += 1
                 entry[1] = min(entry[1], resid)
                 break
@@ -301,6 +308,26 @@ def _cluster(survivors):
     return clusters
 
 
+def _count_stop(system, count):
+    """A stop test for track_all: true once the endpoints it has seen hold
+    count distinct points whose minors vanish to RESIDUAL_TOL.
+
+    Each new endpoint is checked against the representatives found so far
+    by _cluster's radius rule, so a call costs its endpoints times the
+    representatives, not a re-clustering of every endpoint seen.
+    """
+    reps = np.empty((0, system.k), dtype=np.complex128)
+
+    def stop(endpoints):
+        nonlocal reps
+        for point in endpoints[system.residuals(endpoints) <= RESIDUAL_TOL]:
+            if not _near(point, reps).any():
+                reps = np.vstack([reps, point])
+        return len(reps) >= count
+
+    return stop
+
+
 def solve(system, seed=0):
     """Track the seeded square subsystem and post-process its endpoints.
 
@@ -309,12 +336,21 @@ def solve(system, seed=0):
     deterministic function of (system, seed).  Points within REAL_TOL of the
     real locus are re-polished from their real parts and stored real.
 
-    When paths fail other than by stalling on their escape to infinity, two
-    validated endpoints of the first sweep fall in one cluster, or its
-    clusters fall short of the surface's generic complex count (rank 3),
-    one more sweep runs with an independent gamma: the solution set does
-    not depend on gamma, so the union of validated endpoints can only
-    recover what the first sweep lost.
+    For rank 3 on a known surface, expected_counts gives the generic
+    complex count, and no form has more isolated rank-3 points than that
+    (the parameter-continuation theorem of Morgan & Sommese, Appl. Math.
+    Comput. 1989).  So the first sweep stops, by _count_stop, once the
+    endpoints that reached t = 1 hold that many distinct validated points;
+    the paths still running are counted as stopped, neither failed nor
+    diverged.  A sweep that stops holds the full count and sends no second
+    sweep.
+
+    When paths of a sweep that ran to the end fail other than by stalling
+    on their escape to infinity, or two validated endpoints of it fall in
+    one cluster, or the first sweep's clusters fall short of the generic
+    count, one more sweep runs, in full, with an independent gamma: the
+    solution set does not depend on gamma, so the union of validated
+    endpoints can only recover what the first sweep lost.
 
     Raises PathFailureBudgetExceeded when more than FAIL_BUDGET of the
     non-diverging paths fail to converge.
@@ -323,10 +359,13 @@ def solve(system, seed=0):
     gamma = np.exp(2j * np.pi * rng.uniform())
     gamma2 = np.exp(2j * np.pi * rng.uniform())
     psys = system.poly_system()
-    endpoints, statuses, _steps = track_all(psys, gamma)
+    expected = expected_counts(system.space.surface) if system.rank == 3 else None
+    stop = None if expected is None else _count_stop(system, expected["complex"])
+    endpoints, statuses, _steps = track_all(psys, gamma, stop=stop)
     total = len(statuses)
     diverged = int(np.sum(statuses == STATUS_DIVERGED))
     failed = int(np.sum(statuses == STATUS_FAILED))
+    stopped = int(np.sum(statuses == STATUS_STOPPED))
     tracked = total - diverged
     if tracked > 0 and failed > FAIL_BUDGET * tracked:
         raise PathFailureBudgetExceeded(failed, total)
@@ -345,10 +384,10 @@ def solve(system, seed=0):
     collided = any(counts[0] > 1 for _, _, counts in clusters)
     # a path that jumps onto one running to infinity leaves no other trace
     # than a solution short of the generic count, where that count is known
-    expected = expected_counts(system.space.surface) if system.rank == 3 else None
     short = expected is not None and len(clusters) < expected["complex"]
-    # an escaping path heads to a solution at infinity, which no sweep keeps
-    second_sweep = failed - escaping > 0 or collided or short
+    # an escaping path heads to a solution at infinity, which no sweep keeps;
+    # a stopped sweep already holds every solution the count allows
+    second_sweep = short or (not stopped and (failed - escaping > 0 or collided))
     if second_sweep:
         e2, s2, _steps = track_all(psys, gamma2)
         more, junk2 = _validate(system, e2[s2 == STATUS_CONVERGED], 1)
@@ -387,6 +426,7 @@ def solve(system, seed=0):
         "converged": int(np.sum(statuses == STATUS_CONVERGED)),
         "diverged": diverged,
         "failed": failed,
+        "stopped": stopped,
         "secondSweep": second_sweep,
         "stalledEscaping": escaping,
         "escapeNormMax": escape_norm,

@@ -29,6 +29,13 @@ Newton corrector runs on the stacked Jacobians, and accept or reject,
 step-size change and every stopping rule are applied per path by masks,
 by the rules of a tracker that follows one path at a time.  Finished paths
 leave the active set, so a step costs what the paths still running cost.
+
+A caller that knows an upper bound on the number of isolated solutions can
+end a sweep early: track_all hands the endpoints of each batch of paths
+that reach t = 1 to a stop test, and once the test reports every solution
+found, the paths still running are stopped, not tracked on.  The bound is
+the caller's to give; enumerator.solve takes the generic counts of the
+paper, which no form exceeds (Morgan & Sommese, Appl. Math. Comput. 1989).
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import numpy as np
 STATUS_CONVERGED = 0
 STATUS_DIVERGED = 1
 STATUS_FAILED = 2
+STATUS_STOPPED = 3
 
 # step-control constants
 H_INIT = 0.1
@@ -262,7 +270,7 @@ def _predict(x_p, v_p, x, v, h0, h):
     return np.where(trust[:, None], cubic, tangent)
 
 
-def track_all(system, gamma):
+def track_all(system, gamma, *, stop=None):
     """Track every start point of the total-degree homotopy.
 
     The start points are system.start_points(), the roots of unity of the
@@ -279,6 +287,12 @@ def track_all(system, gamma):
     DIVERGENCE_CUTOFF, or stalls (MAX_STEPS steps, or a step size below
     H_MIN).  Converged endpoints are then polished together on the target
     system.
+
+    stop, when given, is called after each iteration in which paths reach
+    t = 1, with their (unpolished) endpoints as a (P, k) array.  When it
+    returns true the sweep ends: the paths still running get
+    STATUS_STOPPED, with their last point and step count, and the
+    converged endpoints are polished as usual.
     """
     gamma = complex(gamma)
     out_x = system.start_points()
@@ -332,10 +346,17 @@ def track_all(system, gamma):
             out_steps[out] = steps[ended]
             out_status[idx[diverged]] = STATUS_DIVERGED
             out_status[idx[stalled]] = _stalled(x[stalled])
+            arrived = ~running & ~diverged
+            halt = stop is not None and arrived.any() and stop(x[arrived])
             keep = ~ended
             idx, x, v, t, h = idx[keep], x[keep], v[keep], t[keep], h[keep]
             t_p, x_p, v_p = t_p[keep], x_p[keep], v_p[keep]
             consec, steps = consec[keep], steps[keep]
+            if halt:
+                out_x[idx] = x
+                out_steps[idx] = steps
+                out_status[idx] = STATUS_STOPPED
+                break
     # endpoint polish on the target system alone (t = 1)
     done = np.nonzero(out_status == STATUS_CONVERGED)[0]
     polished, xp, _v = _newton(

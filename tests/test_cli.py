@@ -162,6 +162,21 @@ def test_enumerate_on_a_cone_writes_a_certificate_that_verifies(tmp_path):
     assert len(report["report"]["entries"]) == 11  # 8 psd and 3 indefinite
 
 
+def test_verify_reads_reports_with_and_without_stopped_paths(tmp_path):
+    # a sweep stopped at the generic count records its stopped paths; the
+    # reports written before the stop have no such field
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(random_positive_form(scroll(2, 1), seed=0).to_json()))
+    out = tmp_path / "enum.json"
+    argv = ["enumerate", str(form_path), "--surface", "scroll(2,1)", "--json-out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads(out.read_text())["report"]["pathStats"]["stopped"] > 0
+    assert cli.main(["verify", str(out)]) == cli.EXIT_OK
+    old = DATA / "enumeration_scroll11.json"
+    assert "stopped" not in json.loads(old.read_text())["report"]["pathStats"]
+    assert cli.main(["verify", str(old)]) == cli.EXIT_OK
+
+
 def test_enumerate_dumps_real_points_of_the_curve(tmp_path):
     # a x^2 + 2 b x y + c y^2 with a = s^2 + 2 t^2 > 0 and c = -s^2 + 2 s t - 5 t^2 < 0,
     # so b^2 - a c > 0 and both real branches exist over every s

@@ -27,7 +27,13 @@ from minsos.errors import DegreeMismatch, PathFailureBudgetExceeded, RankTooLarg
 from minsos.gram import build_gram_space, verify_representation
 from minsos.sampling import random_positive_form
 from minsos.surfaces import cone_rnc, expected_counts, genericity_check, scroll, veronese
-from minsos.tracking import STATUS_CONVERGED, STATUS_DIVERGED, STATUS_FAILED, track_all
+from minsos.tracking import (
+    STATUS_CONVERGED,
+    STATUS_DIVERGED,
+    STATUS_FAILED,
+    STATUS_STOPPED,
+    track_all,
+)
 
 
 def _exact_det(M):
@@ -241,7 +247,7 @@ def _stub_tracker(monkeypatch, diverged, failed, converged):
         [STATUS_DIVERGED] * diverged + [STATUS_FAILED] * failed + [STATUS_CONVERGED] * converged
     )
 
-    def track_all(psys, gamma):
+    def track_all(psys, gamma, *, stop=None):
         return np.ones((len(statuses), 1), dtype=complex), statuses.copy(), 0
 
     monkeypatch.setattr(enumerator, "track_all", track_all)
@@ -284,8 +290,8 @@ def test_solution_lost_to_divergence_is_recovered_by_second_sweep(monkeypatch):
     system = minor_system(space, 3, seed=0)
     sweeps = []
 
-    def flipping(psys, gamma):
-        x, statuses, steps = track_all(psys, gamma)
+    def flipping(psys, gamma, *, stop=None):
+        x, statuses, steps = track_all(psys, gamma, stop=stop)
         if not sweeps:
             resid = system.residuals(x)
             valid = (statuses == STATUS_CONVERGED) & (resid <= RESIDUAL_TOL)
@@ -307,6 +313,66 @@ def test_solution_lost_to_divergence_is_recovered_by_second_sweep(monkeypatch):
     assert len(solutions) == expected_counts(spec)["complex"] == 16
 
 
+def _recording_tracker(monkeypatch):
+    """Patch solve's tracker to record the (x, statuses, steps) of each sweep."""
+    sweeps = []
+
+    def recording(psys, gamma, *, stop=None):
+        sweeps.append(track_all(psys, gamma, stop=stop))
+        return sweeps[-1]
+
+    monkeypatch.setattr(enumerator, "track_all", recording)
+    return sweeps
+
+
+def _scroll21_seed0_space():
+    spec = scroll(2, 1)
+    return build_gram_space(random_positive_form(spec, seed=0), spec)
+
+
+def test_sweep_stops_at_the_generic_count(monkeypatch):
+    # the first sweep ends once its endpoints hold the 16 classes; the full
+    # sweep takes 166 lockstep iterations on this form, the stopped one 89
+    sweeps = _recording_tracker(monkeypatch)
+    report = enumerate_rank(_scroll21_seed0_space(), 3, seed=0)
+    assert len(sweeps) == 1
+    _x, statuses, steps = sweeps[0]
+    assert steps.max() <= 100
+    stats = report.path_stats
+    assert stats["stopped"] == np.sum(statuses == STATUS_STOPPED) > 0
+    assert stats["converged"] + stats["diverged"] + stats["failed"] + stats["stopped"] == 64
+    assert stats["failed"] == 0 and not stats["secondSweep"]
+    assert report.counts == expected_counts(scroll(2, 1))
+
+
+def test_stopped_and_full_sweeps_agree(monkeypatch):
+    space = _scroll21_seed0_space()
+    stopped = enumerate_rank(space, 3, seed=0)
+    monkeypatch.setattr(enumerator, "expected_counts", lambda surface: None)
+    full = enumerate_rank(space, 3, seed=0)
+    assert stopped.path_stats["stopped"] > 0
+    assert full.path_stats["stopped"] == 0
+    assert stopped.counts == full.counts
+    assert [e["inertia"] for e in stopped.entries] == [e["inertia"] for e in full.entries]
+    for a, b in zip(stopped.entries, full.entries):
+        assert np.abs(a["theta"] - b["theta"]).max() <= 1e-12 * np.abs(b["theta"]).max()
+
+
+def test_sweep_short_of_the_count_runs_to_the_end(monkeypatch):
+    # a count one above the 16 classes is never reached: the first sweep
+    # tracks every path, and its shortfall sends the second sweep
+    monkeypatch.setattr(
+        enumerator, "expected_counts", lambda surface: {"complex": 17}
+    )
+    sweeps = _recording_tracker(monkeypatch)
+    solutions = solve(minor_system(_scroll21_seed0_space(), 3, seed=0), seed=0)
+    assert solutions.path_stats["stopped"] == 0
+    assert solutions.path_stats["secondSweep"]
+    assert len(sweeps) == 2
+    assert not any((statuses == STATUS_STOPPED).any() for _x, statuses, _s in sweeps)
+    assert len(solutions) == 16
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_genus_two_scroll_counts(seed):
     f = random_positive_form(scroll(2, 1), seed=seed)
@@ -316,11 +382,12 @@ def test_genus_two_scroll_counts(seed):
 
 
 @pytest.mark.slow
-def test_genus_three_scroll_counts():
-    # one sweep of 4096 paths: every path that fails here stalls on its way
-    # to infinity, which sends no second sweep
+def test_genus_three_scroll_counts(monkeypatch):
+    # one full sweep of 4096 paths (no count to stop at): every path that
+    # fails here stalls on its way to infinity, which sends no second sweep
     spec = scroll(2, 2)
     f = random_positive_form(spec, seed=0)
+    monkeypatch.setattr(enumerator, "expected_counts", lambda surface: None)
     report = enumerate_rank(build_gram_space(f, spec), 3, 0)
     assert report.counts == expected_counts(spec)
     assert report.warning is None

@@ -352,6 +352,21 @@ def test_psd_screen_agrees_with_a_loop_over_directions():
         assert lam == pytest.approx(np.linalg.eigvalsh(_entrywise(A, u, v))[0], rel=1e-12)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the screen samples directions pi j / PSD_DIRECTIONS; the entry "
+    "(t - s/200)(t - 3s/200) is negative only for t/s in (0.005, 0.015), "
+    "which falls between two of them",
+)
+def test_psd_screen_rejects_a_thin_negative_wedge():
+    # factor then runs its feasibility budget out (2.7 s) and reports a
+    # solver failure where NotPSD is the answer
+    thin = BinaryForm([1, Fraction(-1, 50), Fraction(3, 40000)], 2)
+    assert float(thin.eval(1, 0.01)) == pytest.approx(-2.5e-5)
+    with pytest.raises(NotPSD):
+        check_psd_on_grid(_diag(thin, BinaryForm([1, 0, 1], 2)))
+
+
 def test_psd_screen_passes_singular_psd_matrices():
     # a single dyad c c^T is singular in every direction, diag((s - t)^2, s^2 + t^2)
     # along s = t, which the screen samples; rounding must not read as negative

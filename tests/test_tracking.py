@@ -18,6 +18,7 @@ from minsos.tracking import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
     STATUS_FAILED,
+    STATUS_STOPPED,
     PolySystem,
     newton_polish,
     track_all,
@@ -176,6 +177,34 @@ def test_univariate_degree_six_random_coeffs():
     assert all(s == STATUS_CONVERGED for s in statuses)
     expected = [[r] for r in np.roots(poly[::-1])]
     _match_sets(endpoints, expected, tol=1e-7)
+
+
+def test_stop_ends_the_sweep_with_the_paths_still_running():
+    # the stop test sees each batch of endpoints that reached t = 1 and ends
+    # the sweep once it has seen three; the paths still running are stopped
+    # at the iteration where it fired, and the rest are polished roots
+    rng = np.random.default_rng(11)
+    poly = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    sys_ = PolySystem([{(i,): poly[i] for i in range(7)}], 1)
+    seen = []
+
+    def stop(endpoints):
+        seen.extend(endpoints)
+        return len(seen) >= 3
+
+    endpoints, statuses, steps = track_all(sys_, np.exp(0.3j), stop=stop)
+    converged = statuses == STATUS_CONVERGED
+    stopped = statuses == STATUS_STOPPED
+    assert np.all(converged | stopped)
+    assert converged.sum() == len(seen) >= 3 and stopped.any()
+    assert np.all(steps[stopped] == steps[converged].max())
+    _match_sets(seen, endpoints[converged], tol=1e-8)
+    roots = np.roots(poly[::-1])
+    for point in endpoints[converged]:
+        assert np.abs(roots - point[0]).min() < 1e-10
+    # without a stop, the same gamma tracks every path to its root
+    _e, full, _s = track_all(sys_, np.exp(0.3j))
+    assert np.all(full == STATUS_CONVERGED)
 
 
 def test_separable_system_full_grid():
@@ -411,16 +440,18 @@ def test_predictor_falls_back_to_tangent_step_at_a_sharp_turn():
 def test_step_budget_on_scroll21_form(monkeypatch):
     # a predictor regression would keep every count right and only cost
     # steps: the Hermite predictor takes at most 166 steps on a path of this
-    # form (the Euler predictor took 262), with the same statuses
+    # form (the Euler predictor took 262), with the same statuses; with no
+    # count to stop at, the sweep tracks every path to its end
     spec = scroll(2, 1)
     space = build_gram_space(random_positive_form(spec, seed=0), spec)
     runs = []
 
-    def recording(system, gamma):
-        runs.append(track_all(system, gamma))
+    def recording(system, gamma, *, stop=None):
+        runs.append(track_all(system, gamma, stop=stop))
         return runs[-1]
 
     monkeypatch.setattr(enumerator, "track_all", recording)
+    monkeypatch.setattr(enumerator, "expected_counts", lambda surface: None)
     enumerator.enumerate_rank(space, 3, seed=0)
     _x, statuses, steps = runs[0]
     assert np.bincount(statuses, minlength=3).tolist() == [60, 4, 0]
@@ -455,9 +486,9 @@ def test_one_evaluation_per_corrector_iteration(monkeypatch):
 
     sweeps = []
 
-    def recording(system, gamma):
+    def recording(system, gamma, *, stop=None):
         before = len(calls)
-        out = track_all(system, gamma)
+        out = track_all(system, gamma, stop=stop)
         sweeps.append((len(calls) - before, int(out[2].max())))
         return out
 
