@@ -432,6 +432,9 @@ def solve(system, seed=0):
         "escapeNormMax": escape_norm,
         "junkFiltered": junk,
         "solutions": len(points),
+        # the powers of two that balance the tracked system (tracking.PolySystem)
+        "equationScale": psys.equation_scale.tolist(),
+        "variableScale": psys.variable_scale.tolist(),
     }
     return SolutionSet(
         system=system,

@@ -4,6 +4,21 @@ Tracks the total-degree homotopy H(x, t) = (1-t) * gamma * S(x) + t * F(x)
 with start system S_i(x) = x_i^(d_i) - 1 from t = 0 to t = 1, using a cubic
 Hermite predictor and a Newton corrector with adaptive step control.
 
+The target system is balanced before it is tracked (Meintjes & Morgan,
+"A methodology for solving chemical equilibrium systems", Appl. Math.
+Comput. 22, 1987; the chapter on scaling in Morgan, Solving Polynomial
+Systems Using Continuation, 1987).  Equation i is multiplied by 2^r_i and
+variable v is replaced by u_v = theta_v 2^(-s_v), the x of H, with integer
+exponents from one least-squares fit of sum (log2|c| + r_i + e.s)^2 over
+the coefficients c of monomials e.  Coefficients that span many orders of
+magnitude, as the random combinations of minors do, otherwise leave the
+start system's unit coefficients far from the target's: paths then do
+nearly all of their moving near t = 0, where the step control rejects
+step after step.  Powers of two make the scaling and its inverse exact in
+binary floating point, so the balanced system has exactly the roots of
+the caller's, and theta maps to u and back bit for bit.  The callers see
+only theta.
+
 Each Newton iteration solves Hx [dx, y] = [H, Ht] for both right-hand
 sides at once, so the corrector also returns the tangent v = -y = dx/dt
 of its last iteration.  The tangent of a path is solved for once, at its
@@ -57,6 +72,8 @@ NEWTON_TOL = 1e-9
 NEWTON_ITERS = 4
 POLISH_TOL = 1e-14
 POLISH_ITERS = 10
+# the tolerances above are relative to the balanced variables u, the norms
+# below are of theta: they say how large a solution of the caller's can be
 DIVERGENCE_CUTOFF = 1e8
 # a stalled path is only declared divergent from well beyond any plausible
 # solution norm; finite solutions of modest conditioning can sit at 1e5-1e6
@@ -65,12 +82,20 @@ MAX_STEPS = 1_500
 
 
 class PolySystem:
-    """A square system of k complex polynomials in k variables.
+    """A square system of k complex polynomials in k variables, balanced.
+
+    The system is balanced when it is built (see _balance): equation i is
+    multiplied by 2^r_i and variable v is replaced by u_v = theta_v 2^(-s_v),
+    so the system the tracker follows has the coefficients c 2^(r_i + e.s)
+    in the variables u.  Every method that takes or returns points
+    (evaluate, and track_all and newton_polish below) works in the caller's
+    variables theta and the caller's equations; only the private helpers
+    work in u.
 
     Coefficients are stored densely over one monomial table that holds the
-    union support and every first derivative of it: C[i, j] is the
+    union support and every first derivative of it: C[i, j] is the balanced
     coefficient of monomial exps[j] in equation i, and D[i, v, j] is the
-    coefficient of monomial exps[j] in dF_i/dx_v.  They are kept stacked
+    coefficient of monomial exps[j] in dF_i/du_v.  They are kept stacked
     as _JF, row i * (k + 1) + v holding D[i, v] and row i * (k + 1) + k
     holding C[i], so the Jacobian with F as its last column, at P points,
     is one product of _JF with the (monomials, P) table of monomial values.
@@ -90,14 +115,21 @@ class PolySystem:
                         support.add(_lower(expo, v))
         monos = sorted(support)
         index = {expo: j for j, expo in enumerate(monos)}
-        JF = np.zeros((k, k + 1, len(monos)), dtype=np.complex128)
+        self.exps = np.array(monos, dtype=np.int64)
+        C = np.zeros((k, len(monos)), dtype=np.complex128)
         for i, poly in enumerate(polys):
             for expo, coeff in poly.items():
-                JF[i, k, index[expo]] = complex(coeff)
-                for v in range(k):
-                    if expo[v]:
-                        JF[i, v, index[_lower(expo, v)]] += expo[v] * complex(coeff)
-        self.exps = np.array(monos, dtype=np.int64)
+                C[i, index[expo]] = complex(coeff)
+        self.equation_scale, self.variable_scale = _balance(C, self.exps)
+        C *= 2.0 ** (self.equation_scale[:, None] + self.exps @ self.variable_scale)
+        JF = np.zeros((k, k + 1, len(monos)), dtype=np.complex128)
+        JF[:, k] = C
+        used = C.any(axis=0)
+        for v in range(k):
+            # lowering e_v by one is one-to-one on the monomials that hold u_v
+            holds = np.nonzero(used & (self.exps[:, v] > 0))[0]
+            lower = [index[_lower(monos[j], v)] for j in holds]
+            JF[:, v, lower] = self.exps[holds, v] * C[:, holds]
         self._JF = JF.reshape(k * (k + 1), -1)
         self.degrees = np.array(
             [max((sum(e) for e in poly), default=0) for poly in polys],
@@ -106,15 +138,23 @@ class PolySystem:
         # highest power of one variable needed by F, J and the start system
         self.top = int(max(self.degrees.max(initial=0), self.exps.max(initial=0)))
         # rows of the flattened (k * (top + 1), P) power table: the powers
-        # x_v^e that make up each monomial, then x_v^d_v and x_v^(d_v - 1)
+        # u_v^e that make up each monomial, then u_v^d_v and u_v^(d_v - 1)
         row = np.arange(k) * (self.top + 1)
         self._mono_rows = self.exps + row
         self._start_rows = np.concatenate(
             [row + self.degrees, row + np.maximum(self.degrees - 1, 0)]
         )
 
+    def to_tracked(self, theta):
+        """The tracked variables u = theta 2^(-s) of points theta (..., k)."""
+        return np.asarray(theta, dtype=np.complex128) * 2.0 ** -self.variable_scale
+
+    def from_tracked(self, u):
+        """The caller's variables theta = u 2^s of tracked points u (..., k)."""
+        return np.asarray(u, dtype=np.complex128) * 2.0 ** self.variable_scale
+
     def start_points(self):
-        """All tuples of d_i-th roots of unity, as a (paths, k) array."""
+        """All tuples of d_i-th roots of unity, as a (paths, k) array in u."""
         roots = []
         for d in self.degrees:
             angles = 2.0 * np.pi * np.arange(d) / d
@@ -122,12 +162,13 @@ class PolySystem:
         grids = np.meshgrid(*roots, indexing="ij")
         return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
-    def evaluate(self, x):
-        """F(x) for a single point."""
-        return self._eval_JF(np.asarray(x, dtype=np.complex128)[None])[1][0, :, -1]
+    def evaluate(self, theta):
+        """The caller's F(theta) for a single point."""
+        F = self._eval_JF(self.to_tracked(theta)[None])[1][0, :, -1]
+        return F * 2.0 ** -self.equation_scale
 
     def _eval_JF(self, x):
-        """(powers, JF) at the rows of x (P, k).
+        """(powers, JF) of the balanced system at the rows of u = x (P, k).
 
         powers (k * (top + 1), P) holds x[p, v]^e in row v * (top + 1) + e;
         JF[p] (k, k + 1) is the Jacobian at x[p] with F(x[p]) as its last
@@ -145,6 +186,25 @@ class PolySystem:
         for v in range(1, self.k):
             mono *= powers.take(self._mono_rows[:, v], axis=0)
         return powers, (self._JF @ mono).T.reshape(P, self.k, self.k + 1)
+
+
+def _balance(C, exps):
+    """Integer exponents (r, s) that balance the coefficient table C (k, M).
+
+    Scaling equation i by 2^r_i and variable v by 2^s_v turns the
+    coefficient c of monomial e in equation i into c 2^(r_i + e.s).  The
+    exponents minimise sum (log2|c| + r_i + e.s)^2 over the nonzero c, one
+    least-squares fit (the minimum-norm solution where the fit does not fix
+    them), rounded to integers so that the scaling is exact.
+    """
+    k = len(C)
+    rows, cols = np.nonzero(C)
+    A = np.zeros((len(rows), 2 * k))
+    A[np.arange(len(rows)), rows] = 1.0
+    A[:, k:] = exps[cols]
+    fit = np.linalg.lstsq(A, -np.log2(np.abs(C[rows, cols])), rcond=None)[0]
+    fit = np.rint(fit).astype(np.int64)
+    return fit[:k], fit[k:]
 
 
 def _lower(expo, v):
@@ -233,7 +293,7 @@ def _newton(system, gamma, x, t, iters, tol):
 
 
 def _stalled(x):
-    """Status of stalled paths at their last points x (P, k)."""
+    """Status of stalled paths at their last points theta = x (P, k)."""
     return np.where(
         np.abs(x).max(axis=1) > STALL_DIVERGED, STATUS_DIVERGED, STATUS_FAILED
     )
@@ -288,6 +348,9 @@ def track_all(system, gamma, *, stop=None):
     H_MIN).  Converged endpoints are then polished together on the target
     system.
 
+    The paths run in the balanced variables u of the system; the
+    endpoints and the points handed to stop are mapped back to theta.
+
     stop, when given, is called after each iteration in which paths reach
     t = 1, with their (unpolished) endpoints as a (P, k) array.  When it
     returns true the sweep ends: the paths still running get
@@ -336,7 +399,8 @@ def track_all(system, gamma, *, stop=None):
         grow = consec >= 2
         consec[grow] = 0
         h = np.where(grow, np.minimum(h * 2.0, H_MAX), np.where(accepted, h, h * 0.5))
-        diverged = accepted & (np.abs(x).max(axis=1) > DIVERGENCE_CUTOFF)
+        theta = system.from_tracked(x)
+        diverged = accepted & (np.abs(theta).max(axis=1) > DIVERGENCE_CUTOFF)
         running = ~diverged & (t < 1.0)
         stalled = running & ((~accepted & (h < H_MIN)) | (steps >= MAX_STEPS))
         ended = ~running | stalled
@@ -345,9 +409,9 @@ def track_all(system, gamma, *, stop=None):
             out_x[out] = x[ended]
             out_steps[out] = steps[ended]
             out_status[idx[diverged]] = STATUS_DIVERGED
-            out_status[idx[stalled]] = _stalled(x[stalled])
+            out_status[idx[stalled]] = _stalled(theta[stalled])
             arrived = ~running & ~diverged
-            halt = stop is not None and arrived.any() and stop(x[arrived])
+            halt = stop is not None and arrived.any() and stop(theta[arrived])
             keep = ~ended
             idx, x, v, t, h = idx[keep], x[keep], v[keep], t[keep], h[keep]
             t_p, x_p, v_p = t_p[keep], x_p[keep], v_p[keep]
@@ -364,7 +428,7 @@ def track_all(system, gamma, *, stop=None):
     )
     good = polished & np.all(np.isfinite(xp), axis=1)
     out_x[done[good]] = xp[good]
-    return out_x, out_status, out_steps
+    return system.from_tracked(out_x), out_status, out_steps
 
 
 def newton_polish(system, x):
@@ -373,9 +437,9 @@ def newton_polish(system, x):
     Runs up to POLISH_ITERS Newton steps to POLISH_TOL, the endpoint polish
     of a tracked path.  On failure x is the last Newton iterate.
     """
-    x = np.array(x, dtype=np.complex128)[None]
-    ok, x, _v = _newton(system, 0j, x, np.ones(1), POLISH_ITERS, POLISH_TOL)
-    return bool(ok[0]), x[0]
+    u = system.to_tracked(x)[None]
+    ok, u, _v = _newton(system, 0j, u, np.ones(1), POLISH_ITERS, POLISH_TOL)
+    return bool(ok[0]), system.from_tracked(u[0])
 
 
 def warm_up():

@@ -6,12 +6,14 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from minsos import cli, enumerator
 from minsos.biform import BinaryForm, TermPoly
 from minsos.errors import IterationBudgetExceeded, PathFailureBudgetExceeded
-from minsos.gram import gram_residual
+from minsos.enumerator import minor_system
+from minsos.gram import build_gram_space, gram_residual
 from minsos.sampling import random_dyad_matrix, random_nonneg_binary, random_positive_form
 from minsos.surfaces import MonomialBasis, cone_rnc, expected_counts, scroll, veronese
 
@@ -174,6 +176,36 @@ def test_verify_reads_reports_with_and_without_stopped_paths(tmp_path):
     assert cli.main(["verify", str(out)]) == cli.EXIT_OK
     old = DATA / "enumeration_scroll11.json"
     assert "stopped" not in json.loads(old.read_text())["report"]["pathStats"]
+    assert cli.main(["verify", str(old)]) == cli.EXIT_OK
+
+
+def test_verify_reads_reports_with_and_without_balancing_exponents(tmp_path):
+    # the report records the powers of two that balance the tracked system,
+    # and they rebuild its coefficients from the report's form and seed
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(random_positive_form(scroll(2, 1), seed=0).to_json()))
+    out = tmp_path / "enum.json"
+    argv = ["enumerate", str(form_path), "--surface", "scroll(2,1)", "--json-out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    data = json.loads(out.read_text())
+    stats = data["report"]["pathStats"]
+    r, s = np.array(stats["equationScale"]), np.array(stats["variableScale"])
+    assert r.shape == s.shape == (3,) and s.any()
+    assert cli.main(["verify", str(out)]) == cli.EXIT_OK
+    space = build_gram_space(cli.form_from_json(data["form"]), cli.parse_surface(data["surface"]))
+    ss = np.random.SeedSequence(data["seed"])
+    combo_seed = int(ss.generate_state(2, np.uint64)[0])
+    system = minor_system(space, data["rank"], seed=combo_seed)
+    psys = system.poly_system()
+    index = {tuple(e): j for j, e in enumerate(system.mono_exps.tolist())}
+    cols = [index[tuple(e)] for e in psys.exps.tolist()]
+    rebuilt = system.combos[:, cols] * 2.0 ** (r[:, None] + psys.exps @ s)
+    tracked = psys._JF[psys.k :: psys.k + 1]
+    live = tracked != 0
+    assert live.sum() > 3 * len(cols) // 2
+    np.testing.assert_array_equal(tracked[live], rebuilt[live])
+    old = DATA / "enumeration_scroll11.json"
+    assert "variableScale" not in json.loads(old.read_text())["report"]["pathStats"]
     assert cli.main(["verify", str(old)]) == cli.EXIT_OK
 
 

@@ -272,11 +272,11 @@ def test_solve_raises_once_failures_exceed_the_budget(monkeypatch):
 
 
 def test_path_jump_recovered_by_second_sweep():
-    # the first sweep lands two paths on theta ~ 0.979 and loses the root
-    # at theta ~ 32.30; the collision triggers a sweep with another gamma
-    f = random_positive_form(scroll(1, 1), seed=14144495382040024078)
+    # the first sweep lands two paths on theta ~ -8.053 and loses the root
+    # at theta ~ -4.293; the collision triggers a sweep with another gamma
+    f = random_positive_form(scroll(1, 1), seed=14637092758747473423)
     space = build_gram_space(f, scroll(1, 1))
-    report = enumerate_rank(space, 3, 18364404067639009946)
+    report = enumerate_rank(space, 3, 1652428569061059459)
     assert report.counts == expected_counts(scroll(1, 1))
     assert report.path_stats["secondSweep"]
     assert report.solution_set.cluster_sizes == [1, 1, 1, 1]
@@ -332,12 +332,12 @@ def _scroll21_seed0_space():
 
 def test_sweep_stops_at_the_generic_count(monkeypatch):
     # the first sweep ends once its endpoints hold the 16 classes; the full
-    # sweep takes 166 lockstep iterations on this form, the stopped one 89
+    # sweep takes 130 lockstep iterations on this form, the stopped one 70
     sweeps = _recording_tracker(monkeypatch)
     report = enumerate_rank(_scroll21_seed0_space(), 3, seed=0)
     assert len(sweeps) == 1
     _x, statuses, steps = sweeps[0]
-    assert steps.max() <= 100
+    assert steps.max() <= 80
     stats = report.path_stats
     assert stats["stopped"] == np.sum(statuses == STATUS_STOPPED) > 0
     assert stats["converged"] + stats["diverged"] + stats["failed"] + stats["stopped"] == 64

@@ -121,21 +121,34 @@ def test_F_and_jacobian_match_scalar_reference(k, deg):
         F = np.empty(k, dtype=np.complex128)
         J = np.empty(k * k, dtype=np.complex128)
         _eval_FJ(C, D, parent, pvar, x, np.empty(len(parent), complex), F, J)
-        _powers, JF = sys_._eval_JF(x[None])
-        np.testing.assert_allclose(JF[0, :, k], F, rtol=1e-12)
+        F_u, J_u = _balanced(sys_, F, J.reshape(k, k))
+        _powers, JF = sys_._eval_JF(sys_.to_tracked(x)[None])
+        np.testing.assert_allclose(JF[0, :, k], F_u, rtol=1e-12)
         np.testing.assert_allclose(sys_.evaluate(x), F, rtol=1e-12)
-        np.testing.assert_allclose(JF[0, :, :k], J.reshape(k, k), rtol=1e-12)
+        np.testing.assert_allclose(JF[0, :, :k], J_u, rtol=1e-12)
+
+
+def _balanced(system, F, J):
+    """F and its Jacobian J at theta, as the balanced system has them at u:
+    equation i scaled by 2^r_i and column v by d theta_v / d u_v = 2^s_v."""
+    r = 2.0 ** system.equation_scale
+    s = 2.0 ** system.variable_scale
+    return r * F, r[:, None] * J * s
 
 
 def test_jacobian_of_sparse_support():
     # d(xy)/dy = x: the monomial x itself is in no equation's support
     polys = [{(1, 1): 2.0 + 1j}, {(0, 1): 1.0, (0, 0): -3.0}]
     x = np.array([0.3 - 1.2j, 2.0 + 0.5j])
-    _powers, JF = PolySystem(polys, 2)._eval_JF(x[None])
-    np.testing.assert_allclose(JF[0, :, 2], [(2.0 + 1j) * x[0] * x[1], x[1] - 3.0])
-    np.testing.assert_allclose(
-        JF[0, :, :2], [[(2.0 + 1j) * x[1], (2.0 + 1j) * x[0]], [0, 1]]
+    sys_ = PolySystem(polys, 2)
+    _powers, JF = sys_._eval_JF(sys_.to_tracked(x)[None])
+    F, J = _balanced(
+        sys_,
+        np.array([(2.0 + 1j) * x[0] * x[1], x[1] - 3.0]),
+        np.array([[(2.0 + 1j) * x[1], (2.0 + 1j) * x[0]], [0, 1]]),
     )
+    np.testing.assert_allclose(JF[0, :, 2], F)
+    np.testing.assert_allclose(JF[0, :, :2], J)
 
 
 def test_total_paths_is_degree_product():
@@ -152,6 +165,56 @@ def test_start_points_solve_start_system():
     assert np.allclose(np.abs(starts), 1.0)
     assert np.allclose(starts[:, 0] ** 2, 1.0)
     assert np.allclose(starts[:, 1] ** 3, 1.0)
+
+
+# ----------------------------------------------------------------- balancing
+
+
+def test_balanced_coefficients_sit_near_one():
+    # c_e = 2^(40 - 20 e) g_e with |g_e| = 1: the fit takes 2^-40 out of the
+    # equation and 2^20 out of the variable, and every tracked coefficient
+    # is g_e
+    g = np.exp(1j * np.random.default_rng(3).uniform(0, 2 * np.pi, 5))
+    sys_ = PolySystem([{(e,): g[e] * 2.0 ** (40 - 20 * e) for e in range(5)}], 1)
+    assert sys_.equation_scale.tolist() == [-40]
+    assert sys_.variable_scale.tolist() == [20]
+    np.testing.assert_array_equal(sys_._JF[1], g)
+
+
+def test_widely_scaled_univariate_matches_numpy_roots():
+    # coefficients from 2^40 down to 2^-40 and roots near 2^20: balanced,
+    # the paths take 8 to 20 steps (unbalanced, every path stalls)
+    rng = np.random.default_rng(6)
+    poly = (rng.standard_normal(5) + 1j * rng.standard_normal(5)) * 2.0 ** (
+        40 - 20 * np.arange(5)
+    )
+    sys_ = PolySystem([{(e,): poly[e] for e in range(5)}], 1)
+    endpoints, statuses, steps = track_all(sys_, np.exp(0.9j))
+    assert np.all(statuses == STATUS_CONVERGED)
+    assert steps.max() <= 30
+    roots = np.roots(poly[::-1])
+    _match_sets(endpoints / 2.0**20, roots[:, None] / 2.0**20, tol=1e-12)
+
+
+def test_tracked_variables_round_trip_exactly():
+    rng = np.random.default_rng(5)
+    polys = [
+        {(2, 0, 0): 2.0**30, (0, 1, 1): 3.0, (0, 0, 0): 2.0**-12},
+        {(0, 3, 0): 2.0**-25, (1, 0, 0): 1.0, (0, 0, 0): 7.0},
+        {(0, 0, 2): 2.0**9, (1, 1, 0): 0.5, (0, 0, 0): -1.0},
+    ]
+    sys_ = PolySystem(polys, 3)
+    assert sys_.variable_scale.any()
+    theta = (rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))) * 10.0 ** (
+        rng.uniform(-8, 8, (50, 3))
+    )
+    u = sys_.to_tracked(theta)
+    assert not np.array_equal(u, theta)
+    assert np.array_equal(sys_.from_tracked(u), theta)
+    # evaluate reads the caller's equations at theta
+    for point in theta[:5]:
+        F = np.array([sum(c * np.prod(point**e) for e, c in p.items()) for p in polys])
+        np.testing.assert_allclose(sys_.evaluate(point), F, rtol=1e-12)
 
 
 # ----------------------------------------------------------- endpoint oracles
@@ -247,11 +310,13 @@ def test_tracking_deterministic_for_fixed_gamma():
 # ------------------------------------------------ serial reference tracker
 
 
-def _reference_track(polys, k, gamma):
+def _reference_track(polys, k, gamma, to_theta=1.0):
     """Track each path alone with plain loops, by the tracker's constants.
 
-    Returns (endpoints, statuses, steps) in start-point order: the tuples of
-    d_i-th roots of unity, the last variable varying fastest.
+    polys are the balanced equations in u; the divergence tests read the
+    norms of theta = u * to_theta.  Returns (endpoints, statuses, steps) in
+    start-point order: the tuples of d_i-th roots of unity, the last
+    variable varying fastest.
     """
     C, D, parent, pvar = _reference_tables(polys, k)
     degs = [max(sum(e) for e in poly) for poly in polys]
@@ -299,7 +364,7 @@ def _reference_track(polys, k, gamma):
         return False, x, None
 
     def stalled(x):
-        if np.abs(x).max() > tracking.STALL_DIVERGED:
+        if np.abs(x * to_theta).max() > tracking.STALL_DIVERGED:
             return STATUS_DIVERGED
         return STATUS_FAILED
 
@@ -343,7 +408,7 @@ def _reference_track(polys, k, gamma):
                 prev = (t, x, v)
                 t += hstep
                 x, v = xtrial, vtrial
-                if np.abs(x).max() > tracking.DIVERGENCE_CUTOFF:
+                if np.abs(x * to_theta).max() > tracking.DIVERGENCE_CUTOFF:
                     return STATUS_DIVERGED, steps, x
                 consec += 1
                 if consec >= 2:
@@ -368,19 +433,41 @@ def _reference_track(polys, k, gamma):
 @pytest.mark.parametrize("k,deg", [(2, 3), (3, 2)])
 @pytest.mark.parametrize("angle", [0.37, 2.61])
 def test_batched_tracker_matches_serial_reference(k, deg, angle):
+    # random coefficients skewed by powers of two per equation and per
+    # variable; the reference tracks the balanced system in u, where the
+    # endpoints are compared
     rng = np.random.default_rng(7 * k + deg)
+    row, col = rng.integers(-20, 20, k), rng.integers(-6, 6, k)
     polys = [
-        {e: complex(*rng.standard_normal(2)) for e in _graded_monomials(k, deg)}
-        for _ in range(k)
+        {
+            e: complex(*rng.standard_normal(2)) * 2.0 ** (row[i] + np.dot(e, col))
+            for e in _graded_monomials(k, deg)
+        }
+        for i in range(k)
     ]
     gamma = np.exp(1j * angle)
-    endpoints, statuses, steps = track_all(PolySystem(polys, k), gamma)
-    ref_x, ref_status, ref_steps = _reference_track(polys, k, gamma)
+    system = PolySystem(polys, k)
+    assert system.equation_scale.any() and system.variable_scale.any()
+    endpoints, statuses, steps = track_all(system, gamma)
+    ref_u, ref_status, ref_steps = _reference_track(
+        _balanced_polys(system, polys), k, gamma, 2.0**system.variable_scale
+    )
     assert statuses.tolist() == ref_status.tolist()
     assert steps.tolist() == ref_steps.tolist()
     conv = statuses == STATUS_CONVERGED
     assert conv.sum() == deg**k
-    np.testing.assert_allclose(endpoints[conv], ref_x[conv], rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(
+        system.to_tracked(endpoints[conv]), ref_u[conv], rtol=1e-10, atol=1e-10
+    )
+
+
+def _balanced_polys(system, polys):
+    """The coefficients c 2^(r_i + e.s) that system tracks, as dicts."""
+    r, s = system.equation_scale, system.variable_scale
+    return [
+        {e: c * 2.0 ** (r[i] + np.dot(e, s)) for e, c in poly.items()}
+        for i, poly in enumerate(polys)
+    ]
 
 
 # ----------------------------------------------------------------- predictor
@@ -438,10 +525,12 @@ def test_predictor_falls_back_to_tangent_step_at_a_sharp_turn():
 
 
 def test_step_budget_on_scroll21_form(monkeypatch):
-    # a predictor regression would keep every count right and only cost
-    # steps: the Hermite predictor takes at most 166 steps on a path of this
-    # form (the Euler predictor took 262), with the same statuses; with no
-    # count to stop at, the sweep tracks every path to its end
+    # a predictor or balancing regression would keep every count right and
+    # only cost steps: on the balanced system the Hermite predictor takes at
+    # most 130 steps on a path of this form and 2,542 over all 64 (on the
+    # unbalanced system 166 and 5,128; the Euler predictor took 262 on one
+    # path), with the same statuses; with no count to stop at, the sweep
+    # tracks every path to its end
     spec = scroll(2, 1)
     space = build_gram_space(random_positive_form(spec, seed=0), spec)
     runs = []
@@ -455,19 +544,39 @@ def test_step_budget_on_scroll21_form(monkeypatch):
     enumerator.enumerate_rank(space, 3, seed=0)
     _x, statuses, steps = runs[0]
     assert np.bincount(statuses, minlength=3).tolist() == [60, 4, 0]
-    assert steps.max() <= 190
+    assert steps.max() <= 150
+    assert steps.sum() <= 2_900
 
 
-def test_sharp_turn_guard_keeps_every_solution():
-    # on this form an unguarded cubic extrapolation moves a path that ends at
-    # a solution onto another path, and the count drops to 15 with no second
-    # sweep to recover it; the tangent fallback at sharp turns keeps all 16
-    spec = scroll(2, 1)
-    space = build_gram_space(random_positive_form(spec, seed=1195), spec)
-    report = enumerator.enumerate_rank(space, 3, seed=1195)
-    assert report.counts["complex"] == 16
-    assert report.path_stats["converged"] == 60
-    assert not report.path_stats["secondSweep"]
+def test_sharp_turn_guard_keeps_every_solution(monkeypatch):
+    # on this octic, with this gamma, an unguarded cubic extrapolation moves
+    # a path onto another path's root and one root is lost; the tangent
+    # fallback at sharp turns keeps all eight
+    rng = np.random.default_rng(296)
+    poly = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    gamma = np.exp(2j * np.pi * rng.uniform())
+    sys_ = PolySystem([{(e,): poly[e] for e in range(9)}], 1)
+    roots = np.roots(poly[::-1])[:, None]
+    endpoints, statuses, _steps = track_all(sys_, gamma)
+    assert np.all(statuses == STATUS_CONVERGED)
+    _match_sets(endpoints, roots, tol=1e-9)
+
+    def unguarded(x_p, v_p, x, v, h0, h):
+        first = h0 == 0.0
+        s = (1.0 + h / np.where(first, 1.0, h0))[:, None]
+        h0 = h0[:, None]
+        cubic = (
+            (2 * s**3 - 3 * s**2 + 1) * x_p
+            + (s**3 - 2 * s**2 + s) * h0 * v_p
+            + (3 * s**2 - 2 * s**3) * x
+            + (s**3 - s**2) * h0 * v
+        )
+        return np.where(first[:, None], x + h[:, None] * v, cubic)
+
+    monkeypatch.setattr(tracking, "_predict", unguarded)
+    endpoints, statuses, _steps = track_all(sys_, gamma)
+    found = {int(np.argmin(np.abs(roots[:, 0] - x))) for x in endpoints[:, 0]}
+    assert len(found) == 7
 
 
 def test_one_evaluation_per_corrector_iteration(monkeypatch):
@@ -499,6 +608,9 @@ def test_one_evaluation_per_corrector_iteration(monkeypatch):
     for evaluations, iterations in sweeps:
         bound = tracking.NEWTON_ITERS * iterations + 1 + tracking.POLISH_ITERS
         assert evaluations <= bound
+    # balanced, the run takes 286 evaluations on this form; the same tracker
+    # on the unbalanced system takes 335
+    assert len(calls) <= 310
 
 
 @pytest.mark.slow
