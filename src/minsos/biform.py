@@ -1,11 +1,12 @@
 """Polynomial containers: one sparse class and one dense binary form.
 
 :class:`TermPoly` maps exponent tuples of a fixed length to coefficients.
-Every quadratic form of the package is one: a form on a scroll or cone is a
-TermPoly over (s, t, x, y) of bidegree (2d, 2) (checked where the blocks are
-read, in :func:`minsos.surfaces.quadratic_form_blocks`), a form on the
-Veronese surface one over (u, v, w), and a form on a factorization prism one
-over (s, t, x_1..x_n).
+Every quadratic form of the package is one: a form on a scroll, cone or
+factorization prism is a TermPoly over (s, t) and one variable per block
+((s, t, x, y) for two blocks) of bidegree (2d, 2), d the largest height,
+checked where its matrix is read, in
+:meth:`minsos.surfaces.PrismSpec.matrix`; a form on the Veronese surface is
+one over (u, v, w).
 
 :class:`BinaryForm` is a homogeneous form in (s, t), stored densely because
 roots, the square-free decomposition (:func:`squarefree_parts`) and the

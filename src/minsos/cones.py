@@ -35,7 +35,6 @@ from .surfaces import (
     expected_counts,
     genericity_check,
     monomial_basis,
-    quadratic_form_blocks,
 )
 
 
@@ -47,29 +46,22 @@ def _require_cone(spec):
 def split(f, spec):
     """Decompose f = a * apex^2 + 2 * apex * b + c on the cone.
 
-    As a form in (s, t, x, y), with x the apex block and y the base block,
-
-        f = a * x^2 * t^(2d) + 2 * x * y * t^d * b(s, t) + y^2 * c(s, t).
-
-    Returns (a, b, c) with a a scalar, b a BinaryForm of degree d and c one
-    of degree 2d, by coefficient extraction in the apex variable.  b is half
-    the xy-coefficient with its forced factor t^d divided out, so embedding
-    b in the xy block needs that factor back.  All three are exact.
+    The cone over the degree-d curve is the prism (d, 0), so f is the matrix
+    [[c, b], [b, a]] of spec.prism.matrix(f): row 0 (y) the base block and
+    row 1 (x) the apex.  Returns (a, b, c) with a a scalar, b a BinaryForm
+    of degree d and c one of degree 2d, all exact.
 
     Raises ApexCoefficientNotPositive when a <= 0 (f is then not positive
     along the apex direction).
     """
     _require_cone(spec)
-    d = spec.d
-    a_form, b_form, c_form = quadratic_form_blocks(f, spec)
-    b = b_form.divide_t_power(d)
-    a_poly = a_form.divide_t_power(2 * d)
-    a = a_poly.coeffs[0]
+    m = spec.prism.matrix(f)
+    a = m[1, 1].coeffs[0]
     if not (a > 0):
         raise ApexCoefficientNotPositive(
             "apex coefficient %r is not positive" % (a,)
         )
-    return a, b, c_form
+    return a, m[0, 1], m[0, 0]
 
 
 def reduce_form(a, b, c):

@@ -1,12 +1,14 @@
 """Factorization of psd bivariate matrix polynomials as A = B B^T.
 
 A symmetric n x n matrix A of homogeneous binary forms with deg a_ij =
-d_i + d_j defines a quadratic form f = sum a_ij x_i x_j on the prism over
+d_i + d_j defines a quadratic form f = sum a_ij X_i X_j on the prism over
 the standard (n-1)-simplex truncated at heights d_i (for n = 2 this is the
-rational normal scroll).  A psd point of the Gram family of f is found by
-alternating projections and taken to a fiber point G = L L^T with L real
-and n+1 columns wide by Gauss-Newton on L; that point is read off
-columnwise as the factor B with n+1 columns and row degrees d_i.
+rational normal scroll, or the cone when a height is 0).  PrismSpec, in
+minsos.surfaces, owns that layout for matrices, scrolls and cones alike.  A
+psd point of the Gram family of f is found by alternating projections and
+taken to a fiber point G = L L^T with L real and n+1 columns wide by
+Gauss-Newton on L; that point is read off columnwise as the factor B with
+n+1 columns and row degrees d_i.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .biform import COMPLEX, BinaryForm, TermPoly
+from .biform import COMPLEX, BinaryForm
 from .binary_sos import _conjugate_choice_rep, _nonnegative, rep_forms, rnc_basis, roots
 from .errors import (
     DimensionMismatch,
@@ -33,7 +35,7 @@ from .gram import (
     inertia,
     verify_representation,
 )
-from .surfaces import MonomialBasis
+from .surfaces import PrismSpec
 
 FEAS_TOL = 1e-10
 # alternating projections get FEAS_FIRST_BUDGET rounds before factor falls
@@ -170,56 +172,11 @@ def degree_pattern(A):
     return tuple(heights)
 
 
-@dataclass(frozen=True)
-class PrismSpec:
-    """Truncated prism over the standard simplex with integer heights."""
-
-    heights: tuple
-
-    def __post_init__(self):
-        if len(self.heights) < 2:
-            raise DimensionMismatch("a prism needs at least two heights")
-        if any(d < 0 for d in self.heights):
-            raise DimensionMismatch("negative prism height")
-
-    @property
-    def n(self):
-        return len(self.heights)
-
-    @property
-    def top(self):
-        return max(self.heights)
-
-    @property
-    def target_rank(self):
-        return self.n + 1
-
-    def basis(self):
-        """Degree-one monomials x_i s^j t^(top - j), j <= d_i, as a basis.
-
-        Variables are ordered (s, t, x_1..x_n); the common t-power lifts all
-        blocks to the same (s, t)-degree, exactly as for scrolls.
-        """
-        D = self.top
-        monos = []
-        for i, d in enumerate(self.heights):
-            for j in range(d + 1):
-                expo = [j, D - j] + [0] * self.n
-                expo[2 + i] = 1
-                monos.append(tuple(expo))
-        names = ("s", "t") + tuple("x%d" % (i + 1) for i in range(self.n))
-        return MonomialBasis(tuple(monos), self.n + 2, names)
-
-    def __str__(self):
-        return "prism" + str(tuple(self.heights))
-
-
 def embed(A):
-    """The quadratic form f = sum a_ij x_i x_j on the prism of A.
+    """The quadratic form f = sum a_ij X_i X_j on the prism of A.
 
-    Returns (PrismSpec, TermPoly over (s, t, x_1..x_n)).  The (s, t)-degree
-    of every term is lifted to 2 * max(d_i) by the same t-power that lifts
-    the basis monomials.
+    Returns (spec, f): spec is PrismSpec(degree_pattern(A)) and f is
+    spec.form of the upper entries of A.
     """
     heights = degree_pattern(A)
     n = A.n
@@ -228,23 +185,7 @@ def embed(A):
             "1 x 1 matrices are binary forms; use the two-squares enumeration"
         )
     spec = PrismSpec(heights)
-    D = spec.top
-    terms = {}
-    for i in range(n):
-        for j in range(n):
-            entry = A.entries[i][j]
-            if entry.is_zero():
-                continue
-            shift = 2 * D - entry.deg
-            for p, coeff in enumerate(entry.coeffs):
-                if coeff == 0:
-                    continue
-                expo = [p, entry.deg - p + shift] + [0] * n
-                expo[2 + i] += 1
-                expo[2 + j] += 1
-                key = tuple(expo)
-                terms[key] = terms.get(key, 0) + coeff
-    return spec, TermPoly(n + 2, terms)
+    return spec, spec.form({(i, j): A.entries[i][j] for i in range(n) for j in range(i, n)})
 
 
 def prism_gram_space(A):
@@ -420,7 +361,7 @@ def check_psd_on_grid(A):
 
 
 def factor_residual(A, columns):
-    """max |coefficient of f - sum_c (sum_i c_i x_i)^2|, f = sum a_ij x_i x_j.
+    """max |coefficient of f - sum_c (sum_i c_i X_i)^2|, f = sum a_ij X_i X_j.
 
     columns are the columns of B, each a list of one binary form per row
     with the degrees of degree_pattern(A).  Off-diagonal entries count with

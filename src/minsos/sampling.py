@@ -13,7 +13,7 @@ import numpy as np
 from .biform import BinaryForm, TermPoly
 from .errors import UnsupportedDegree
 from .factorization import SymMatrixPoly
-from .surfaces import VERONESE, genericity_check, monomial_basis, quadratic_form_blocks
+from .surfaces import VERONESE, genericity_check, monomial_basis
 
 MAX_ATTEMPTS = 64
 # curve_samples walks s over [-CURVE_RADIUS, CURVE_RADIUS] in CURVE_POINTS steps
@@ -149,9 +149,11 @@ def curve_samples(f, spec):
     ``[-CURVE_RADIUS, CURVE_RADIUS]``, solves the resulting real quadratic
     in the fiber coordinate.
     Yields ``(s, branch, x)`` rows; branches without real solutions are
-    skipped.
+    skipped.  The quadratic is f = a x^2 + 2 b x + c with [[c, b], [b, a]]
+    the prism matrix of f.
     """
-    a_form, b_form, c_form = quadratic_form_blocks(f, spec)
+    m = spec.prism.matrix(f)
+    a_form, b_form, c_form = m[1, 1], m[0, 1], m[0, 0]
     rows = []
     for s in np.linspace(-CURVE_RADIUS, CURVE_RADIUS, CURVE_POINTS):
         sc = complex(s)

@@ -6,6 +6,11 @@ P^5, and the cone over a rational normal curve.  The module provides their
 monomial bases, genus and degree bookkeeping, the generic counts of rank-3
 Gram matrices (expected_counts), discriminants of quadratic forms, and
 genericity diagnostics.
+
+Scrolls and cones are prisms: Scroll(d, e) is the prism (d, e) and the cone
+over the degree-d curve the prism (d, 0).  PrismSpec owns their layout, the
+one monomial basis and the one map between a quadratic form and its
+symmetric matrix of binary forms, which factorization shares.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from math import comb
 
 import numpy as np
 
-from .biform import BinaryForm, squarefree_parts
-from .errors import DegreeMismatch, NotAScroll
+from .biform import BinaryForm, TermPoly, squarefree_parts
+from .errors import DegreeMismatch, DimensionMismatch, NotAScroll
 
 SCROLL = "scroll"
 VERONESE = "veronese"
@@ -40,10 +45,15 @@ class SurfaceSpec:
                     "scroll needs d >= e >= 1, got (%d, %d)" % (self.d, self.e)
                 )
         elif self.kind == VERONESE:
-            pass
+            if self.d or self.e:
+                raise DegreeMismatch(
+                    "the Veronese surface has no heights, got (%d, %d)" % (self.d, self.e)
+                )
         elif self.kind == CONE_RNC:
             if self.d < 2:
                 raise DegreeMismatch("cone needs curve degree >= 2, got %d" % self.d)
+            if self.e:
+                raise DegreeMismatch("a cone has one height, got (%d, %d)" % (self.d, self.e))
         else:
             raise DegreeMismatch("unknown surface kind %r" % (self.kind,))
 
@@ -78,13 +88,11 @@ class SurfaceSpec:
         return self.d + self.e - 1
 
     @property
-    def ruling_heights(self):
-        """(d, e) for scrolls, (d, 0) for cones (apex block has height 0)."""
-        if self.kind == SCROLL:
-            return (self.d, self.e)
-        if self.kind == CONE_RNC:
-            return (self.d, 0)
-        raise NotAScroll("no ruling for the Veronese surface")
+    def prism(self):
+        """The prism (d, e) of a scroll, or (d, 0) of a cone (its apex block)."""
+        if self.kind == VERONESE:
+            raise NotAScroll("no ruling for the Veronese surface")
+        return PrismSpec((self.d, self.e))
 
     def __str__(self):
         if self.kind == SCROLL:
@@ -234,15 +242,88 @@ class MonomialBasis:
         return "*".join(parts) if parts else "1"
 
 
-def _scroll_like_basis(d, e):
-    """Basis of R[X]_1 for the trapezoid with heights (d, e); e = 0 for cones.
+@dataclass(frozen=True)
+class PrismSpec:
+    """Truncated prism over the standard (n-1)-simplex with heights d_1..d_n.
 
-    The y-block y s^i t^(d-i) for i = 0..d, then the x-block x s^i t^(d-i)
-    for i = 0..e (all of bidegree (d, 1)).
+    A quadratic form on it is f = sum a_ij X_i X_j, a symmetric n x n matrix
+    of binary forms with deg a_ij = d_i + d_j.  Forms live over (s, t, X_n,
+    .., X_1): block i sits on variable 2 + (n - 1 - i), so for n = 2 the
+    variables are (s, t, x, y) with y the block of height d_1.  A power of t
+    lifts every block to the common (s, t)-degree top = max d_i, and the
+    matrix [[c, b], [b, a]] of f = a x^2 + 2 b xy + c y^2 is free of it.
     """
-    monos = [(i, d - i, 0, 1) for i in range(d + 1)]
-    monos += [(i, d - i, 1, 0) for i in range(e + 1)]
-    return MonomialBasis(tuple(monos), 4, ("s", "t", "x", "y"))
+
+    heights: tuple
+
+    def __post_init__(self):
+        if len(self.heights) < 2:
+            raise DimensionMismatch("a prism needs at least two heights")
+        if any(d < 0 for d in self.heights):
+            raise DimensionMismatch("negative prism height")
+
+    @property
+    def n(self):
+        return len(self.heights)
+
+    @property
+    def top(self):
+        return max(self.heights)
+
+    @property
+    def target_rank(self):
+        return self.n + 1
+
+    def basis(self):
+        """Degree-one monomials X_i s^j t^(top - j), j <= d_i, block by block."""
+        monos = []
+        for i, d in enumerate(self.heights):
+            for j in range(d + 1):
+                expo = [j, self.top - j] + [0] * self.n
+                expo[-1 - i] = 1
+                monos.append(tuple(expo))
+        blocks = ("y", "x") if self.n == 2 else ["x%d" % (i + 1) for i in range(self.n)]
+        return MonomialBasis(tuple(monos), self.n + 2, ("s", "t", *blocks[::-1]))
+
+    def form(self, entries):
+        """The TermPoly f = sum a_ij X_i X_j of the entries {(i, j): a_ij}, i <= j.
+
+        Zero entries are skipped; every other a_ij must have degree d_i + d_j.
+        """
+        terms = {}
+        for (i, j), entry in entries.items():
+            if entry.is_zero():
+                continue
+            if entry.deg != self.heights[i] + self.heights[j]:
+                raise DegreeMismatch("entry (%d,%d) has degree %d" % (i, j, entry.deg))
+            for p, coeff in enumerate(entry.coeffs):
+                expo = [p, 2 * self.top - p] + [0] * self.n
+                expo[-1 - i] += 1
+                expo[-1 - j] += 1
+                terms[tuple(expo)] = coeff if i == j else 2 * coeff
+        return TermPoly(self.n + 2, terms)
+
+    def matrix(self, f):
+        """The entries {(i, j): a_ij}, i <= j, of a form f; the inverse of form.
+
+        Raises DegreeMismatch unless every term of f has bidegree (2 top, 2)
+        and carries the t-power that lifts its entry to that degree.
+        """
+        if f.nvars != self.n + 2:
+            raise DegreeMismatch("expected %d variables, got %d" % (self.n + 2, f.nvars))
+        coeffs = {
+            (i, j): [Fraction(0)] * (self.heights[i] + self.heights[j] + 1)
+            for i in range(self.n)
+            for j in range(i, self.n)
+        }
+        for expo, coeff in f.terms.items():
+            if min(expo) < 0 or expo[0] + expo[1] != 2 * self.top or sum(expo[2:]) != 2:
+                raise DegreeMismatch("term %r violates bidegree (%d, 2)" % (expo, 2 * self.top))
+            i, j = [k for k, e in enumerate(expo[:1:-1]) for _ in range(e)]
+            if expo[0] >= len(coeffs[i, j]):
+                raise DegreeMismatch("term %r lacks the t-power of its block" % (expo,))
+            coeffs[i, j][expo[0]] = coeff if i == j else coeff / 2
+        return {key: BinaryForm(c) for key, c in coeffs.items()}
 
 
 def _veronese_basis():
@@ -258,54 +339,18 @@ def monomial_basis(spec):
     """Monomial basis of R[X]_1; its pair_map lists the monomials of R[X]_2."""
     if spec.kind == VERONESE:
         return _veronese_basis()
-    d, e = spec.ruling_heights
-    return _scroll_like_basis(d, e)
-
-
-def quadratic_form_blocks(f, spec):
-    """Split a quadratic form f = a x^2 + 2 b xy + c y^2 on a scroll or cone.
-
-    f is a form over (s, t, x, y) whose every term has bidegree (2d, 2).
-    Returns BinaryForms (a, b, c) of degree 2d and checks the divisibility
-    pattern: a divisible by t^(2(d-e)) and b by t^(d-e).
-    """
-    if spec.kind == VERONESE:
-        raise NotAScroll("no (x, y) block structure on the Veronese surface")
-    if f.nvars != 4:
-        raise DegreeMismatch(
-            "expected a form in (s, t, x, y), got %d variables" % f.nvars
-        )
-    d, e = spec.ruling_heights
-    deg = 2 * d
-    blocks = [[Fraction(0)] * (deg + 1) for _ in range(3)]  # indexed by the power of x
-    for (i, j, k, l), coeff in f.terms.items():
-        if min(i, j, k, l) < 0 or i + j != deg or k + l != 2:
-            raise DegreeMismatch(
-                "term %r violates bidegree (%d, 2)" % ((i, j, k, l), deg)
-            )
-        blocks[k][i] = coeff
-    a = BinaryForm(blocks[2], deg)
-    b = BinaryForm([coeff / 2 for coeff in blocks[1]], deg)
-    c = BinaryForm(blocks[0], deg)
-    gap = d - e
-    if a.t_valuation() < 2 * gap:
-        raise DegreeMismatch("x^2 coefficient not divisible by t^%d" % (2 * gap))
-    if b.t_valuation() < gap:
-        raise DegreeMismatch("xy coefficient not divisible by t^%d" % gap)
-    return a, b, c
+    return spec.prism.basis()
 
 
 def discriminant(f, spec):
-    """Discriminant Delta = b^2 - ac of a quadratic form, normalized.
+    """Discriminant Delta = b^2 - ac of a quadratic form, read off its matrix.
 
-    The forced factor t^(2(d-e)) is divided out, leaving a binary form of
+    Delta is minus the determinant of [[c, b], [b, a]], a binary form of
     degree 2(d+e).  Only the root set matters for the diagnostics; the sign
     convention makes Delta <= 0 on the reals for nonnegative f.
     """
-    a, b, c = quadratic_form_blocks(f, spec)
-    d, e = spec.ruling_heights
-    raw = b * b - a * c
-    return raw.divide_t_power(2 * (d - e))
+    m = spec.prism.matrix(f)
+    return m[0, 1] * m[0, 1] - m[1, 1] * m[0, 0]
 
 
 def binary_squarefree(g):
@@ -322,7 +367,7 @@ class GenericityReport:
 
     delta_squarefree is None when the discriminant theory does not apply
     (Veronese surface).  On a scroll the curve V(f) is a double cover of P^1
-    branched at the roots of the normalized discriminant, so it is smooth
+    branched at the roots of the discriminant, so it is smooth
     exactly when delta_squarefree holds.
     """
 
@@ -338,10 +383,9 @@ class GenericityReport:
 def genericity_check(f, spec):
     """Genericity diagnostics for a quadratic form.
 
-    For scrolls and cones: squarefreeness of the normalized discriminant,
-    exactly, by its square-free decomposition.  The factor t^(2(d-e)) that
-    b^2 - ac carries on every form comes from the ruling heights, not from
-    f, and is left out.
+    For scrolls and cones: squarefreeness of the discriminant, exactly, by
+    its square-free decomposition.  It is read off the prism matrix, so the
+    t-powers that lift the blocks of f to one (s, t)-degree never enter it.
     """
     report = GenericityReport(surface=spec)
     if spec.kind == VERONESE:

@@ -14,9 +14,18 @@ from minsos.errors import (
     NotPSD,
     StuckAboveTarget,
 )
-from minsos.factorization import SymMatrixPoly, check_psd_on_grid, factor, factor_residual
-from minsos.gram import inertia
-from minsos.sampling import random_dyad_matrix, random_nonneg_binary
+from minsos.cones import enumerate_cone
+from minsos.enumerator import enumerate_rank
+from minsos.factorization import (
+    SymMatrixPoly,
+    check_psd_on_grid,
+    embed,
+    factor,
+    factor_residual,
+)
+from minsos.gram import build_gram_space, inertia
+from minsos.sampling import random_dyad_matrix, random_nonneg_binary, random_positive_form
+from minsos.surfaces import CONE_RNC, cone_rnc, scroll
 
 
 def _coeffs(form):
@@ -171,6 +180,48 @@ def test_rank_reduction_of_a_draw_with_n_dyads():
     assert result.warning is None
     assert result.ncols == 4 and result.rank <= 4
     assert result.residual <= 1e-12 * max(1.0, A.max_abs_coeff())
+
+
+@pytest.mark.parametrize(
+    "heights", [(2, 1), (1, 1, 1), (3, 3, 2), (4, 3, 3, 2)], ids=lambda h: "heights%s" % (h,)
+)
+def test_embed_is_the_prism_form_of_the_upper_entries(heights):
+    A, _ = random_dyad_matrix(heights, seed=0)
+    spec, f = embed(A)
+    assert spec.heights == heights
+    upper = {
+        (i, j): A.entries[i][j]
+        for i in range(A.n)
+        for j in range(i, A.n)
+        if not A.entries[i][j].is_zero()
+    }
+    back = {key: entry for key, entry in spec.matrix(f).items() if not entry.is_zero()}
+    assert back == upper
+
+
+@pytest.mark.parametrize(
+    "spec", [scroll(1, 1), scroll(2, 1), cone_rnc(3), cone_rnc(4)], ids=str
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_factor_of_a_surface_form_is_one_of_its_psd_classes(spec, seed):
+    # a form on a scroll or cone is the 2 x 2 matrix of its prism, and a
+    # psd Gram point of rank 3 on a generic form is one of finitely many
+    # classes, so factor must land on one that the enumeration finds
+    f = random_positive_form(spec, seed=seed)
+    result = factor(SymMatrixPoly.from_upper(2, spec.prism.matrix(f)))
+    assert result.rank == 3 and result.warning is None
+    vectors = np.array(
+        [[complex(c).real for form in col for c in form.coeffs] for col in result.columns]
+    )
+    G = vectors.T @ vectors
+    if spec.kind == CONE_RNC:
+        report = enumerate_cone(f, spec)
+    else:
+        report = enumerate_rank(build_gram_space(f, spec), 3, seed)
+    classes = [entry["representation"].gram() for entry in report.entries if entry["psd"]]
+    assert len(classes) == report.expected["psd"]
+    gaps = [np.max(np.abs(G - C)) / np.max(np.abs(C)) for C in classes]
+    assert min(gaps) <= 1e-10
 
 
 def test_matrix_json_round_trip_and_malformed_entries():

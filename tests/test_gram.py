@@ -13,7 +13,7 @@ import pytest
 
 from minsos.biform import TermPoly
 from minsos.errors import DimensionMismatch, NotInFiber
-from minsos.factorization import PrismSpec, prism_gram_space
+from minsos.factorization import prism_gram_space
 from minsos.gram import (
     Representation,
     build_gram_space,
@@ -26,7 +26,7 @@ from minsos.gram import (
     verify_representation,
 )
 from minsos.sampling import random_dyad_matrix, random_positive_form
-from minsos.surfaces import cone_rnc, monomial_basis, scroll, veronese
+from minsos.surfaces import PrismSpec, cone_rnc, monomial_basis, scroll, veronese
 
 
 def _space(spec, seed=3):

@@ -20,6 +20,7 @@ from minsos.errors import DegreeMismatch, NotAScroll
 from minsos.gram import build_gram_space
 from minsos.sampling import random_positive_form
 from minsos.surfaces import (
+    PrismSpec,
     SurfaceSpec,
     binary_squarefree,
     cone_rnc,
@@ -27,7 +28,6 @@ from minsos.surfaces import (
     discriminant,
     genericity_check,
     monomial_basis,
-    quadratic_form_blocks,
     scroll,
     veronese,
 )
@@ -56,11 +56,11 @@ def test_scroll_genus():
         veronese().genus
 
 
-def test_ruling_heights():
-    assert scroll(3, 2).ruling_heights == (3, 2)
-    assert cone_rnc(4).ruling_heights == (4, 0)
+def test_surface_prism():
+    assert scroll(3, 2).prism == PrismSpec((3, 2))
+    assert cone_rnc(4).prism == PrismSpec((4, 0))
     with pytest.raises(NotAScroll):
-        veronese().ruling_heights
+        veronese().prism
 
 
 def test_spec_validation():
@@ -72,6 +72,14 @@ def test_spec_validation():
         cone_rnc(1)
     with pytest.raises(DegreeMismatch):
         SurfaceSpec("moebius")
+    # a cone has one height and the Veronese surface none: cone_rnc with a
+    # second height would read as the prism of scroll(3, 2)
+    with pytest.raises(DegreeMismatch):
+        SurfaceSpec("cone_rnc", 3, 2)
+    with pytest.raises(DegreeMismatch):
+        SurfaceSpec("veronese", 1, 0)
+    with pytest.raises(DegreeMismatch):
+        SurfaceSpec("veronese", 0, 1)
 
 
 def test_spec_json_and_str_roundtrip():
@@ -104,7 +112,7 @@ def test_degree_two_basis_sizes():
 def test_scroll_basis_is_t_lifted():
     # every degree-one basis monomial has full st-degree d, xy-degree 1
     for spec in (scroll(2, 1), scroll(3, 1), cone_rnc(3)):
-        d = spec.ruling_heights[0]
+        d = spec.prism.top
         for mono in monomial_basis(spec):
             assert mono[0] + mono[1] == d
             assert mono[2] + mono[3] == 1
@@ -119,6 +127,11 @@ def test_cone_basis_order_base_block_then_apex():
         (2, 0, 0, 1),
         (0, 2, 1, 0),
     )
+
+
+@pytest.mark.parametrize("d, e", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_scroll_basis_is_the_prism_basis(d, e):
+    assert monomial_basis(scroll(d, e)) == PrismSpec((d, e)).basis()
 
 
 def test_basis_labels_and_index():
@@ -137,7 +150,7 @@ def test_veronese_basis_monomials():
     assert all(sum(m) == 4 for m in basis.pair_map.monomials)
 
 
-# ----------------------------------------------------- blocks, discriminant
+# ------------------------------------------------ prism matrix, discriminant
 
 
 def _psd_pair_form():
@@ -145,14 +158,15 @@ def _psd_pair_form():
     return TermPoly(4, {(2, 0, 0, 2): 1, (0, 2, 2, 0): 1})
 
 
-def test_quadratic_form_blocks_hand_values():
-    a, b, c = quadratic_form_blocks(_psd_pair_form(), scroll(1, 1))
-    assert a.coeffs == [1, 0, 0]  # t^2
-    assert b.is_zero()
-    assert c.coeffs == [0, 0, 1]  # s^2
+def test_prism_matrix_hand_values():
+    m = scroll(1, 1).prism.matrix(_psd_pair_form())
+    assert sorted(m) == [(0, 0), (0, 1), (1, 1)]
+    assert m[1, 1].coeffs == [1, 0, 0]  # a = t^2
+    assert m[0, 1].is_zero()
+    assert m[0, 0].coeffs == [0, 0, 1]  # c = s^2
 
 
-def test_quadratic_form_blocks_reconstruct():
+def test_prism_matrix_reconstruct():
     # f = a(s,t) x^2 + 2 b(s,t) x y + c(s,t) y^2 with hand-chosen blocks
     f = TermPoly(
         4,
@@ -165,32 +179,67 @@ def test_quadratic_form_blocks_reconstruct():
     # float terms are read as the rationals they denote, so the blocks of
     # a float-written form are the same exact forms
     ff = TermPoly(4, {expo: float(c) for expo, c in f.terms.items()})
+    prism = scroll(1, 1).prism
     for form in (f, ff):
-        a, b, c = quadratic_form_blocks(form, scroll(1, 1))
-        assert a.coeffs == [0, 0, 1]  # s^2
-        assert b.coeffs == [0, 3, 0]  # 3 s t
-        assert c.coeffs == [5, 0, 0]  # 5 t^2
-        assert a.field == b.field == c.field == RATIONAL
+        m = prism.matrix(form)
+        assert m[1, 1].coeffs == [0, 0, 1]  # s^2
+        assert m[0, 1].coeffs == [0, 3, 0]  # 3 s t
+        assert m[0, 0].coeffs == [5, 0, 0]  # 5 t^2
+        assert all(entry.field == RATIONAL for entry in m.values())
+        assert prism.form(m) == f
+
+
+def test_prism_matrix_frees_the_entries_of_their_t_powers():
+    # on scroll(2,1), f = t^4 x^2 + 2 s t^3 x y + s^4 y^2: the x block carries
+    # one t more than its height, so a = t^2, b = s t^2 and c = s^4
+    f = TermPoly(4, {(0, 4, 2, 0): 1, (1, 3, 1, 1): 2, (4, 0, 0, 2): 1})
+    m = scroll(2, 1).prism.matrix(f)
+    assert (m[1, 1].deg, m[0, 1].deg, m[0, 0].deg) == (2, 3, 4)
+    assert m[1, 1].coeffs == [1, 0, 0]
+    assert m[0, 1].coeffs == [0, 1, 0, 0]
+    assert m[0, 0].coeffs == [0, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [scroll(1, 1), scroll(2, 1), scroll(3, 2), cone_rnc(2), cone_rnc(3), cone_rnc(4)],
+    ids=str,
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prism_form_inverts_matrix(spec, seed):
+    f = random_positive_form(spec, seed=seed)
+    m = spec.prism.matrix(f)
+    heights = spec.prism.heights
+    assert all(m[i, j].deg == heights[i] + heights[j] for i, j in m)
+    assert spec.prism.form(m) == f
+
+
+def test_prism_form_rejects_an_entry_of_the_wrong_degree():
+    with pytest.raises(DegreeMismatch):
+        PrismSpec((2, 1)).form({(0, 1): BinaryForm([1, 0, 0], 2)})
 
 
 def test_blocks_reject_wrong_bidegree():
     # on scroll(1,1) every term must have bidegree (2, 2)
+    prism = scroll(1, 1).prism
     for terms in (
         {(4, 0, 0, 2): 1},
         {(2, 0, 0, 2): 1, (1, 1, 1, 0): 1},
         {(2, 0, 0, 2): 1, (3, -1, 1, 1): 1},
     ):
         with pytest.raises(DegreeMismatch):
-            quadratic_form_blocks(TermPoly(4, terms), scroll(1, 1))
+            prism.matrix(TermPoly(4, terms))
     with pytest.raises(DegreeMismatch):
-        quadratic_form_blocks(TermPoly(3, {(2, 0, 0): 1}), scroll(1, 1))
+        prism.matrix(TermPoly(3, {(2, 0, 0): 1}))
 
 
 def test_blocks_enforce_t_divisibility():
-    # on scroll(2,1) the x^2 block must be divisible by t^2; s^4 x^2 is not
-    f = TermPoly(4, {(4, 0, 2, 0): 1, (0, 4, 0, 2): 1})
-    with pytest.raises(DegreeMismatch):
-        quadratic_form_blocks(f, scroll(2, 1))
+    # on scroll(2,1) the x^2 block must be divisible by t^2; s^4 x^2 is not,
+    # and the xy block by t; s^4 x y is not
+    for bad in ((4, 0, 2, 0), (4, 0, 1, 1)):
+        f = TermPoly(4, {bad: 1, (0, 4, 0, 2): 1})
+        with pytest.raises(DegreeMismatch):
+            scroll(2, 1).prism.matrix(f)
 
 
 def test_discriminant_hand_value():
