@@ -9,8 +9,8 @@ checked where its matrix is read, in
 one over (u, v, w).
 
 :class:`BinaryForm` is a homogeneous form in (s, t), stored densely because
-roots, the square-free decomposition (:func:`squarefree_parts`) and the
-t-valuation need every coefficient.
+roots and the square-free decomposition (:func:`squarefree_parts`) need
+every coefficient.
 
 A TermPoly holds exact rationals (:class:`fractions.Fraction`) only, and so
 does every form read from JSON: a float coefficient is read as the rational
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DegreeMismatch, NotAQuadraticForm
+from .errors import DegreeMismatch, NotAQuadraticForm, ZeroDenominator
 
 RATIONAL = "rational"
 COMPLEX = "complex"
@@ -71,6 +71,17 @@ def _coeff_to_json(value, field):
     return {"re": value.real, "im": value.imag}
 
 
+def rational_from_json(entry):
+    """The rational of a {"num", "den"} pair, den 1 when absent.
+
+    Raises ZeroDenominator when den is 0.
+    """
+    den = int(entry.get("den", 1))
+    if den == 0:
+        raise ZeroDenominator("coefficient %r has a zero denominator" % (entry,))
+    return Fraction(int(entry["num"]), den)
+
+
 def _coeff_from_json(entry):
     """A coefficient from {"num", "den"}, {"re", "im"} or a bare number, exactly."""
     if not isinstance(entry, dict):
@@ -78,7 +89,7 @@ def _coeff_from_json(entry):
             raise ValueError("coefficient %r is not a number" % (entry,))
         return _exact(entry)
     if "num" in entry:
-        return Fraction(int(entry["num"]), int(entry.get("den", 1)))
+        return rational_from_json(entry)
     return _exact(complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0))))
 
 
@@ -133,13 +144,6 @@ class BinaryForm:
             if self.coeffs[i] != 0:
                 return i
         return -1
-
-    def t_valuation(self):
-        """Multiplicity of t dividing the form (deg+1 for the zero form)."""
-        for i in range(self.deg, -1, -1):
-            if self.coeffs[i] != 0:
-                return self.deg - i
-        return self.deg + 1
 
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):
@@ -199,16 +203,6 @@ class BinaryForm:
                 total += c * sp * tp[self.deg - i]
             sp = sp * s
         return total
-
-    def divide_t_power(self, k):
-        """Exact division by t^k; raises when not divisible."""
-        if k == 0:
-            return self
-        if self.is_zero():
-            return BinaryForm.zero(self.deg - k, field=self.field)
-        if self.t_valuation() < k:
-            raise DegreeMismatch("form not divisible by t^%d" % k)
-        return BinaryForm(self.coeffs[: self.deg - k + 1], self.deg - k)
 
     def max_abs_coeff(self):
         return max(abs(c) for c in self.coeffs) if self.coeffs else 0

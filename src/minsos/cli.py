@@ -12,12 +12,11 @@ import csv
 import json
 import re
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .biform import BinaryForm, TermPoly
+from .biform import BinaryForm, TermPoly, rational_from_json
 from .binary_sos import enumerate_rank_two, enumerate_two_squares, rep_forms, roots
 from .cones import enumerate_cone
 from .enumerator import enumerate_rank
@@ -391,7 +390,7 @@ def _verify_gram_space(data):
     def matrix(rows):
         if len(rows) != n or any(len(row) != n for row in rows):
             raise DimensionMismatch("a Gram matrix is not %d x %d" % (n, n))
-        return [[Fraction(int(v["num"]), int(v["den"])) for v in row] for row in rows]
+        return [[rational_from_json(v) for v in row] for row in rows]
 
     G0 = matrix(space["G0"])
     points = [("G0", G0)]

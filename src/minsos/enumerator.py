@@ -7,6 +7,11 @@ I <= J are expanded.  A seeded square subsystem of k random complex
 combinations of the minors is solved by total-degree homotopy continuation;
 endpoints are filtered against the full minor list, clustered, tagged real,
 and classified by inertia.
+
+Where the paper gives the generic number of rank-3 points (expected_counts),
+that number is the one completeness test: the first sweep stops once it
+holds that many points, and another sweep with a new gamma runs only while
+the points of all sweeps so far fall short of it, up to SWEEPS sweeps.
 """
 
 from __future__ import annotations
@@ -35,11 +40,13 @@ from .tracking import (
 
 # endpoint post-processing, all relative: minors vanish to RESIDUAL_TOL,
 # endpoints within CLUSTER_RADIUS merge, points within REAL_TOL of the real
-# locus are realized; more than FAIL_BUDGET failed paths abort the run
+# locus are realized; more than FAIL_BUDGET failed paths abort a sweep; at
+# most SWEEPS sweeps run while short of the generic count
 RESIDUAL_TOL = 1e-8
 CLUSTER_RADIUS = 1e-6
 REAL_TOL = 1e-6
 FAIL_BUDGET = 0.05
+SWEEPS = 3
 COEFF_CUTOFF = 1e-13  # relative floor below which expansion coefficients are noise
 
 
@@ -302,7 +309,7 @@ def _cluster(survivors):
                 entry[1] = min(entry[1], resid)
                 break
         else:
-            counts = [0, 0]
+            counts = [0] * SWEEPS
             counts[sweep_id] = 1
             clusters.append([point, resid, counts])
     return clusters
@@ -339,60 +346,50 @@ def solve(system, seed=0):
     For rank 3 on a known surface, expected_counts gives the generic
     complex count, and no form has more isolated rank-3 points than that
     (the parameter-continuation theorem of Morgan & Sommese, Appl. Math.
-    Comput. 1989).  So the first sweep stops, by _count_stop, once the
-    endpoints that reached t = 1 hold that many distinct validated points;
-    the paths still running are counted as stopped, neither failed nor
-    diverged.  A sweep that stops holds the full count and sends no second
-    sweep.
+    Comput. 1989).  That count is the one completeness test.  The first
+    sweep stops, by _count_stop, once the endpoints that reached t = 1 hold
+    that many distinct validated points; the paths still running are
+    counted as stopped, neither failed nor diverged.  While the validated
+    classes of all sweeps so far fall short of the count, one more sweep
+    runs, in full, with the next gamma of the seeded stream, up to SWEEPS
+    sweeps in all: the solution set does not depend on gamma, so the union
+    of validated endpoints can only recover what earlier sweeps lost.  With
+    no known count, one full sweep runs.
 
-    When paths of a sweep that ran to the end fail other than by stalling
-    on their escape to infinity, or two validated endpoints of it fall in
-    one cluster, or the first sweep's clusters fall short of the generic
-    count, one more sweep runs, in full, with an independent gamma: the
-    solution set does not depend on gamma, so the union of validated
-    endpoints can only recover what the first sweep lost.
+    The path statistics are the first sweep's, except junkFiltered, which
+    counts every sweep; secondSweep says that more than one sweep ran.
 
     Raises PathFailureBudgetExceeded when more than FAIL_BUDGET of the
-    non-diverging paths fail to converge.
+    non-diverging paths of any sweep fail to converge.
     """
     rng = np.random.default_rng(seed)
-    gamma = np.exp(2j * np.pi * rng.uniform())
-    gamma2 = np.exp(2j * np.pi * rng.uniform())
     psys = system.poly_system()
     expected = expected_counts(system.space.surface) if system.rank == 3 else None
     stop = None if expected is None else _count_stop(system, expected["complex"])
-    endpoints, statuses, _steps = track_all(psys, gamma, stop=stop)
-    total = len(statuses)
-    diverged = int(np.sum(statuses == STATUS_DIVERGED))
-    failed = int(np.sum(statuses == STATUS_FAILED))
-    stopped = int(np.sum(statuses == STATUS_STOPPED))
-    tracked = total - diverged
-    if tracked > 0 and failed > FAIL_BUDGET * tracked:
-        raise PathFailureBudgetExceeded(failed, total)
-    # stalled paths that sit at a large parameter norm with vanishing minors
-    # are escaping toward solutions at infinity of the affine chart
+    survivors = []
+    junk = 0
+    for sweep in range(SWEEPS):
+        gamma = np.exp(2j * np.pi * rng.uniform())
+        x, s, _steps = track_all(psys, gamma, stop=stop if sweep == 0 else None)
+        failed = int(np.sum(s == STATUS_FAILED))
+        tracked = int(np.sum(s != STATUS_DIVERGED))
+        if tracked > 0 and failed > FAIL_BUDGET * tracked:
+            raise PathFailureBudgetExceeded(failed, len(s))
+        if sweep == 0:
+            endpoints, statuses = x, s
+        more, bad = _validate(system, x[s == STATUS_CONVERGED], sweep)
+        survivors += more
+        junk += bad
+        clusters = _cluster(survivors)
+        if expected is None or len(clusters) >= expected["complex"]:
+            break
+    # stalled paths of the first sweep that sit at a large parameter norm
+    # with vanishing minors are escaping toward solutions at infinity of the
+    # affine chart
     stalled = endpoints[statuses == STATUS_FAILED]
     norm = np.abs(stalled).max(axis=1, initial=0.0)
     far = norm > 1e3
     norm = norm[far][system.residuals(stalled[far]) <= 1e-4]
-    escaping = len(norm)
-    escape_norm = float(norm.max(initial=0.0))
-    survivors, junk = _validate(system, endpoints[statuses == STATUS_CONVERGED], 0)
-    clusters = _cluster(survivors)
-    # two paths on one solution means a path jumped and another solution
-    # may be lost; an independent gamma sends the paths along other routes
-    collided = any(counts[0] > 1 for _, _, counts in clusters)
-    # a path that jumps onto one running to infinity leaves no other trace
-    # than a solution short of the generic count, where that count is known
-    short = expected is not None and len(clusters) < expected["complex"]
-    # an escaping path heads to a solution at infinity, which no sweep keeps;
-    # a stopped sweep already holds every solution the count allows
-    second_sweep = short or (not stopped and (failed - escaping > 0 or collided))
-    if second_sweep:
-        e2, s2, _steps = track_all(psys, gamma2)
-        more, junk2 = _validate(system, e2[s2 == STATUS_CONVERGED], 1)
-        junk += junk2
-        clusters = _cluster(survivors + more)
     points = []
     real_flags = []
     residuals = []
@@ -422,14 +419,14 @@ def solve(system, seed=0):
         residuals.append(resid)
         sizes.append(size)
     stats = {
-        "paths": total,
+        "paths": len(statuses),
         "converged": int(np.sum(statuses == STATUS_CONVERGED)),
-        "diverged": diverged,
-        "failed": failed,
-        "stopped": stopped,
-        "secondSweep": second_sweep,
-        "stalledEscaping": escaping,
-        "escapeNormMax": escape_norm,
+        "diverged": int(np.sum(statuses == STATUS_DIVERGED)),
+        "failed": int(np.sum(statuses == STATUS_FAILED)),
+        "stopped": int(np.sum(statuses == STATUS_STOPPED)),
+        "secondSweep": sweep > 0,
+        "stalledEscaping": len(norm),
+        "escapeNormMax": float(norm.max(initial=0.0)),
         "junkFiltered": junk,
         "solutions": len(points),
         # the powers of two that balance the tracked system (tracking.PolySystem)

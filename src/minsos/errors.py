@@ -17,6 +17,10 @@ class DegreeMismatch(MinsosError):
     """Degree, bidegree or divisibility pattern of a form is violated."""
 
 
+class ZeroDenominator(MinsosError):
+    """A {"num", "den"} coefficient of an input file has den = 0."""
+
+
 class NotAQuadraticForm(MinsosError):
     """Form is not a quadratic form on the given surface."""
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .biform import TermPoly
+from .biform import TermPoly, rational_from_json
 from .errors import (
     DimensionMismatch,
     NonSymmetric,
@@ -317,7 +317,7 @@ class Representation:
             vec = []
             for c in raw:
                 if isinstance(c, dict):
-                    vec.append(Fraction(int(c["num"]), int(c.get("den", 1))))
+                    vec.append(rational_from_json(c))
                 else:
                     vec.append(float(c))
                     rational = False

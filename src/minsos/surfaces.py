@@ -391,11 +391,7 @@ def genericity_check(f, spec):
     if spec.kind == VERONESE:
         report.notes.append("discriminant diagnostics undefined for the Veronese")
         return report
-    try:
-        delta = discriminant(f, spec)
-    except DegreeMismatch as exc:
-        report.notes.append("block structure violated: %s" % exc)
-        return report
+    delta = discriminant(f, spec)
     if delta.is_zero():
         report.delta_squarefree = False
         report.notes.append("identically zero discriminant (f is a square)")

@@ -38,14 +38,6 @@ def test_binary_eval_exact_and_float():
     assert f.eval(2.0, 3.0) == pytest.approx(70.0)
 
 
-def test_binary_t_valuation_and_divide():
-    # s^2 t^2 + s t^3 = t^2 (s^2 + s t)
-    f = BinaryForm([0, 1, 1, 0, 0], 4)
-    assert f.t_valuation() == 2
-    g = f.divide_t_power(2)
-    assert g.deg == 2 and g.coeffs == [0, 1, 1]
-
-
 def test_binary_scale_and_max_abs_coeff():
     f = BinaryForm([1, -7, 2], 2)
     assert f.max_abs_coeff() == 7

@@ -418,3 +418,32 @@ def test_a_non_real_coefficient_exits_two(tmp_path, capsys, command, payload, co
     src.write_text(json.dumps(data))
     assert cli.main([command, str(src)] + extra) == cli.EXIT_INPUT
     assert "is not real" in capsys.readouterr().err
+
+
+def _zero_den_form():
+    return "two-squares", {"deg": 2, "coeffs": [{"num": 1, "den": 0}, 0, 1]}
+
+
+def _zero_den_enumeration():
+    cert = json.loads((DATA / "enumeration_scroll11.json").read_text())
+    rep = next(e["representation"] for e in cert["report"]["entries"] if e["representation"])
+    rep["vectors"][0][0] = {"num": 1, "den": 0}
+    return "verify", cert
+
+
+def _zero_den_gram_space():
+    report = json.loads((DATA / "gram_space_scroll21.json").read_text())
+    report["space"]["G0"][0][0]["den"] = 0
+    return "verify", report
+
+
+@pytest.mark.parametrize(
+    "edited", [_zero_den_form, _zero_den_enumeration, _zero_den_gram_space],
+    ids=["form", "enumeration", "gram-space"],
+)
+def test_a_zero_denominator_exits_two(tmp_path, capsys, edited):
+    command, data = edited()
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(data))
+    assert cli.main([command, str(src)]) == cli.EXIT_INPUT
+    assert "zero denominator" in capsys.readouterr().err

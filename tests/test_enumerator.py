@@ -273,7 +273,7 @@ def test_solve_raises_once_failures_exceed_the_budget(monkeypatch):
 
 def test_path_jump_recovered_by_second_sweep():
     # the first sweep lands two paths on theta ~ -8.053 and loses the root
-    # at theta ~ -4.293; the collision triggers a sweep with another gamma
+    # at theta ~ -4.293; the shortfall sends a sweep with another gamma
     f = random_positive_form(scroll(1, 1), seed=14637092758747473423)
     space = build_gram_space(f, scroll(1, 1))
     report = enumerate_rank(space, 3, 1652428569061059459)
@@ -282,22 +282,40 @@ def test_path_jump_recovered_by_second_sweep():
     assert report.solution_set.cluster_sizes == [1, 1, 1, 1]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="both sweeps land two of the 4 paths on one class (cluster sizes "
-    "[2, 1, 1]), so the report gives 3 of 4 complex classes; reading the classes "
-    "off the branch points of det M (ROADMAP direction 10) mends it",
+def test_unknown_count_runs_one_sweep(monkeypatch):
+    # the path-jump form again: with no count to fall short of, its
+    # collision sends no further sweep
+    monkeypatch.setattr(enumerator, "expected_counts", lambda surface: None)
+    sweeps = _recording_tracker(monkeypatch)
+    f = random_positive_form(scroll(1, 1), seed=14637092758747473423)
+    report = enumerate_rank(build_gram_space(f, scroll(1, 1)), 3, 1652428569061059459)
+    assert len(sweeps) == 1
+    assert not report.path_stats["secondSweep"]
+
+
+@pytest.mark.parametrize(
+    "form_seed, seed",
+    [
+        (4214653205159745395, 2103186909639634724),
+        # two sweeps give 1 of the 2 psd classes
+        (4076589911950817173, 2353658983457918124),
+        (2773315512792522597, 6697241428850392926),
+    ],
 )
-def test_scroll11_class_lost_by_both_sweeps():
+def test_scroll11_class_lost_by_two_sweeps_is_found_by_a_third(monkeypatch, form_seed, seed):
+    # both of the first two sweeps land two of the 4 paths on one class, so
+    # only the third holds the class they lost
     spec = scroll(1, 1)
-    f = random_positive_form(spec, seed=4214653205159745395)
-    report = enumerate_rank(build_gram_space(f, spec), 3, 2103186909639634724)
+    sweeps = _recording_tracker(monkeypatch)
+    f = random_positive_form(spec, seed=form_seed)
+    report = enumerate_rank(build_gram_space(f, spec), 3, seed)
+    assert len(sweeps) == enumerator.SWEEPS == 3
     assert report.counts == expected_counts(spec)
 
 
 def test_solution_lost_to_divergence_is_recovered_by_second_sweep(monkeypatch):
     # the first sweep's only path to one solution ends diverged: no path
-    # fails and none collides, so only the count shortfall sends a sweep
+    # fails and none collides, and the count shortfall sends a sweep
     spec = scroll(2, 1)
     space = build_gram_space(random_positive_form(spec, seed=0), spec)
     system = minor_system(space, 3, seed=0)
@@ -372,8 +390,8 @@ def test_stopped_and_full_sweeps_agree(monkeypatch):
 
 
 def test_sweep_short_of_the_count_runs_to_the_end(monkeypatch):
-    # a count one above the 16 classes is never reached: the first sweep
-    # tracks every path, and its shortfall sends the second sweep
+    # a count one above the 16 classes is never reached: every sweep tracks
+    # every path, and the shortfall sends sweeps up to SWEEPS
     monkeypatch.setattr(
         enumerator, "expected_counts", lambda surface: {"complex": 17}
     )
@@ -381,7 +399,7 @@ def test_sweep_short_of_the_count_runs_to_the_end(monkeypatch):
     solutions = solve(minor_system(_scroll21_seed0_space(), 3, seed=0), seed=0)
     assert solutions.path_stats["stopped"] == 0
     assert solutions.path_stats["secondSweep"]
-    assert len(sweeps) == 2
+    assert len(sweeps) == 3
     assert not any((statuses == STATUS_STOPPED).any() for _x, statuses, _s in sweeps)
     assert len(solutions) == 16
 
