@@ -71,15 +71,25 @@ def _coeff_to_json(value, field):
     return {"re": value.real, "im": value.imag}
 
 
-def rational_from_json(entry):
-    """The rational of a {"num", "den"} pair, den 1 when absent.
+def _integer(value):
+    """value as an int; ValueError unless it is one already (3 or 3.0)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int):
+        raise ValueError("%r is not an integer" % (value,))
+    return value
 
-    Raises ZeroDenominator when den is 0.
+
+def rational_from_json(entry):
+    """The rational of a {"num", "den"} pair of integers, den 1 when absent.
+
+    Raises ZeroDenominator when den is 0, and ValueError when num or den is
+    not an integer.
     """
-    den = int(entry.get("den", 1))
+    den = _integer(entry.get("den", 1))
     if den == 0:
         raise ZeroDenominator("coefficient %r has a zero denominator" % (entry,))
-    return Fraction(int(entry["num"]), den)
+    return Fraction(_integer(entry["num"]), den)
 
 
 def _coeff_from_json(entry):
@@ -215,7 +225,11 @@ class BinaryForm:
 
     @classmethod
     def from_json(cls, data):
-        return cls([_coeff_from_json(c) for c in data["coeffs"]], int(data["deg"]))
+        """Read {"deg", "coeffs"}; ValueError when coeffs is not a list."""
+        coeffs = data["coeffs"]
+        if not isinstance(coeffs, list):
+            raise ValueError("coeffs %r is not a list" % (coeffs,))
+        return cls([_coeff_from_json(c) for c in coeffs], int(data["deg"]))
 
 
 def _primitive(p):

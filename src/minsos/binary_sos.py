@@ -221,8 +221,8 @@ def rep_forms(rep):
     return tuple(BinaryForm([float(c) for c in vec], d) for vec in rep.vectors)
 
 
-# perfbench counts the equivalent calls made here: this dedup goes once
-# perfbench no longer wraps equivalent (ROADMAP directions 0 and 1)
+# perfbench counts the equivalent calls made here.  This dedup can go once
+# perfbench no longer wraps equivalent (ROADMAP directions 0 and 1).
 def _dedup(reps):
     """The reps not equivalent to an earlier kept rep, in their order.
 

@@ -494,78 +494,68 @@ class CountReport:
         }
 
 
-def classify(space, solutions):
-    """Count and classify the solutions; extract certificates at psd points.
+def classify(space, classes, complex_count, notes=(), path_stats=None):
+    """The CountReport of a form's classes, whatever route found them.
 
-    Real points are split by the inertia of G(theta): no negative eigenvalue
-    means a sum of rank squares (a psd point), otherwise the representation
-    is a signed mix.  The genericity diagnostics of the space's form feed the
-    notes, and a warning is attached when the observed complex count falls
-    short of the generic count for the surface.
+    classes lists the real classes as (theta, G, rep) triples; complex_count
+    counts all classes.  Each is labelled by the inertia of G: no negative
+    eigenvalue means a sum of rank squares (a psd class), otherwise a signed
+    mix.  A rep of None is read off a psd G by extract_representation, and
+    every representation is re-verified against the form.  The genericity
+    diagnostics follow the caller's notes, and a warning is attached when
+    complex_count falls short of the generic count for the surface.
     """
-    counts = {
-        "complex": len(solutions.points),
-        "real": sum(1 for r in solutions.is_real if r),
-        "psd": 0,
-        "indefinite": 0,
-    }
+    counts = {"complex": complex_count, "real": len(classes), "psd": 0, "indefinite": 0}
     entries = []
-    for point, real_flag in zip(solutions.points, solutions.is_real):
-        if not real_flag:
-            continue
-        theta = point.real
-        G = space.gram_at(theta)
+    for theta, G, rep in classes:
         ine = inertia(G)
         psd = ine[1] == 0
         counts["psd" if psd else "indefinite"] += 1
         entry = {"theta": theta, "inertia": ine, "psd": psd}
-        if psd:
+        if rep is None and psd:
             rep = extract_representation(space, G)
+        if rep is not None:
             entry["representation"] = rep
             entry["verify_residual"] = float(verify_representation(space.form, rep))
         entries.append(entry)
-    expected = expected_counts(space.surface)
-    notes = []
+    notes = list(notes)
     if space.surface is not None and space.form is not None:
         genericity = genericity_check(space.form, space.surface)
         if genericity.delta_squarefree is False:
             notes.append("discriminant is not squarefree")
         notes.extend(genericity.notes)
-    warning = count_warning(space.surface, counts["complex"])
-    if warning is not None:
-        multi = [
-            (i, size)
-            for i, size in enumerate(solutions.cluster_sizes)
-            if size > 1
-        ]
-        for i, size in multi:
-            notes.append(
-                "solution %d absorbed %d paths (multiplicity > 1 degeneration)"
-                % (i, size)
-            )
-        escaping = solutions.path_stats.get("stalledEscaping", 0)
-        if escaping:
-            notes.append(
-                "%d paths stalled escaping to infinity (parameter norm up to"
-                " %.1e, minors vanishing): missing representations degenerate"
-                " at the boundary of the affine Gram chart"
-                % (escaping, solutions.path_stats.get("escapeNormMax", 0.0))
-            )
-        notes.append(
-            "path endpoints: %d diverged, %d filtered as junk"
-            % (
-                solutions.path_stats.get("diverged", 0),
-                solutions.path_stats.get("junkFiltered", 0),
-            )
-        )
     return CountReport(
         counts=counts,
-        expected=expected,
-        warning=warning,
+        expected=expected_counts(space.surface),
+        warning=count_warning(space.surface, complex_count),
         entries=entries,
-        path_stats=dict(solutions.path_stats),
+        path_stats=dict(path_stats or {}),
         notes=notes,
     )
+
+
+def _path_notes(solutions):
+    """Why the homotopy may have missed classes: absorbed paths, paths
+    escaping to infinity, and the diverged and junk endpoints."""
+    stats = solutions.path_stats
+    notes = [
+        "solution %d absorbed %d paths (multiplicity > 1 degeneration)" % (i, size)
+        for i, size in enumerate(solutions.cluster_sizes)
+        if size > 1
+    ]
+    escaping = stats.get("stalledEscaping", 0)
+    if escaping:
+        notes.append(
+            "%d paths stalled escaping to infinity (parameter norm up to"
+            " %.1e, minors vanishing): missing representations degenerate"
+            " at the boundary of the affine Gram chart"
+            % (escaping, stats.get("escapeNormMax", 0.0))
+        )
+    notes.append(
+        "path endpoints: %d diverged, %d filtered as junk"
+        % (stats.get("diverged", 0), stats.get("junkFiltered", 0))
+    )
+    return notes
 
 
 def enumerate_rank(space, rank=3, seed=0):
@@ -578,6 +568,10 @@ def enumerate_rank(space, rank=3, seed=0):
     combo_seed, gamma_seed = (int(s) for s in ss.generate_state(2, np.uint64))
     system = minor_system(space, rank, seed=combo_seed)
     solutions = solve(system, seed=gamma_seed)
-    report = classify(space, solutions)
+    real = [p.real for p, is_real in zip(solutions.points, solutions.is_real) if is_real]
+    classes = [(theta, space.gram_at(theta), None) for theta in real]
+    report = classify(space, classes, len(solutions), path_stats=solutions.path_stats)
+    if report.warning is not None:
+        report.notes += _path_notes(solutions)
     report.solution_set = solutions
     return report

@@ -63,7 +63,8 @@ class OffDiagonalDegreeMismatch(MinsosError):
 
 
 class IterationBudgetExceeded(MinsosError):
-    """Alternating projections exhausted the iteration budget."""
+    """Alternating projections or the Douglas-Rachford fallback found no
+    psd fiber point within their iteration budget."""
 
     def __init__(self, iterations, gap, message=None):
         self.iterations = iterations

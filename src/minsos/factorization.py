@@ -5,10 +5,11 @@ d_i + d_j defines a quadratic form f = sum a_ij X_i X_j on the prism over
 the standard (n-1)-simplex truncated at heights d_i (for n = 2 this is the
 rational normal scroll, or the cone when a height is 0).  PrismSpec, in
 minsos.surfaces, owns that layout for matrices, scrolls and cones alike.  A
-psd point of the Gram family of f is found by alternating projections and
-taken to a fiber point G = L L^T with L real and n+1 columns wide by
-Gauss-Newton on L; that point is read off columnwise as the factor B with
-n+1 columns and row degrees d_i.
+psd point of the Gram family of f is found by alternating projections, or
+by Douglas-Rachford reflections when their budget runs out, and taken to a
+fiber point G = L L^T with L real and n+1 columns wide by Gauss-Newton on
+L; that point is read off columnwise as the factor B with n+1 columns and
+row degrees d_i.
 """
 
 from __future__ import annotations
@@ -122,9 +123,13 @@ class SymMatrixPoly:
 
     @classmethod
     def from_json(cls, data):
+        """Read {"n", "entries": {"i,j": form}}; ValueError unless entries is an object."""
         n = int(data["n"])
+        entries = data.get("entries", {})
+        if not isinstance(entries, dict):
+            raise ValueError("entries %r is not an object" % (entries,))
         upper = {}
-        for key, value in data.get("entries", {}).items():
+        for key, value in entries.items():
             i, j = sorted(int(p) for p in key.split(","))
             if i < 0 or j >= n:
                 raise DimensionMismatch(
@@ -271,7 +276,7 @@ def rank_reduce(space, G, target_rank):
     """
     pairs = space.basis.pair_map
     want = pairs.coefficients(space.G0_f)
-    tol = REDUCE_TOL * max(1.0, space.form_norm())
+    tol = REDUCE_TOL * max(1.0, float(space.form.max_abs_coeff()))
     evals, evecs = np.linalg.eigh(G)
     L = evecs[:, -target_rank:] * np.sqrt(np.maximum(evals[-target_rank:], 0.0))
     for steps in range(REDUCE_ITERS + 1):

@@ -127,9 +127,6 @@ class GramSpace:
         diff = (np.asarray(G, dtype=float) - self.G0_f).reshape(-1)
         return np.linalg.solve(self._R, self._Q.T @ diff)
 
-    def form_norm(self):
-        return max((abs(float(v)) for v in self.form.terms.values()), default=0.0)
-
     def to_json(self):
         """The basis, k, and G0 and the K_i as exact rational matrices."""
         n = self.size
@@ -217,8 +214,6 @@ def inertia(G):
 
     An eigenvalue counts as zero within RANK_TOL of the spectral radius.
     """
-    if isinstance(G, (list, tuple)):
-        G = np.array([[float(v) for v in row] for row in G])
     G = np.asarray(G)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise NonSymmetric("inertia needs a square matrix")
@@ -342,15 +337,13 @@ def extract_representation(space, G):
     coefficient made positive.  Raises NotInFiber when G misses the form by
     more than FIBER_TOL relative to its largest coefficient.
     """
-    if isinstance(G, (list, tuple)):
-        G = np.array([[float(v) for v in row] for row in G])
     G = np.asarray(G)
     if np.iscomplexobj(G):
         if np.max(np.abs(G.imag)) > RANK_TOL * max(1.0, np.max(np.abs(G))):
             raise NonSymmetric("extraction needs a real symmetric matrix")
         G = G.real
     resid = float(space.fiber_residual(G))
-    if resid > FIBER_TOL * max(1.0, float(space.form_norm())):
+    if resid > FIBER_TOL * max(1.0, float(space.form.max_abs_coeff())):
         raise NotInFiber("fiber residual %.3e exceeds tolerance" % resid)
     evals, evecs = np.linalg.eigh(0.5 * (G + G.T))
     order = np.argsort(-np.abs(evals), kind="stable")

@@ -8,7 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from minsos.biform import COMPLEX, RATIONAL, BinaryForm, TermPoly, squarefree_parts
+from minsos.biform import (
+    COMPLEX,
+    RATIONAL,
+    BinaryForm,
+    TermPoly,
+    rational_from_json,
+    squarefree_parts,
+)
 from minsos.errors import DegreeMismatch, NotAQuadraticForm
 
 
@@ -65,6 +72,17 @@ def test_binary_json_roundtrip_complex():
     assert g.coeffs == [Fraction(0.1), 0, Fraction(-5, 2)]
     with pytest.raises(NotAQuadraticForm):
         BinaryForm.from_json(BinaryForm([1 + 2j, 0, -1j], 2).to_json())
+
+
+@pytest.mark.parametrize("num, den", [(1.5, 1), (3, 2.9), ("3", 2), (None, 1), (float("inf"), 1)])
+def test_rational_from_json_needs_integers(num, den):
+    with pytest.raises(ValueError, match="is not an integer"):
+        rational_from_json({"num": num, "den": den})
+
+
+def test_rational_from_json_reads_integral_floats():
+    assert rational_from_json({"num": 3.0, "den": 2.0}) == Fraction(3, 2)
+    assert rational_from_json({"num": -4}) == -4
 
 
 def test_squarefree_parts_of_a_shared_factor():

@@ -105,6 +105,17 @@ def test_gram_space_report_matches_the_checked_in_report(tmp_path):
     assert out.read_bytes() == (DATA / "gram_space_scroll21.json").read_bytes()
 
 
+def test_cone_enumeration_matches_the_checked_in_report(tmp_path):
+    # the report was written by `minsos enumerate` when enumerate_cone still
+    # labelled, verified and counted its classes itself, not through classify
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(random_positive_form(cone_rnc(3), seed=3).to_json()))
+    out = tmp_path / "enumeration.json"
+    argv = ["enumerate", str(form_path), "--surface", "cone_rnc(3)", "--json-out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert out.read_bytes() == (DATA / "enumeration_cone3.json").read_bytes()
+
+
 def _raises(exc):
     def run(*args, **kwargs):
         raise exc
@@ -447,3 +458,22 @@ def test_a_zero_denominator_exits_two(tmp_path, capsys, edited):
     src.write_text(json.dumps(data))
     assert cli.main([command, str(src)]) == cli.EXIT_INPUT
     assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("two-squares", {"deg": 2, "coeffs": [1, 0, {"num": 1.5}]}, "1.5 is not an integer"),
+        ("two-squares", {"deg": 2, "coeffs": [{"num": 3, "den": 2.9}, 0, 1]},
+         "2.9 is not an integer"),
+        ("two-squares", {"deg": 2, "coeffs": 5}, "coeffs 5 is not a list"),
+        ("factor", {"n": 2, "entries": []}, "entries [] is not an object"),
+    ],
+    ids=["fractional-num", "fractional-den", "coeffs-not-a-list", "entries-not-an-object"],
+)
+def test_a_malformed_input_exits_two(tmp_path, capsys, command, data, message):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(data))
+    assert cli.main([command, str(src)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err

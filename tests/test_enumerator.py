@@ -17,14 +17,13 @@ from minsos.enumerator import (
     CLUSTER_RADIUS,
     RESIDUAL_TOL,
     CountReport,
-    SolutionSet,
     classify,
     enumerate_rank,
     minor_system,
     solve,
 )
 from minsos.errors import DegreeMismatch, PathFailureBudgetExceeded, RankTooLarge
-from minsos.gram import build_gram_space, verify_representation
+from minsos.gram import build_gram_space, extract_representation, verify_representation
 from minsos.sampling import random_positive_form
 from minsos.surfaces import cone_rnc, expected_counts, genericity_check, scroll, veronese
 from minsos.tracking import (
@@ -190,6 +189,34 @@ def test_enumerate_entries_are_verified_rank3():
         if not entry["psd"]:
             assert entry["inertia"][1] > 0
             assert "representation" not in entry
+
+
+def test_classify_labels_certifies_and_counts_the_given_classes():
+    # theta = 1 is a psd rank-3 point of the g1 form, theta = sqrt(3) an
+    # indefinite one; the psd class comes without a representation and the
+    # indefinite one with its own
+    space = build_gram_space(_g1_form(), scroll(1, 1))
+    psd_theta, ind_theta = np.array([1.0]), np.array([np.sqrt(3.0)])
+    G_ind = space.gram_at(ind_theta)
+    given = extract_representation(space, G_ind)
+    report = classify(
+        space,
+        [(psd_theta, space.gram_at(psd_theta), None), (ind_theta, G_ind, given)],
+        4,
+        notes=["route note"],
+    )
+    assert report.counts == {"complex": 4, "real": 2, "psd": 1, "indefinite": 1}
+    assert report.expected == expected_counts(scroll(1, 1))
+    assert report.warning is None and report.notes[0] == "route note"
+    assert report.path_stats == {}
+    psd_entry, ind_entry = report.entries
+    assert psd_entry["inertia"] == (3, 0, 1) and psd_entry["psd"]
+    assert ind_entry["inertia"] == (2, 1, 1) and not ind_entry["psd"]
+    assert ind_entry["representation"] is given
+    assert ind_entry["verify_residual"] == verify_representation(space.form, given) <= 1e-8
+    extracted = psd_entry["representation"]
+    assert extracted.nforms == 3 and extracted.is_psd()
+    assert psd_entry["verify_residual"] == verify_representation(space.form, extracted) <= 1e-8
 
 
 def test_enumerate_deterministic_per_seed():
@@ -457,6 +484,5 @@ def test_generic_scroll_reports_no_singular_curve(spec, seed):
     # normalized discriminant says whether the curve is singular
     f = random_positive_form(spec, seed=seed)
     assert genericity_check(f, spec).delta_squarefree is True
-    nothing = SolutionSet(None, [], [], [], [], {})
-    report = classify(build_gram_space(f, spec), nothing)
+    report = classify(build_gram_space(f, spec), [], 0)
     assert not any("singular" in note for note in report.notes)
