@@ -93,14 +93,20 @@ def rational_from_json(entry):
 
 
 def _coeff_from_json(entry):
-    """A coefficient from {"num", "den"}, {"re", "im"} or a bare number, exactly."""
+    """A coefficient from {"num", "den"}, {"re", "im"} or a bare number, exactly.
+
+    Raises ValueError when the bare number, "re" or "im" is not a number.
+    """
     if not isinstance(entry, dict):
         if not isinstance(entry, (int, float)):
             raise ValueError("coefficient %r is not a number" % (entry,))
         return _exact(entry)
     if "num" in entry:
         return rational_from_json(entry)
-    return _exact(complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0))))
+    re, im = entry.get("re", 0.0), entry.get("im", 0.0)
+    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+        raise ValueError("coefficient %r is not a number" % (entry,))
+    return _exact(complex(float(re), float(im)))
 
 
 class BinaryForm:
@@ -225,7 +231,9 @@ class BinaryForm:
 
     @classmethod
     def from_json(cls, data):
-        """Read {"deg", "coeffs"}; ValueError when coeffs is not a list."""
+        """Read {"deg", "coeffs"}; ValueError unless data is an object and coeffs a list."""
+        if not isinstance(data, dict):
+            raise ValueError("binary form %r is not an object" % (data,))
         coeffs = data["coeffs"]
         if not isinstance(coeffs, list):
             raise ValueError("coeffs %r is not a list" % (coeffs,))
@@ -376,8 +384,11 @@ class TermPoly:
         Also reads the layout {"degST", "degXY", "terms": [{"s", "t", "x",
         "y", coefficient}]} of earlier certificates as a form over (s, t, x,
         y); every term must have the bidegree (degST, degXY) it declares.
+        ValueError unless terms is a list of objects.
         """
         entries = data.get("terms", [])
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError("terms %r is not a list of objects" % (entries,))
         if "degST" in data:
             nvars = 4
             bidegree = (int(data["degST"]), int(data["degXY"]))

@@ -59,7 +59,7 @@ class OddDiagonalDegree(MinsosError):
 
 
 class OffDiagonalDegreeMismatch(MinsosError):
-    """Off-diagonal entry degree incompatible with the diagonal pattern."""
+    """A zero diagonal entry in a row with a nonzero entry."""
 
 
 class IterationBudgetExceeded(MinsosError):

@@ -4,12 +4,16 @@ A symmetric n x n matrix A of homogeneous binary forms with deg a_ij =
 d_i + d_j defines a quadratic form f = sum a_ij X_i X_j on the prism over
 the standard (n-1)-simplex truncated at heights d_i (for n = 2 this is the
 rational normal scroll, or the cone when a height is 0).  PrismSpec, in
-minsos.surfaces, owns that layout for matrices, scrolls and cones alike.  A
-psd point of the Gram family of f is found by alternating projections, or
-by Douglas-Rachford reflections when their budget runs out, and taken to a
-fiber point G = L L^T with L real and n+1 columns wide by Gauss-Newton on
-L; that point is read off columnwise as the factor B with n+1 columns and
-row degrees d_i.
+minsos.surfaces, owns that layout for matrices, scrolls and cones alike.
+
+factor runs four steps in order: the degrees (degree_pattern, then
+PrismSpec.form for the off-diagonal entries), the psd screen over
+directions of P^1, feasibility (a psd point of the Gram family of f, by
+alternating projections or, when their budget runs out, Douglas-Rachford
+reflections) and reduction (Gauss-Newton on L to a fiber point G = L L^T,
+L real and n+1 columns wide).  For n = 1 the roots of the entry give two
+squares instead.  Both routes end in one finish, _result, which reads the
+psd representation off as B with n+1 columns and row degrees d_i.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .biform import COMPLEX, BinaryForm
-from .binary_sos import _conjugate_choice_rep, _nonnegative, rep_forms, rnc_basis, roots
+from .binary_sos import _conjugate_choice_rep, _nonnegative, rnc_basis, roots
 from .errors import (
     DimensionMismatch,
     IterationBudgetExceeded,
@@ -123,7 +127,9 @@ class SymMatrixPoly:
 
     @classmethod
     def from_json(cls, data):
-        """Read {"n", "entries": {"i,j": form}}; ValueError unless entries is an object."""
+        """Read {"n", "entries": {"i,j": form}}; ValueError unless both are objects."""
+        if not isinstance(data, dict):
+            raise ValueError("matrix %r is not an object" % (data,))
         n = int(data["n"])
         entries = data.get("entries", {})
         if not isinstance(entries, dict):
@@ -142,11 +148,11 @@ class SymMatrixPoly:
 
 
 def degree_pattern(A):
-    """Row degrees (d_1..d_n) with d_i = deg(a_ii) / 2.
+    """Row degrees (d_1..d_n) with d_i = deg(a_ii) / 2, and 0 for a zero row.
 
-    Verifies that every off-diagonal entry is zero or homogeneous of degree
-    d_i + d_j; a violation means A cannot be psd for all (s, t) (the 2 x 2
-    minor a_ii a_jj - a_ij^2 would have a negative leading term).
+    Raises OddDiagonalDegree for a diagonal entry of odd degree, and
+    OffDiagonalDegreeMismatch for a zero diagonal entry in a nonzero row.
+    The off-diagonal degrees d_i + d_j are PrismSpec.form's to check.
     """
     n = A.n
     heights = []
@@ -164,32 +170,17 @@ def degree_pattern(A):
                 "diagonal entry (%d,%d) has odd degree %d" % (i, i, diag.deg)
             )
         heights.append(diag.deg // 2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            entry = A.entries[i][j]
-            if entry.is_zero():
-                continue
-            if entry.deg != heights[i] + heights[j]:
-                raise OffDiagonalDegreeMismatch(
-                    "entry (%d,%d) has degree %d, expected %d"
-                    % (i, j, entry.deg, heights[i] + heights[j])
-                )
     return tuple(heights)
 
 
 def embed(A):
     """The quadratic form f = sum a_ij X_i X_j on the prism of A.
 
-    Returns (spec, f): spec is PrismSpec(degree_pattern(A)) and f is
-    spec.form of the upper entries of A.
+    Returns (spec, f): spec is PrismSpec(degree_pattern(A)), which needs
+    n >= 2, and f is spec.form of the upper entries of A.
     """
-    heights = degree_pattern(A)
     n = A.n
-    if n < 2:
-        raise DimensionMismatch(
-            "1 x 1 matrices are binary forms; use the two-squares enumeration"
-        )
-    spec = PrismSpec(heights)
+    spec = PrismSpec(degree_pattern(A))
     return spec, spec.form({(i, j): A.entries[i][j] for i in range(n) for j in range(i, n)})
 
 
@@ -206,24 +197,23 @@ def psd_feasible(space):
     lies exactly on the fiber; it is returned once its smallest eigenvalue
     clears -FEAS_TOL relative to the spectral radius.  The distance moved
     per round is monotonically nonincreasing.  Returns (G, info) with the
-    rounds taken and the distance of each.
+    rounds taken.
 
-    Raises IterationBudgetExceeded with the final gap when FEAS_FIRST_BUDGET
-    rounds run out (the gap certifies how infeasible the pair of sets still
-    looks).
+    Raises IterationBudgetExceeded with the last distance moved as its gap
+    when FEAS_FIRST_BUDGET rounds run out (the gap certifies how infeasible
+    the pair of sets still looks).
     """
     G = space.project_fiber(space.G0_f)
-    distances = []
+    gap = 0.0
     for iteration in range(FEAS_FIRST_BUDGET):
         evals, evecs = np.linalg.eigh(G)
         smax = max(float(np.max(np.abs(evals))), 1e-300)
         lam_min = float(evals[0])
         if lam_min >= -FEAS_TOL * smax:
-            return G, {"iterations": iteration, "distances": distances}
+            return G, {"iterations": iteration}
         clipped = evecs @ np.diag(np.maximum(evals, 0.0)) @ evecs.T
-        distances.append(float(np.linalg.norm(G - clipped)))
+        gap = float(np.linalg.norm(G - clipped))
         G = space.project_fiber(clipped)
-    gap = distances[-1] if distances else 0.0
     raise IterationBudgetExceeded(FEAS_FIRST_BUDGET, gap)
 
 
@@ -254,7 +244,7 @@ def _feasible_reflections(space):
             smax = max(float(np.max(np.abs(evals))), 1e-300)
             gap = max(0.0, -float(evals[0]))
             if evals[0] >= -FEAS_TOL * smax:
-                return x, {"iterations": iteration, "method": "reflections"}
+                return x, {"iterations": iteration}
     raise IterationBudgetExceeded(FEAS_BUDGET, gap)
 
 
@@ -330,15 +320,24 @@ class FactorResult:
         }
 
 
-def _column_from_vector(vec, spec):
-    """Split a prism-basis coefficient vector into per-row binary forms."""
-    out = []
-    pos = 0
-    for d in spec.heights:
-        coeffs = [float(vec[pos + j]) for j in range(d + 1)]
-        out.append(BinaryForm(coeffs, d))
-        pos += d + 1
-    return out
+def _result(heights, form, rep, warning=None, info=None):
+    """The FactorResult of a psd representation rep of form: factor's one finish.
+
+    Each vector of rep splits by heights into one binary form per row; the
+    rank counts the nonzero vectors, and zero columns pad B to n+1.
+    """
+    if any(s != 1 for s in rep.signs):
+        raise NotPSD((0.0, 0.0, "negative eigenvalue in the reduced Gram matrix"))
+    starts = [sum(h + 1 for h in heights[:i]) for i in range(len(heights))]
+    columns = [
+        [BinaryForm([float(c) for c in vec[a:a + d + 1]], d) for a, d in zip(starts, heights)]
+        for vec in rep.vectors
+    ]
+    rank = sum(bool(np.any(vec)) for vec in rep.vectors)
+    while len(columns) < len(heights) + 1:
+        columns.append([BinaryForm.zero(d, field=COMPLEX) for d in heights])
+    residual = verify_representation(form, rep)
+    return FactorResult(heights, columns, residual, rank, warning, info or {})
 
 
 def check_psd_on_grid(A):
@@ -386,90 +385,57 @@ def factor_residual(A, columns):
     else:
         spec, f = embed(A)
         basis = spec.basis()
-    return _columns_residual(f, basis, columns)
-
-
-def _columns_residual(f, basis, columns):
-    """max |coefficient of f - sum_c c^2| with each column c read over basis."""
     vectors = [[complex(c).real for form in col for c in form.coeffs] for col in columns]
-    rep = Representation(basis=basis, vectors=vectors, signs=[1] * len(vectors))
-    return verify_representation(f, rep)
+    return verify_representation(f, Representation(basis, vectors, [1] * len(vectors)))
 
 
 def factor(A):
     """Factor a psd bivariate matrix polynomial as A = B B^T, B n x (n+1).
 
-    Pipeline: psd screen over directions of P^1 (check_psd_on_grid), prism
-    embedding, Gram space, alternating projections to a psd fiber point
-    (psd_feasible, then _feasible_reflections when its budget runs out),
-    rank reduction to n+1 (rank_reduce: Gauss-Newton on the factor L of
-    G = L L^T), column extraction, and the residual of the columns against
-    the form and basis of the Gram space.  When rank_reduce raises
-    StuckAboveTarget, the psd fiber point is factored as it stands and
-    returned with a warning; its extra columns still certify psd-ness.
+    Steps, in order: degrees (prism_gram_space), the psd screen
+    (check_psd_on_grid), feasibility (psd_feasible, then
+    _feasible_reflections when its budget runs out) and reduction to rank
+    n+1 (rank_reduce); n = 1 goes by the roots (_factor_binary) instead.
+    Both end in the one finish, _result.  When rank_reduce raises
+    StuckAboveTarget, the psd fiber point is factored as it stands, with a
+    warning; its extra columns still certify psd-ness.
 
-    Raises NotPSD (with witness) or IterationBudgetExceeded.
+    Raises a degree error, NotPSD (with witness) or IterationBudgetExceeded.
     """
     if A.n == 1:
         return _factor_binary(A)
-    check_psd_on_grid(A)
     spec, space = prism_gram_space(A)
+    check_psd_on_grid(A)
     try:
         G, info = psd_feasible(space)
     except IterationBudgetExceeded:
         G, info = _feasible_reflections(space)
-    target = spec.target_rank
     warning = None
     try:
-        G = rank_reduce(space, G, target)
+        G = rank_reduce(space, G, spec.target_rank)
     except StuckAboveTarget as exc:
         warning = (
             "rank reduction stalled at %d (target %d); emitting extra columns"
             % (exc.achieved, exc.target)
         )
     rep = extract_representation(space, G)
-    if any(s != 1 for s in rep.signs):
-        raise NotPSD((0.0, 0.0, "negative eigenvalue in the reduced Gram matrix"))
-    columns = [_column_from_vector(vec, spec) for vec in rep.vectors]
-    rank = len(columns)
-    while len(columns) < target:
-        columns.append(
-            [BinaryForm.zero(d, field=COMPLEX) for d in spec.heights]
-        )
-    return FactorResult(
-        heights=spec.heights,
-        columns=columns,
-        residual=_columns_residual(space.form, space.basis, columns),
-        rank=rank,
-        warning=warning,
-        info={"feasIterations": info["iterations"]},
-    )
+    return _result(spec.heights, space.form, rep, warning, {"feasIterations": info["iterations"]})
 
 
 def _factor_binary(A):
     """n = 1: a sum of two squares of the single entry.
 
     Its columns are p and q with p + i q = sqrt(lead) * (half of each real
-    root) * (the conjugate root of each pair, with full multiplicity).
+    root) * (the conjugate root of each pair, with full multiplicity).  A
+    zero entry has height 0, as a zero row has for n >= 2.
     """
+    heights = degree_pattern(A)
     form = A.entries[0][0]
-    if form.deg % 2 == 1:
-        raise OddDiagonalDegree("entry has odd degree %d" % form.deg)
-    d = form.deg // 2
     if form.is_zero():
-        # a zero row has height 0 in degree_pattern, as for n >= 2
-        zero = BinaryForm.zero(0, field=COMPLEX)
-        return FactorResult(heights=(0,), columns=[[zero], [zero]], residual=0.0, rank=0)
+        return _result(heights, form, Representation(rnc_basis(0), [], []))
     rm = roots(form)
     if not _nonnegative(rm):
         raise NotPSD((None, None, "the form takes negative values"))
     choice = [(value, mult // 2) for value, mult in rm.real_roots]
     choice += [(value.conjugate(), mult) for value, mult in rm.pairs]
-    p, q = rep_forms(_conjugate_choice_rep(rm, choice))
-    return FactorResult(
-        heights=(d,),
-        columns=[[p], [q]],
-        residual=factor_residual(A, [[p], [q]]),
-        rank=2 if not q.is_zero() else 1,
-        warning=None,
-    )
+    return _result(heights, form, _conjugate_choice_rep(rm, choice))

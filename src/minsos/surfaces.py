@@ -295,7 +295,10 @@ class PrismSpec:
             if entry.is_zero():
                 continue
             if entry.deg != self.heights[i] + self.heights[j]:
-                raise DegreeMismatch("entry (%d,%d) has degree %d" % (i, j, entry.deg))
+                raise DegreeMismatch(
+                    "entry (%d,%d) has degree %d, expected %d"
+                    % (i, j, entry.deg, self.heights[i] + self.heights[j])
+                )
             for p, coeff in enumerate(entry.coeffs):
                 expo = [p, 2 * self.top - p] + [0] * self.n
                 expo[-1 - i] += 1

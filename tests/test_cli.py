@@ -116,6 +116,20 @@ def test_cone_enumeration_matches_the_checked_in_report(tmp_path):
     assert out.read_bytes() == (DATA / "enumeration_cone3.json").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["factor_n1", "factor_heights111", "factor_stalled"])
+def test_factor_matches_the_checked_in_report(tmp_path, name):
+    # factor_heights111 (random_dyad_matrix((1, 1, 1), seed=0)) and
+    # factor_stalled (diag(s^2 + t^2, 2 s^2 + t^2), whose rank reduction
+    # stalls) were written by `minsos factor` when each factor route still
+    # built its own columns and residual
+    report = DATA / (name + ".json")
+    src = tmp_path / "matrix.json"
+    src.write_text(json.dumps(json.loads(report.read_text())["matrix"]))
+    out = tmp_path / "factor.json"
+    assert cli.main(["factor", str(src), "--json-out", str(out)]) == cli.EXIT_OK
+    assert out.read_bytes() == report.read_bytes()
+
+
 def _raises(exc):
     def run(*args, **kwargs):
         raise exc
@@ -460,6 +474,10 @@ def test_a_zero_denominator_exits_two(tmp_path, capsys, edited):
     assert "zero denominator" in capsys.readouterr().err
 
 
+def _binary(*coeffs):
+    return {"deg": len(coeffs) - 1, "coeffs": list(coeffs)}
+
+
 @pytest.mark.parametrize(
     "command, data, message",
     [
@@ -468,12 +486,32 @@ def test_a_zero_denominator_exits_two(tmp_path, capsys, edited):
          "2.9 is not an integer"),
         ("two-squares", {"deg": 2, "coeffs": 5}, "coeffs 5 is not a list"),
         ("factor", {"n": 2, "entries": []}, "entries [] is not an object"),
+        ("factor", {"n": 2, "entries": {"0,0": 5}}, "binary form 5 is not an object"),
+        ("factor", [1, 2], "matrix [1, 2] is not an object"),
+        ("two-squares", {"deg": 2, "coeffs": [{"re": None}, 0, 1]},
+         "coefficient {'re': None} is not a number"),
+        ("enumerate --surface scroll(1,1)", {"nvars": 4, "terms": [5]},
+         "terms [5] is not a list of objects"),
+        ("enumerate --surface scroll(1,1)", {"nvars": 4, "terms": 5},
+         "terms 5 is not a list of objects"),
+        # the degree rules run before the psd screen, so a matrix that breaks
+        # one is named by its entry and never reported as not psd
+        ("factor", {"n": 2, "entries": {"0,0": _binary(1, 0, 0, 1), "1,1": _binary(1, 0, 1)}},
+         "diagonal entry (0,0) has odd degree 3"),
+        ("factor", {"n": 2, "entries": {"0,1": _binary(1, 0), "1,1": _binary(1, 0, 1)}},
+         "zero diagonal entry (0,0) with a nonzero row"),
+        ("factor", {"n": 2, "entries": {"0,0": _binary(1, 0, 1), "0,1": _binary(1, 0, 0, 1),
+                                        "1,1": _binary(1, 0, 1)}},
+         "entry (0,1) has degree 3, expected 2"),
     ],
-    ids=["fractional-num", "fractional-den", "coeffs-not-a-list", "entries-not-an-object"],
+    ids=["fractional-num", "fractional-den", "coeffs-not-a-list", "entries-not-an-object",
+         "entry-not-an-object", "matrix-not-an-object", "re-not-a-number",
+         "term-not-an-object", "terms-not-a-list", "odd-diagonal", "zero-diagonal",
+         "off-diagonal-degree"],
 )
 def test_a_malformed_input_exits_two(tmp_path, capsys, command, data, message):
     src = tmp_path / "input.json"
     src.write_text(json.dumps(data))
-    assert cli.main([command, str(src)]) == cli.EXIT_INPUT
+    assert cli.main([*command.split(), str(src)]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and message in err
