@@ -384,23 +384,28 @@ class TermPoly:
         Also reads the layout {"degST", "degXY", "terms": [{"s", "t", "x",
         "y", coefficient}]} of earlier certificates as a form over (s, t, x,
         y); every term must have the bidegree (degST, degXY) it declares.
-        ValueError unless terms is a list of objects.
+        ValueError unless terms is a list of objects, every expo a list of
+        integers and every count an integer.
         """
         entries = data.get("terms", [])
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError("terms %r is not a list of objects" % (entries,))
         if "degST" in data:
             nvars = 4
-            bidegree = (int(data["degST"]), int(data["degXY"]))
-            expos = [tuple(int(entry[v]) for v in "stxy") for entry in entries]
+            bidegree = (_integer(data["degST"]), _integer(data["degXY"]))
+            expos = [tuple(_integer(entry[v]) for v in "stxy") for entry in entries]
             for i, j, k, l in expos:
                 if min(i, j, k, l) < 0 or (i + j, k + l) != bidegree:
                     raise DegreeMismatch(
                         "term %r violates bidegree %r" % ((i, j, k, l), bidegree)
                     )
         else:
-            nvars = int(data["nvars"])
-            expos = [tuple(int(e) for e in entry["expo"]) for entry in entries]
+            nvars = _integer(data["nvars"])
+            expos = []
+            for entry in entries:
+                if not isinstance(entry["expo"], list):
+                    raise ValueError("expo %r is not a list of integers" % (entry["expo"],))
+                expos.append(tuple(_integer(e) for e in entry["expo"]))
         terms = {}
         for expo, entry in zip(expos, entries):
             terms[expo] = terms.get(expo, 0) + _coeff_from_json(entry)

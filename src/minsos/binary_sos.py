@@ -10,12 +10,17 @@ inequivalent representations.
 
 The multiplicities are exact, read off the square-free decomposition of
 the form (biform.squarefree_parts); only the root values are numeric.
+
+enumerate_two_squares builds the products pi of all choices as a prefix
+tree, one conjugate pair a level, and its dedup reads every Gram trace off
+one stacked array.  The census of balanced splits (enumerate_rank_two)
+walks the splits in increasing order and keeps each one that is not larger
+than its complement.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,11 +174,10 @@ def is_nonnegative(f):
 
 
 def _homogenize(poly_desc, deg):
-    """Binary form of degree deg from descending s-poly coefficients."""
-    sdeg = len(poly_desc) - 1
-    coeffs = [0.0] * (deg + 1)
-    for j, coeff in enumerate(poly_desc):
-        coeffs[sdeg - j] = coeff
+    """Coefficients of s^i t^(deg-i), i = 0..deg, from descending s-poly
+    coefficients; the slots above the s-degree (a power of t) are zero."""
+    coeffs = np.zeros(deg + 1, dtype=complex)
+    coeffs[: len(poly_desc)] = poly_desc[::-1]
     return coeffs
 
 
@@ -186,12 +190,16 @@ def _representation_from_pq(p_coeffs, q_coeffs, d, signs=(1, 1)):
     return Representation(basis=basis, vectors=vectors, signs=list(signs), exact=False)
 
 
-def _root_product(choice):
-    """Descending s-coefficients of prod (s - root)^count over (root, count).
+def _root_product(choice, pi=None):
+    """pi * prod (s - root)^count over (root, count), descending s-coefficients.
 
-    The root at infinity is skipped: homogenization supplies its t factors.
+    pi, the product of a prefix of the choice, defaults to 1; extending it
+    runs the np.convolve calls that the whole choice would run after that
+    prefix, so the bits do not depend on where the product was split.  The
+    root at infinity is skipped: homogenization supplies its t factors.
     """
-    pi = np.array([1.0 + 0.0j])
+    if pi is None:
+        pi = np.array([1.0 + 0.0j])
     for root, count in choice:
         if root == "inf":
             continue
@@ -200,19 +208,22 @@ def _root_product(choice):
     return pi
 
 
-def _conjugate_choice_rep(rm, choice, sign=1):
-    """The representation sign * (p^2 + q^2) with p + i q = pi.
+def _product_rep(rm, pi, sign=1):
+    """The representation sign * (p^2 + q^2) with p + i q = sqrt|lead| * pi.
 
-    pi = sqrt|lead| * prod (s - root t)^count over choice, which takes half
-    of every real root and, from each conjugate pair, counts summing to the
-    pair's multiplicity, so that pi * conj(pi) = |f|.
+    pi is a root product (descending s-coefficients) that takes half of
+    every real root and, from each conjugate pair, counts summing to the
+    pair's multiplicity, so that |lead| * pi * conj(pi) = |f|.
     """
-    pi = np.sqrt(abs(rm.lead)) * _root_product(choice)
     d = rm.degree // 2
-    coeffs = _homogenize(pi, d)  # t^(inf_mult/2) fills the top slots
-    p = [c.real for c in coeffs]
-    q = [c.imag for c in coeffs]
-    return _representation_from_pq(p, q, d, signs=(sign, sign))
+    # t^(inf_mult/2) fills the top slots
+    coeffs = _homogenize(np.sqrt(abs(rm.lead)) * pi, d)
+    return _representation_from_pq(coeffs.real, coeffs.imag, d, signs=(sign, sign))
+
+
+def _conjugate_choice_rep(rm, choice, sign=1):
+    """_product_rep of the root product of a choice of (root, count)."""
+    return _product_rep(rm, _root_product(choice), sign)
 
 
 def rep_forms(rep):
@@ -226,23 +237,27 @@ def rep_forms(rep):
 def _dedup(reps):
     """The reps not equivalent to an earlier kept rep, in their order.
 
-    equivalent(a, b) bounds max |G_a - G_b| by EQUIVALENT_TOL * scale, so
-    the traces of a and b differ by at most n * EQUIVALENT_TOL * scale (n
-    the basis size, scale at least 1 and every max |G|).  The kept reps are
-    held sorted by trace, and a rep is compared only with those whose trace
-    lies within twice that bound of its own, the factor 2 absorbing the
-    rounding of the traces.
+    The reps share one basis and one number of squares.  equivalent(a, b)
+    bounds max |G_a - G_b| by EQUIVALENT_TOL * scale, so the traces of a and
+    b differ by at most n * EQUIVALENT_TOL * scale (n the basis size, scale
+    at least 1 and every max |G|).  The kept reps are held sorted by trace,
+    and a rep is compared only with those whose trace lies within twice
+    that bound of its own, the factor 2 absorbing the rounding of the
+    traces.  The traces and the scale are read off one stacked (M, n, n)
+    array of the Gram matrices, summed elementwise as Representation.gram
+    sums them, so they carry gram()'s bits.
     """
-    traces = []
-    scale = 1.0
-    for rep in reps:
-        G = rep.gram()
-        traces.append(float(np.trace(G)))
-        scale = max(scale, float(np.max(np.abs(G))))
+    vectors = np.array([rep.vectors for rep in reps], dtype=float)  # (M, k, n)
+    signs = np.array([rep.signs for rep in reps], dtype=float)  # (M, k)
+    grams = np.zeros((len(reps),) + vectors.shape[2:] * 2)
+    for v, sign in zip(vectors.transpose(1, 0, 2), signs.T):
+        grams += sign[:, None, None] * v[:, :, None] * v[:, None, :]
+    traces = np.trace(grams, axis1=1, axis2=2).tolist()
+    scale = max(1.0, float(np.max(np.abs(grams))))
+    width = 2.0 * vectors.shape[2] * EQUIVALENT_TOL * scale
     kept = []
     by_trace, near = [], []  # traces of the kept reps, sorted; the reps in that order
     for rep, trace in zip(reps, traces):
-        width = 2.0 * len(rep.basis) * EQUIVALENT_TOL * scale
         lo = bisect.bisect_left(by_trace, trace - width)
         hi = bisect.bisect_right(by_trace, trace + width)
         if not any(equivalent(rep, other) for other in near[lo:hi]):
@@ -262,12 +277,17 @@ def enumerate_two_squares(f, rm=None):
     Returns Representations over the basis s^i t^(d-i) with two vectors
     (p, q) each, deduplicated by the canonical Gram matrix.  Multiplicities
     are enumerated exhaustively, so the count is exact for simple complex
-    roots (2^(#pairs - 1)) and a complete dedup otherwise.  The dedup keeps
-    the first of each class: each of the M = prod (m_j + 1) root choices
-    meets equivalent only for the kept reps whose Gram trace lies within
-    2 (d + 1) EQUIVALENT_TOL scale of its own (scale = max(1, largest
-    |Gram entry|)), a window no equivalent pair can leave, so the dedup
-    makes about M calls instead of M^2 / 2.
+    roots (2^(#pairs - 1)) and a complete dedup otherwise.  The M =
+    prod (m_j + 1) root products are built as a prefix tree, one pair a
+    level, in itertools.product order of the counts: each product extends
+    its parent's by the m_j roots of one pair, so simple pairs cost about 2M
+    np.convolve calls in all instead of M * #pairs, and each product has
+    the bits of one built from scratch.  The
+    dedup keeps the first of each class: each choice meets equivalent only
+    for the kept reps whose Gram trace lies within 2 (d + 1) EQUIVALENT_TOL
+    scale of its own (scale = max(1, largest |Gram entry|)), a window no
+    equivalent pair can leave, so the dedup makes about M calls instead of
+    M^2 / 2.
 
     Raises NotNonnegative when f is not nonnegative, UnpairedRoot when its
     roots cannot be paired (see roots).
@@ -278,14 +298,14 @@ def enumerate_two_squares(f, rm=None):
         rm = roots(f)
     if not _nonnegative(rm):
         raise NotNonnegative("the form takes negative values")
-    half_real = [(value, mult // 2) for value, mult in rm.real_roots]
-    reps = []
-    for assign in itertools.product(*(range(mult + 1) for _, mult in rm.pairs)):
-        choice = list(half_real)
-        for (value, mult), a in zip(rm.pairs, assign):
-            choice += [(value, a), (value.conjugate(), mult - a)]
-        reps.append(_conjugate_choice_rep(rm, choice))
-    return _dedup(reps)
+    products = [_root_product([(value, mult // 2) for value, mult in rm.real_roots])]
+    for value, mult in rm.pairs:
+        products = [
+            _root_product([(value, a), (value.conjugate(), mult - a)], pi)
+            for pi in products
+            for a in range(mult + 1)
+        ]
+    return _dedup([_product_rep(rm, pi) for pi in products])
 
 
 @dataclass
@@ -337,15 +357,12 @@ def enumerate_rank_two(rm):
     for i in range(fixed, nent, 2):
         conj += [i + 1, i]
     mults = [m for _, m in entries]
-    seen = set()
     classes = []
     counts = {"complex": 0, "real": 0, "psd": 0, "indefinite": 0, "nsd": 0}
     for vec in _bounded_vectors(mults, d):
         comp = tuple(m - v for m, v in zip(mults, vec))
-        key = min(vec, comp)
-        if key in seen:
-            continue
-        seen.add(key)
+        if comp < vec:
+            continue  # the split came first as comp, and was kept there
         conj_vec = tuple(vec[conj[i]] for i in range(nent))
         if conj_vec == comp:
             # conjugate factors, or f = u^2 when they are also real
@@ -386,13 +403,16 @@ def class_representation(rm, cls):
     d = rm.degree // 2
     u = _homogenize(rm.lead * _root_product(side(cls.side_a)), d)
     v = _homogenize(_root_product(side(cls.side_b)), d)
-    p = [((x + y) / 2.0).real for x, y in zip(u, v)]
-    q = [((x - y) / 2.0).real for x, y in zip(u, v)]
+    p, q = ((u + v) / 2.0).real, ((u - v) / 2.0).real
     return _representation_from_pq(p, q, d, signs=(1, -1))
 
 
 def _bounded_vectors(bounds, total):
-    """All integer vectors 0 <= v_i <= bounds_i with sum(v) = total."""
+    """All integer vectors 0 <= v_i <= bounds_i with sum(v) = total.
+
+    They come in increasing (lexicographic) order, so of a split and its
+    complement the smaller one comes first.
+    """
     n = len(bounds)
 
     def rec(i, remaining):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .biform import COMPLEX, BinaryForm
+from .biform import COMPLEX, BinaryForm, _integer
 from .binary_sos import _conjugate_choice_rep, _nonnegative, rnc_basis, roots
 from .errors import (
     DimensionMismatch,
@@ -127,10 +127,11 @@ class SymMatrixPoly:
 
     @classmethod
     def from_json(cls, data):
-        """Read {"n", "entries": {"i,j": form}}; ValueError unless both are objects."""
+        """Read {"n", "entries": {"i,j": form}}; ValueError unless n is an
+        integer and data and entries are objects."""
         if not isinstance(data, dict):
             raise ValueError("matrix %r is not an object" % (data,))
-        n = int(data["n"])
+        n = _integer(data["n"])
         entries = data.get("entries", {})
         if not isinstance(entries, dict):
             raise ValueError("entries %r is not an object" % (entries,))

@@ -267,7 +267,7 @@ class Representation:
         n = len(self.basis)
         G = np.zeros((n, n))
         for sign, vec in zip(self.signs, self.vectors):
-            v = np.array([float(c) for c in vec])
+            v = np.asarray(vec, dtype=float)
             G += sign * np.outer(v, v)
         return G
 

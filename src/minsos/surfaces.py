@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -178,7 +178,8 @@ class PairMap:
     in np.triu_indices order; its product is monomials[row[p]], and mult[p]
     (1 on the diagonal, 2 off it) counts G[a, b] and G[b, a] together, so the
     coefficients of m^T G m are sum over p of mult[p] * G[a[p], b[p]] at
-    row[p].
+    row[p].  Every basis that lists the same monomials shares one PairMap
+    (MonomialBasis.pair_map), so its arrays are read-only.
     """
 
     monomials: tuple
@@ -195,6 +196,26 @@ class PairMap:
         )
 
 
+@cache
+def _pair_map(monomials):
+    """The PairMap of a tuple of monomials, built once; its arrays are read-only."""
+    a, b = np.triu_indices(len(monomials))
+    expo = np.array(monomials, dtype=np.int64)
+    products, row = np.unique(expo[a] + expo[b], axis=0, return_inverse=True)
+    products = tuple(tuple(m) for m in products.tolist())
+    pairs = PairMap(
+        monomials=products,
+        index={m: r for r, m in enumerate(products)},
+        a=a,
+        b=b,
+        row=row.reshape(-1),
+        mult=np.where(a == b, 1, 2),
+    )
+    for array in (pairs.a, pairs.b, pairs.row, pairs.mult):
+        array.flags.writeable = False
+    return pairs
+
+
 @dataclass(frozen=True)
 class MonomialBasis:
     """Ordered list of monomial exponent tuples spanning a graded piece."""
@@ -203,21 +224,10 @@ class MonomialBasis:
     nvars: int
     var_names: tuple
 
-    @cached_property
+    @property
     def pair_map(self):
-        """The PairMap of this basis, built on first use."""
-        a, b = np.triu_indices(len(self.monomials))
-        expo = np.array(self.monomials, dtype=np.int64)
-        products, row = np.unique(expo[a] + expo[b], axis=0, return_inverse=True)
-        monomials = tuple(tuple(m) for m in products.tolist())
-        return PairMap(
-            monomials=monomials,
-            index={m: r for r, m in enumerate(monomials)},
-            a=a,
-            b=b,
-            row=row.reshape(-1),
-            mult=np.where(a == b, 1, 2),
-        )
+        """The PairMap of this basis's monomials, one for every basis that lists them."""
+        return _pair_map(self.monomials)
 
     def __len__(self):
         return len(self.monomials)

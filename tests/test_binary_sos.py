@@ -15,6 +15,7 @@ f = (s^2 + t^2) * (s^2 + 4 t^2), an indefinite difference of squares, so the
 rank-two census is 3 complex / 3 real / 2 psd / 1 indefinite.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -157,16 +158,36 @@ _R = BinaryForm([5, 2, 1], 2)  # s^2 + 2 s t + 5 t^2
 _L = BinaryForm([-3, 1], 1)  # s - 3 t
 
 
-@pytest.mark.parametrize(
-    "f",
-    [random_nonneg_binary(d, seed=s) for d in range(1, 8) for s in (0, 1, 2, 41)]
-    + [_Q * _Q * _R * _R, _L * _L * _Q * _R, _Q * _Q * _R, _L * _L * _R * _R],
-)
+_SWEEP_FORMS = [random_nonneg_binary(d, seed=s) for d in range(1, 8) for s in (0, 1, 2, 41)] + [
+    _Q * _Q * _R * _R,
+    _L * _L * _Q * _R,
+    _Q * _Q * _R,
+    _L * _L * _R * _R,
+]
+
+
+@pytest.mark.parametrize("f", _SWEEP_FORMS)
 def test_trace_sweep_keeps_what_the_pairwise_scan_keeps(monkeypatch, f):
     candidates, reps = _candidates_and_reps(monkeypatch, f)
     want = _pairwise_dedup(candidates)
     assert len(reps) == len(want)
     assert all(got is kept for got, kept in zip(reps, want))
+
+
+@pytest.mark.parametrize("f", _SWEEP_FORMS)
+def test_prefix_tree_products_have_the_bits_of_products_built_from_scratch(monkeypatch, f):
+    candidates, _reps = _candidates_and_reps(monkeypatch, f)
+    rm = roots(f)
+    half_real = [(value, mult // 2) for value, mult in rm.real_roots]
+    assign = list(itertools.product(*(range(mult + 1) for _, mult in rm.pairs)))
+    assert len(candidates) == len(assign)
+    for rep, counts in zip(candidates, assign):
+        choice = list(half_real)
+        for (value, mult), a in zip(rm.pairs, counts):
+            choice += [(value, a), (value.conjugate(), mult - a)]
+        want = binary_sos._conjugate_choice_rep(rm, choice)
+        assert np.array(rep.vectors).tobytes() == np.array(want.vectors).tobytes()
+        assert rep.signs == want.signs and rep.basis == want.basis
 
 
 def test_two_squares_at_degree_ten_calls_equivalent_at_most_once_a_choice(monkeypatch):
@@ -261,6 +282,56 @@ def test_nongeneric_census_hand_counts():
     for rep in reps:
         assert verify_representation(f, rep) < 1e-10
     assert sum(rep_forms(rep)[1].is_zero() for rep in reps) == 1
+
+
+def _rank_two_by_seen_set(rm):
+    """enumerate_rank_two as it was when it kept a set of the splits seen."""
+    d = rm.degree // 2
+    entries = rm.entries()
+    fixed = len(entries) - 2 * len(rm.pairs)
+    conj = list(range(fixed))
+    for i in range(fixed, len(entries), 2):
+        conj += [i + 1, i]
+    mults = [m for _, m in entries]
+    seen, classes = set(), []
+    counts = {"complex": 0, "real": 0, "psd": 0, "indefinite": 0, "nsd": 0}
+    for vec in itertools.product(*(range(m + 1) for m in mults)):
+        if sum(vec) != d:
+            continue
+        comp = tuple(m - v for m, v in zip(mults, vec))
+        if min(vec, comp) in seen:
+            continue
+        seen.add(min(vec, comp))
+        conj_vec = tuple(vec[conj[i]] for i in range(len(entries)))
+        if conj_vec == comp:
+            kind = "psd" if rm.lead > 0 else "nsd"
+        elif conj_vec == vec:
+            kind = "indefinite"
+        else:
+            kind = "complex"
+        classes.append({
+            "sideA": [(i, v) for i, v in enumerate(vec) if v],
+            "sideB": [(i, v) for i, v in enumerate(comp) if v],
+            "kind": kind,
+        })
+        counts["complex"] += 1
+        if kind != "complex":
+            counts["real"] += 1
+            counts[kind] += 1
+    return {"counts": counts, "classes": classes}
+
+
+@pytest.mark.parametrize(
+    "f",
+    [_nongeneric(), _nongeneric() * _R, _Q * _Q * _R * _R, _L * _L * _Q * _R, _Q * _Q * _R,
+     _L * _L * _R * _R, _Q * _Q * _Q, random_nonneg_binary(5, seed=3),
+     _nongeneric().scale(-1)],
+    ids=["nongeneric", "nongeneric-times-R", "QQRR", "LLQR", "QQR", "LLRR", "QQQ", "generic",
+         "negative"],
+)
+def test_rank_two_classes_are_those_a_seen_set_keeps(f):
+    rm = roots(f)
+    assert enumerate_rank_two(rm).to_json() == _rank_two_by_seen_set(rm)
 
 
 def test_rank_two_census_json():

@@ -130,6 +130,21 @@ def test_factor_matches_the_checked_in_report(tmp_path, name):
     assert out.read_bytes() == report.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["two_squares_d6", "two_squares_nongeneric"])
+def test_two_squares_matches_the_checked_in_report(tmp_path, name):
+    # two_squares_d6 is random_nonneg_binary(6, seed=0), and
+    # two_squares_nongeneric t^2 (s - t)^2 (s^2 + t^2)^2 (s^2 + 2 s t + 5 t^2),
+    # a doubled root at infinity, real root and conjugate pair; both were
+    # written by `minsos two-squares` when every root product was built from
+    # scratch and every dedup trace came from Representation.gram
+    report = DATA / (name + ".json")
+    src = tmp_path / "form.json"
+    src.write_text(json.dumps(json.loads(report.read_text())["form"]))
+    out = tmp_path / "two_squares.json"
+    assert cli.main(["two-squares", str(src), "--json-out", str(out)]) == cli.EXIT_OK
+    assert out.read_bytes() == report.read_bytes()
+
+
 def _raises(exc):
     def run(*args, **kwargs):
         raise exc
@@ -494,6 +509,11 @@ def _binary(*coeffs):
          "terms [5] is not a list of objects"),
         ("enumerate --surface scroll(1,1)", {"nvars": 4, "terms": 5},
          "terms 5 is not a list of objects"),
+        ("enumerate --surface scroll(1,1)", {"nvars": 4, "terms": [{"expo": 5, "num": 1}]},
+         "expo 5 is not a list of integers"),
+        ("enumerate --surface scroll(1,1)", {"nvars": None, "terms": []},
+         "None is not an integer"),
+        ("factor", {"n": None}, "None is not an integer"),
         # the degree rules run before the psd screen, so a matrix that breaks
         # one is named by its entry and never reported as not psd
         ("factor", {"n": 2, "entries": {"0,0": _binary(1, 0, 0, 1), "1,1": _binary(1, 0, 1)}},
@@ -506,8 +526,9 @@ def _binary(*coeffs):
     ],
     ids=["fractional-num", "fractional-den", "coeffs-not-a-list", "entries-not-an-object",
          "entry-not-an-object", "matrix-not-an-object", "re-not-a-number",
-         "term-not-an-object", "terms-not-a-list", "odd-diagonal", "zero-diagonal",
-         "off-diagonal-degree"],
+         "term-not-an-object", "terms-not-a-list", "expo-not-a-list", "nvars-not-an-integer",
+         "n-not-an-integer",
+         "odd-diagonal", "zero-diagonal", "off-diagonal-degree"],
 )
 def test_a_malformed_input_exits_two(tmp_path, capsys, command, data, message):
     src = tmp_path / "input.json"

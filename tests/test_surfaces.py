@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from minsos import surfaces
-from minsos.binary_sos import roots
+from minsos.binary_sos import rnc_basis, roots
 from minsos.biform import RATIONAL, BinaryForm, TermPoly
 from minsos.cones import enumerate_cone
 from minsos.enumerator import enumerate_rank
@@ -107,6 +107,16 @@ def test_degree_two_basis_sizes():
     sizes = ((scroll(2, 1), 12), (scroll(2, 2), 15), (cone_rnc(4), 15), (veronese(), 15))
     for spec, size in sizes:
         assert len(monomial_basis(spec).pair_map.monomials) == size
+
+
+def test_bases_with_the_same_monomials_share_one_read_only_pair_map():
+    pairs = rnc_basis(4).pair_map
+    assert rnc_basis(4).pair_map is pairs
+    assert monomial_basis(cone_rnc(4)).pair_map is monomial_basis(cone_rnc(4)).pair_map
+    for array in (pairs.a, pairs.b, pairs.row, pairs.mult):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        pairs.mult[0] = 3
 
 
 def test_scroll_basis_is_t_lifted():
