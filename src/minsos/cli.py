@@ -203,6 +203,14 @@ def cmd_factor(args):
         % (A.n, A.n, result.heights, result.ncols, result.rank)
     )
     print("residual %.3e (bound %.1e relative)" % (result.residual, VERIFY_TOL))
+    info = result.info
+    if info["route"] == "branch":
+        print("route: branch (root separation %.3e, class residual %.3e)"
+              % (info["rootSeparation"], info["classResidual"]))
+    elif info["route"] == "gram":
+        print("route: gram (%d feasibility rounds)" % info["feasIterations"])
+    else:
+        print("route: " + info["route"])
     if result.warning:
         print("warning: " + result.warning)
     for i, row in enumerate(result.rows()):

@@ -8,16 +8,23 @@ minsos.surfaces, owns that layout for matrices, scrolls and cones alike.
 
 factor runs four steps in order: the degrees (degree_pattern, then
 PrismSpec.form for the off-diagonal entries), the psd screen over
-directions of P^1, feasibility (a psd point of the Gram family of f, by
-alternating projections or, when their budget runs out, Douglas-Rachford
-reflections) and reduction (Gauss-Newton on L to a fiber point G = L L^T,
-L real and n+1 columns wide).  For n = 1 the roots of the entry give two
-squares instead.  Both routes end in one finish, _result, which reads the
-psd representation off as B with n+1 columns and row degrees d_i.
+directions of P^1, a psd point of the Gram family of f, and reduction
+(Gauss-Newton on L to a fiber point G = L L^T, L real and n+1 columns
+wide).  The psd point comes from one of two routes.  The branch route
+(n = 2 with det A square-free and free of real roots) builds a psd rank-3
+class outright from the roots of det A, where A drops rank: the branch
+points of the curve f = 0 over P^1.  The Gram route (every other input)
+reaches a psd point by alternating projections or, when their budget runs
+out, Douglas-Rachford reflections.  For n = 1 the roots of the entry give
+two squares instead.
+Every route ends in one finish, _result, which reads the psd
+representation off as B with n+1 columns and row degrees d_i, and records
+the route in FactorResult.info.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -32,8 +39,10 @@ from .errors import (
     OddDiagonalDegree,
     OffDiagonalDegreeMismatch,
     StuckAboveTarget,
+    UnpairedRoot,
 )
 from .gram import (
+    FIBER_TOL,
     Representation,
     extract_representation,
     gram_space_from_basis,
@@ -249,6 +258,77 @@ def _feasible_reflections(space):
     raise IterationBudgetExceeded(FEAS_BUDGET, gap)
 
 
+def _branch_class(spec, space):
+    """One psd rank-3 Gram point for n = 2, from the branch points of det M.
+
+    M = [[c, b], [b, a]] is the exact matrix of the form; returns None
+    unless det M = a c - b^2 has 2g + 2 simple roots, all in conjugate
+    pairs.  A linear form p X_1 + q X_2 in the image of a class has the
+    norm a p^2 - 2 b p q + c q^2 = psi^2, and M has rank 1 at a root r, so
+    psi(r) sqrt(c(r)) = eps (b p - c q)(r), or psi(r) sqrt(a(r)) =
+    eps (a p - b q)(r) where |a(r)| > |c(r)|.  eps = +1 at each root r of
+    rm.pairs (Im > 0) and -1 at its conjugate picks a psd class, and then
+    (p, q, psi) -> (conj p, conj q, -conj psi) maps the solutions onto
+    themselves.  So with p, q real and psi = i phi, phi real, the real and
+    imaginary parts of the g + 1 equations at the r alone have a
+    3-dimensional null space.  Its (p, q) rows N span the image, and the
+    symmetric Q of G = N^T Q N comes from one least squares solve of the
+    coefficients of G against f.
+
+    Returns (G, info) with the route, the smallest root separation of det M
+    and the residual of that solve.  Also None when roots raises
+    UnpairedRoot or the residual exceeds FIBER_TOL relative to f; both
+    happen where two roots of det M nearly meet.
+    """
+    M = spec.matrix(space.form)
+    # M times the common denominator of its entries, over the integers: the
+    # scale moves neither the roots of det M nor the null space below
+    den = math.lcm(*(x.denominator for form in M.values() for x in form.coeffs))
+    c, b, a = (
+        np.array([int(x * den) for x in M[key].coeffs], dtype=object)
+        for key in ((0, 0), (0, 1), (1, 1))
+    )
+    det = BinaryForm((np.convolve(c, a) - np.convolve(b, b)).tolist())
+    if det.is_zero():
+        return None
+    try:
+        rm = roots(det)
+    except UnpairedRoot:
+        return None
+    if rm.inf_mult or rm.real_roots or not rm.pairs or any(m != 1 for _, m in rm.pairs):
+        return None
+    r = np.array([value for value, _ in rm.pairs])
+    av, bv, cv = (np.polyval(x[::-1].astype(float), r) for x in (a, b, c))
+    swap = np.abs(av) > np.abs(cv)
+    d1, d2 = spec.heights
+    powers = r[:, None] ** np.arange(d1 + d2 + 1)
+    rows = np.hstack([
+        np.where(swap, av, bv)[:, None] * powers[:, :d1 + 1],
+        -np.where(swap, bv, cv)[:, None] * powers[:, :d2 + 1],
+        -1j * np.sqrt(np.where(swap, av, cv))[:, None] * powers,
+    ])
+    # unit rows, or the powers of roots far from the unit circle swamp the rest
+    rows /= np.max(np.abs(rows), axis=1, keepdims=True)
+    N = np.linalg.svd(np.vstack([rows.real, rows.imag]))[2][-3:, :d1 + d2 + 2]
+    pairs = space.basis.pair_map
+    k, l = np.triu_indices(3)
+    # column j: the coefficients of N^T (E + E^T) N, E the unit at (k[j], l[j])
+    C = np.stack(
+        [pairs.coefficients(np.outer(N[i], N[j]) + np.outer(N[j], N[i])) for i, j in zip(k, l)],
+        axis=1,
+    )
+    want = pairs.coefficients(space.G0_f)
+    E = np.zeros((3, 3))
+    E[k, l] = np.linalg.lstsq(C, want, rcond=None)[0]
+    residual = float(np.max(np.abs(C @ E[k, l] - want)))
+    if residual > FIBER_TOL * max(1.0, float(space.form.max_abs_coeff())):
+        return None
+    every = np.concatenate([r, r.conj()])
+    gaps = np.abs(every[:, None] - every[None, :])[~np.eye(len(every), dtype=bool)]
+    info = {"route": "branch", "rootSeparation": float(gaps.min()), "classResidual": residual}
+    return N.T @ (E + E.T) @ N, info
+
+
 def rank_reduce(space, G, target_rank):
     """A psd fiber point of rank <= target_rank, as L L^T with L real.
 
@@ -321,11 +401,12 @@ class FactorResult:
         }
 
 
-def _result(heights, form, rep, warning=None, info=None):
+def _result(heights, form, rep, info, warning=None):
     """The FactorResult of a psd representation rep of form: factor's one finish.
 
     Each vector of rep splits by heights into one binary form per row; the
-    rank counts the nonzero vectors, and zero columns pad B to n+1.
+    rank counts the nonzero vectors, and zero columns pad B to n+1.  info
+    names the route and what it measured.
     """
     if any(s != 1 for s in rep.signs):
         raise NotPSD((0.0, 0.0, "negative eigenvalue in the reduced Gram matrix"))
@@ -338,7 +419,7 @@ def _result(heights, form, rep, warning=None, info=None):
     while len(columns) < len(heights) + 1:
         columns.append([BinaryForm.zero(d, field=COMPLEX) for d in heights])
     residual = verify_representation(form, rep)
-    return FactorResult(heights, columns, residual, rank, warning, info or {})
+    return FactorResult(heights, columns, residual, rank, warning, info)
 
 
 def check_psd_on_grid(A):
@@ -394,12 +475,17 @@ def factor(A):
     """Factor a psd bivariate matrix polynomial as A = B B^T, B n x (n+1).
 
     Steps, in order: degrees (prism_gram_space), the psd screen
-    (check_psd_on_grid), feasibility (psd_feasible, then
-    _feasible_reflections when its budget runs out) and reduction to rank
-    n+1 (rank_reduce); n = 1 goes by the roots (_factor_binary) instead.
-    Both end in the one finish, _result.  When rank_reduce raises
-    StuckAboveTarget, the psd fiber point is factored as it stands, with a
-    warning; its extra columns still certify psd-ness.
+    (check_psd_on_grid), a psd fiber point, and reduction to rank n+1
+    (rank_reduce).  For n = 2 the psd point is the rank-3 class that
+    _branch_class builds from the branch points of det A (route "branch");
+    when it returns None (n >= 3, or det A zero, not square-free or with a
+    real root), feasibility finds one (route "gram": psd_feasible, then
+    _feasible_reflections when its budget runs out).  n = 1 goes by the
+    roots (_factor_binary, route "roots") instead.  All end in the one
+    finish, _result; info holds the route, with feasIterations on the Gram
+    route and rootSeparation and classResidual on the branch route.  When
+    rank_reduce raises StuckAboveTarget, the psd fiber point is factored as
+    it stands, with a warning; its extra columns still certify psd-ness.
 
     Raises a degree error, NotPSD (with witness) or IterationBudgetExceeded.
     """
@@ -407,10 +493,15 @@ def factor(A):
         return _factor_binary(A)
     spec, space = prism_gram_space(A)
     check_psd_on_grid(A)
-    try:
-        G, info = psd_feasible(space)
-    except IterationBudgetExceeded:
-        G, info = _feasible_reflections(space)
+    branch = _branch_class(spec, space) if A.n == 2 else None
+    if branch is not None:
+        G, info = branch
+    else:
+        try:
+            G, feas = psd_feasible(space)
+        except IterationBudgetExceeded:
+            G, feas = _feasible_reflections(space)
+        info = {"route": "gram", "feasIterations": feas["iterations"]}
     warning = None
     try:
         G = rank_reduce(space, G, spec.target_rank)
@@ -420,7 +511,7 @@ def factor(A):
             % (exc.achieved, exc.target)
         )
     rep = extract_representation(space, G)
-    return _result(spec.heights, space.form, rep, warning, {"feasIterations": info["iterations"]})
+    return _result(spec.heights, space.form, rep, info, warning)
 
 
 def _factor_binary(A):
@@ -432,11 +523,12 @@ def _factor_binary(A):
     """
     heights = degree_pattern(A)
     form = A.entries[0][0]
+    info = {"route": "roots"}
     if form.is_zero():
-        return _result(heights, form, Representation(rnc_basis(0), [], []))
+        return _result(heights, form, Representation(rnc_basis(0), [], []), info)
     rm = roots(form)
     if not _nonnegative(rm):
         raise NotPSD((None, None, "the form takes negative values"))
     choice = [(value, mult // 2) for value, mult in rm.real_roots]
     choice += [(value.conjugate(), mult) for value, mult in rm.pairs]
-    return _result(heights, form, _conjugate_choice_rep(rm, choice))
+    return _result(heights, form, _conjugate_choice_rep(rm, choice), info)

@@ -116,18 +116,38 @@ def test_cone_enumeration_matches_the_checked_in_report(tmp_path):
     assert out.read_bytes() == (DATA / "enumeration_cone3.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["factor_n1", "factor_heights111", "factor_stalled"])
+@pytest.mark.parametrize(
+    "name", ["factor_n1", "factor_heights111", "factor_diag11", "factor_heights21_seed0"]
+)
 def test_factor_matches_the_checked_in_report(tmp_path, name):
-    # factor_heights111 (random_dyad_matrix((1, 1, 1), seed=0)) and
-    # factor_stalled (diag(s^2 + t^2, 2 s^2 + t^2), whose rank reduction
-    # stalls) were written by `minsos factor` when each factor route still
-    # built its own columns and residual
+    # factor_heights111 (random_dyad_matrix((1, 1, 1), seed=0)) was written
+    # by `minsos factor` when each factor route still built its own columns
+    # and residual; factor_diag11 (diag(s^2 + t^2, 2 s^2 + t^2)) and
+    # factor_heights21_seed0 (random_dyad_matrix((2, 1), seed=0)) when the
+    # square-free 2 x 2 inputs first took the branch route.  factor_stalled,
+    # the Gram route's four columns for that diagonal matrix, only verifies
     report = DATA / (name + ".json")
     src = tmp_path / "matrix.json"
     src.write_text(json.dumps(json.loads(report.read_text())["matrix"]))
     out = tmp_path / "factor.json"
     assert cli.main(["factor", str(src), "--json-out", str(out)]) == cli.EXIT_OK
     assert out.read_bytes() == report.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, route",
+    [
+        ("factor_diag11", r"route: branch \(root separation \S+, class residual \S+\)"),
+        ("factor_heights111", r"route: gram \(\d+ feasibility rounds\)"),
+        ("factor_n1", r"route: roots"),
+    ],
+)
+def test_factor_prints_its_route(tmp_path, capsys, name, route):
+    src = tmp_path / "matrix.json"
+    src.write_text(json.dumps(json.loads((DATA / (name + ".json")).read_text())["matrix"]))
+    assert cli.main(["factor", str(src)]) == cli.EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("route:")]
+    assert len(lines) == 1 and re.fullmatch(route, lines[0])
 
 
 @pytest.mark.parametrize("name", ["two_squares_d6", "two_squares_nongeneric"])

@@ -1,5 +1,6 @@
 """Factorization A = B B^T: random dyad matrices, the residual, NotPSD."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from minsos.factorization import (
 )
 from minsos.gram import build_gram_space, inertia
 from minsos.sampling import random_dyad_matrix, random_nonneg_binary, random_positive_form
-from minsos.surfaces import CONE_RNC, cone_rnc, scroll
+from minsos.surfaces import CONE_RNC, binary_squarefree, cone_rnc, scroll
 
 
 def _coeffs(form):
@@ -84,10 +85,11 @@ def test_factor_reaches_n_plus_one_columns(heights, seed, ncols):
     + [pytest.param((1, 1, 1), s, 1, id="one-dyad-%d" % s) for s in (1, 2, 3, 4, 7)],
 )
 def test_factor_residual_at_rounding_level(heights, seed, ncols):
-    # the feasible points of these draws already have rank <= n+1, with the
-    # dropped eigenvalues near -1e-10 of the largest: factored as they stand,
-    # the residual is near 5e-9.  A single dyad has a rank-1 Gram point,
-    # where the n+1 columns of the factor L are rank deficient
+    # on the Gram route the feasible points of these draws already have rank
+    # <= n+1, with the dropped eigenvalues near -1e-10 of the largest:
+    # factored as they stand, the residual is near 5e-9 (the (2, 1) draws now
+    # take the branch route).  A single dyad has a rank-1 Gram point, where
+    # the n+1 columns of the factor L are rank deficient
     A, _ = random_dyad_matrix(heights, seed=seed, ncols=ncols)
     assert factor(A).residual <= 1e-12 * max(1.0, A.max_abs_coeff())
 
@@ -111,7 +113,8 @@ def test_factor_two_dyads_near_the_psd_boundary(seed):
 
 def test_feasibility_fallback_factors_a_shallow_fiber(monkeypatch):
     # n+1 dyads put this fiber at a shallow angle to the psd cone:
-    # psd_feasible exhausts its budget and the reflections take over
+    # psd_feasible exhausts its budget and the reflections take over.  An
+    # n = 3 draw, since a square-free n = 2 draw takes the branch route
     calls = []
     reflections = factorization._feasible_reflections
 
@@ -120,7 +123,7 @@ def test_feasibility_fallback_factors_a_shallow_fiber(monkeypatch):
         return reflections(space)
 
     monkeypatch.setattr(factorization, "_feasible_reflections", counted)
-    A, _ = random_dyad_matrix((2, 1), seed=4, ncols=3)
+    A, _ = random_dyad_matrix((1, 1, 1), seed=3, ncols=4)
     result = factor(A)
     assert len(calls) == 1
     _assert_n_plus_one_columns(A, result)
@@ -129,8 +132,9 @@ def test_feasibility_fallback_factors_a_shallow_fiber(monkeypatch):
 
 @pytest.mark.parametrize("stall", ["polish fails", "budget runs out"])
 def test_rank_reduction_failure_raises_and_factor_warns(monkeypatch, stall):
-    # the psd fiber point of this draw has rank 4 > n+1 = 3
-    A, _ = random_dyad_matrix((2, 1), seed=0)
+    # the psd fiber point of this draw has rank 5 > n+1 = 4; an n = 3 draw
+    # takes the Gram route, which calls no lstsq before rank_reduce
+    A, _ = random_dyad_matrix((1, 1, 1), seed=2, ncols=4)
     spec, space = factorization.prism_gram_space(A)
     G, _info = factorization.psd_feasible(space)
     assert inertia(G)[0] > spec.target_rank
@@ -159,18 +163,80 @@ def test_rank_reduction_failure_raises_and_factor_warns(monkeypatch, stall):
     assert result.residual <= 1e-8 * max(1.0, A.max_abs_coeff())
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="rank_reduce stalls at rank 4 on this diagonal matrix and emits four "
-    "columns with the rank-reduction warning (residual 4.4e-16)",
-)
 def test_factor_of_a_diagonal_matrix_reaches_three_columns():
-    # rows (s, t, 0) and (t, -s, s) factor diag(s^2 + t^2, 2 s^2 + t^2)
+    # rows (s, t, 0) and (t, -s, s) factor diag(s^2 + t^2, 2 s^2 + t^2); from
+    # the psd fiber point of the Gram route rank_reduce stalled at rank 4,
+    # and the branch route starts at a rank-3 class
     zero = BinaryForm.zero(2)
     A = SymMatrixPoly([[BinaryForm([1, 0, 1]), zero], [zero, BinaryForm([1, 0, 2])]])
     result = factor(A)
     assert result.residual <= 1e-8 * max(1.0, A.max_abs_coeff())
     assert result.ncols == 3 and result.warning is None
+
+
+def _no_feasibility_step(monkeypatch):
+    def refuse(space):
+        raise AssertionError("the branch route ran a feasibility iteration")
+
+    monkeypatch.setattr(factorization, "psd_feasible", refuse)
+    monkeypatch.setattr(factorization, "_feasible_reflections", refuse)
+
+
+@pytest.mark.parametrize("ncols", [None, 3, 6], ids=lambda c: "ncols%s" % c)
+@pytest.mark.parametrize(
+    "heights", [(2, 1), (1, 1), (3, 1), (2, 2), (2, 0)], ids=lambda h: "heights%d%d" % h
+)
+def test_square_free_det_takes_the_branch_route(monkeypatch, heights, ncols):
+    # det M of each of these draws has only simple conjugate pairs of roots
+    _no_feasibility_step(monkeypatch)
+    for seed in range(5):
+        A, _ = random_dyad_matrix(heights, seed=seed, ncols=ncols)
+        result = factor(A)
+        assert result.info["route"] == "branch"
+        assert result.info["rootSeparation"] > 0
+        assert result.info["classResidual"] <= 1e-12 * max(1.0, A.max_abs_coeff())
+        _assert_n_plus_one_columns(A, result)
+        assert result.warning is None
+        assert result.residual <= 1e-12 * max(1.0, A.max_abs_coeff())
+        assert _reference_residual(A, result.columns) <= 1e-12 * max(1.0, A.max_abs_coeff())
+
+
+@pytest.mark.parametrize(
+    "ncols, seed, det_kind", [(1, 0, "zero"), (2, 1, "square")], ids=["one-dyad", "two-dyads"]
+)
+def test_det_zero_or_with_repeated_roots_takes_the_gram_route(ncols, seed, det_kind):
+    # one dyad makes det M vanish, two make it (det B)^2, a square
+    A, _ = random_dyad_matrix((2, 1), seed=seed, ncols=ncols)
+    spec, space = factorization.prism_gram_space(A)
+    M = spec.matrix(space.form)
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[0, 1]
+    assert det.is_zero() == (det_kind == "zero")
+    assert not binary_squarefree(det)
+    assert factorization._branch_class(spec, space) is None
+    result = factor(A)
+    assert result.info["route"] == "gram" and result.info["feasIterations"] > 0
+    assert result.warning is None and result.rank == ncols
+    assert _reference_residual(A, result.columns) <= 1e-12 * max(1.0, A.max_abs_coeff())
+
+
+@pytest.mark.parametrize("gap", [Fraction(1, 10**6), Fraction(1, 10**8)], ids=["1e-6", "1e-8"])
+def test_nearly_meeting_roots_take_the_gram_route(gap):
+    # det M = (s^2 + t^2)((1 + gap) s^2 + t^2) is square-free, but its roots
+    # are gap / 2 apart: at 1e-6 the class misses f by more than FIBER_TOL,
+    # and at 1e-8 roots cannot pair them
+    zero = BinaryForm.zero(2)
+    A = SymMatrixPoly([[BinaryForm([1, 0, 1]), zero], [zero, BinaryForm([1, 0, 1 + gap])]])
+    spec, space = factorization.prism_gram_space(A)
+    assert factorization._branch_class(spec, space) is None
+    result = factor(A)
+    assert result.info["route"] == "gram"
+    assert _reference_residual(A, result.columns) <= 1e-12 * max(1.0, A.max_abs_coeff())
+
+
+def test_branch_route_reports_are_byte_identical():
+    first = json.dumps(factor(random_dyad_matrix((2, 1), seed=3)[0]).to_json())
+    second = json.dumps(factor(random_dyad_matrix((2, 1), seed=3)[0]).to_json())
+    assert first == second
 
 
 def test_rank_reduction_of_a_draw_with_n_dyads():
