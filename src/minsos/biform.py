@@ -231,13 +231,14 @@ class BinaryForm:
 
     @classmethod
     def from_json(cls, data):
-        """Read {"deg", "coeffs"}; ValueError unless data is an object and coeffs a list."""
+        """Read {"deg", "coeffs"}; ValueError unless data is an object, deg an
+        integer and coeffs a list."""
         if not isinstance(data, dict):
             raise ValueError("binary form %r is not an object" % (data,))
         coeffs = data["coeffs"]
         if not isinstance(coeffs, list):
             raise ValueError("coeffs %r is not a list" % (coeffs,))
-        return cls([_coeff_from_json(c) for c in coeffs], int(data["deg"]))
+        return cls([_coeff_from_json(c) for c in coeffs], _integer(data["deg"]))
 
 
 def _primitive(p):

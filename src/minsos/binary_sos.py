@@ -1,4 +1,4 @@
-"""Sums of two squares of binary forms via complex root pairing.
+"""Sums of two squares of binary forms from the conjugate pairs of their roots.
 
 A nonnegative binary form factors as c * R^2 * prod_j (q_j qbar_j)^(mu_j)
 with R collecting the real roots (necessarily of even multiplicity) and the
@@ -10,6 +10,8 @@ inequivalent representations.
 
 The multiplicities are exact, read off the square-free decomposition of
 the form (biform.squarefree_parts); only the root values are numeric.
+Each part is real, so its non-real roots come out of the real eigen-solver
+as exact conjugates, and roots keeps one of each pair.
 
 enumerate_two_squares builds the products pi of all choices as a prefix
 tree, one conjugate pair a level, and its dedup reads every Gram trace off
@@ -26,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biform import BinaryForm, squarefree_parts
-from .errors import NotNonnegative, UnpairedRoot
+from .errors import NotNonnegative
 from .gram import EQUIVALENT_TOL, Representation, equivalent
 from .surfaces import MonomialBasis
 
-PAIR_TOL = 1e-8  # conjugate pairing tolerance
+PAIR_TOL = 1e-8  # a root is real when |Im| is at most this, relative to the largest root
 
 
 def rnc_basis(d):
@@ -91,16 +93,15 @@ def _polish_roots(poly, dpoly, r):
 
 
 def roots(f):
-    """Root multiset of a real binary form, Newton-polished and paired.
+    """Root multiset of a real binary form, Newton-polished, in conjugate pairs.
 
     The multiplicities are exact: they come from the square-free
     decomposition of f (biform.squarefree_parts), and each part's roots are
     found by np.roots and Newton-polished on that part, where they are
-    simple.  Conjugate symmetry is enforced by matching roots to their
-    conjugates within PAIR_TOL (relative) and averaging.  Raises
-    UnpairedRoot when a non-real root finds no partner; the parts are real
-    and square-free, so only roots of a part that np.roots cannot resolve
-    to PAIR_TOL go unpaired.
+    simple.  Each part is real, so np.roots runs the real eigen-solver,
+    which returns the non-real roots as exact conjugates, and the polish
+    keeps them so.  A root is real when |Im| <= PAIR_TOL relative to the
+    largest root; pairs keeps the roots above that.
     """
     if f.is_zero():
         raise ValueError("the zero form has no root multiset")
@@ -109,41 +110,12 @@ def roots(f):
     finite = []
     for part, mult in parts:
         # lead * part has the coefficients of f when f is square-free
-        poly = np.array([complex(lead * c) for c in reversed(part.coeffs)])
-        dpoly = np.polyder(poly.real)
-        polished = _polish_roots(poly.real, dpoly, np.roots(poly))
+        poly = np.array([float(lead * c) for c in reversed(part.coeffs)])
+        polished = _polish_roots(poly, np.polyder(poly), np.roots(poly))
         finite += [(complex(r), mult) for r in polished]
-    scale = max([1.0] + [abs(r) for r, _ in finite])
-    real_roots = []
-    rest = []
-    for root, mult in finite:
-        if abs(root.imag) <= PAIR_TOL * scale:
-            real_roots.append((complex(root.real), mult))
-        else:
-            rest.append((root, mult))
-    pairs = []
-    used = [False] * len(rest)
-    for i, (root, mult) in enumerate(rest):
-        if used[i] or root.imag < 0:
-            continue
-        used[i] = True
-        partner = None
-        best = PAIR_TOL * scale
-        for j, (other, omult) in enumerate(rest):
-            if used[j] or omult != mult:
-                continue
-            gap = abs(other - root.conjugate())
-            if gap <= best:
-                best = gap
-                partner = j
-        if partner is None:
-            raise UnpairedRoot(root)
-        used[partner] = True
-        value = (root + rest[partner][0].conjugate()) / 2.0
-        pairs.append((value, mult))
-    for (root, _), u in zip(rest, used):
-        if not u:
-            raise UnpairedRoot(root)
+    tol = PAIR_TOL * max([1.0] + [abs(r) for r, _ in finite])
+    real_roots = [(complex(r.real), mult) for r, mult in finite if abs(r.imag) <= tol]
+    pairs = [(r, mult) for r, mult in finite if r.imag > tol]
     real_roots.sort(key=lambda rm: rm[0].real)
     pairs.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return RootMultiset(
@@ -289,8 +261,7 @@ def enumerate_two_squares(f, rm=None):
     equivalent pair can leave, so the dedup makes about M calls instead of
     M^2 / 2.
 
-    Raises NotNonnegative when f is not nonnegative, UnpairedRoot when its
-    roots cannot be paired (see roots).
+    Raises NotNonnegative when f is not nonnegative.
     """
     if f.is_zero():
         raise ValueError("the zero form has degenerate representations")

@@ -2,9 +2,9 @@
 
 Subcommands: gram-space, enumerate, factor, two-squares, table, verify.
 Exit codes: 0 success, 2 input error, 3 solver failure (path budget or
-iteration budget exhausted, or a complex root left unpaired), 4
-verification failure.  Reports are emitted as JSON with sorted keys, so
-runs with equal seeds produce byte-identical files.
+iteration budget exhausted), 4 verification failure.  Reports are emitted
+as JSON with sorted keys, so runs with equal seeds produce byte-identical
+files.
 """
 
 import argparse
@@ -25,7 +25,6 @@ from .errors import (
     IterationBudgetExceeded,
     MinsosError,
     PathFailureBudgetExceeded,
-    UnpairedRoot,
 )
 from .factorization import SymMatrixPoly, factor, factor_residual
 from .gram import (
@@ -43,7 +42,7 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
-SOLVER_ERRORS = (PathFailureBudgetExceeded, IterationBudgetExceeded, UnpairedRoot)
+SOLVER_ERRORS = (PathFailureBudgetExceeded, IterationBudgetExceeded)
 
 # a result verifies when its residual is at most VERIFY_TOL times
 # max(1, largest coefficient of the input)

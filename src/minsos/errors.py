@@ -99,19 +99,6 @@ class NotPSD(MinsosError):
         super().__init__(message or "matrix polynomial is not PSD at %r" % (witness,))
 
 
-class UnpairedRoot(MinsosError):
-    """A non-real root found no conjugate partner within the pairing tolerance.
-
-    Roots are found part by part of the exact square-free decomposition, so
-    every root is simple on its part; a root goes unpaired only when its
-    part is too ill-conditioned for the numeric root finder to resolve.
-    """
-
-    def __init__(self, root, message=None):
-        self.root = root
-        super().__init__(message or "no conjugate partner for root %r" % (root,))
-
-
 class NotNonnegative(MinsosError):
     """Binary form takes negative values on the real line."""
 

@@ -39,7 +39,6 @@ from .errors import (
     OddDiagonalDegree,
     OffDiagonalDegreeMismatch,
     StuckAboveTarget,
-    UnpairedRoot,
 )
 from .gram import (
     FIBER_TOL,
@@ -276,9 +275,8 @@ def _branch_class(spec, space):
     coefficients of G against f.
 
     Returns (G, info) with the route, the smallest root separation of det M
-    and the residual of that solve.  Also None when roots raises
-    UnpairedRoot or the residual exceeds FIBER_TOL relative to f; both
-    happen where two roots of det M nearly meet.
+    and the residual of that solve.  Also None when the residual exceeds
+    FIBER_TOL relative to f, as where two roots of det M nearly meet.
     """
     M = spec.matrix(space.form)
     # M times the common denominator of its entries, over the integers: the
@@ -291,10 +289,7 @@ def _branch_class(spec, space):
     det = BinaryForm((np.convolve(c, a) - np.convolve(b, b)).tolist())
     if det.is_zero():
         return None
-    try:
-        rm = roots(det)
-    except UnpairedRoot:
-        return None
+    rm = roots(det)
     if rm.inf_mult or rm.real_roots or not rm.pairs or any(m != 1 for _, m in rm.pairs):
         return None
     r = np.array([value for value, _ in rm.pairs])

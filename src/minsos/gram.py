@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .biform import TermPoly, rational_from_json
+from .biform import TermPoly, _integer, rational_from_json
 from .errors import (
     DimensionMismatch,
     NonSymmetric,
@@ -304,7 +304,9 @@ class Representation:
     @classmethod
     def from_json(cls, data):
         """Read to_json's layout; without "exact" (earlier releases) it is
-        inferred: exact when every coefficient is a num/den pair."""
+        inferred: exact when every coefficient is a num/den pair.  Raises
+        ValueError when a sign or a basis exponent is not an integer, or a
+        vector entry neither a number nor a num/den pair."""
         basis = basis_from_json(data)
         vectors = []
         rational = True
@@ -313,9 +315,11 @@ class Representation:
             for c in raw:
                 if isinstance(c, dict):
                     vec.append(rational_from_json(c))
-                else:
+                elif isinstance(c, (int, float)):
                     vec.append(float(c))
                     rational = False
+                else:
+                    raise ValueError("vector entry %r is not a number" % (c,))
             vectors.append(vec)
         exact = bool(data.get("exact", rational))
         if exact and not rational:
@@ -323,7 +327,7 @@ class Representation:
         return cls(
             basis=basis,
             vectors=vectors,
-            signs=[int(s) for s in data["signs"]],
+            signs=[_integer(s) for s in data["signs"]],
             exact=exact,
         )
 
@@ -368,7 +372,7 @@ def extract_representation(space, G):
 
 def basis_from_json(data):
     """The MonomialBasis that a report writes as "basis" and "varNames"."""
-    monos = tuple(tuple(int(e) for e in m) for m in data["basis"])
+    monos = tuple(tuple(_integer(e) for e in m) for m in data["basis"])
     names = tuple(data["varNames"])
     return MonomialBasis(monos, len(names), names)
 

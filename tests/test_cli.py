@@ -107,7 +107,9 @@ def test_gram_space_report_matches_the_checked_in_report(tmp_path):
 
 def test_cone_enumeration_matches_the_checked_in_report(tmp_path):
     # the report was written by `minsos enumerate` when enumerate_cone still
-    # labelled, verified and counted its classes itself, not through classify
+    # labelled, verified and counted its classes itself, not through classify;
+    # its floats were rewritten, within 4e-15, when roots first took the
+    # conjugate pairs from the real eigen-solver
     form_path = tmp_path / "form.json"
     form_path.write_text(json.dumps(random_positive_form(cone_rnc(3), seed=3).to_json()))
     out = tmp_path / "enumeration.json"
@@ -124,8 +126,11 @@ def test_factor_matches_the_checked_in_report(tmp_path, name):
     # by `minsos factor` when each factor route still built its own columns
     # and residual; factor_diag11 (diag(s^2 + t^2, 2 s^2 + t^2)) and
     # factor_heights21_seed0 (random_dyad_matrix((2, 1), seed=0)) when the
-    # square-free 2 x 2 inputs first took the branch route.  factor_stalled,
-    # the Gram route's four columns for that diagonal matrix, only verifies
+    # square-free 2 x 2 inputs first took the branch route.  factor_n1,
+    # factor_diag11 and factor_heights21_seed0 were rewritten, within 5e-14,
+    # when roots first took the conjugate pairs from the real eigen-solver.
+    # factor_stalled, the Gram route's four columns for that diagonal matrix,
+    # only verifies
     report = DATA / (name + ".json")
     src = tmp_path / "matrix.json"
     src.write_text(json.dumps(json.loads(report.read_text())["matrix"]))
@@ -156,13 +161,32 @@ def test_two_squares_matches_the_checked_in_report(tmp_path, name):
     # two_squares_nongeneric t^2 (s - t)^2 (s^2 + t^2)^2 (s^2 + 2 s t + 5 t^2),
     # a doubled root at infinity, real root and conjugate pair; both were
     # written by `minsos two-squares` when every root product was built from
-    # scratch and every dedup trace came from Representation.gram
+    # scratch and every dedup trace came from Representation.gram, and their
+    # floats rewritten, within 4e-12, when roots first took the conjugate
+    # pairs from the real eigen-solver
     report = DATA / (name + ".json")
     src = tmp_path / "form.json"
     src.write_text(json.dumps(json.loads(report.read_text())["form"]))
     out = tmp_path / "two_squares.json"
     assert cli.main(["two-squares", str(src), "--json-out", str(out)]) == cli.EXIT_OK
     assert out.read_bytes() == report.read_bytes()
+
+
+def test_nearly_meeting_conjugate_pairs_give_two_squares_and_a_factorization(tmp_path):
+    # (10^8 s^2 + 10^8 t^2)((10^8 + 1) s^2 + 10^8 t^2) is square-free, but its
+    # two pairs of roots lie 5e-9 apart
+    form = BinaryForm([10**8, 0, 10**8]) * BinaryForm([10**8, 0, 10**8 + 1])
+    src = tmp_path / "form.json"
+    src.write_text(json.dumps(form.to_json()))
+    out = tmp_path / "two_squares.json"
+    assert cli.main(["two-squares", str(src), "--json-out", str(out)]) == cli.EXIT_OK
+    assert len(json.loads(out.read_text())["representations"]) == 2
+    assert cli.main(["verify", str(out)]) == cli.EXIT_OK
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"n": 1, "entries": {"0,0": form.to_json()}}))
+    out = tmp_path / "factor.json"
+    assert cli.main(["factor", str(matrix), "--json-out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["verify", str(out)]) == cli.EXIT_OK
 
 
 def _raises(exc):
@@ -534,6 +558,15 @@ def _binary(*coeffs):
         ("enumerate --surface scroll(1,1)", {"nvars": None, "terms": []},
          "None is not an integer"),
         ("factor", {"n": None}, "None is not an integer"),
+        ("two-squares", {"deg": None, "coeffs": [1, 0, 1]}, "None is not an integer"),
+        ("two-squares", {"deg": 2.5, "coeffs": [1, 0, 1]}, "2.5 is not an integer"),
+        ("two-squares", {"deg": "2", "coeffs": [1, 0, 1]}, "'2' is not an integer"),
+        ("factor", {"n": 1, "entries": {"0,0": {"deg": None, "coeffs": [1, 0, 1]}}},
+         "None is not an integer"),
+        ("factor", {"n": 1, "entries": {"0,0": {"deg": 2.5, "coeffs": [1, 0, 1]}}},
+         "2.5 is not an integer"),
+        ("factor", {"n": 1, "entries": {"0,0": {"deg": "2", "coeffs": [1, 0, 1]}}},
+         "'2' is not an integer"),
         # the degree rules run before the psd screen, so a matrix that breaks
         # one is named by its entry and never reported as not psd
         ("factor", {"n": 2, "entries": {"0,0": _binary(1, 0, 0, 1), "1,1": _binary(1, 0, 1)}},
@@ -547,12 +580,49 @@ def _binary(*coeffs):
     ids=["fractional-num", "fractional-den", "coeffs-not-a-list", "entries-not-an-object",
          "entry-not-an-object", "matrix-not-an-object", "re-not-a-number",
          "term-not-an-object", "terms-not-a-list", "expo-not-a-list", "nvars-not-an-integer",
-         "n-not-an-integer",
+         "n-not-an-integer", "deg-null", "deg-fractional", "deg-string", "entry-deg-null",
+         "entry-deg-fractional", "entry-deg-string",
          "odd-diagonal", "zero-diagonal", "off-diagonal-degree"],
 )
 def test_a_malformed_input_exits_two(tmp_path, capsys, command, data, message):
     src = tmp_path / "input.json"
     src.write_text(json.dumps(data))
     assert cli.main([*command.split(), str(src)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+
+
+def _set_sign(rep, value):
+    rep["signs"][0] = value
+
+
+def _set_vector_entry(rep, value):
+    rep["vectors"][0][0] = value
+
+
+def _set_exponent(rep, value):
+    rep["basis"][0][0] = value
+
+
+@pytest.mark.parametrize(
+    "edit, value, message",
+    [
+        (_set_sign, 1.5, "1.5 is not an integer"),
+        (_set_sign, None, "None is not an integer"),
+        (_set_vector_entry, None, "vector entry None is not a number"),
+        (_set_vector_entry, "1", "vector entry '1' is not a number"),
+        (_set_exponent, None, "None is not an integer"),
+        (_set_exponent, 0.5, "0.5 is not an integer"),
+    ],
+    ids=["sign-fractional", "sign-null", "entry-null", "entry-string", "exponent-null",
+         "exponent-fractional"],
+)
+def test_a_doctored_representation_exits_two(tmp_path, capsys, edit, value, message):
+    # a sign of 1.5 must not be read as int(1.5) == 1 and verify as +1
+    cert = json.loads((DATA / "two_squares_d6.json").read_text())
+    edit(cert["representations"][0]["representation"], value)
+    src = tmp_path / "certificate.json"
+    src.write_text(json.dumps(cert))
+    assert cli.main(["verify", str(src)]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and message in err

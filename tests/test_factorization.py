@@ -222,8 +222,8 @@ def test_det_zero_or_with_repeated_roots_takes_the_gram_route(ncols, seed, det_k
 @pytest.mark.parametrize("gap", [Fraction(1, 10**6), Fraction(1, 10**8)], ids=["1e-6", "1e-8"])
 def test_nearly_meeting_roots_take_the_gram_route(gap):
     # det M = (s^2 + t^2)((1 + gap) s^2 + t^2) is square-free, but its roots
-    # are gap / 2 apart: at 1e-6 the class misses f by more than FIBER_TOL,
-    # and at 1e-8 roots cannot pair them
+    # are gap / 2 apart, and at both gaps the class built from them misses f
+    # by more than FIBER_TOL
     zero = BinaryForm.zero(2)
     A = SymMatrixPoly([[BinaryForm([1, 0, 1]), zero], [zero, BinaryForm([1, 0, 1 + gap])]])
     spec, space = factorization.prism_gram_space(A)

@@ -163,3 +163,40 @@ def test_squarefree_parts_and_roots_report_the_built_multiplicities(drawn):
         got, built = _root_mults(got), _root_mults(built)
         assert [k for _, k in got] == [k for _, k in built]
         assert [v for v, _ in got] == pytest.approx([v for v, _ in built], abs=1e-9)
+
+
+@st.composite
+def integer_forms(draw):
+    """g * h^k * (s - r t)^j * t^m for random integer forms g and h.
+
+    h^k repeats factors, (s - r t)^j adds a real root and t^m the root at
+    infinity; g and h may have real roots and zero leading coefficients too.
+    """
+
+    def form(max_deg):
+        deg = draw(st.integers(1, max_deg))
+        coeffs = draw(st.lists(st.integers(-20, 20), min_size=deg + 1, max_size=deg + 1)
+                      .filter(any))
+        return BinaryForm(coeffs, deg)
+
+    f = form(6)
+    h = form(3)
+    for _ in range(draw(st.integers(0, 3))):
+        f = f * h
+    line = BinaryForm([-draw(st.integers(-5, 5)), 1], 1)
+    for _ in range(draw(st.integers(0, 3))):
+        f = f * line
+    m = draw(st.integers(0, 3))
+    return f * BinaryForm([1] + [0] * m, m)
+
+
+@SETTINGS
+@given(integer_forms())
+def test_roots_come_in_exact_conjugate_pairs(f):
+    # each real square-free part goes through the real eigen-solver, whose
+    # non-real roots are exact conjugates, so no root of a pair goes missing
+    rm = roots(f)
+    assert all(value.imag > 0 for value, _ in rm.pairs)
+    assert all(value.imag == 0 for value, _ in rm.real_roots)
+    total = 2 * sum(k for _, k in rm.pairs) + sum(k for _, k in rm.real_roots) + rm.inf_mult
+    assert total == f.deg
