@@ -72,10 +72,10 @@ def _coeff_to_json(value, field):
 
 
 def _integer(value):
-    """value as an int; ValueError unless it is one already (3 or 3.0)."""
+    """value as an int; ValueError unless it is one already (3 or 3.0, not true)."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError("%r is not an integer" % (value,))
     return value
 

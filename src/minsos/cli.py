@@ -8,12 +8,9 @@ files.
 """
 
 import argparse
-import csv
 import json
 import re
 import sys
-
-import numpy as np
 
 from . import __version__
 from .biform import BinaryForm, TermPoly, rational_from_json
@@ -34,7 +31,7 @@ from .gram import (
     gram_residual,
     verify_representation,
 )
-from .sampling import curve_samples, distinct_seeds, random_positive_form
+from .sampling import distinct_seeds, random_positive_form
 from .surfaces import CONE_RNC, cone_rnc, scroll, veronese
 
 EXIT_OK = 0
@@ -142,16 +139,6 @@ def cmd_gram_space(args):
     return EXIT_OK
 
 
-def _dump_curve(path, form, spec):
-    rows = curve_samples(form, spec)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "branch", "x"])
-        for s, branch, x in rows:
-            writer.writerow(["%.17g" % s, branch, "%.17g" % x])
-    print("curve samples written to %s (%d points)" % (path, len(rows)))
-
-
 def _enumerate(form, spec, seed):
     """Count report of the rank-3 Gram matrices of a form: the apex reduction
     on cones, the homotopy over the Gram space otherwise."""
@@ -163,8 +150,6 @@ def _enumerate(form, spec, seed):
 def cmd_enumerate(args):
     spec = parse_surface(args.surface)
     form = load_form(args.form)
-    if args.dump_curve_samples:
-        _dump_curve(args.dump_curve_samples, form, spec)
     report = _enumerate(form, spec, args.seed)
     solutions_json = report.solution_set.to_json() if report.solution_set else None
     for line in report.summary_lines():
@@ -413,19 +398,24 @@ def _verify_gram_space(data):
     return failures
 
 
+_VERIFIERS = {
+    "enumeration": _verify_enumeration,
+    "twoSquares": _verify_two_squares,
+    "factorization": _verify_factorization,
+    "gramSpace": _verify_gram_space,
+}
+
+
 def cmd_verify(args):
     data = load_json(args.certificate)
-    kind = data.get("kind")
-    if kind == "enumeration":
-        failures = _verify_enumeration(data)
-    elif kind == "twoSquares":
-        failures = _verify_two_squares(data)
-    elif kind == "factorization":
-        failures = _verify_factorization(data)
-    elif kind == "gramSpace":
-        failures = _verify_gram_space(data)
-    else:
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind not in _VERIFIERS:
         raise ValueError("certificate kind %r is not verifiable" % (kind,))
+    try:
+        failures = _VERIFIERS[kind](data)
+    except (TypeError, AttributeError) as exc:
+        # a number where the layout holds a list, or a list where it holds an object
+        raise ValueError("malformed certificate: %s" % exc) from exc
     if failures:
         print("verification FAILED (%d item(s))" % len(failures), file=sys.stderr)
         return EXIT_VERIFY
@@ -457,11 +447,6 @@ def build_parser():
     p = sub.add_parser("enumerate", help="enumerate rank-3 Gram matrices of a form")
     p.add_argument("form", help="form JSON file")
     p.add_argument("--surface", required=True, help="scroll(d,e), cone_rnc(d), veronese")
-    p.add_argument(
-        "--dump-curve-samples",
-        metavar="CSV",
-        help="write real points of the curve f = 0 as CSV samples",
-    )
     p.add_argument("--seed", type=int, default=0, help="master seed (uint64)")
     _add_json_out(p)
     p.set_defaults(func=cmd_enumerate)

@@ -1,16 +1,15 @@
 """Apex reduction for quadratic forms on the cone over a rational normal curve.
 
 Writing f = a * apex^2 + 2 * apex * b + c with a scalar and b, c pulled back
-from the base curve, the Schur complement g = c - b^2/a is a quadratic form
-on the base, and every representation of g lifts to one of f by prepending
-the square (sqrt(a) * apex + b/sqrt(a))^2.  The lift raises the rank by
-exactly one and preserves reality and positive semidefiniteness, so rank-3
-points on the cone are enumerated through rank-2 points on the curve.
+from the base curve, f is the prism matrix M = [[c, b], [b, a]] and the
+Schur complement g = c - b^2/a = det M / a is a quadratic form on the base.
+Every representation of g lifts to one of f by prepending the square
+(sqrt(a) * apex + b/sqrt(a))^2.  The lift raises the rank by exactly one and
+preserves reality and positive semidefiniteness, so rank-3 points on the
+cone are enumerated through rank-2 points on the curve.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,30 +34,25 @@ def _require_cone(spec):
 
 
 def split(f, spec):
-    """Decompose f = a * apex^2 + 2 * apex * b + c on the cone.
+    """Reduce f = a * apex^2 + 2 * apex * b + c on the cone to the base curve.
 
     The cone over the degree-d curve is the prism (d, 0), so f is the matrix
-    [[c, b], [b, a]] of spec.prism.matrix(f): row 0 (y) the base block and
-    row 1 (x) the apex.  Returns (a, b, c) with a a scalar, b a BinaryForm
-    of degree d and c one of degree 2d, all exact.
+    M = [[c, b], [b, a]] of spec.prism.matrix(f): row 0 (y) the base block
+    and row 1 (x) the apex.  Returns (a, b, g) with a a scalar, b a
+    BinaryForm of degree d and g = det M / a one of degree 2d, all exact.
 
     Raises ApexCoefficientNotPositive when a <= 0 (f is then not positive
     along the apex direction).
     """
     _require_cone(spec)
-    m = spec.prism.matrix(f)
+    prism = spec.prism
+    m = prism.matrix(f)
     a = m[1, 1].coeffs[0]
     if not (a > 0):
         raise ApexCoefficientNotPositive(
             "apex coefficient %r is not positive" % (a,)
         )
-    return a, m[0, 1], m[0, 0]
-
-
-def reduce_form(a, b, c):
-    """The Schur complement g = c - b^2/a on the base curve (degree 2d) of
-    the split (a, b, c) of a cone form, exactly."""
-    return c - (b * b).scale(Fraction(1) / a)
+    return a, m[0, 1], prism.det(m).scale(1 / a)
 
 
 def lift(rep, a, b):
@@ -92,8 +86,7 @@ def enumerate_cone(f, spec):
     """
     _require_cone(spec)
     space = build_gram_space(f, spec)
-    a, b, c = split(f, spec)
-    g = reduce_form(a, b, c)
+    a, b, g = split(f, spec)
     rm = binary_roots(g)
     census = enumerate_rank_two(rm)
     classes = []

@@ -520,10 +520,7 @@ def classify(space, classes, complex_count, notes=(), path_stats=None):
         entries.append(entry)
     notes = list(notes)
     if space.surface is not None and space.form is not None:
-        genericity = genericity_check(space.form, space.surface)
-        if genericity.delta_squarefree is False:
-            notes.append("discriminant is not squarefree")
-        notes.extend(genericity.notes)
+        notes.extend(genericity_check(space.form, space.surface))
     return CountReport(
         counts=counts,
         expected=expected_counts(space.surface),

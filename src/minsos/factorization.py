@@ -24,7 +24,6 @@ the route in FactorResult.info.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -260,40 +259,37 @@ def _feasible_reflections(space):
 def _branch_class(spec, space):
     """One psd rank-3 Gram point for n = 2, from the branch points of det M.
 
-    M = [[c, b], [b, a]] is the exact matrix of the form; returns None
-    unless det M = a c - b^2 has 2g + 2 simple roots, all in conjugate
-    pairs.  A linear form p X_1 + q X_2 in the image of a class has the
-    norm a p^2 - 2 b p q + c q^2 = psi^2, and M has rank 1 at a root r, so
-    psi(r) sqrt(c(r)) = eps (b p - c q)(r), or psi(r) sqrt(a(r)) =
-    eps (a p - b q)(r) where |a(r)| > |c(r)|.  eps = +1 at each root r of
-    rm.pairs (Im > 0) and -1 at its conjugate picks a psd class, and then
-    (p, q, psi) -> (conj p, conj q, -conj psi) maps the solutions onto
-    themselves.  So with p, q real and psi = i phi, phi real, the real and
-    imaginary parts of the g + 1 equations at the r alone have a
-    3-dimensional null space.  Its (p, q) rows N span the image, and the
-    symmetric Q of G = N^T Q N comes from one least squares solve of the
-    coefficients of G against f.
+    M = [[c, b], [b, a]] is the exact matrix of the form, read once; its
+    determinant a c - b^2 is PrismSpec.det(M), and a, b and c are evaluated
+    at the roots from M's entries.  Returns None unless det M has 2g + 2
+    simple roots, all in conjugate pairs.  A linear form p X_1 + q X_2 in
+    the image of a class has the norm a p^2 - 2 b p q + c q^2 = psi^2, and
+    M has rank 1 at a root r, so psi(r) sqrt(c(r)) = eps (b p - c q)(r), or
+    psi(r) sqrt(a(r)) = eps (a p - b q)(r) where |a(r)| > |c(r)|.  eps =
+    +1 at each root r of rm.pairs (Im > 0) and -1 at its conjugate picks a
+    psd class, and then (p, q, psi) -> (conj p, conj q, -conj psi) maps the
+    solutions onto themselves.  So with p, q real and psi = i phi, phi
+    real, the real and imaginary parts of the g + 1 equations at the r
+    alone have a 3-dimensional null space.  Its (p, q) rows N span the
+    image, and the symmetric Q of G = N^T Q N comes from one least squares
+    solve of the coefficients of G against f.
 
     Returns (G, info) with the route, the smallest root separation of det M
     and the residual of that solve.  Also None when the residual exceeds
     FIBER_TOL relative to f, as where two roots of det M nearly meet.
     """
     M = spec.matrix(space.form)
-    # M times the common denominator of its entries, over the integers: the
-    # scale moves neither the roots of det M nor the null space below
-    den = math.lcm(*(x.denominator for form in M.values() for x in form.coeffs))
-    c, b, a = (
-        np.array([int(x * den) for x in M[key].coeffs], dtype=object)
-        for key in ((0, 0), (0, 1), (1, 1))
-    )
-    det = BinaryForm((np.convolve(c, a) - np.convolve(b, b)).tolist())
+    det = spec.det(M)
     if det.is_zero():
         return None
     rm = roots(det)
     if rm.inf_mult or rm.real_roots or not rm.pairs or any(m != 1 for _, m in rm.pairs):
         return None
     r = np.array([value for value, _ in rm.pairs])
-    av, bv, cv = (np.polyval(x[::-1].astype(float), r) for x in (a, b, c))
+    av, bv, cv = (
+        np.polyval([float(x) for x in reversed(M[key].coeffs)], r)
+        for key in ((1, 1), (0, 1), (0, 0))
+    )
     swap = np.abs(av) > np.abs(cv)
     d1, d2 = spec.heights
     powers = r[:, None] ** np.arange(d1 + d2 + 1)

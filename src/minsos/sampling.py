@@ -16,9 +16,6 @@ from .factorization import SymMatrixPoly
 from .surfaces import VERONESE, genericity_check, monomial_basis
 
 MAX_ATTEMPTS = 64
-# curve_samples walks s over [-CURVE_RADIUS, CURVE_RADIUS] in CURVE_POINTS steps
-CURVE_RADIUS = 3.0
-CURVE_POINTS = 400
 
 
 def _rng(seed, attempt):
@@ -60,7 +57,7 @@ def random_positive_form(spec, seed=0):
             key = tuple(2 * e for e in mono)
             terms[key] = terms.get(key, 0) + Fraction(int(weights[i]), 8)
         form = TermPoly(basis.nvars, terms)
-        if spec.kind == VERONESE or genericity_check(form, spec).generic_so_far:
+        if spec.kind == VERONESE or not genericity_check(form, spec):
             return form
     raise UnsupportedDegree(
         "no generic positive form found for %s after %d attempts" % (spec, MAX_ATTEMPTS)
@@ -139,41 +136,6 @@ def random_nonneg_binary(d, seed=0):
             f = f * BinaryForm([b, a, 1], 2)
         return f
     raise UnsupportedDegree("failed to draw distinct quadratic factors")
-
-
-def curve_samples(f, spec):
-    """Sample real points of the zero set of a form on a scroll or cone.
-
-    Dehomogenizes at ``t = y = 1`` and, for each of ``CURVE_POINTS`` evenly
-    spaced samples of the ruling coordinate ``s`` in
-    ``[-CURVE_RADIUS, CURVE_RADIUS]``, solves the resulting real quadratic
-    in the fiber coordinate.
-    Yields ``(s, branch, x)`` rows; branches without real solutions are
-    skipped.  The quadratic is f = a x^2 + 2 b x + c with [[c, b], [b, a]]
-    the prism matrix of f.
-    """
-    m = spec.prism.matrix(f)
-    a_form, b_form, c_form = m[1, 1], m[0, 1], m[0, 0]
-    rows = []
-    for s in np.linspace(-CURVE_RADIUS, CURVE_RADIUS, CURVE_POINTS):
-        sc = complex(s)
-        a = complex(a_form.eval(sc, 1.0))
-        b = complex(b_form.eval(sc, 1.0))
-        c = complex(c_form.eval(sc, 1.0))
-        if abs(a.imag) + abs(b.imag) + abs(c.imag) > 1e-12:
-            continue
-        a, b, c = a.real, b.real, c.real
-        if abs(a) < 1e-14:
-            if abs(b) > 1e-14:
-                rows.append((float(s), 0, -c / (2 * b)))
-            continue
-        disc = b * b - a * c
-        if disc < 0:
-            continue
-        root = disc**0.5
-        rows.append((float(s), 0, (-b - root) / a))
-        rows.append((float(s), 1, (-b + root) / a))
-    return rows
 
 
 def distinct_seeds(master, count):

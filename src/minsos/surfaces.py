@@ -4,21 +4,22 @@ Three kinds are supported: rational normal scrolls Scroll(d, e) (from the
 trapezoid with vertices (0,0), (0,1), (d,0), (e,1)), the Veronese surface in
 P^5, and the cone over a rational normal curve.  The module provides their
 monomial bases, genus and degree bookkeeping, the generic counts of rank-3
-Gram matrices (expected_counts), discriminants of quadratic forms, and
-genericity diagnostics.
+Gram matrices (expected_counts), and genericity diagnostics.
 
 Scrolls and cones are prisms: Scroll(d, e) is the prism (d, e) and the cone
 over the degree-d curve the prism (d, 0).  PrismSpec owns their layout, the
-one monomial basis and the one map between a quadratic form and its
-symmetric matrix of binary forms, which factorization shares.
+one monomial basis, the one map between a quadratic form and its symmetric
+matrix of binary forms (which factorization shares) and, for two blocks,
+the one exact det M of that matrix, whose roots are the branch points of
+the curve f = 0 over P^1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -338,6 +339,23 @@ class PrismSpec:
             coeffs[i, j][expo[0]] = coeff if i == j else coeff / 2
         return {key: BinaryForm(c) for key, c in coeffs.items()}
 
+    def det(self, M):
+        """det M = a c - b^2 of the matrix M = [[c, b], [b, a]] of a form, n = 2.
+
+        M is what matrix returns; det M is an exact binary form of degree
+        2 (d_1 + d_2).  The product runs over the integers: M times the
+        common denominator of its entries, then one convolution pair.
+        """
+        if self.n != 2:
+            raise DimensionMismatch("det M is defined for two blocks, not %d" % self.n)
+        den = lcm(*(x.denominator for form in M.values() for x in form.coeffs))
+        c, b, a = (
+            np.array([x.numerator * (den // x.denominator) for x in M[key].coeffs], dtype=object)
+            for key in ((0, 0), (0, 1), (1, 1))
+        )
+        scale = den * den
+        return BinaryForm([Fraction(x, scale) for x in np.convolve(c, a) - np.convolve(b, b)])
+
 
 def _veronese_basis():
     """Ternary monomials of degree two in (u, v, w), reverse-lex order."""
@@ -355,59 +373,24 @@ def monomial_basis(spec):
     return spec.prism.basis()
 
 
-def discriminant(f, spec):
-    """Discriminant Delta = b^2 - ac of a quadratic form, read off its matrix.
-
-    Delta is minus the determinant of [[c, b], [b, a]], a binary form of
-    degree 2(d+e).  Only the root set matters for the diagnostics; the sign
-    convention makes Delta <= 0 on the reals for nonnegative f.
-    """
-    m = spec.prism.matrix(f)
-    return m[0, 1] * m[0, 1] - m[1, 1] * m[0, 0]
-
-
-def binary_squarefree(g):
-    """Whether the binary form g has no multiple projective root, exactly."""
-    if g.is_zero():
-        return False
-    inf_mult, parts = squarefree_parts(g)
-    return inf_mult <= 1 and all(k == 1 for _, k in parts)
-
-
-@dataclass
-class GenericityReport:
-    """Diagnostics for the genericity of a quadratic form on a surface.
-
-    delta_squarefree is None when the discriminant theory does not apply
-    (Veronese surface).  On a scroll the curve V(f) is a double cover of P^1
-    branched at the roots of the discriminant, so it is smooth
-    exactly when delta_squarefree holds.
-    """
-
-    surface: SurfaceSpec
-    delta_squarefree: bool | None = None
-    notes: list = dataclass_field(default_factory=list)
-
-    @property
-    def generic_so_far(self):
-        return self.delta_squarefree is not False
-
-
 def genericity_check(f, spec):
-    """Genericity diagnostics for a quadratic form.
+    """The genericity notes of a quadratic form on a surface; none when generic.
 
-    For scrolls and cones: squarefreeness of the discriminant, exactly, by
-    its square-free decomposition.  It is read off the prism matrix, so the
-    t-powers that lift the blocks of f to one (s, t)-degree never enter it.
+    On a scroll or cone the curve V(f) is a double cover of P^1 branched at
+    the roots of det M, M the prism matrix of f, so it is smooth exactly
+    when det M has no repeated root, which its exact square-free
+    decomposition decides.  M is free of the t-powers that lift the blocks
+    of f to one (s, t)-degree, so they never enter det M.  The Veronese
+    surface has no det M and always gets a note.  The notes call -det M by
+    its older name, the discriminant.
     """
-    report = GenericityReport(surface=spec)
     if spec.kind == VERONESE:
-        report.notes.append("discriminant diagnostics undefined for the Veronese")
-        return report
-    delta = discriminant(f, spec)
-    if delta.is_zero():
-        report.delta_squarefree = False
-        report.notes.append("identically zero discriminant (f is a square)")
-        return report
-    report.delta_squarefree = binary_squarefree(delta)
-    return report
+        return ["discriminant diagnostics undefined for the Veronese"]
+    prism = spec.prism
+    det = prism.det(prism.matrix(f))
+    if det.is_zero():
+        return ["discriminant is not squarefree", "identically zero discriminant (f is a square)"]
+    inf_mult, parts = squarefree_parts(det)
+    if inf_mult > 1 or any(k > 1 for _, k in parts):
+        return ["discriminant is not squarefree"]
+    return []

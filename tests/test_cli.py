@@ -1,6 +1,5 @@
 """Command line round trips and exit codes."""
 
-import csv
 import json
 import re
 from fractions import Fraction
@@ -293,37 +292,6 @@ def test_verify_reads_reports_with_and_without_balancing_exponents(tmp_path):
     assert cli.main(["verify", str(old)]) == cli.EXIT_OK
 
 
-def test_enumerate_dumps_real_points_of_the_curve(tmp_path):
-    # a x^2 + 2 b x y + c y^2 with a = s^2 + 2 t^2 > 0 and c = -s^2 + 2 s t - 5 t^2 < 0,
-    # so b^2 - a c > 0 and both real branches exist over every s
-    f = TermPoly(4, {
-        (2, 0, 2, 0): 1, (0, 2, 2, 0): 2,
-        (1, 1, 1, 1): 3, (0, 2, 1, 1): 1,
-        (2, 0, 0, 2): -1, (1, 1, 0, 2): 2, (0, 2, 0, 2): -5,
-    })
-    form_path = tmp_path / "form.json"
-    form_path.write_text(json.dumps(f.to_json()))
-    samples = tmp_path / "curve.csv"
-    argv = ["enumerate", str(form_path), "--surface", "scroll(1,1)",
-            "--dump-curve-samples", str(samples)]
-    assert cli.main(argv) == cli.EXIT_OK
-    with open(samples, newline="") as fh:
-        header, *rows = list(csv.reader(fh))
-    assert header == ["s", "branch", "x"]
-    assert {branch for _, branch, _ in rows} == {"0", "1"}
-    scale = max(1.0, float(f.max_abs_coeff()))
-    for s, _, x in rows:
-        assert abs(f.eval((float(s), 1.0, float(x), 1.0))) <= 1e-8 * scale
-
-
-def test_curve_samples_need_a_scroll_or_cone(tmp_path):
-    form_path = tmp_path / "form.json"
-    form_path.write_text(json.dumps(random_positive_form(veronese(), seed=0).to_json()))
-    argv = ["enumerate", str(form_path), "--surface", "veronese",
-            "--dump-curve-samples", str(tmp_path / "curve.csv")]
-    assert cli.main(argv) == cli.EXIT_INPUT
-
-
 def _round_trip(tmp_path, command, payload):
     """Run command twice on the payload file; each report verifies, both are equal."""
     src = tmp_path / "input.json"
@@ -592,35 +560,40 @@ def test_a_malformed_input_exits_two(tmp_path, capsys, command, data, message):
     assert err.startswith("input error: ") and message in err
 
 
-def _set_sign(rep, value):
-    rep["signs"][0] = value
-
-
-def _set_vector_entry(rep, value):
-    rep["vectors"][0][0] = value
-
-
-def _set_exponent(rep, value):
-    rep["basis"][0][0] = value
+# the path from the certificate to the doctored value
+_REP = ("representations", 0, "representation")
 
 
 @pytest.mark.parametrize(
-    "edit, value, message",
+    "path, value, message",
     [
-        (_set_sign, 1.5, "1.5 is not an integer"),
-        (_set_sign, None, "None is not an integer"),
-        (_set_vector_entry, None, "vector entry None is not a number"),
-        (_set_vector_entry, "1", "vector entry '1' is not a number"),
-        (_set_exponent, None, "None is not an integer"),
-        (_set_exponent, 0.5, "0.5 is not an integer"),
+        (_REP + ("signs", 0), 1.5, "1.5 is not an integer"),
+        (_REP + ("signs", 0), None, "None is not an integer"),
+        (_REP + ("vectors", 0, 0), None, "vector entry None is not a number"),
+        (_REP + ("vectors", 0, 0), "1", "vector entry '1' is not a number"),
+        (_REP + ("basis", 0, 0), None, "None is not an integer"),
+        (_REP + ("basis", 0, 0), 0.5, "0.5 is not an integer"),
+        (_REP + ("signs", 0), True, "True is not an integer"),
+        (_REP + ("vectors",), [5, 5], "malformed certificate"),
+        (_REP + ("basis", 0), 5, "malformed certificate"),
+        (_REP + ("signs",), 5, "malformed certificate"),
+        (_REP + ("varNames",), 5, "malformed certificate"),
+        (("representations",), 5, "malformed certificate"),
+        (("form",), 5, "malformed certificate"),
     ],
     ids=["sign-fractional", "sign-null", "entry-null", "entry-string", "exponent-null",
-         "exponent-fractional"],
+         "exponent-fractional", "sign-true", "vectors-numbers", "monomial-number",
+         "signs-number", "var-names-number", "representations-number", "form-number"],
 )
-def test_a_doctored_representation_exits_two(tmp_path, capsys, edit, value, message):
-    # a sign of 1.5 must not be read as int(1.5) == 1 and verify as +1
+def test_a_doctored_representation_exits_two(tmp_path, capsys, path, value, message):
+    # a sign of 1.5 must not be read as int(1.5) == 1 and verify as +1, nor
+    # true as 1; a number where the layout holds a list is an input error too
     cert = json.loads((DATA / "two_squares_d6.json").read_text())
-    edit(cert["representations"][0]["representation"], value)
+    *keys, last = path
+    target = cert
+    for key in keys:
+        target = target[key]
+    target[last] = value
     src = tmp_path / "certificate.json"
     src.write_text(json.dumps(cert))
     assert cli.main(["verify", str(src)]) == cli.EXIT_INPUT

@@ -1,7 +1,7 @@
 """Apex reduction on cones: the exact split, the lift and the lifted census.
 
 Oracle notes.  A cone form f = a * apex^2 + 2 * apex * b + c reduces to
-g = c - b^2 / a on the base curve; representations lift back by adjoining
+g = c - b^2 / a = det M / a on the base curve; representations lift back by adjoining
 the square of sqrt(a) * apex + b / sqrt(a).  The split is exact over the
 rationals, so the rebuild asserts equality; the lift is in floats and is
 checked against f.  The coefficients of f live on the doubled polytope 2P,
@@ -17,7 +17,7 @@ import pytest
 
 from minsos import cones
 from minsos.biform import BinaryForm, TermPoly
-from minsos.cones import enumerate_cone, lift, reduce_form, split
+from minsos.cones import enumerate_cone, lift, split
 from minsos.errors import ApexCoefficientNotPositive, NotAScroll
 from minsos.gram import Representation, verify_representation
 from minsos.binary_sos import enumerate_two_squares, rnc_basis
@@ -42,9 +42,10 @@ def test_split_reconstructs_form_exactly():
     for d in (2, 3):
         spec = cone_rnc(d)
         f = _cone_form(d)
-        a, b, c = split(f, spec)
+        a, b, g = split(f, spec)
         assert a > 0
-        assert b.deg == d and c.deg == 2 * d
+        assert b.deg == d and g.deg == 2 * d
+        c = g + (b * b).scale(1 / a)
         # rebuild a x^2 t^(2d) + 2 x t^d y b + y^2 c  (apex block is x)
         # the three blocks have distinct xy-degrees, so their terms never meet
         apex = {(0, 2 * d, 2, 0): Fraction(a)}
@@ -62,15 +63,26 @@ def test_split_rejects_nonpositive_apex():
         split(f, spec)
 
 
-def test_reduce_form_hand_value():
+def test_split_hand_value():
     # f = x^2 t^4 + 2 x t^2 * y s^2 + 5 y^2 s^4: a=1, b=s^2, c=5s^4
     f = TermPoly(
         4,
         {(0, 4, 2, 0): 1, (2, 2, 1, 1): 2, (4, 0, 0, 2): 5},
     )
-    g = reduce_form(*split(f, cone_rnc(2)))
+    _, _, g = split(f, cone_rnc(2))
     # g = 5 s^4 - (s^2)^2 / 1 = 4 s^4
     assert g.coeffs == [0, 0, 0, 0, 4]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_split_reduces_to_det_over_the_apex(d, seed):
+    # g = det M / a, formed over the integers, is the Schur complement c - b^2/a
+    spec = cone_rnc(d)
+    f = random_positive_form(spec, seed=seed)
+    m = spec.prism.matrix(f)
+    a = m[1, 1].coeffs[0]
+    assert split(f, spec)[2] == m[0, 0] - (m[0, 1] * m[0, 1]).scale(1 / a)
 
 
 # --------------------------------------------------------------------- lift
@@ -97,8 +109,7 @@ def test_lift_exact_when_apex_is_square():
 def test_lift_verifies_against_cone_form():
     spec = cone_rnc(2)
     f = _cone_form(2)
-    a, b, c = split(f, spec)
-    g = reduce_form(a, b, c)
+    a, b, g = split(f, spec)
     reps = enumerate_two_squares(g)
     assert reps
     for rep in reps:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from minsos import binary_sos, factorization
-from minsos.biform import BinaryForm
+from minsos.biform import BinaryForm, squarefree_parts
 from minsos.errors import (
     DimensionMismatch,
     IterationBudgetExceeded,
@@ -26,7 +26,7 @@ from minsos.factorization import (
 )
 from minsos.gram import build_gram_space, inertia
 from minsos.sampling import random_dyad_matrix, random_nonneg_binary, random_positive_form
-from minsos.surfaces import CONE_RNC, binary_squarefree, cone_rnc, scroll
+from minsos.surfaces import CONE_RNC, cone_rnc, scroll
 
 
 def _coeffs(form):
@@ -208,10 +208,11 @@ def test_det_zero_or_with_repeated_roots_takes_the_gram_route(ncols, seed, det_k
     # one dyad makes det M vanish, two make it (det B)^2, a square
     A, _ = random_dyad_matrix((2, 1), seed=seed, ncols=ncols)
     spec, space = factorization.prism_gram_space(A)
-    M = spec.matrix(space.form)
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[0, 1]
+    det = spec.det(spec.matrix(space.form))
     assert det.is_zero() == (det_kind == "zero")
-    assert not binary_squarefree(det)
+    if det_kind == "square":
+        inf_mult, parts = squarefree_parts(det)
+        assert inf_mult % 2 == 0 and all(k % 2 == 0 for _, k in parts)
     assert factorization._branch_class(spec, space) is None
     result = factor(A)
     assert result.info["route"] == "gram" and result.info["feasIterations"] > 0

@@ -29,18 +29,13 @@ def test_equal_seeds_give_equal_matrices_and_binary_forms():
     assert random_nonneg_binary(4, seed=5) == random_nonneg_binary(4, seed=5)
 
 
-class _Screen:
-    def __init__(self, generic):
-        self.generic_so_far = generic
-
-
 def test_rejected_draw_rekeys_by_attempt(monkeypatch):
     spec = scroll(1, 1)
     first = random_positive_form(spec, seed=0)
     real_rng = sampling._rng
     # the attempt-1 draw: every attempt reads the stream of the next one
     monkeypatch.setattr(sampling, "_rng", lambda seed, attempt: real_rng(seed, attempt + 1))
-    monkeypatch.setattr(sampling, "genericity_check", lambda f, s: _Screen(True))
+    monkeypatch.setattr(sampling, "genericity_check", lambda f, s: [])
     second = random_positive_form(spec, seed=0)
     assert second != first
     # reject attempt 0 only: the result is the attempt-1 draw
@@ -49,7 +44,7 @@ def test_rejected_draw_rekeys_by_attempt(monkeypatch):
 
     def reject_first(f, s):
         calls.append(f)
-        return _Screen(len(calls) > 1)
+        return [] if len(calls) > 1 else ["discriminant is not squarefree"]
 
     monkeypatch.setattr(sampling, "genericity_check", reject_first)
     assert random_positive_form(spec, seed=0) == second

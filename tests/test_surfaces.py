@@ -16,16 +16,14 @@ from minsos.binary_sos import rnc_basis, roots
 from minsos.biform import RATIONAL, BinaryForm, TermPoly
 from minsos.cones import enumerate_cone
 from minsos.enumerator import enumerate_rank
-from minsos.errors import DegreeMismatch, NotAScroll
+from minsos.errors import DegreeMismatch, DimensionMismatch, NotAScroll
 from minsos.gram import build_gram_space
 from minsos.sampling import random_positive_form
 from minsos.surfaces import (
     PrismSpec,
     SurfaceSpec,
-    binary_squarefree,
     cone_rnc,
     count_warning,
-    discriminant,
     genericity_check,
     monomial_basis,
     scroll,
@@ -160,7 +158,7 @@ def test_veronese_basis_monomials():
     assert all(sum(m) == 4 for m in basis.pair_map.monomials)
 
 
-# ------------------------------------------------ prism matrix, discriminant
+# ------------------------------------------------------- prism matrix, det M
 
 
 def _psd_pair_form():
@@ -252,17 +250,33 @@ def test_blocks_enforce_t_divisibility():
             scroll(2, 1).prism.matrix(f)
 
 
-def test_discriminant_hand_value():
-    # b^2 - ac = -t^2 s^2 for the psd pair form
-    delta = discriminant(_psd_pair_form(), scroll(1, 1))
-    assert delta.deg == 4
-    assert delta.coeffs == [0, 0, -1, 0, 0]
+def test_det_hand_value():
+    # det M = a c - b^2 = t^2 s^2 for the psd pair form
+    prism = scroll(1, 1).prism
+    det = prism.det(prism.matrix(_psd_pair_form()))
+    assert det.deg == 4
+    assert det.coeffs == [0, 0, 1, 0, 0]
 
 
-def test_discriminant_nonpositive_on_reals_for_psd():
-    delta = discriminant(_psd_pair_form(), scroll(1, 1))
+def test_det_nonnegative_on_reals_for_psd():
+    prism = scroll(1, 1).prism
+    det = prism.det(prism.matrix(_psd_pair_form()))
     for s in (-2.0, -0.5, 0.0, 1.0, 3.0):
-        assert float(delta.eval(s, 1.0)) <= 0.0
+        assert float(det.eval(s, 1.0)) >= 0.0
+
+
+@pytest.mark.parametrize("spec", [scroll(2, 1), scroll(3, 2), cone_rnc(3)], ids=str)
+def test_det_is_exact_over_the_rationals(spec):
+    # random forms carry eighths, so the integer product must scale back exactly
+    prism = spec.prism
+    m = prism.matrix(random_positive_form(spec, seed=1))
+    assert prism.det(m) == m[0, 0] * m[1, 1] - m[0, 1] * m[0, 1]
+
+
+def test_det_needs_two_blocks():
+    prism = PrismSpec((1, 1, 1))
+    with pytest.raises(DimensionMismatch):
+        prism.det(prism.matrix(TermPoly(5, {(2, 0, 0, 0, 2): 1})))
 
 
 # ---------------------------------------------------------- projective roots
@@ -292,23 +306,30 @@ def test_projective_roots_of_a_triple_root():
     assert rm.real_roots == [(1.0, 3)] and rm.pairs == []
 
 
-def test_binary_squarefree_exact_and_numeric():
-    sq = BinaryForm([-1, 1], 1) * BinaryForm([-1, 1], 1)
-    assert not binary_squarefree(sq)
-    assert binary_squarefree(BinaryForm([-2, 1], 1) * BinaryForm([5, 1], 1))
-    # 3 s^2: a double root at s/t = 0
-    assert not binary_squarefree(BinaryForm([0, 0, 3], 2))
-    assert binary_squarefree(BinaryForm([0, 1], 1))
-    # a double root at infinity: t^2 (s - t)
-    assert not binary_squarefree(BinaryForm([-1, 1, 0, 0], 3))
-    assert binary_squarefree(BinaryForm([0, 1, 0], 2))  # s t
+@pytest.mark.parametrize(
+    "a, c, generic",
+    [
+        ([1, 0, 1], [2, 0, 1], True),  # (s^2 + t^2)(s^2 + 2 t^2)
+        ([1, 0, 0], [0, 0, 1], False),  # s^2 t^2: double roots at 0 and infinity
+        ([1, 0, 0], [1, 0, 1], False),  # t^2 (s^2 + t^2): a double root at infinity
+        ([0, 1, 0], [1, 0, 1], True),  # s t (s^2 + t^2): a simple root at infinity
+        ([1, 2, 1], [1, 0, 1], False),  # (s + t)^2 (s^2 + t^2)
+    ],
+    ids=["squarefree", "zero-and-infinity", "infinity", "simple-infinity", "finite"],
+)
+def test_genericity_reads_each_multiple_root_of_det(a, c, generic):
+    # f = a x^2 + c y^2 on scroll(1,1), so det M = a c
+    prism = scroll(1, 1).prism
+    f = prism.form({(1, 1): BinaryForm(a), (0, 0): BinaryForm(c)})
+    notes = genericity_check(f, scroll(1, 1))
+    assert notes == ([] if generic else ["discriminant is not squarefree"])
 
 
 # ----------------------------------------------------------------- genericity
 
 
 def test_genericity_generic_form():
-    # (sy - tx)^2 + (ty)^2 + (sx)^2 has squarefree discriminant
+    # (sy - tx)^2 + (ty)^2 + (sx)^2 has a square-free det M
     f = TermPoly(
         4,
         {
@@ -319,19 +340,23 @@ def test_genericity_generic_form():
             (2, 0, 2, 0): 1,
         },
     )
-    report = genericity_check(f, scroll(1, 1))
-    assert report.delta_squarefree is True
-    assert report.generic_so_far
+    assert genericity_check(f, scroll(1, 1)) == []
 
 
 def test_genericity_square_form_flagged():
-    # f = (s y + t x)^2 = s^2 y^2 + 2 s t x y + t^2 x^2 has identically zero
-    # discriminant
+    # f = (s y + t x)^2 = s^2 y^2 + 2 s t x y + t^2 x^2 has det M = 0; the
+    # notes keep the older name of -det M, the discriminant
     f = TermPoly(4, {(2, 0, 0, 2): 1, (1, 1, 1, 1): 2, (0, 2, 2, 0): 1})
-    report = genericity_check(f, scroll(1, 1))
-    assert report.delta_squarefree is False
-    assert not report.generic_so_far
-    assert any("square" in note for note in report.notes)
+    assert genericity_check(f, scroll(1, 1)) == [
+        "discriminant is not squarefree",
+        "identically zero discriminant (f is a square)",
+    ]
+
+
+def test_genericity_notes_the_veronese_surface():
+    f = random_positive_form(veronese(), seed=0)
+    notes = genericity_check(f, veronese())
+    assert notes == ["discriminant diagnostics undefined for the Veronese"]
 
 
 def test_genericity_expected_counts_by_kind():
