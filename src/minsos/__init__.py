@@ -5,177 +5,50 @@ rational normal scrolls, the Veronese surface, and cones over rational
 normal curves; enumerates all rank-3 Gram matrices by polynomial homotopy
 continuation; classifies them as psd / indefinite / complex; and factors
 psd symmetric matrices of binary forms as B B^T with few columns.
+
+The top level exports what the three jobs need: the inputs and samplers,
+the job entry points, their results and checks, and the base error.  Every
+other name is reached through the module that defines it, for example
+``minsos.factorization.rank_reduce`` or ``minsos.errors.NotPSD``.
 """
 
-from .biform import (
-    COMPLEX,
-    RATIONAL,
-    BinaryForm,
-    TermPoly,
-    squarefree_parts,
-)
-from .binary_sos import (
-    RankTwoReport,
-    RootMultiset,
-    class_representation,
-    enumerate_rank_two,
-    enumerate_two_squares,
-    is_nonnegative,
-    rep_forms,
-    rnc_basis,
-    roots,
-)
-from .cones import (
-    enumerate_cone,
-    lift,
-    split,
-)
-from .enumerator import (
-    CountReport,
-    MinorSystem,
-    SolutionSet,
-    classify,
-    enumerate_rank,
-    minor_system,
-    solve,
-)
-from .errors import (
-    ApexCoefficientNotPositive,
-    DegreeMismatch,
-    DimensionMismatch,
-    IterationBudgetExceeded,
-    MinsosError,
-    NonSymmetric,
-    NotAQuadraticForm,
-    NotAScroll,
-    NotInFiber,
-    NotNonnegative,
-    NotPSD,
-    OddDiagonalDegree,
-    OffDiagonalDegreeMismatch,
-    PathFailureBudgetExceeded,
-    RankTooLarge,
-    StuckAboveTarget,
-    UnsupportedDegree,
-    ZeroDenominator,
-)
-from .factorization import (
-    FactorResult,
-    SymMatrixPoly,
-    check_psd_on_grid,
-    degree_pattern,
-    embed,
-    factor,
-    factor_residual,
-    prism_gram_space,
-    psd_feasible,
-    rank_reduce,
-)
-from .gram import (
-    GramSpace,
-    Representation,
-    build_gram_space,
-    equivalent,
-    extract_representation,
-    gram_residual,
-    gram_space_from_basis,
-    inertia,
-    verify_representation,
-)
-from .sampling import (
-    distinct_seeds,
-    random_dyad_matrix,
-    random_nonneg_binary,
-    random_positive_form,
-)
-from .surfaces import (
-    MonomialBasis,
-    PrismSpec,
-    SurfaceSpec,
-    cone_rnc,
-    expected_counts,
-    genericity_check,
-    monomial_basis,
-    scroll,
-    veronese,
-)
+from .biform import BinaryForm, TermPoly
+from .binary_sos import enumerate_two_squares
+from .cones import enumerate_cone
+from .enumerator import CountReport, enumerate_rank
+from .errors import MinsosError
+from .factorization import FactorResult, SymMatrixPoly, factor, factor_residual
+from .gram import GramSpace, Representation, build_gram_space, verify_representation
+from .sampling import random_dyad_matrix, random_nonneg_binary, random_positive_form
+from .surfaces import cone_rnc, expected_counts, scroll, veronese
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "COMPLEX",
-    "RATIONAL",
+    # inputs and samplers
     "BinaryForm",
     "TermPoly",
-    "squarefree_parts",
-    "RankTwoReport",
-    "RootMultiset",
-    "class_representation",
-    "enumerate_rank_two",
-    "enumerate_two_squares",
-    "is_nonnegative",
-    "rep_forms",
-    "rnc_basis",
-    "roots",
-    "enumerate_cone",
-    "lift",
-    "split",
-    "CountReport",
-    "MinorSystem",
-    "SolutionSet",
-    "classify",
-    "enumerate_rank",
-    "expected_counts",
-    "minor_system",
-    "solve",
-    "ApexCoefficientNotPositive",
-    "DegreeMismatch",
-    "DimensionMismatch",
-    "IterationBudgetExceeded",
-    "MinsosError",
-    "NonSymmetric",
-    "NotAQuadraticForm",
-    "NotAScroll",
-    "NotInFiber",
-    "NotNonnegative",
-    "NotPSD",
-    "OddDiagonalDegree",
-    "OffDiagonalDegreeMismatch",
-    "PathFailureBudgetExceeded",
-    "RankTooLarge",
-    "StuckAboveTarget",
-    "UnsupportedDegree",
-    "ZeroDenominator",
-    "FactorResult",
     "SymMatrixPoly",
-    "check_psd_on_grid",
-    "degree_pattern",
-    "embed",
-    "factor",
-    "factor_residual",
-    "prism_gram_space",
-    "psd_feasible",
-    "rank_reduce",
-    "GramSpace",
-    "Representation",
-    "build_gram_space",
-    "equivalent",
-    "extract_representation",
-    "gram_residual",
-    "gram_space_from_basis",
-    "inertia",
-    "verify_representation",
-    "distinct_seeds",
+    "scroll",
+    "cone_rnc",
+    "veronese",
+    "random_positive_form",
     "random_dyad_matrix",
     "random_nonneg_binary",
-    "random_positive_form",
-    "MonomialBasis",
-    "PrismSpec",
-    "SurfaceSpec",
-    "cone_rnc",
-    "genericity_check",
-    "monomial_basis",
-    "scroll",
-    "veronese",
+    # the jobs
+    "build_gram_space",
+    "enumerate_rank",
+    "enumerate_cone",
+    "enumerate_two_squares",
+    "factor",
+    # results and checks
+    "GramSpace",
+    "CountReport",
+    "FactorResult",
+    "Representation",
+    "verify_representation",
+    "factor_residual",
+    "expected_counts",
+    "MinsosError",
 ]

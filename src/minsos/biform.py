@@ -80,6 +80,11 @@ def _integer(value):
     return value
 
 
+def _is_number(value):
+    """Whether a JSON value is a number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def rational_from_json(entry):
     """The rational of a {"num", "den"} pair of integers, den 1 when absent.
 
@@ -95,16 +100,17 @@ def rational_from_json(entry):
 def _coeff_from_json(entry):
     """A coefficient from {"num", "den"}, {"re", "im"} or a bare number, exactly.
 
-    Raises ValueError when the bare number, "re" or "im" is not a number.
+    Raises ValueError when the bare number, "re" or "im" is not a number
+    (JSON true and false are not).
     """
     if not isinstance(entry, dict):
-        if not isinstance(entry, (int, float)):
+        if not _is_number(entry):
             raise ValueError("coefficient %r is not a number" % (entry,))
         return _exact(entry)
     if "num" in entry:
         return rational_from_json(entry)
     re, im = entry.get("re", 0.0), entry.get("im", 0.0)
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    if not _is_number(re) or not _is_number(im):
         raise ValueError("coefficient %r is not a number" % (entry,))
     return _exact(complex(float(re), float(im)))
 

@@ -23,6 +23,7 @@ than its complement.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -384,18 +385,5 @@ def _bounded_vectors(bounds, total):
     They come in increasing (lexicographic) order, so of a split and its
     complement the smaller one comes first.
     """
-    n = len(bounds)
-
-    def rec(i, remaining):
-        if i == n:
-            if remaining == 0:
-                yield ()
-            return
-        tail_cap = sum(bounds[i + 1 :])
-        lo = max(0, remaining - tail_cap)
-        hi = min(bounds[i], remaining)
-        for v in range(lo, hi + 1):
-            for rest in rec(i + 1, remaining - v):
-                yield (v,) + rest
-
-    return rec(0, total)
+    ranges = [range(b + 1) for b in bounds]
+    return (v for v in itertools.product(*ranges) if sum(v) == total)

@@ -2,7 +2,8 @@
 
 Subcommands: gram-space, enumerate, factor, two-squares, table, verify.
 Exit codes: 0 success, 2 input error, 3 solver failure (path budget or
-iteration budget exhausted), 4 verification failure.  Reports are emitted
+iteration budget exhausted, or a start system too large to track), 4
+verification failure.  Reports are emitted
 as JSON with sorted keys, so runs with equal seeds produce byte-identical
 files.
 """
@@ -22,6 +23,7 @@ from .errors import (
     IterationBudgetExceeded,
     MinsosError,
     PathFailureBudgetExceeded,
+    SystemTooLarge,
 )
 from .factorization import SymMatrixPoly, factor, factor_residual
 from .gram import (
@@ -39,7 +41,7 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
-SOLVER_ERRORS = (PathFailureBudgetExceeded, IterationBudgetExceeded)
+SOLVER_ERRORS = (PathFailureBudgetExceeded, IterationBudgetExceeded, SystemTooLarge)
 
 # a result verifies when its residual is at most VERIFY_TOL times
 # max(1, largest coefficient of the input)

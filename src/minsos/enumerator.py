@@ -17,6 +17,7 @@ the points of all sweeps so far fall short of it, up to SWEEPS sweeps.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     PathFailureBudgetExceeded,
     RankTooLarge,
+    SystemTooLarge,
 )
 from .gram import extract_representation, inertia, verify_representation
 from .surfaces import count_warning, expected_counts, genericity_check
@@ -48,6 +50,9 @@ REAL_TOL = 1e-6
 FAIL_BUDGET = 0.05
 SWEEPS = 3
 COEFF_CUTOFF = 1e-13  # relative floor below which expansion coefficients are noise
+# the tracker evaluates every monomial at every path at once, in complex128;
+# a larger table than this is refused before any minor is expanded
+TRACK_TABLE_LIMIT = 1 << 30  # bytes
 
 
 def _monomials(k, maxdeg):
@@ -62,8 +67,9 @@ def _monomials(k, maxdeg):
     return monos
 
 
-def _shift_tables(monos, index, k, maxdeg):
+def _shift_tables(monos, k, maxdeg):
     """Per-variable index maps realizing multiplication by theta_v."""
+    index = {expo: i for i, expo in enumerate(monos)}
     tables = []
     for v in range(k):
         src = []
@@ -87,13 +93,12 @@ class _AffineDet:
     per-I memo keyed by (depth, columns).
     """
 
-    def __init__(self, G0, kernel, monos, index, shifts):
+    def __init__(self, G0, kernel, monos, shifts):
         self.G0 = G0
         self.kernel = kernel  # (k, N, N)
         self.k = kernel.shape[0]
         self.nmono = len(monos)
         self.shifts = shifts
-        self.index = index
 
     def _entry_vec(self, a, b):
         vec = np.zeros(self.nmono)
@@ -144,7 +149,6 @@ class MinorSystem:
     mono_exps: np.ndarray  # (nmono, k) exponent rows, graded order
     minors: np.ndarray  # (nminors, nmono) dense coefficient rows
     combos: np.ndarray  # (k, nmono) complex coefficient rows
-    degrees: np.ndarray  # (k,) total degrees of the combinations
 
     @property
     def k(self):
@@ -177,13 +181,12 @@ class MinorSystem:
 
     def poly_system(self):
         polys = []
-        for row, deg in zip(self.combos, self.degrees):
+        for row in self.combos:
             cutoff = COEFF_CUTOFF * float(np.max(np.abs(row)))
             poly = {}
             for i, coeff in enumerate(row):
-                expo = tuple(int(e) for e in self.mono_exps[i])
-                if sum(expo) <= deg and abs(coeff) > cutoff:
-                    poly[expo] = complex(coeff)
+                if abs(coeff) > cutoff:
+                    poly[tuple(int(e) for e in self.mono_exps[i])] = complex(coeff)
             polys.append(poly)
         return PolySystem(polys, self.k)
 
@@ -206,9 +209,8 @@ def minor_system(space, rank, seed=0):
         raise DimensionMismatch("Gram family has no free parameters")
     m = rank + 1
     monos = _monomials(k, m)
-    index = {expo: i for i, expo in enumerate(monos)}
-    shifts = _shift_tables(monos, index, k, m)
-    expander = _AffineDet(space.G0_f, space.kernel_f, monos, index, shifts)
+    shifts = _shift_tables(monos, k, m)
+    expander = _AffineDet(space.G0_f, space.kernel_f, monos, shifts)
     subsets = list(itertools.combinations(range(N), m))
     rows = []
     for i, I in enumerate(subsets):
@@ -220,21 +222,13 @@ def minor_system(space, rank, seed=0):
     coeff = rng.standard_normal((k, len(rows))) + 1j * rng.standard_normal(
         (k, len(rows))
     )
-    combos = coeff @ minors
-    degrees = []
-    degs_per_mono = np.array([sum(expo) for expo in monos])
-    for row in combos:
-        cutoff = COEFF_CUTOFF * float(np.max(np.abs(row)))
-        live = np.abs(row) > cutoff
-        degrees.append(int(degs_per_mono[live].max(initial=0)))
     return MinorSystem(
         space=space,
         rank=rank,
         seed=seed,
         mono_exps=np.array(monos, dtype=np.int64),
         minors=minors,
-        combos=combos,
-        degrees=np.array(degrees, dtype=np.int64),
+        combos=coeff @ minors,
     )
 
 
@@ -560,7 +554,20 @@ def enumerate_rank(space, rank=3, seed=0):
 
     The seed feeds two independent streams (combination coefficients and the
     start-system rotation), so runs with equal seeds are reproducible.
+
+    Raises SystemTooLarge when the total-degree start system, (rank + 1)^k
+    paths each evaluating every monomial of degree <= rank + 1 in k
+    variables, needs a table above TRACK_TABLE_LIMIT: genus-4 scrolls
+    (k = 10) would ask for about 16 GiB, genus 3 (k = 6) for 14 MB.
     """
+    k = space.kdim
+    paths = (rank + 1) ** k
+    table = paths * math.comb(k + rank + 1, rank + 1) * 16
+    if table > TRACK_TABLE_LIMIT:
+        raise SystemTooLarge(
+            "%d parameters give %d start paths and a %.1f GiB monomial table"
+            " (limit %.1f GiB)" % (k, paths, table / 2**30, TRACK_TABLE_LIMIT / 2**30)
+        )
     ss = np.random.SeedSequence(seed)
     combo_seed, gamma_seed = (int(s) for s in ss.generate_state(2, np.uint64))
     system = minor_system(space, rank, seed=combo_seed)

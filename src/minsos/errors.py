@@ -41,6 +41,10 @@ class RankTooLarge(MinsosError):
     """Requested rank bound admits no nontrivial minor system."""
 
 
+class SystemTooLarge(MinsosError):
+    """The start system has too many paths to track in one batch."""
+
+
 class PathFailureBudgetExceeded(MinsosError):
     """More than the allowed fraction of homotopy paths failed."""
 

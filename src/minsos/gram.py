@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .biform import TermPoly, _integer, rational_from_json
+from .biform import TermPoly, _integer, _is_number, rational_from_json
 from .errors import (
     DimensionMismatch,
     NonSymmetric,
@@ -306,7 +306,7 @@ class Representation:
         """Read to_json's layout; without "exact" (earlier releases) it is
         inferred: exact when every coefficient is a num/den pair.  Raises
         ValueError when a sign or a basis exponent is not an integer, or a
-        vector entry neither a number nor a num/den pair."""
+        vector entry neither a number (true is not one) nor a num/den pair."""
         basis = basis_from_json(data)
         vectors = []
         rational = True
@@ -315,7 +315,7 @@ class Representation:
             for c in raw:
                 if isinstance(c, dict):
                     vec.append(rational_from_json(c))
-                elif isinstance(c, (int, float)):
+                elif _is_number(c):
                     vec.append(float(c))
                     rational = False
                 else:

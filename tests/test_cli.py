@@ -213,6 +213,14 @@ def test_enumerate_solver_failure_exits_three(tmp_path, monkeypatch, capsys):
     assert err.startswith("solver failure: ") and "9 of 64 paths failed" in err
 
 
+def test_enumerate_on_a_genus_four_scroll_exits_three(tmp_path, capsys):
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(random_positive_form(scroll(3, 2), seed=0).to_json()))
+    assert cli.main(["enumerate", str(form_path), "--surface", "scroll(3,2)"]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and "GiB monomial table" in err
+
+
 def test_enumerate_and_table_exit_verify_on_a_large_residual(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(enumerator, "verify_representation", lambda form, rep: 1.0)
     form_path = tmp_path / "form.json"
@@ -517,6 +525,10 @@ def _binary(*coeffs):
         ("factor", [1, 2], "matrix [1, 2] is not an object"),
         ("two-squares", {"deg": 2, "coeffs": [{"re": None}, 0, 1]},
          "coefficient {'re': None} is not a number"),
+        # JSON true is a bool, which Python counts as the int 1
+        ("two-squares", {"deg": 2, "coeffs": [True, 0, 1]}, "coefficient True is not a number"),
+        ("two-squares", {"deg": 2, "coeffs": [{"re": True}, 0, 1]},
+         "coefficient {'re': True} is not a number"),
         ("enumerate --surface scroll(1,1)", {"nvars": 4, "terms": [5]},
          "terms [5] is not a list of objects"),
         ("enumerate --surface scroll(1,1)", {"nvars": 4, "terms": 5},
@@ -547,6 +559,7 @@ def _binary(*coeffs):
     ],
     ids=["fractional-num", "fractional-den", "coeffs-not-a-list", "entries-not-an-object",
          "entry-not-an-object", "matrix-not-an-object", "re-not-a-number",
+         "coefficient-true", "re-true",
          "term-not-an-object", "terms-not-a-list", "expo-not-a-list", "nvars-not-an-integer",
          "n-not-an-integer", "deg-null", "deg-fractional", "deg-string", "entry-deg-null",
          "entry-deg-fractional", "entry-deg-string",
@@ -571,6 +584,7 @@ _REP = ("representations", 0, "representation")
         (_REP + ("signs", 0), None, "None is not an integer"),
         (_REP + ("vectors", 0, 0), None, "vector entry None is not a number"),
         (_REP + ("vectors", 0, 0), "1", "vector entry '1' is not a number"),
+        (_REP + ("vectors", 0, 0), True, "vector entry True is not a number"),
         (_REP + ("basis", 0, 0), None, "None is not an integer"),
         (_REP + ("basis", 0, 0), 0.5, "0.5 is not an integer"),
         (_REP + ("signs", 0), True, "True is not an integer"),
@@ -581,7 +595,8 @@ _REP = ("representations", 0, "representation")
         (("representations",), 5, "malformed certificate"),
         (("form",), 5, "malformed certificate"),
     ],
-    ids=["sign-fractional", "sign-null", "entry-null", "entry-string", "exponent-null",
+    ids=["sign-fractional", "sign-null", "entry-null", "entry-string", "entry-true",
+         "exponent-null",
          "exponent-fractional", "sign-true", "vectors-numbers", "monomial-number",
          "signs-number", "var-names-number", "representations-number", "form-number"],
 )

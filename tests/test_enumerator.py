@@ -22,7 +22,12 @@ from minsos.enumerator import (
     minor_system,
     solve,
 )
-from minsos.errors import DegreeMismatch, PathFailureBudgetExceeded, RankTooLarge
+from minsos.errors import (
+    DegreeMismatch,
+    PathFailureBudgetExceeded,
+    RankTooLarge,
+    SystemTooLarge,
+)
 from minsos.gram import build_gram_space, extract_representation, verify_representation
 from minsos.sampling import random_positive_form
 from minsos.surfaces import cone_rnc, expected_counts, genericity_check, scroll, veronese
@@ -244,6 +249,18 @@ def test_minor_system_rejects_bad_rank():
         minor_system(space, 0)
     with pytest.raises(RankTooLarge):
         minor_system(space, 4)
+
+
+def test_genus_four_scroll_is_refused_before_any_minor_is_expanded(monkeypatch):
+    # k = 10: 4^10 start paths would need a ~16 GiB monomial table at once
+    def unexpected(*args, **kwargs):
+        raise AssertionError("minor_system ran")
+
+    monkeypatch.setattr(enumerator, "minor_system", unexpected)
+    space = build_gram_space(random_positive_form(scroll(3, 2), seed=0), scroll(3, 2))
+    assert space.kdim == 10
+    with pytest.raises(SystemTooLarge, match="1048576 start paths"):
+        enumerate_rank(space, seed=0)
 
 
 def test_path_stats_accounting():
