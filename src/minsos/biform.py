@@ -23,6 +23,7 @@ and the two fields never mix silently.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import DegreeMismatch, NotAQuadraticForm, ZeroDenominator
@@ -193,9 +194,6 @@ class BinaryForm:
             return NotImplemented
         return self + other.scale(-1)
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def __mul__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
@@ -328,6 +326,29 @@ def squarefree_parts(f):
     return f.deg - sdeg, parts
 
 
+def real_root_count(f):
+    """The number of distinct finite real roots of a square-free real binary
+    form of positive s-degree, exactly, by Sturm's theorem on the
+    dehomogenized polynomial.
+
+    The chain runs over Z and keeps signs: each member is the negated
+    pseudo-remainder of the two before it by a divisor of positive leading
+    coefficient, divided by its absolute content.
+    """
+    coeffs = [_exact(c) for c in f.coeffs[: f.s_degree() + 1]]
+    denominators = math.lcm(*(c.denominator for c in coeffs))
+    chain = [[int(c * denominators) for c in coeffs]]
+    chain.append(_derivative(chain[0]))
+    while len(chain[-1]) > 1:
+        v = chain[-1]
+        r = _pseudo_remainder(chain[-2], v if v[-1] > 0 else [-c for c in v])
+        chain.append([-c // math.gcd(*r) for c in r])
+    # the signs of the chain at +infinity and at -infinity
+    plus = [p[-1] > 0 for p in chain]
+    minus = [sign == (len(p) % 2 == 1) for sign, p in zip(plus, chain)]
+    return sum(map(operator.ne, minus, minus[1:])) - sum(map(operator.ne, plus, plus[1:]))
+
+
 class TermPoly:
     """Sparse polynomial: exponent tuples of length nvars to coefficients.
 
@@ -349,9 +370,6 @@ class TermPoly:
                 clean[expo] = clean.get(expo, 0) + value
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, TermPoly):
             return NotImplemented
@@ -359,18 +377,6 @@ class TermPoly:
 
     def __repr__(self):
         return "TermPoly(nvars=%d, %d terms)" % (self.nvars, len(self.terms))
-
-    def eval(self, point):
-        if len(point) != self.nvars:
-            raise DegreeMismatch("point arity mismatch")
-        total = 0
-        for expo, coeff in self.terms.items():
-            value = coeff
-            for base, e in zip(point, expo):
-                if e:
-                    value = value * base**e
-            total += value
-        return total
 
     def max_abs_coeff(self):
         return max(abs(c) for c in self.terms.values()) if self.terms else 0

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biform import BinaryForm, squarefree_parts
+from .biform import BinaryForm, real_root_count, squarefree_parts
 from .errors import NotNonnegative
 from .gram import EQUIVALENT_TOL, Representation, equivalent
 from .surfaces import MonomialBasis
@@ -101,22 +101,35 @@ def roots(f):
     found by np.roots and Newton-polished on that part, where they are
     simple.  Each part is real, so np.roots runs the real eigen-solver,
     which returns the non-real roots as exact conjugates, and the polish
-    keeps them so.  A root is real when |Im| <= PAIR_TOL relative to the
-    largest root; pairs keeps the roots above that.
+    keeps them so.  A root with Im = 0 is real, and one with |Im| above
+    PAIR_TOL relative to the largest root is not; pairs keeps one of each
+    such pair.  When a part has roots with Im in between, near the axis,
+    the number of its real roots is counted exactly (real_root_count, by
+    Sturm's theorem), and that many, those of smallest |Im|, are real.
     """
     if f.is_zero():
         raise ValueError("the zero form has no root multiset")
     inf_mult, parts = squarefree_parts(f)
     lead = f.coeffs[f.s_degree()].real
-    finite = []
+    found = []
     for part, mult in parts:
         # lead * part has the coefficients of f when f is square-free
         poly = np.array([float(lead * c) for c in reversed(part.coeffs)])
         polished = _polish_roots(poly, np.polyder(poly), np.roots(poly))
-        finite += [(complex(r), mult) for r in polished]
-    tol = PAIR_TOL * max([1.0] + [abs(r) for r, _ in finite])
-    real_roots = [(complex(r.real), mult) for r, mult in finite if abs(r.imag) <= tol]
-    pairs = [(r, mult) for r, mult in finite if r.imag > tol]
+        found.append((part, mult, [complex(r) for r in polished]))
+    tol = PAIR_TOL * max([1.0] + [abs(r) for _, _, rs in found for r in rs])
+    real_roots, pairs = [], []
+    for part, mult, rs in found:
+        # the near-axis pairs (Im > 0) beyond the part's real roots stay pairs
+        near = sorted((r for r in rs if 0 < r.imag <= tol), key=lambda r: r.imag)
+        if near:
+            on_axis = sum(r.imag == 0 for r in rs)
+            near = near[max((real_root_count(part) - on_axis) // 2, 0):]
+        for r in rs:
+            if abs(r.imag) <= tol and r not in near and r.conjugate() not in near:
+                real_roots.append((complex(r.real), mult))
+            elif r.imag > 0:
+                pairs.append((r, mult))
     real_roots.sort(key=lambda rm: rm[0].real)
     pairs.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return RootMultiset(
@@ -139,11 +152,6 @@ def _nonnegative(rm):
         and rm.inf_mult % 2 == 0
         and all(mult % 2 == 0 for _, mult in rm.real_roots)
     )
-
-
-def is_nonnegative(f):
-    """True iff the real binary form f is nonnegative on R^2."""
-    return f.is_zero() or (f.deg % 2 == 0 and _nonnegative(roots(f)))
 
 
 def _homogenize(poly_desc, deg):

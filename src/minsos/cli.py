@@ -14,7 +14,7 @@ import re
 import sys
 
 from . import __version__
-from .biform import BinaryForm, TermPoly, rational_from_json
+from .biform import BinaryForm, TermPoly, _integer, rational_from_json
 from .binary_sos import enumerate_rank_two, enumerate_two_squares, rep_forms, roots
 from .cones import enumerate_cone
 from .enumerator import enumerate_rank
@@ -342,21 +342,46 @@ def _verify_squares(form, items, max_squares):
     return failures
 
 
+def _listed(data, key):
+    """data[key]; a TypeError, a malformed certificate, unless it is a list."""
+    items = data[key]
+    if not isinstance(items, list):
+        raise TypeError("%s %r is not a list" % (key, items))
+    return items
+
+
+def _count_failures(claims):
+    """The (name, claimed count, listed count) claims whose counts differ."""
+    failures = [claim for claim in claims if _integer(claim[1]) != claim[2]]
+    for name, claimed, listed in failures:
+        print("%s is %d, but %d are listed  FAIL" % (name, claimed, listed))
+    return failures
+
+
 def _verify_enumeration(data):
+    """The entries, and the real, psd and indefinite counts against them."""
+    report = data["report"]
+    entries = _listed(report, "entries")
     items = [
         ("entry", idx, entry["representation"], entry.get("psd"))
-        for idx, entry in enumerate(data["report"]["entries"])
+        for idx, entry in enumerate(entries)
         if entry.get("representation") is not None
     ]
-    return _verify_squares(form_from_json(data["form"]), items, int(data["rank"]))
+    failures = _verify_squares(form_from_json(data["form"]), items, _integer(data["rank"]))
+    counts, psd = report["counts"], [entry.get("psd") for entry in entries]
+    return failures + _count_failures([
+        ("counts.real", counts["real"], len(entries)),
+        ("counts.psd", counts["psd"], sum(p is True for p in psd)),
+        ("counts.indefinite", counts["indefinite"], sum(p is False for p in psd)),
+    ])
 
 
 def _verify_two_squares(data):
-    items = [
-        ("rep", idx, item["representation"], True)
-        for idx, item in enumerate(data["representations"])
-    ]
-    return _verify_squares(form_from_json(data["form"]), items, 2)
+    """The representations, and the count against them."""
+    reps = _listed(data, "representations")
+    items = [("rep", idx, item["representation"], True) for idx, item in enumerate(reps)]
+    failures = _verify_squares(form_from_json(data["form"]), items, 2)
+    return failures + _count_failures([("count", data["count"], len(reps))])
 
 
 def _verify_factorization(data):

@@ -13,17 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .binary_sos import (
-    class_representation,
-    enumerate_rank_two,
-    enumerate_two_squares,
-    roots as binary_roots,
-)
+from .binary_sos import class_representation, enumerate_rank_two, roots as binary_roots
 from .enumerator import classify
 from .errors import ApexCoefficientNotPositive, DimensionMismatch, NotAScroll
-# classify certifies the classes, but verify_representation and
-# genericity_check stay here: perfbench wraps both at this module, and a
-# missing name raises KeyError under --trace 1
+# classify certifies the classes, but enumerate_two_squares,
+# verify_representation and genericity_check stay here: perfbench wraps all
+# three at this module, and a missing name raises KeyError under --trace 1
+from .binary_sos import enumerate_two_squares  # noqa: F401
 from .gram import Representation, build_gram_space, verify_representation  # noqa: F401
 from .surfaces import CONE_RNC, cone_rnc, genericity_check, monomial_basis  # noqa: F401
 
@@ -79,10 +75,12 @@ def lift(rep, a, b):
 def enumerate_cone(f, spec):
     """Classify all rank-3 Gram matrices of f on a cone via apex reduction.
 
-    The complex census enumerates balanced factor pairs of the reduced form;
-    real classes are realized as signed rank <= 2 representations, lifted,
-    and handed to classify with the lifted Gram matrices, which labels them
-    by inertia and re-verifies every representation against f.
+    The complex census enumerates balanced factor pairs of the reduced form
+    g; real classes are realized as signed rank <= 2 representations,
+    lifted, and handed to classify with the lifted Gram matrices, which
+    labels them by inertia and re-verifies every representation against f.
+    The psd classes, the conjugate splits, are the two-squares
+    representations of g, lifted; no second census of g runs.
     """
     _require_cone(spec)
     space = build_gram_space(f, spec)
@@ -97,12 +95,4 @@ def enumerate_cone(f, spec):
         G = lifted.gram()
         classes.append((space.fiber_coordinates(G), G, lifted))
     note = "enumerated through the apex reduction to the base curve"
-    report = classify(space, classes, census.counts["complex"], notes=[note])
-    psd = report.counts["psd"]
-    if psd != 0:
-        two_sq = enumerate_two_squares(g, rm)
-        if len(two_sq) != psd:
-            report.notes.append(
-                "two-squares census mismatch: %d vs %d psd classes" % (len(two_sq), psd)
-            )
-    return report
+    return classify(space, classes, census.counts["complex"], notes=[note])

@@ -48,13 +48,11 @@ class SystemTooLarge(MinsosError):
 class PathFailureBudgetExceeded(MinsosError):
     """More than the allowed fraction of homotopy paths failed."""
 
-    def __init__(self, failed, total, message=None):
+    def __init__(self, failed, total):
         self.failed = failed
         self.total = total
         super().__init__(
-            message
-            or "%d of %d paths failed without diverging; re-run with a new seed"
-            % (failed, total)
+            "%d of %d paths failed without diverging; re-run with a new seed" % (failed, total)
         )
 
 
@@ -70,13 +68,11 @@ class IterationBudgetExceeded(MinsosError):
     """Alternating projections or the Douglas-Rachford fallback found no
     psd fiber point within their iteration budget."""
 
-    def __init__(self, iterations, gap, message=None):
+    def __init__(self, iterations, gap):
         self.iterations = iterations
         self.gap = gap
         super().__init__(
-            message
-            or "no PSD fiber point found after %d iterations (final gap %.3e)"
-            % (iterations, gap)
+            "no PSD fiber point found after %d iterations (final gap %.3e)" % (iterations, gap)
         )
 
 
@@ -86,21 +82,18 @@ class StuckAboveTarget(MinsosError):
     achieved is the rank of the psd point that rank reduction started from.
     """
 
-    def __init__(self, achieved, target, message=None):
+    def __init__(self, achieved, target):
         self.achieved = achieved
         self.target = target
-        super().__init__(
-            message
-            or "rank reduction stalled at rank %d (target %d)" % (achieved, target)
-        )
+        super().__init__("rank reduction stalled at rank %d (target %d)" % (achieved, target))
 
 
 class NotPSD(MinsosError):
     """Matrix polynomial is not positive semidefinite; carries a witness."""
 
-    def __init__(self, witness=None, message=None):
+    def __init__(self, witness=None):
         self.witness = witness
-        super().__init__(message or "matrix polynomial is not PSD at %r" % (witness,))
+        super().__init__("matrix polynomial is not PSD at %r" % (witness,))
 
 
 class NotNonnegative(MinsosError):

@@ -3,8 +3,8 @@
 Three kinds are supported: rational normal scrolls Scroll(d, e) (from the
 trapezoid with vertices (0,0), (0,1), (d,0), (e,1)), the Veronese surface in
 P^5, and the cone over a rational normal curve.  The module provides their
-monomial bases, genus and degree bookkeeping, the generic counts of rank-3
-Gram matrices (expected_counts), and genericity diagnostics.
+monomial bases, the genus of a scroll, the generic counts of rank-3 Gram
+matrices (expected_counts), and genericity diagnostics.
 
 Scrolls and cones are prisms: Scroll(d, e) is the prism (d, e) and the cone
 over the degree-d curve the prism (d, 0).  PrismSpec owns their layout, the
@@ -59,27 +59,6 @@ class SurfaceSpec:
             raise DegreeMismatch("unknown surface kind %r" % (self.kind,))
 
     # -- derived data -----------------------------------------------------
-
-    @property
-    def ambient_dim(self):
-        if self.kind == SCROLL:
-            return self.d + self.e + 1
-        if self.kind == VERONESE:
-            return 5
-        return self.d + 1
-
-    @property
-    def dim(self):
-        return 2
-
-    @property
-    def codim(self):
-        return self.ambient_dim - 2
-
-    @property
-    def degree(self):
-        # minimal degree: deg(X) = codim(X) + 1
-        return self.codim + 1
 
     @property
     def genus(self):
@@ -235,12 +214,6 @@ class MonomialBasis:
 
     def __iter__(self):
         return iter(self.monomials)
-
-    def __getitem__(self, idx):
-        return self.monomials[idx]
-
-    def index(self, monomial):
-        return self.monomials.index(tuple(monomial))
 
     def label(self, idx):
         expo = self.monomials[idx]

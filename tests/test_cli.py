@@ -352,6 +352,21 @@ def test_gram_space_verify_fails_on_a_bumped_entry(tmp_path, capsys):
     assert _verify_edited(tmp_path, report) == cli.EXIT_INPUT
 
 
+def test_a_definite_form_with_roots_near_the_axis_has_two_squares(tmp_path, capsys):
+    # s^2 + 1e-18 t^2: the roots +-1e-9 i lie within PAIR_TOL of the real
+    # axis, and the exact real-root count of the part says they are a pair
+    form = BinaryForm([Fraction(1e-18), 0, 1], 2)
+    src, out = tmp_path / "form.json", tmp_path / "out.json"
+    src.write_text(json.dumps(form.to_json()))
+    assert cli.main(["two-squares", str(src), "--json-out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["verify", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["count"] == 1
+    src.write_text(json.dumps({"n": 1, "entries": {"0,0": form.to_json()}}))
+    capsys.readouterr()
+    assert cli.main(["factor", str(src)]) == cli.EXIT_OK
+    assert "route: roots" in capsys.readouterr().out.splitlines()
+
+
 def test_two_squares_on_a_triple_complex_root_writes_a_report_that_verifies(tmp_path):
     # (s^2 + t^2)^3: the multiplicity of +-i comes from the exact square-free
     # decomposition, and the two classes are the census's two psd classes
@@ -577,6 +592,17 @@ def test_a_malformed_input_exits_two(tmp_path, capsys, command, data, message):
 _REP = ("representations", 0, "representation")
 
 
+def _doctored(name, path, value):
+    """The certificate tests/data/<name>.json with the value at path replaced."""
+    cert = json.loads((DATA / (name + ".json")).read_text())
+    *keys, last = path
+    target = cert
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return cert
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -593,24 +619,57 @@ _REP = ("representations", 0, "representation")
         (_REP + ("signs",), 5, "malformed certificate"),
         (_REP + ("varNames",), 5, "malformed certificate"),
         (("representations",), 5, "malformed certificate"),
+        (("representations",), {}, "representations {} is not a list"),
         (("form",), 5, "malformed certificate"),
+        (("count",), 32.5, "32.5 is not an integer"),
     ],
     ids=["sign-fractional", "sign-null", "entry-null", "entry-string", "entry-true",
          "exponent-null",
          "exponent-fractional", "sign-true", "vectors-numbers", "monomial-number",
-         "signs-number", "var-names-number", "representations-number", "form-number"],
+         "signs-number", "var-names-number", "representations-number",
+         "representations-object", "form-number", "count-fractional"],
 )
 def test_a_doctored_representation_exits_two(tmp_path, capsys, path, value, message):
     # a sign of 1.5 must not be read as int(1.5) == 1 and verify as +1, nor
     # true as 1; a number where the layout holds a list is an input error too
-    cert = json.loads((DATA / "two_squares_d6.json").read_text())
-    *keys, last = path
-    target = cert
-    for key in keys:
-        target = target[key]
-    target[last] = value
-    src = tmp_path / "certificate.json"
-    src.write_text(json.dumps(cert))
-    assert cli.main(["verify", str(src)]) == cli.EXIT_INPUT
+    cert = _doctored("two_squares_d6", path, value)
+    assert _verify_edited(tmp_path, cert) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("rank",), True, "True is not an integer"),
+        (("rank",), 3.9, "3.9 is not an integer"),
+        (("rank",), "3", "'3' is not an integer"),
+        (("report", "entries"), {}, "entries {} is not a list"),
+        (("report", "counts", "psd"), None, "None is not an integer"),
+    ],
+    ids=["rank-true", "rank-fractional", "rank-string", "entries-object", "psd-count-null"],
+)
+def test_a_doctored_enumeration_report_exits_two(tmp_path, capsys, path, value, message):
+    # rank 3.9 must not be read as int(3.9) == 3, nor true as 1
+    cert = _doctored("enumeration_scroll11", path, value)
+    assert _verify_edited(tmp_path, cert) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        ("two_squares_d6", ("count",), 33),
+        ("enumeration_scroll11", ("report", "counts", "real"), 5),
+        ("enumeration_scroll11", ("report", "counts", "psd"), 3),
+        ("enumeration_scroll11", ("report", "counts", "indefinite"), 1),
+        ("enumeration_cone3", ("report", "counts", "indefinite"), 1),
+    ],
+    ids=["two-squares-count", "real", "psd", "indefinite", "cone-indefinite"],
+)
+def test_a_count_that_differs_from_the_listed_items_fails(tmp_path, capsys, name, path, value):
+    # scroll11 lists 2 psd and 2 indefinite entries, cone3 4 psd ones, and
+    # two_squares_d6 32 representations
+    assert _verify_edited(tmp_path, _doctored(name, path, value)) == cli.EXIT_VERIFY
+    assert re.search(r"is %d, but \d+ are listed  FAIL" % value, capsys.readouterr().out)

@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minsos import cones
 from minsos.biform import BinaryForm, TermPoly
 from minsos.cones import enumerate_cone, lift, split
 from minsos.errors import ApexCoefficientNotPositive, NotAScroll
@@ -146,13 +145,24 @@ def test_enumerate_cone_entries_verified():
         assert entry["psd"] == (entry["inertia"][1] == 0)
 
 
-def test_enumerate_cone_notes_two_squares_mismatch(monkeypatch):
-    f = _cone_form(3, seed=2)
-    assert not any("mismatch" in note for note in enumerate_cone(f, cone_rnc(3)).notes)
-    real_census = cones.enumerate_two_squares
-    monkeypatch.setattr(cones, "enumerate_two_squares", lambda g, rm: real_census(g, rm)[1:])
-    report = enumerate_cone(f, cone_rnc(3))
-    assert "two-squares census mismatch: 3 vs 4 psd classes" in report.notes
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_enumerate_cone_psd_entries_are_the_lifted_two_squares(d, seed):
+    # the census's conjugate splits and the two-squares enumeration of g
+    # take the same classes two ways: match their lifted Gram matrices one
+    # to one
+    spec = cone_rnc(d)
+    f = random_positive_form(spec, seed=seed)
+    a, b, g = split(f, spec)
+    want = [lift(rep, a, b).gram() for rep in enumerate_two_squares(g)]
+    got = [e["representation"].gram() for e in enumerate_cone(f, spec).entries if e["psd"]]
+    assert len(got) == len(want) == 2 ** (d - 1)
+    for G in want:
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(G))))
+        hits = [i for i, H in enumerate(got) if np.max(np.abs(H - G)) <= tol]
+        assert len(hits) == 1
+        got.pop(hits[0])
+    assert got == []
 
 
 def test_enumerate_cone_rejects_scroll():
