@@ -16,13 +16,15 @@ A TermPoly holds exact rationals (:class:`fractions.Fraction`) only, and so
 does every form read from JSON: a float coefficient is read as the rational
 it denotes, which ``Fraction(float)`` gives exactly.  A BinaryForm is exact
 too unless it is built from floats, as the computed columns of a
-factorization and the two squares p and q are; those hold complex doubles,
-and the two fields never mix silently.
+factorization and the two squares p and q are; those hold complex doubles.
+The nonzero coefficients decide the field, whatever their order, and the
+two fields never mix silently (see :class:`BinaryForm`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from fractions import Fraction
 
@@ -30,17 +32,7 @@ from .errors import DegreeMismatch, NotAQuadraticForm, ZeroDenominator
 
 RATIONAL = "rational"
 COMPLEX = "complex"
-
-
-def _classify_scalar(value):
-    """Return (field, normalized) for a raw coefficient."""
-    if isinstance(value, Fraction):
-        return RATIONAL, value
-    if isinstance(value, int):
-        return RATIONAL, Fraction(value)
-    if isinstance(value, (float, complex)):
-        return COMPLEX, complex(value)
-    raise TypeError("unsupported coefficient type %r" % type(value).__name__)
+_ZERO = Fraction(0)
 
 
 def _merge_field(fa, fb):
@@ -73,12 +65,13 @@ def _coeff_to_json(value, field):
 
 
 def _integer(value):
-    """value as an int; ValueError unless it is one already (3 or 3.0, not true)."""
+    """value as an int; ValueError unless it is one already (3, 3.0 or a
+    numpy integer, not true)."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError("%r is not an integer" % (value,))
-    return value
+    return int(value)
 
 
 def _is_number(value):
@@ -122,6 +115,14 @@ class BinaryForm:
     coeffs[i] is the coefficient of s^i t^(deg - i).  Genuine zero
     coefficients may appear anywhere in the vector.  nvars and terms give
     the TermPoly view over (s, t) exponent pairs.
+
+    The nonzero coefficients decide the field: ints and Fractions give a
+    rational form of Fractions, floats and complex numbers a complex form
+    of complex doubles, and a mix of the two raises TypeError, in any order.
+    Zeros take the field so decided.  When every coefficient is zero, the
+    field is ``field``, or without one complex if any coefficient is a
+    float or complex zero and rational otherwise.  A ``field`` that the
+    nonzero coefficients contradict raises TypeError.
     """
 
     __slots__ = ("coeffs", "deg", "field")
@@ -135,19 +136,30 @@ class BinaryForm:
             raise DegreeMismatch(
                 "coefficient vector length %d != deg + 1 = %d" % (len(coeffs), deg + 1)
             )
-        norm = []
+        # the fields of the nonzero coefficients, and whether any is a float
+        exact = inexact = floats = False
         for c in coeffs:
-            cfield, value = _classify_scalar(c)
-            if field is None:
-                field = cfield
-            elif value != 0:
-                field = _merge_field(field, cfield)
-            norm.append(value)
-        self.field = field if field is not None else RATIONAL
-        if self.field == RATIONAL:
-            self.coeffs = [Fraction(c) for c in norm]
+            if isinstance(c, (int, Fraction)):
+                exact = exact or c != 0
+            elif isinstance(c, (float, complex)):
+                floats = True
+                inexact = inexact or c != 0
+            else:
+                raise TypeError("unsupported coefficient type %r" % type(c).__name__)
+        if exact and inexact:
+            raise TypeError("mixed coefficient fields (%s vs %s)" % (RATIONAL, COMPLEX))
+        decided = RATIONAL if exact else COMPLEX if inexact else None
+        if decided is None:
+            self.field = field or (COMPLEX if floats else RATIONAL)
         else:
-            self.coeffs = [complex(c) for c in norm]
+            self.field = decided if field is None else _merge_field(field, decided)
+        if self.field == RATIONAL:
+            # a zero may be a float or complex zero; every other value is exact
+            self.coeffs = [
+                c if isinstance(c, Fraction) else Fraction(c) if c else _ZERO for c in coeffs
+            ]
+        else:
+            self.coeffs = [complex(c) for c in coeffs]
         self.deg = deg
 
     @classmethod

@@ -73,8 +73,11 @@ class SymMatrixPoly:
         self.n = n
         self.entries = [list(row) for row in entries]
         for i in range(n):
-            for j in range(n):
+            for j in range(i + 1, n):
                 a, b = self.entries[i][j], self.entries[j][i]
+                # from_upper puts one object in both triangles
+                if a is b:
+                    continue
                 same = a.deg == b.deg and all(
                     x == y for x, y in zip(a.coeffs, b.coeffs)
                 )

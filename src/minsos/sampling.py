@@ -3,14 +3,20 @@
 Every generator derives its randomness from ``numpy.random.SeedSequence`` so
 that a given seed always reproduces the same instance, and rejection loops
 re-key the sequence with the attempt number instead of consuming a shared
-stream.  That keeps instances stable even if the internal draw order changes.
+stream, so a rejected attempt leaves the next one's draws as they were.
+
+Dyad matrices and positive binary forms are built on exact integer arrays
+(the draws, their convolutions and sums) and wrapped in forms once, at the
+end.  The order of the draws within an attempt is part of the contract:
+equal seeds give byte-identical JSON, and tests/test_sampling.py pins the
+digests of a fixed set of draws.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from .biform import BinaryForm, TermPoly
+from .biform import BinaryForm, TermPoly, _integer
 from .errors import UnsupportedDegree
 from .factorization import SymMatrixPoly
 from .surfaces import VERONESE, genericity_check, monomial_basis
@@ -20,6 +26,17 @@ MAX_ATTEMPTS = 64
 
 def _rng(seed, attempt):
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(attempt)]))
+
+
+def _at_least(value, least, name):
+    """value as an int of at least ``least``; UnsupportedDegree otherwise."""
+    try:
+        value = _integer(value)
+    except ValueError:
+        raise UnsupportedDegree("%s %r is not an integer" % (name, value)) from None
+    if value < least:
+        raise UnsupportedDegree("%s must be at least %d, not %d" % (name, least, value))
+    return value
 
 
 def _square_terms(terms, monos, vec):
@@ -70,12 +87,16 @@ def random_dyad_matrix(heights, seed=0, ncols=None):
     Returns ``(A, columns)`` where ``A = sum c c^T`` over the generated
     dyad columns, each column being a tuple of integer-coefficient binary
     forms of the requested degrees.  ``A`` is therefore psd by construction
-    and its diagonal degrees realize ``2 * heights``.
+    and its diagonal degrees realize ``2 * heights``.  Raises
+    UnsupportedDegree unless every height is an integer of at least 0 and
+    ``ncols``, when given, one of at least 1.
     """
-    heights = tuple(int(h) for h in heights)
+    heights = tuple(_at_least(h, 0, "height") for h in heights)
     n = len(heights)
     if n < 1:
         raise UnsupportedDegree("need at least one row")
+    if ncols is not None:
+        ncols = _at_least(ncols, 1, "ncols")
     for attempt in range(MAX_ATTEMPTS):
         rng = _rng(seed, attempt)
         if ncols is None:
@@ -83,31 +104,20 @@ def random_dyad_matrix(heights, seed=0, ncols=None):
             # cone, so the Gram spectrahedron has a Slater point
             width = int(rng.integers(n + 1, 2 * n + 1))
         else:
-            width = int(ncols)
-        columns = []
-        for _ in range(width):
-            col = tuple(
-                BinaryForm([int(c) for c in rng.integers(-3, 4, size=h + 1)], h)
-                for h in heights
-            )
-            columns.append(col)
+            width = ncols
+        # one column's rows in turn, then the next column's
+        draws = [[rng.integers(-3, 4, size=h + 1) for h in heights] for _ in range(width)]
         # every diagonal entry must reach its full degree 2*h
-        ok = True
-        for i, h in enumerate(heights):
-            lead_sq = sum(col[i].coeffs[h] ** 2 for col in columns)
-            const_sq = sum(col[i].coeffs[0] ** 2 for col in columns)
-            if lead_sq == 0 or const_sq == 0:
-                ok = False
-                break
-        if not ok:
+        if not all(any(c[i][0] for c in draws) and any(c[i][-1] for c in draws) for i in range(n)):
             continue
         entries = {}
         for i in range(n):
             for j in range(i, n):
-                acc = BinaryForm.zero(heights[i] + heights[j])
-                for col in columns:
-                    acc = acc + col[i] * col[j]
-                entries[(i, j)] = acc
+                # the sum over c of c_i * c_j: each coefficient adds at most
+                # (h_i + 1) * width products of draws in [-3, 3], far inside int64
+                coeffs = sum(np.convolve(c[i], c[j]) for c in draws)
+                entries[(i, j)] = BinaryForm(coeffs.tolist(), heights[i] + heights[j])
+        columns = [tuple(BinaryForm(row.tolist(), h) for row, h in zip(c, heights)) for c in draws]
         return SymMatrixPoly.from_upper(n, entries), columns
     raise UnsupportedDegree("failed to draw a full-degree dyad matrix")
 
@@ -117,11 +127,10 @@ def random_nonneg_binary(d, seed=0):
 
     Product of ``d`` pairwise distinct positive-definite quadratics, so the
     roots are ``d`` simple conjugate pairs and the two-squares enumeration
-    sees the generic ``2**(d-1)`` count.
+    sees the generic ``2**(d-1)`` count.  Raises UnsupportedDegree unless
+    ``d`` is an integer of at least 1.
     """
-    d = int(d)
-    if d < 1:
-        raise UnsupportedDegree("degree must be at least 2")
+    d = _at_least(d, 1, "d")
     for attempt in range(MAX_ATTEMPTS):
         rng = _rng(seed, attempt)
         quads = []
@@ -131,10 +140,11 @@ def random_nonneg_binary(d, seed=0):
             quads.append((a, b))
         if len(set(quads)) < d:
             continue
-        f = BinaryForm([1], 0)
+        # Python ints: the coefficients grow like 11**d
+        coeffs = np.array([1], dtype=object)
         for a, b in quads:
-            f = f * BinaryForm([b, a, 1], 2)
-        return f
+            coeffs = np.convolve(coeffs, np.array([b, a, 1], dtype=object))
+        return BinaryForm(coeffs.tolist(), 2 * d)
     raise UnsupportedDegree("failed to draw distinct quadratic factors")
 
 

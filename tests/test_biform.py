@@ -140,6 +140,39 @@ def test_binary_to_complex():
         fc + BinaryForm([1, 2], 1)
 
 
+@pytest.mark.parametrize(
+    "coeffs, field, want",
+    [
+        ([Fraction(1), 0.0], RATIONAL, [Fraction(1), Fraction(0)]),
+        ([0, 0.0], COMPLEX, [0j, 0j]),
+        ([0, 1.5], COMPLEX, [0j, 1.5 + 0j]),
+        ([0.0, Fraction(1)], RATIONAL, [Fraction(0), Fraction(1)]),
+        ([1.5, 0], COMPLEX, [1.5 + 0j, 0j]),
+        ([1.5, 2], None, None),
+    ],
+)
+def test_nonzero_coefficients_decide_the_field(coeffs, field, want):
+    # zeros take the field of the nonzero coefficients, in any order; a mix
+    # of exact and float nonzero coefficients raises
+    if field is None:
+        with pytest.raises(TypeError, match="mixed coefficient fields"):
+            BinaryForm(coeffs)
+        with pytest.raises(TypeError, match="mixed coefficient fields"):
+            BinaryForm(coeffs[::-1])
+        return
+    f = BinaryForm(coeffs)
+    assert f.field == field
+    assert f.coeffs == want
+    assert all(type(c) is type(want[0]) for c in f.coeffs)
+
+
+def test_an_all_zero_form_takes_the_field_argument():
+    assert BinaryForm([0, 0.0], field=RATIONAL).coeffs == [Fraction(0)] * 2
+    assert BinaryForm([0, 0], field=COMPLEX).coeffs == [0j, 0j]
+    with pytest.raises(TypeError, match="mixed coefficient fields"):
+        BinaryForm([0, 1], field=COMPLEX)
+
+
 # ------------------------------------------------- forms over (s, t, x, y)
 # a quadratic form on a scroll or cone is a TermPoly over (s, t, x, y)
 
