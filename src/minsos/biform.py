@@ -368,7 +368,7 @@ class TermPoly:
     coefficients, each an exact rational; a float term converts exactly.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_float_terms")
 
     def __init__(self, nvars, terms):
         self.nvars = int(nvars)
@@ -381,6 +381,13 @@ class TermPoly:
             if value != 0:
                 clean[expo] = clean.get(expo, 0) + value
         self.terms = {e: c for e, c in clean.items() if c != 0}
+        self._float_terms = None
+
+    def float_terms(self):
+        """terms with each coefficient rounded to a float, converted on the first call."""
+        if self._float_terms is None:
+            self._float_terms = {e: float(c) for e, c in self.terms.items()}
+        return self._float_terms
 
     def __eq__(self, other):
         if not isinstance(other, TermPoly):

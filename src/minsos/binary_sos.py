@@ -13,17 +13,20 @@ the form (biform.squarefree_parts); only the root values are numeric.
 Each part is real, so its non-real roots come out of the real eigen-solver
 as exact conjugates, and roots keeps one of each pair.
 
-enumerate_two_squares builds the products pi of all choices as a prefix
-tree, one conjugate pair a level, and its dedup reads every Gram trace off
-one stacked array.  The census of balanced splits (enumerate_rank_two)
-walks the splits in increasing order and keeps each one that is not larger
-than its complement.
+enumerate_two_squares builds the products pi of all choices as one complex
+array, one conjugate pair a level: each level multiplies every row by the
+pair's linear factors in a batched two-term multiply-add with the bits of
+np.convolve.  Its dedup stacks every Gram matrix once, reads the traces off
+that stack and hands each Representation its matrix, so equivalent does not
+rebuild two per call.  The census of balanced splits (enumerate_rank_two)
+builds the splits as the rows of one integer array, in increasing order,
+and keeps each one that is not larger than its complement by array
+compares.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,9 +159,10 @@ def _nonnegative(rm):
 
 def _homogenize(poly_desc, deg):
     """Coefficients of s^i t^(deg-i), i = 0..deg, from descending s-poly
-    coefficients; the slots above the s-degree (a power of t) are zero."""
-    coeffs = np.zeros(deg + 1, dtype=complex)
-    coeffs[: len(poly_desc)] = poly_desc[::-1]
+    coefficients (each row of a stack of them); the slots above the
+    s-degree (a power of t) are zero."""
+    coeffs = np.zeros(poly_desc.shape[:-1] + (deg + 1,), dtype=complex)
+    coeffs[..., : poly_desc.shape[-1]] = poly_desc[..., ::-1]
     return coeffs
 
 
@@ -171,22 +175,66 @@ def _representation_from_pq(p_coeffs, q_coeffs, d, signs=(1, 1)):
     return Representation(basis=basis, vectors=vectors, signs=list(signs), exact=False)
 
 
-def _root_product(choice, pi=None):
-    """pi * prod (s - root)^count over (root, count), descending s-coefficients.
+def _root_product(choice):
+    """prod (s - root)^count over (root, count), descending s-coefficients.
 
-    pi, the product of a prefix of the choice, defaults to 1; extending it
-    runs the np.convolve calls that the whole choice would run after that
-    prefix, so the bits do not depend on where the product was split.  The
-    root at infinity is skipped: homogenization supplies its t factors.
+    One np.convolve call a root, in the order of the choice.  The root at
+    infinity is skipped: homogenization supplies its t factors.
     """
-    if pi is None:
-        pi = np.array([1.0 + 0.0j])
+    pi = np.array([1.0 + 0.0j])
     for root, count in choice:
         if root == "inf":
             continue
         for _ in range(count):
             pi = np.convolve(pi, np.array([1.0, -root]))
     return pi
+
+
+def _times_root(products, root):
+    """Each row of products times (s - root), with np.convolve's bits.
+
+    The rows are descending s-coefficients.  np.convolve(row, [1, -root])
+    forms coefficient k as the complex dot product (BLAS zdotu) of
+    (row[k-1], row[k]) with (-root, 1): four real sums, each started at 0
+    and added to in that order, then re = rr - ii and im = ri + ir.  This
+    adds the same terms in the same order for all rows at once.  The terms
+    with the 1 are exact, so they round alike whether or not the dot
+    product fuses its multiply-adds; those with the 0 would add a zero to
+    a sum that is never -0, and are left out.
+    """
+    c = -root
+    a, b = products.real, products.imag
+    rr, ii, ri, ir = np.zeros((4, len(products), products.shape[1] + 1))
+    rr[:, 1:] += a * c.real
+    ii[:, 1:] += b * c.imag
+    ri[:, 1:] += a * c.imag
+    ir[:, 1:] += b * c.real
+    rr[:, :-1] += a
+    ir[:, :-1] += b
+    out = np.empty(rr.shape, dtype=complex)
+    out.real = rr - ii
+    out.imag = ri + ir
+    return out
+
+
+def _pair_level(products, value, mult):
+    """Each row pi of products extended by one conjugate pair of roots.
+
+    The children of pi are pi * (s - value)^a * (s - conj value)^(mult - a)
+    for a = 0..mult, multiplied in that order as _root_product multiplies
+    the choice [(value, a), (conj value, mult - a)]; they follow pi's row,
+    in the order of a, so the rows stay in itertools.product order.
+    """
+    conj = value.conjugate()
+    children, head = [], products
+    for a in range(mult + 1):
+        child = head
+        for _ in range(mult - a):
+            child = _times_root(child, conj)
+        children.append(child)
+        if a < mult:
+            head = _times_root(head, value)
+    return np.stack(children, axis=1).reshape(-1, products.shape[1] + mult)
 
 
 def _product_rep(rm, pi, sign=1):
@@ -213,29 +261,44 @@ def rep_forms(rep):
     return tuple(BinaryForm([float(c) for c in vec], d) for vec in rep.vectors)
 
 
+def _root_products(rm):
+    """The root products of every choice of roots from the conjugate pairs, as rows.
+
+    Each product takes half of every real root and, from each pair, a
+    copies of the root and m - a of its conjugate; the rows run over the
+    counts a in itertools.product order, one pair a level (_pair_level).
+    """
+    products = _root_product([(value, mult // 2) for value, mult in rm.real_roots])[None]
+    for value, mult in rm.pairs:
+        products = _pair_level(products, value, mult)
+    return products
+
+
 # perfbench counts the equivalent calls made here.  This dedup can go once
 # perfbench no longer wraps equivalent (ROADMAP directions 0 and 1).
-def _dedup(reps):
+def _dedup(reps, vectors):
     """The reps not equivalent to an earlier kept rep, in their order.
 
-    The reps share one basis and one number of squares.  equivalent(a, b)
-    bounds max |G_a - G_b| by EQUIVALENT_TOL * scale, so the traces of a and
-    b differ by at most n * EQUIVALENT_TOL * scale (n the basis size, scale
-    at least 1 and every max |G|).  The kept reps are held sorted by trace,
-    and a rep is compared only with those whose trace lies within twice
-    that bound of its own, the factor 2 absorbing the rounding of the
-    traces.  The traces and the scale are read off one stacked (M, n, n)
-    array of the Gram matrices, summed elementwise as Representation.gram
-    sums them, so they carry gram()'s bits.
+    The reps share one basis and are sums of squares (every sign +1);
+    vectors[m] holds the vectors of reps[m] as an (M, k, n) array.  The
+    Gram matrices are stacked once, as one (M, n, n) array summed
+    elementwise as Representation.gram sums them, so each carries gram()'s
+    bits, and each rep is handed its matrix for the scan: equivalent then
+    reads it instead of building two per call.  equivalent(a, b) bounds
+    max |G_a - G_b| by EQUIVALENT_TOL * scale, so the traces of a and b
+    differ by at most n * EQUIVALENT_TOL * scale (scale at least 1 and
+    every max |G|).  The kept reps are held sorted by trace, and a rep is
+    compared only with those whose trace lies within twice that bound of
+    its own, the factor 2 absorbing the rounding of the traces.
     """
-    vectors = np.array([rep.vectors for rep in reps], dtype=float)  # (M, k, n)
-    signs = np.array([rep.signs for rep in reps], dtype=float)  # (M, k)
     grams = np.zeros((len(reps),) + vectors.shape[2:] * 2)
-    for v, sign in zip(vectors.transpose(1, 0, 2), signs.T):
-        grams += sign[:, None, None] * v[:, :, None] * v[:, None, :]
+    for v in vectors.transpose(1, 0, 2):
+        grams += v[:, :, None] * v[:, None, :]
     traces = np.trace(grams, axis1=1, axis2=2).tolist()
     scale = max(1.0, float(np.max(np.abs(grams))))
     width = 2.0 * vectors.shape[2] * EQUIVALENT_TOL * scale
+    for rep, G in zip(reps, grams):
+        rep._gram = G
     kept = []
     by_trace, near = [], []  # traces of the kept reps, sorted; the reps in that order
     for rep, trace in zip(reps, traces):
@@ -246,6 +309,8 @@ def _dedup(reps):
             by_trace.insert(at, trace)
             near.insert(at, rep)
             kept.append(rep)
+    for rep in reps:
+        rep._gram = None
     return kept
 
 
@@ -255,20 +320,19 @@ def enumerate_two_squares(f, rm=None):
     rm is the root multiset of f as roots(f) gives it, when the caller
     already holds it; it is computed here otherwise.
 
-    Returns Representations over the basis s^i t^(d-i) with two vectors
-    (p, q) each, deduplicated by the canonical Gram matrix.  Multiplicities
-    are enumerated exhaustively, so the count is exact for simple complex
-    roots (2^(#pairs - 1)) and a complete dedup otherwise.  The M =
-    prod (m_j + 1) root products are built as a prefix tree, one pair a
-    level, in itertools.product order of the counts: each product extends
-    its parent's by the m_j roots of one pair, so simple pairs cost about 2M
-    np.convolve calls in all instead of M * #pairs, and each product has
-    the bits of one built from scratch.  The
-    dedup keeps the first of each class: each choice meets equivalent only
-    for the kept reps whose Gram trace lies within 2 (d + 1) EQUIVALENT_TOL
-    scale of its own (scale = max(1, largest |Gram entry|)), a window no
-    equivalent pair can leave, so the dedup makes about M calls instead of
-    M^2 / 2.
+    Returns Representations over one shared basis s^i t^(d-i) with two
+    vectors (p, q) each, deduplicated by the canonical Gram matrix.
+    Multiplicities are enumerated exhaustively, so the count is exact for
+    simple complex roots (2^(#pairs - 1)) and a complete dedup otherwise.
+    The M = prod (m_j + 1) root products are the rows of one complex array
+    (_root_products), built one pair a level in itertools.product order of
+    the counts: each level multiplies all rows by the pair's linear factors
+    at once, and each row has the bits of the product built from scratch by
+    np.convolve (_root_product).  The dedup keeps the first of
+    each class: each choice meets equivalent only for the kept reps whose
+    Gram trace lies within 2 (d + 1) EQUIVALENT_TOL scale of its own
+    (scale = max(1, largest |Gram entry|)), a window no equivalent pair can
+    leave, so the dedup makes about M calls instead of M^2 / 2.
 
     Raises NotNonnegative when f is not nonnegative.
     """
@@ -278,14 +342,16 @@ def enumerate_two_squares(f, rm=None):
         rm = roots(f)
     if not _nonnegative(rm):
         raise NotNonnegative("the form takes negative values")
-    products = [_root_product([(value, mult // 2) for value, mult in rm.real_roots])]
-    for value, mult in rm.pairs:
-        products = [
-            _root_product([(value, a), (value.conjugate(), mult - a)], pi)
-            for pi in products
-            for a in range(mult + 1)
-        ]
-    return _dedup([_product_rep(rm, pi) for pi in products])
+    d = rm.degree // 2
+    # t^(inf_mult/2) fills the top slots, as in _product_rep
+    coeffs = _homogenize(np.sqrt(abs(rm.lead)) * _root_products(rm), d)
+    vectors = np.stack([coeffs.real, coeffs.imag], axis=1)  # (M, 2, d + 1)
+    basis = rnc_basis(d)
+    reps = [
+        Representation(basis=basis, vectors=pq, signs=[1, 1], exact=False)
+        for pq in vectors.tolist()
+    ]
+    return _dedup(reps, vectors)
 
 
 @dataclass
@@ -324,10 +390,13 @@ def enumerate_rank_two(rm):
     definite Gram, psd for positive leading scale; also when they are equal
     and real, f = u^2) or both are real and distinct (an indefinite Gram).
     For a squarefree form of degree 2d this yields binom(2d, d)/2 classes.
+
+    The splits are the rows of one integer array in increasing order
+    (_bounded_vectors); a row is kept when its complement is not smaller,
+    and conjugation-stability is read off by comparing whole rows.
     """
     if rm.degree % 2 == 1:
         raise ValueError("balanced splits need even degree")
-    d = rm.degree // 2
     entries = rm.entries()
     nent = len(entries)
     # conjugation as a permutation of entry indices: infinity and the real
@@ -336,29 +405,31 @@ def enumerate_rank_two(rm):
     conj = list(range(fixed))
     for i in range(fixed, nent, 2):
         conj += [i + 1, i]
-    mults = [m for _, m in entries]
-    classes = []
-    counts = {"complex": 0, "real": 0, "psd": 0, "indefinite": 0, "nsd": 0}
-    for vec in _bounded_vectors(mults, d):
-        comp = tuple(m - v for m, v in zip(mults, vec))
-        if comp < vec:
-            continue  # the split came first as comp, and was kept there
-        conj_vec = tuple(vec[conj[i]] for i in range(nent))
-        if conj_vec == comp:
-            # conjugate factors, or f = u^2 when they are also real
-            kind = "psd" if rm.lead > 0 else "nsd"
-        elif conj_vec == vec:
-            # both factors real: a difference of squares
-            kind = "indefinite"
-        else:
-            kind = "complex"
-        side_a = tuple((i, v) for i, v in enumerate(vec) if v)
-        side_b = tuple((i, v) for i, v in enumerate(comp) if v)
-        classes.append(PairingClass(side_a=side_a, side_b=side_b, kind=kind))
-        counts["complex"] += 1
-        if kind != "complex":
-            counts["real"] += 1
-            counts[kind] += 1
+    mults = np.array([m for _, m in entries], dtype=np.int64)
+    vecs = _bounded_vectors(mults, rm.degree // 2)
+    comps = mults - vecs
+    if nent:
+        # the split came first as its complement when that is smaller: the
+        # first entry where the two differ is larger in the split
+        diff = vecs - comps
+        first = np.argmax(diff != 0, axis=1)
+        keep = diff[np.arange(len(diff)), first] <= 0
+        vecs, comps = vecs[keep], comps[keep]
+    # conjugate factors, or f = u^2 when they are also real
+    stable = np.all(vecs[:, conj] == comps, axis=1)
+    # both factors real: a difference of squares
+    both_real = ~stable & np.all(vecs[:, conj] == vecs, axis=1)
+    kinds = ("complex", "indefinite", "psd" if rm.lead > 0 else "nsd")
+    classes = [
+        PairingClass(side_a=side_a, side_b=side_b, kind=kinds[k])
+        for side_a, side_b, k in zip(
+            _sides(vecs), _sides(comps), (both_real + 2 * stable).tolist()
+        )
+    ]
+    counts = {"complex": len(classes), "real": 0, "psd": 0, "indefinite": 0, "nsd": 0}
+    counts[kinds[2]] = int(np.sum(stable))
+    counts["indefinite"] = int(np.sum(both_real))
+    counts["real"] = counts[kinds[2]] + counts["indefinite"]
     return RankTwoReport(counts=counts, classes=classes)
 
 
@@ -388,10 +459,29 @@ def class_representation(rm, cls):
 
 
 def _bounded_vectors(bounds, total):
-    """All integer vectors 0 <= v_i <= bounds_i with sum(v) = total.
+    """All integer vectors 0 <= v_i <= bounds_i with sum(v) = total, as rows.
 
-    They come in increasing (lexicographic) order, so of a split and its
-    complement the smaller one comes first.
+    The rows are built one entry at a time: each prefix is extended by the
+    values that keep its sum within total and can still reach it with the
+    bounds that follow.  np.nonzero walks the prefixes in order and the
+    values upward, so the rows come in increasing (lexicographic) order, and
+    of a split and its complement the smaller one comes first.
     """
-    ranges = [range(b + 1) for b in bounds]
-    return (v for v in itertools.product(*ranges) if sum(v) == total)
+    vecs = np.zeros((1, 0), dtype=np.int64)
+    sums = np.zeros(1, dtype=np.int64)
+    rest = int(np.sum(bounds))
+    for b in bounds:
+        rest -= b  # what the entries after this one can still add
+        grown = sums[:, None] + np.arange(b + 1)
+        rows, values = np.nonzero((grown <= total) & (grown + rest >= total))
+        vecs = np.column_stack([vecs[rows], values])
+        sums = grown[rows, values]
+    return vecs[sums == total]
+
+
+def _sides(vecs):
+    """Each row of a count array as the tuple of its (entry index, count) with count > 0."""
+    rows, cols = np.nonzero(vecs)
+    pairs = list(zip(cols.tolist(), vecs[rows, cols].tolist()))
+    ends = np.cumsum(np.count_nonzero(vecs, axis=1)).tolist()
+    return [tuple(pairs[lo:hi]) for lo, hi in zip([0] + ends, ends)]

@@ -28,7 +28,7 @@ from .errors import (
     RankTooLarge,
     SystemTooLarge,
 )
-from .gram import extract_representation, inertia, verify_representation
+from .gram import extract_representation, inertias, verify_representation
 from .surfaces import count_warning, expected_counts, genericity_check
 from .tracking import (
     STATUS_CONVERGED,
@@ -492,17 +492,17 @@ def classify(space, classes, complex_count, notes=(), path_stats=None):
     """The CountReport of a form's classes, whatever route found them.
 
     classes lists the real classes as (theta, G, rep) triples; complex_count
-    counts all classes.  Each is labelled by the inertia of G: no negative
-    eigenvalue means a sum of rank squares (a psd class), otherwise a signed
-    mix.  A rep of None is read off a psd G by extract_representation, and
-    every representation is re-verified against the form.  The genericity
+    counts all classes.  Each is labelled by the inertia of G, all of them
+    from one stacked eigvalsh (gram.inertias): no negative eigenvalue means
+    a sum of rank squares (a psd class), otherwise a signed mix.  A rep of
+    None is read off a psd G by extract_representation, and every
+    representation is re-verified against the form.  The genericity
     diagnostics follow the caller's notes, and a warning is attached when
     complex_count falls short of the generic count for the surface.
     """
     counts = {"complex": complex_count, "real": len(classes), "psd": 0, "indefinite": 0}
     entries = []
-    for theta, G, rep in classes:
-        ine = inertia(G)
+    for (theta, G, rep), ine in zip(classes, inertias([G for _, G, _ in classes])):
         psd = ine[1] == 0
         counts["psd" if psd else "indefinite"] += 1
         entry = {"theta": theta, "inertia": ine, "psd": psd}

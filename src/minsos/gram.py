@@ -11,7 +11,7 @@ here by eigendecomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +38,10 @@ def gram_residual(f, basis, G):
 
     Exact (zero for a fiber point) when G is given as rows of rationals,
     float when G is a numpy array.  A coefficient of f outside 2P counts
-    with its full size.
+    with its full size.  The float residual subtracts a TermPoly's
+    coefficients as the floats that TermPoly.float_terms converts once per
+    form; float - Fraction rounds the Fraction to a float first, so the bits
+    are those of subtracting the exact coefficients.
     """
     pairs = basis.pair_map
     exact = not isinstance(G, np.ndarray)
@@ -46,10 +49,12 @@ def gram_residual(f, basis, G):
         diff = [0] * len(pairs.monomials)
         for r, m, a, b in zip(pairs.row, pairs.mult, pairs.a, pairs.b):
             diff[r] += m * G[a][b]
+        terms = f.terms
     else:
         diff = pairs.coefficients(G).tolist()
+        terms = f.float_terms() if isinstance(f, TermPoly) else f.terms
     outside = 0
-    for expo, c in f.terms.items():
+    for expo, c in terms.items():
         r = pairs.index.get(expo)
         if r is None:
             outside = max(outside, abs(c))
@@ -212,23 +217,43 @@ def build_gram_space(f, spec):
 def inertia(G):
     """(nPlus, nMinus, nZero) eigenvalue counts of a real symmetric matrix.
 
-    An eigenvalue counts as zero within RANK_TOL of the spectral radius.
+    The one-matrix call of inertias.
     """
     G = np.asarray(G)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+    if G.ndim != 2:
         raise NonSymmetric("inertia needs a square matrix")
-    if np.iscomplexobj(G):
-        if np.max(np.abs(G.imag)) > 0:
+    return inertias(G[None])[0]
+
+
+def inertias(Gs):
+    """The (nPlus, nMinus, nZero) eigenvalue counts of each matrix of a stack.
+
+    Gs is a sequence of real symmetric matrices of one size, or an
+    (N, n, n) array; one stacked eigvalsh solves them all.  An eigenvalue
+    counts as zero within RANK_TOL of its matrix's spectral radius.  Raises
+    NonSymmetric when the matrices are not square, hold a nonzero imaginary
+    part, or one differs from its transpose by more than 1e-12 of its
+    largest entry.
+    """
+    if len(Gs) == 0:
+        return []
+    Gs = np.asarray(Gs)
+    if Gs.ndim != 3 or Gs.shape[1] != Gs.shape[2]:
+        raise NonSymmetric("inertia needs a square matrix")
+    if np.iscomplexobj(Gs):
+        if np.max(np.abs(Gs.imag)) > 0:
             raise NonSymmetric("inertia is defined for real symmetric matrices")
-        G = G.real
-    scale = max(1e-300, float(np.max(np.abs(G))))
-    if np.max(np.abs(G - G.T)) > 1e-12 * scale:
+        Gs = Gs.real
+    Gt = Gs.transpose(0, 2, 1)
+    scale = np.fmax(1e-300, np.max(np.abs(Gs), axis=(1, 2)))
+    if np.any(np.max(np.abs(Gs - Gt), axis=(1, 2)) > 1e-12 * scale):
         raise NonSymmetric("matrix is not symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (G + G.T))
-    smax = max(np.max(np.abs(eigs)), 1e-300)
-    nplus = int(np.sum(eigs > RANK_TOL * smax))
-    nminus = int(np.sum(eigs < -RANK_TOL * smax))
-    return (nplus, nminus, len(eigs) - nplus - nminus)
+    eigs = np.linalg.eigvalsh(0.5 * (Gs + Gt))
+    smax = np.maximum(np.max(np.abs(eigs), axis=1), 1e-300)[:, None]
+    nplus = np.sum(eigs > RANK_TOL * smax, axis=1).tolist()
+    nminus = np.sum(eigs < -RANK_TOL * smax, axis=1).tolist()
+    size = eigs.shape[1]
+    return [(p, m, size - p - m) for p, m in zip(nplus, nminus)]
 
 
 @dataclass
@@ -244,6 +269,9 @@ class Representation:
     vectors: list
     signs: list
     exact: bool = False
+    # the float Gram matrix of the vectors, set by a caller that already
+    # holds it (binary_sos._dedup, for the length of its scan); gram copies it
+    _gram: np.ndarray | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.signs = [int(s) for s in self.signs]
@@ -264,6 +292,8 @@ class Representation:
 
     def gram(self):
         """Canonical Gram matrix (float)."""
+        if self._gram is not None:
+            return self._gram.copy()
         n = len(self.basis)
         G = np.zeros((n, n))
         for sign, vec in zip(self.signs, self.vectors):

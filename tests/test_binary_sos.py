@@ -159,9 +159,9 @@ def _candidates_and_reps(monkeypatch, f):
     seen = []
     dedup = binary_sos._dedup
 
-    def recording(reps):
+    def recording(reps, vectors):
         seen.append(reps)
-        return dedup(reps)
+        return dedup(reps, vectors)
 
     monkeypatch.setattr(binary_sos, "_dedup", recording)
     reps = enumerate_two_squares(f)
@@ -204,6 +204,51 @@ def test_prefix_tree_products_have_the_bits_of_products_built_from_scratch(monke
         want = binary_sos._conjugate_choice_rep(rm, choice)
         assert np.array(rep.vectors).tobytes() == np.array(want.vectors).tobytes()
         assert rep.signs == want.signs and rep.basis == want.basis
+
+
+@pytest.mark.parametrize(
+    "f",
+    [_Q * _Q * _R * _R, _Q * _Q * _Q * _R, _L * _L * _Q * _R, _L * _L * _R * _R * _R,
+     _L * _L * _Q * _Q * _R * _R, _Q * _Q * _Q * _R * _R, random_nonneg_binary(6, seed=5)],
+    ids=["QQRR", "QQQR", "LLQR", "LLRRR", "LLQQRR", "QQQRR", "generic"],
+)
+def test_product_rows_equal_products_built_from_scratch(f):
+    rm = roots(f)
+    products = binary_sos._root_products(rm)
+    half_real = [(value, mult // 2) for value, mult in rm.real_roots]
+    assign = list(itertools.product(*(range(mult + 1) for _, mult in rm.pairs)))
+    assert len(products) == len(assign)
+    for row, counts in zip(products, assign):
+        choice = list(half_real)
+        for (value, mult), a in zip(rm.pairs, counts):
+            choice += [(value, a), (value.conjugate(), mult - a)]
+        want = binary_sos._root_product(choice)
+        assert np.array_equal(row, want) and row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_equivalent_runs_once_per_duplicate(monkeypatch, d):
+    # k simple pairs give 2^k choices in conjugate twins: the first of each
+    # twin is kept without a call, the second meets it in one call, which
+    # reads the Gram matrices _dedup handed over, with gram()'s bits
+    calls = []
+    real = binary_sos.equivalent
+
+    def counted(rep1, rep2):
+        calls.append(1)
+        for rep in (rep1, rep2):
+            fresh = Representation(rep.basis, rep.vectors, rep.signs).gram()
+            assert rep.gram().tobytes() == fresh.tobytes()
+        return real(rep1, rep2)
+
+    monkeypatch.setattr(binary_sos, "equivalent", counted)
+    for seed in range(3):
+        f = random_nonneg_binary(d, seed=seed)
+        rm = roots(f)
+        assert [m for _, m in rm.pairs] == [1] * d and rm.real_roots == []
+        calls.clear()
+        assert len(enumerate_two_squares(f)) == 2 ** (d - 1)
+        assert len(calls) == 2 ** (d - 1)
 
 
 def test_two_squares_at_degree_ten_calls_equivalent_at_most_once_a_choice(monkeypatch):
@@ -349,6 +394,75 @@ def _rank_two_by_seen_set(rm):
 def test_rank_two_classes_are_those_a_seen_set_keeps(f):
     rm = roots(f)
     assert enumerate_rank_two(rm).to_json() == _rank_two_by_seen_set(rm)
+
+
+def _rank_two_by_product_filter(rm):
+    """enumerate_rank_two as a filter of itertools.product: (counts, classes)."""
+    d = rm.degree // 2
+    entries = rm.entries()
+    fixed = len(entries) - 2 * len(rm.pairs)
+    conj = list(range(fixed))
+    for i in range(fixed, len(entries), 2):
+        conj += [i + 1, i]
+    mults = [m for _, m in entries]
+    classes = []
+    counts = {"complex": 0, "real": 0, "psd": 0, "indefinite": 0, "nsd": 0}
+    for vec in itertools.product(*(range(m + 1) for m in mults)):
+        comp = tuple(m - v for m, v in zip(mults, vec))
+        if sum(vec) != d or comp < vec:
+            continue
+        conj_vec = tuple(vec[conj[i]] for i in range(len(entries)))
+        if conj_vec == comp:
+            kind = "psd" if rm.lead > 0 else "nsd"
+        elif conj_vec == vec:
+            kind = "indefinite"
+        else:
+            kind = "complex"
+        side_a = tuple((i, v) for i, v in enumerate(vec) if v)
+        side_b = tuple((i, v) for i, v in enumerate(comp) if v)
+        classes.append((side_a, side_b, kind))
+        counts["complex"] += 1
+        if kind != "complex":
+            counts["real"] += 1
+            counts[kind] += 1
+    return counts, classes
+
+
+def _reduced_cone_forms():
+    from minsos.cones import split
+    from minsos.sampling import random_positive_form
+    from minsos.surfaces import cone_rnc
+
+    out = []
+    for d in range(3, 7):
+        spec = cone_rnc(d)
+        out += [split(random_positive_form(spec, seed=seed), spec)[2] for seed in range(3)]
+    return out
+
+
+_T = BinaryForm([1, 0], 1)  # t, a root at infinity
+
+
+@pytest.mark.parametrize(
+    "f",
+    _reduced_cone_forms() + [
+        BinaryForm([3], 0), _Q, _L * _L, BinaryForm([-1, 0, 1], 2) * BinaryForm([1, -2, 1], 2),
+        _T * _T * _Q, _T * _L * _Q, _Q * _Q * _Q * _R, _Q.scale(-1) * _R,
+    ],
+    ids=["cone%d-seed%d" % (d, seed) for d in range(3, 7) for seed in range(3)] + [
+        "constant", "s2+t2", "(s-3t)^2", "(s-t)^2(s^2-t^2)", "inf-double", "inf-simple",
+        "pair-cubed", "negative",
+    ],
+)
+def test_rank_two_matches_the_product_filter_class_by_class(f):
+    rm = roots(f)
+    report = enumerate_rank_two(rm)
+    counts, classes = _rank_two_by_product_filter(rm)
+    assert list(report.counts.items()) == list(counts.items())
+    assert len(report.classes) == len(classes)
+    for got, (side_a, side_b, kind) in zip(report.classes, classes):
+        assert (got.side_a, got.side_b, got.kind) == (side_a, side_b, kind)
+        assert all(type(x) is int for pair in got.side_a + got.side_b for x in pair)
 
 
 def test_rank_two_census_json():

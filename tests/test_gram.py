@@ -12,15 +12,17 @@ import numpy as np
 import pytest
 
 from minsos.biform import TermPoly
-from minsos.errors import DimensionMismatch, NotInFiber
+from minsos.errors import DimensionMismatch, NonSymmetric, NotInFiber
 from minsos.factorization import prism_gram_space
 from minsos.gram import (
+    RANK_TOL,
     Representation,
     build_gram_space,
     equivalent,
     extract_representation,
     gram_residual,
     inertia,
+    inertias,
     kernel_pairs,
     solve_affine,
     verify_representation,
@@ -290,6 +292,51 @@ def test_inertia_scales_with_matrix():
     G = np.diag([1e12, 1e-20, -1e12])
     # 1e-20 is numerically zero relative to the spectral radius
     assert inertia(G) == (1, 1, 1)
+
+
+def _symmetric_stack(rng):
+    """Random symmetric matrices, rank-deficient ones, and ones with
+    eigenvalues within a factor 2 of RANK_TOL times the spectral radius."""
+    mats = []
+    for n in (3, 5, 8):
+        for _ in range(4):
+            A = rng.standard_normal((n, n))
+            mats.append(A + A.T)
+        for rank in (1, n // 2, n - 1):
+            B = rng.standard_normal((n, rank))
+            mats.append(B @ np.diag(rng.choice([-1.0, 1.0], rank)) @ B.T)
+        for _ in range(4):
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            eigs = rng.choice([-1.0, 1.0], n) * RANK_TOL * rng.uniform(0.5, 2.0, n)
+            eigs[0] = 1.0
+            mats.append((Q * eigs) @ Q.T)
+    return mats
+
+
+def test_stacked_inertia_equals_inertia_matrix_by_matrix():
+    rng = np.random.default_rng(7)
+    mats = _symmetric_stack(rng)
+    for n in (3, 5, 8):
+        stack = [G for G in mats if len(G) == n]
+        assert inertias(stack) == [inertia(G) for G in stack]
+        assert inertias(np.array(stack)) == inertias(stack)
+    near = [inertia(G) for G in mats if len(G) == 8][-4:]
+    assert len({ine[2] for ine in near}) > 1  # the threshold cases straddle RANK_TOL
+    assert inertias([]) == []
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.ones((2, 3)), np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[1.0, 1j], [-1j, 1.0]])],
+    ids=["non-square", "asymmetric", "complex"],
+)
+def test_inertia_and_stacked_inertia_reject_the_same_matrices(bad):
+    with pytest.raises(NonSymmetric):
+        inertia(bad)
+    with pytest.raises(NonSymmetric):
+        inertias([np.zeros(bad.shape), bad])
+    real = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
+    assert inertia(real) == inertias([real])[0] == (2, 0, 0)
 
 
 # ------------------------------------------------------------ representations
