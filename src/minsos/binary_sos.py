@@ -21,7 +21,9 @@ that stack and hands each Representation its matrix, so equivalent does not
 rebuild two per call.  The census of balanced splits (enumerate_rank_two)
 builds the splits as the rows of one integer array, in increasing order,
 and keeps each one that is not larger than its complement by array
-compares.
+compares; its report keeps those arrays.  real_class_vectors multiplies
+out the factors of all real classes with the same multiply-add, each row
+with the bits of its class built alone.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .biform import BinaryForm, real_root_count, squarefree_parts
 from .errors import NotNonnegative
-from .gram import EQUIVALENT_TOL, Representation, equivalent
+from .gram import EQUIVALENT_TOL, Representation, equivalent, gram_stack
 from .surfaces import MonomialBasis
 
 PAIR_TOL = 1e-8  # a root is real when |Im| is at most this, relative to the largest root
@@ -166,15 +168,6 @@ def _homogenize(poly_desc, deg):
     return coeffs
 
 
-def _representation_from_pq(p_coeffs, q_coeffs, d, signs=(1, 1)):
-    basis = rnc_basis(d)
-    vectors = [
-        [float(c) for c in p_coeffs],
-        [float(c) for c in q_coeffs],
-    ]
-    return Representation(basis=basis, vectors=vectors, signs=list(signs), exact=False)
-
-
 def _root_product(choice):
     """prod (s - root)^count over (root, count), descending s-coefficients.
 
@@ -237,22 +230,18 @@ def _pair_level(products, value, mult):
     return np.stack(children, axis=1).reshape(-1, products.shape[1] + mult)
 
 
-def _product_rep(rm, pi, sign=1):
-    """The representation sign * (p^2 + q^2) with p + i q = sqrt|lead| * pi.
+def _conjugate_choice_rep(rm, choice):
+    """The representation p^2 + q^2 with p + i q = sqrt|lead| * pi.
 
-    pi is a root product (descending s-coefficients) that takes half of
+    pi is the root product of a choice of (root, count) that takes half of
     every real root and, from each conjugate pair, counts summing to the
     pair's multiplicity, so that |lead| * pi * conj(pi) = |f|.
     """
     d = rm.degree // 2
     # t^(inf_mult/2) fills the top slots
-    coeffs = _homogenize(np.sqrt(abs(rm.lead)) * pi, d)
-    return _representation_from_pq(coeffs.real, coeffs.imag, d, signs=(sign, sign))
-
-
-def _conjugate_choice_rep(rm, choice, sign=1):
-    """_product_rep of the root product of a choice of (root, count)."""
-    return _product_rep(rm, _root_product(choice), sign)
+    coeffs = _homogenize(np.sqrt(abs(rm.lead)) * _root_product(choice), d)
+    vectors = [[float(c) for c in coeffs.real], [float(c) for c in coeffs.imag]]
+    return Representation(basis=rnc_basis(d), vectors=vectors, signs=[1, 1])
 
 
 def rep_forms(rep):
@@ -291,9 +280,7 @@ def _dedup(reps, vectors):
     compared only with those whose trace lies within twice that bound of
     its own, the factor 2 absorbing the rounding of the traces.
     """
-    grams = np.zeros((len(reps),) + vectors.shape[2:] * 2)
-    for v in vectors.transpose(1, 0, 2):
-        grams += v[:, :, None] * v[:, None, :]
+    grams = gram_stack(vectors, np.ones(vectors.shape[:2]))
     traces = np.trace(grams, axis1=1, axis2=2).tolist()
     scale = max(1.0, float(np.max(np.abs(grams))))
     width = 2.0 * vectors.shape[2] * EQUIVALENT_TOL * scale
@@ -343,7 +330,7 @@ def enumerate_two_squares(f, rm=None):
     if not _nonnegative(rm):
         raise NotNonnegative("the form takes negative values")
     d = rm.degree // 2
-    # t^(inf_mult/2) fills the top slots, as in _product_rep
+    # t^(inf_mult/2) fills the top slots, as in _conjugate_choice_rep
     coeffs = _homogenize(np.sqrt(abs(rm.lead)) * _root_products(rm), d)
     vectors = np.stack([coeffs.real, coeffs.imag], axis=1)  # (M, 2, d + 1)
     basis = rnc_basis(d)
@@ -363,12 +350,29 @@ class PairingClass:
     kind: str  # "psd", "indefinite", "nsd", or "complex"
 
 
-@dataclass
+@dataclass(eq=False)
 class RankTwoReport:
-    """Census of all rank <= 2 factorizations f = u * v with deg u = deg v."""
+    """Census of all rank <= 2 factorizations f = u * v with deg u = deg v.
+
+    Row c of side_a (side_b) counts the roots of each entry in one factor
+    (the other), and kind[c] indexes kinds: "complex", "indefinite", then
+    "psd" or "nsd".  classes builds one PairingClass a row when read.
+    """
 
     counts: dict
-    classes: list
+    side_a: np.ndarray
+    side_b: np.ndarray
+    kind: np.ndarray
+    kinds: tuple
+
+    @property
+    def classes(self):
+        return [
+            PairingClass(side_a=side_a, side_b=side_b, kind=self.kinds[k])
+            for side_a, side_b, k in zip(
+                _sides(self.side_a), _sides(self.side_b), self.kind.tolist()
+            )
+        ]
 
     def to_json(self):
         return {
@@ -420,42 +424,51 @@ def enumerate_rank_two(rm):
     # both factors real: a difference of squares
     both_real = ~stable & np.all(vecs[:, conj] == vecs, axis=1)
     kinds = ("complex", "indefinite", "psd" if rm.lead > 0 else "nsd")
-    classes = [
-        PairingClass(side_a=side_a, side_b=side_b, kind=kinds[k])
-        for side_a, side_b, k in zip(
-            _sides(vecs), _sides(comps), (both_real + 2 * stable).tolist()
-        )
-    ]
-    counts = {"complex": len(classes), "real": 0, "psd": 0, "indefinite": 0, "nsd": 0}
+    kind = both_real + 2 * stable
+    counts = {"complex": len(vecs), "real": 0, "psd": 0, "indefinite": 0, "nsd": 0}
     counts[kinds[2]] = int(np.sum(stable))
     counts["indefinite"] = int(np.sum(both_real))
     counts["real"] = counts[kinds[2]] + counts["indefinite"]
-    return RankTwoReport(counts=counts, classes=classes)
+    return RankTwoReport(counts=counts, side_a=vecs, side_b=comps, kind=kind, kinds=kinds)
 
 
-def class_representation(rm, cls):
-    """Signed rank <= 2 representation realizing a real pairing class.
+def real_class_vectors(rm, census):
+    """The signed vectors of every real class of a census, stacked.
 
-    rm is the root multiset that the class indexes.  Conjugate classes give
-    f = p^2 + q^2 (or the negative for nsd); both-real classes give the
-    difference of squares f = ((u+v)/2)^2 - ((u-v)/2)^2 built from the two
-    real factors u, v.
+    rm is the root multiset that the census indexes.  Returns (C, 2, d + 1)
+    vectors, the pair (p, q) over s^i t^(d-i) of each real class in census
+    order, and their (C, 2) signs.  A conjugate class gives f = p^2 + q^2
+    (or its negative, nsd) with p + i q = sqrt|lead| * pi_a; a both-real
+    class gives f = ((u+v)/2)^2 - ((u-v)/2)^2 with u = lead * pi_a and
+    v = pi_b, pi the root products of the two factors.  These are the rows
+    of one array, right-aligned in d + 1 slots and multiplied out entry by
+    entry with _times_root, so each has the bits of _root_product's.
     """
-    if cls.kind == "complex":
-        raise ValueError("only conjugation-stable classes have real Gram points")
-    entries = rm.entries()
-
-    def side(pairs):
-        return [(entries[idx][0], count) for idx, count in pairs]
-
-    if cls.kind in ("psd", "nsd"):
-        sign = 1 if cls.kind == "psd" else -1
-        return _conjugate_choice_rep(rm, side(cls.side_a), sign)
     d = rm.degree // 2
-    u = _homogenize(rm.lead * _root_product(side(cls.side_a)), d)
-    v = _homogenize(_root_product(side(cls.side_b)), d)
-    p, q = ((u + v) / 2.0).real, ((u - v) / 2.0).real
-    return _representation_from_pq(p, q, d, signs=(1, -1))
+    real = census.kind > 0
+    conj = census.kind[real] == 2
+    side_a, side_b = census.side_a[real], census.side_b[real]
+    factors = np.concatenate([side_a[conj], side_a[~conj], side_b[~conj]])
+    products = np.zeros((len(factors), d + 1), dtype=complex)
+    products[:, -1] = 1.0
+    for e, (root, _) in enumerate(rm.entries()):
+        if root == "inf":
+            continue
+        for level in range(np.max(factors[:, e], initial=0)):
+            at = factors[:, e] > level
+            # a zero slot leads each row, so the product keeps d + 1 slots
+            products[at] = _times_root(products[at], root)[:, 1:]
+    products = products[:, ::-1]  # ascending, as _homogenize writes them
+    npsd = int(np.sum(conj))
+    pi, (u, v) = np.sqrt(abs(rm.lead)) * products[:npsd], np.split(products[npsd:], 2)
+    u = rm.lead * u
+    vectors = np.zeros((len(conj), 2, d + 1))
+    vectors[conj] = np.stack([pi.real, pi.imag], axis=1)
+    vectors[~conj] = np.stack([((u + v) / 2.0).real, ((u - v) / 2.0).real], axis=1)
+    signs = np.ones((len(conj), 2), dtype=np.int64)
+    signs[conj] = 1 if rm.lead > 0 else -1
+    signs[~conj, 1] = -1
+    return vectors, signs
 
 
 def _bounded_vectors(bounds, total):

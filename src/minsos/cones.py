@@ -6,22 +6,24 @@ Schur complement g = c - b^2/a = det M / a is a quadratic form on the base.
 Every representation of g lifts to one of f by prepending the square
 (sqrt(a) * apex + b/sqrt(a))^2.  The lift raises the rank by exactly one and
 preserves reality and positive semidefiniteness, so rank-3 points on the
-cone are enumerated through rank-2 points on the curve.
+cone are enumerated through rank-2 points on the curve: all the real
+classes at once, as the rows of arrays, each with the bits of one class.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .binary_sos import class_representation, enumerate_rank_two, roots as binary_roots
-from .enumerator import classify
+from . import enumerator
+from .binary_sos import enumerate_rank_two, real_class_vectors, roots as binary_roots
 from .errors import ApexCoefficientNotPositive, DimensionMismatch, NotAScroll
-# classify certifies the classes, but enumerate_two_squares,
+from .gram import Representation, build_gram_space, gram_stack
+# enumerator.classify certifies the classes, but enumerate_two_squares,
 # verify_representation and genericity_check stay here: perfbench wraps all
 # three at this module, and a missing name raises KeyError under --trace 1
 from .binary_sos import enumerate_two_squares  # noqa: F401
-from .gram import Representation, build_gram_space, verify_representation  # noqa: F401
-from .surfaces import CONE_RNC, cone_rnc, genericity_check, monomial_basis  # noqa: F401
+from .gram import verify_representation  # noqa: F401
+from .surfaces import CONE_RNC, genericity_check  # noqa: F401
 
 
 def _require_cone(spec):
@@ -51,48 +53,52 @@ def split(f, spec):
     return a, m[0, 1], prism.det(m).scale(1 / a)
 
 
-def lift(rep, a, b):
-    """Lift a representation of g = c - b^2/a on the base to one of f.
+def lift(vectors, signs, a, b):
+    """Lift a stack of representations of g = c - b^2/a on the base to f.
 
-    Prepends the square of sqrt(a) * apex + b/sqrt(a) over the cone basis
-    (base block first, apex last) and pushes each base form w to its
-    pullback apex-free form.  Rank increases by exactly one; signs, reality
-    and psd-ness are preserved.  The lift is in floats.
+    vectors is a (C, k, d + 1) array of forms over s^i t^(d-i), signs their
+    (C, k) signs.  Each lift prepends the square of sqrt(a) * apex +
+    b/sqrt(a) over the cone basis (base block first, apex last) and gives
+    each base form a zero apex coefficient: (C, k + 1, d + 2) vectors and
+    (C, k + 1) signs, in floats.  Signs, reality and psd-ness are kept.
     """
-    d = len(rep.basis) - 1
-    if b.deg != d:
-        raise DimensionMismatch("cross term degree %d != base degree %d" % (b.deg, d))
+    count, k, n = vectors.shape
+    if b.deg != n - 1:
+        raise DimensionMismatch("cross term degree %d != base degree %d" % (b.deg, n - 1))
     sqrt_a = float(np.sqrt(float(a)))
-    apex_vec = [float(coeff) / sqrt_a for coeff in b.coeffs] + [sqrt_a]
-    vectors = [[float(c) for c in vec] + [0.0] for vec in rep.vectors]
-    return Representation(
-        basis=monomial_basis(cone_rnc(d)),
-        vectors=[apex_vec] + vectors,
-        signs=[1] + list(rep.signs),
-    )
+    lifted = np.zeros((count, k + 1, n + 1))
+    lifted[:, 0] = [float(coeff) / sqrt_a for coeff in b.coeffs] + [sqrt_a]
+    lifted[:, 1:, :-1] = vectors
+    return lifted, np.column_stack([np.ones(count, dtype=np.int64), signs])
 
 
 def enumerate_cone(f, spec):
     """Classify all rank-3 Gram matrices of f on a cone via apex reduction.
 
     The complex census enumerates balanced factor pairs of the reduced form
-    g; real classes are realized as signed rank <= 2 representations,
-    lifted, and handed to classify with the lifted Gram matrices, which
-    labels them by inertia and re-verifies every representation against f.
-    The psd classes, the conjugate splits, are the two-squares
-    representations of g, lifted; no second census of g runs.
+    g; the real classes are realized as signed rank <= 2 representations,
+    lifted, and handed to classify with their Gram matrices and fiber
+    coordinates, each built as one stack.  classify labels them by inertia
+    and re-verifies every representation against f, reading its Gram matrix
+    from the stack.  The psd classes, the conjugate splits, are the
+    two-squares representations of g, lifted; no second census of g runs.
     """
     _require_cone(spec)
     space = build_gram_space(f, spec)
     a, b, g = split(f, spec)
     rm = binary_roots(g)
     census = enumerate_rank_two(rm)
-    classes = []
-    for cls in census.classes:
-        if cls.kind == "complex":
-            continue
-        lifted = lift(class_representation(rm, cls), a, b)
-        G = lifted.gram()
-        classes.append((space.fiber_coordinates(G), G, lifted))
+    vectors, signs = lift(*real_class_vectors(rm, census), a, b)
+    grams = gram_stack(vectors, signs)
+    reps = [
+        Representation(basis=space.basis, vectors=vecs, signs=s)
+        for vecs, s in zip(vectors.tolist(), signs.tolist())
+    ]
+    for rep, G in zip(reps, grams):
+        rep._gram = G
+    classes = list(zip(space.fiber_coordinates(grams), grams, reps))
     note = "enumerated through the apex reduction to the base curve"
-    return classify(space, classes, census.counts["complex"], notes=[note])
+    report = enumerator.classify(space, classes, census.counts["complex"], notes=[note])
+    for rep in reps:
+        rep._gram = None
+    return report

@@ -128,9 +128,12 @@ class GramSpace:
         return self.G0_f + (self._Q @ (self._Q.T @ diff)).reshape(self.G0_f.shape)
 
     def fiber_coordinates(self, G):
-        """Least-squares theta with G approx G0 + sum theta_i K_i."""
-        diff = (np.asarray(G, dtype=float) - self.G0_f).reshape(-1)
-        return np.linalg.solve(self._R, self._Q.T @ diff)
+        """Least-squares theta with G approx G0 + sum theta_i K_i; a (C, N, N)
+        stack of G gives a (C, k) stack of theta, from one stacked solve."""
+        G = np.asarray(G, dtype=float)
+        diff = (G - self.G0_f).reshape(-1, self.G0_f.size, 1)
+        theta = np.linalg.solve(self._R[None], self._Q.T[None] @ diff)[..., 0]
+        return theta if G.ndim == 3 else theta[0]
 
     def to_json(self):
         """The basis, k, and G0 and the K_i as exact rational matrices."""
@@ -270,7 +273,8 @@ class Representation:
     signs: list
     exact: bool = False
     # the float Gram matrix of the vectors, set by a caller that already
-    # holds it (binary_sos._dedup, for the length of its scan); gram copies it
+    # holds it (binary_sos._dedup, cones.enumerate_cone) while it needs it;
+    # gram copies it
     _gram: np.ndarray | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -313,9 +317,6 @@ class Representation:
                 for b in range(n):
                     G[a][b] += sign * vec[a] * vec[b]
         return G
-
-    def is_psd(self):
-        return all(s == 1 for s in self.signs)
 
     def to_json(self):
         def vec_json(vec):
@@ -360,6 +361,16 @@ class Representation:
             signs=[_integer(s) for s in data["signs"]],
             exact=exact,
         )
+
+
+def gram_stack(vectors, signs):
+    """The canonical Gram matrices of (C, k, n) vectors with (C, k) signs,
+    summed elementwise in Representation.gram's order, so with its bits
+    (a sign of +-1 is exact on either factor of a product)."""
+    grams = np.zeros((len(vectors),) + vectors.shape[2:] * 2)
+    for v, s in zip(vectors.transpose(1, 0, 2), signs.T):
+        grams += (s[:, None] * v)[:, :, None] * v[:, None, :]
+    return grams
 
 
 def extract_representation(space, G):

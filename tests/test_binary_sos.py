@@ -24,9 +24,9 @@ import pytest
 from minsos import binary_sos
 from minsos.binary_sos import (
     _nonnegative,
-    class_representation,
     enumerate_rank_two,
     enumerate_two_squares,
+    real_class_vectors,
     rep_forms,
     rnc_basis,
     roots,
@@ -121,7 +121,7 @@ def test_two_squares_counts_generic_degrees():
         for rep in reps:
             assert verify_representation(f, rep) < 1e-10
             assert rep.nforms == 2
-            assert rep.is_psd()
+            assert rep.signs == [1, 1]
 
 
 def test_two_squares_rejects_indefinite():
@@ -332,11 +332,13 @@ def test_nongeneric_census_hand_counts():
     assert (rm.inf_mult, [m for _, m in rm.real_roots], [m for _, m in rm.pairs]) == (2, [2], [2])
     report = enumerate_rank_two(rm)
     assert report.counts == {"complex": 10, "real": 4, "psd": 2, "indefinite": 2, "nsd": 0}
-    for cls in report.classes:
-        if cls.kind != "complex":
-            rep = class_representation(rm, cls)
-            assert verify_representation(f, rep) < 1e-10
-            assert rep.is_psd() == (cls.kind == "psd")
+    vectors, signs = real_class_vectors(rm, report)
+    real = [cls for cls in report.classes if cls.kind != "complex"]
+    assert len(vectors) == len(real)
+    for vecs, s, cls in zip(vectors.tolist(), signs.tolist(), real):
+        rep = Representation(rnc_basis(4), vecs, s)
+        assert verify_representation(f, rep) < 1e-10
+        assert (rep.signs == [1, 1]) == (cls.kind == "psd")
     # pi = t (s - t) (s - i t)^a (s + i t)^(2-a): a = 0 and a = 2 conjugate,
     # and a = 1 gives the real pi, f = p^2 with q = 0
     reps = enumerate_two_squares(f)
@@ -428,13 +430,13 @@ def _rank_two_by_product_filter(rm):
     return counts, classes
 
 
-def _reduced_cone_forms():
+def _reduced_cone_forms(degrees=range(3, 7)):
     from minsos.cones import split
     from minsos.sampling import random_positive_form
     from minsos.surfaces import cone_rnc
 
     out = []
-    for d in range(3, 7):
+    for d in degrees:
         spec = cone_rnc(d)
         out += [split(random_positive_form(spec, seed=seed), spec)[2] for seed in range(3)]
     return out
@@ -463,6 +465,52 @@ def test_rank_two_matches_the_product_filter_class_by_class(f):
     for got, (side_a, side_b, kind) in zip(report.classes, classes):
         assert (got.side_a, got.side_b, got.kind) == (side_a, side_b, kind)
         assert all(type(x) is int for pair in got.side_a + got.side_b for x in pair)
+
+
+def _class_vectors_one_at_a_time(rm, cls):
+    """(vectors, signs) of one real class, each factor built alone by _root_product."""
+    d = rm.degree // 2
+    entries = rm.entries()
+
+    def side(pairs):
+        return [(entries[idx][0], count) for idx, count in pairs]
+
+    if cls.kind in ("psd", "nsd"):
+        sign = 1 if cls.kind == "psd" else -1
+        return np.array(binary_sos._conjugate_choice_rep(rm, side(cls.side_a)).vectors), [sign] * 2
+    u = binary_sos._homogenize(rm.lead * binary_sos._root_product(side(cls.side_a)), d)
+    v = binary_sos._homogenize(binary_sos._root_product(side(cls.side_b)), d)
+    return np.array([((u + v) / 2.0).real, ((u - v) / 2.0).real]), [1, -1]
+
+
+@pytest.mark.parametrize(
+    "f",
+    _reduced_cone_forms(range(3, 8)) + [
+        _nongeneric(), _T * _T * BinaryForm([1, 1, 1], 2) * BinaryForm([2, 0, 1], 2),
+        _Q * _Q * BinaryForm([4, 0, 1], 2), _L * _L * _Q * _Q, _T * _L * _Q,
+        BinaryForm([-1, 0, 1], 2) * BinaryForm([1, -2, 1], 2), _Q.scale(-1) * _R, BinaryForm([3], 0),
+        BinaryForm([1, 0, -1, 0, 0], 4),
+    ],
+    ids=["cone%d-seed%d" % (d, seed) for d in range(3, 8) for seed in range(3)] + [
+        "nongeneric", "inf-double", "pair-double", "real-double", "inf-simple",
+        "(s-t)^2(s^2-t^2)", "negative", "constant", "negative-inf-double",
+    ],
+)
+def test_real_class_vectors_have_the_bits_of_each_class_built_alone(f):
+    # odd d leaves the indefinite block empty; the root at infinity, the
+    # repeated roots and the negative lead reach the other branches; in
+    # t^2 (t^2 - s^2) the factor u = lead * t * (s - 1) has a t slot that
+    # the lead makes -0, and a zero there must still come out as +0
+    rm = roots(f)
+    report = enumerate_rank_two(rm)
+    vectors, signs = real_class_vectors(rm, report)
+    real = [cls for cls in report.classes if cls.kind != "complex"]
+    assert vectors.shape == (len(real), 2, rm.degree // 2 + 1)
+    assert signs.shape == (len(real), 2)
+    for got, got_signs, cls in zip(vectors, signs.tolist(), real):
+        want, want_signs = _class_vectors_one_at_a_time(rm, cls)
+        assert got.tobytes() == want.tobytes()
+        assert got_signs == want_signs
 
 
 def test_rank_two_census_json():

@@ -117,6 +117,34 @@ def test_cone_enumeration_matches_the_checked_in_report(tmp_path):
     assert out.read_bytes() == (DATA / "enumeration_cone3.json").read_bytes()
 
 
+_CIRCLE = BinaryForm([1, 0, 1], 2)  # s^2 + t^2
+
+
+@pytest.mark.parametrize(
+    "name, g",
+    [
+        # (s^2 + t^2)^2 (s^2 + 4 t^2): a repeated conjugate pair, 5/3/3/0
+        ("repeated_pair", _CIRCLE * _CIRCLE * BinaryForm([4, 0, 1], 2)),
+        # s^2 (s^2 + t^2)^2: a double real root, 4/2/2/0
+        ("double_real", BinaryForm([0, 0, 1], 2) * _CIRCLE * _CIRCLE),
+        # t^2 (s^2 + s t + t^2)(s^2 + 2 t^2): a double root at infinity, 7/3/2/1
+        ("double_inf", BinaryForm([1, 0, 0], 2) * BinaryForm([1, 1, 1], 2) * BinaryForm([2, 0, 1], 2)),
+    ],
+)
+def test_nongeneric_cone_enumeration_matches_the_checked_in_report(tmp_path, name, g):
+    # f = y^2 (g + b^2) + 2 x y b + x^2 with b = s^3 + 2 s^2 t + t^3 reduces
+    # to g on the base curve; the reports were written by `minsos enumerate`
+    # when enumerate_cone still lifted one class at a time
+    b = BinaryForm([1, 0, 2, 1], 3)
+    f = cone_rnc(3).prism.form({(0, 0): g + b * b, (0, 1): b, (1, 1): BinaryForm([1], 0)})
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(f.to_json()))
+    out = tmp_path / "enumeration.json"
+    argv = ["enumerate", str(form_path), "--surface", "cone_rnc(3)", "--json-out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert out.read_bytes() == (DATA / ("enumeration_cone3_%s.json" % name)).read_bytes()
+
+
 @pytest.mark.parametrize(
     "name", ["factor_n1", "factor_heights111", "factor_diag11", "factor_heights21_seed0"]
 )

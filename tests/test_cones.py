@@ -11,6 +11,7 @@ classes, 2^(d-1) of them psd, plus C(d, d/2)/2 indefinite ones for even d.
 """
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ import pytest
 from minsos.biform import BinaryForm, TermPoly
 from minsos.cones import enumerate_cone, lift, split
 from minsos.errors import ApexCoefficientNotPositive, NotAScroll
-from minsos.gram import Representation, verify_representation
-from minsos.binary_sos import enumerate_two_squares, rnc_basis
+from minsos.gram import Representation, build_gram_space, gram_stack, verify_representation
+from minsos.binary_sos import enumerate_rank_two, enumerate_two_squares, real_class_vectors, roots
 from minsos.sampling import random_positive_form
-from minsos.surfaces import cone_rnc, scroll
+from minsos.surfaces import cone_rnc, monomial_basis, scroll
 
 
 def _cone_form(d=2, seed=4):
@@ -87,20 +88,21 @@ def test_split_reduces_to_det_over_the_apex(d, seed):
 # --------------------------------------------------------------------- lift
 
 
+def _stack(reps):
+    """The (C, k, n) vectors and (C, k) signs of representations of one shape."""
+    return np.array([rep.vectors for rep in reps], dtype=float), np.array([rep.signs for rep in reps])
+
+
 def test_lift_exact_when_apex_is_square():
-    # g = (s^2 - 2 t^2)^2 + (3 s t)^2 lifts over a = 4; rational input with
-    # a square apex coefficient still gives a float lift
-    basis = rnc_basis(2)
-    rep = Representation(
-        basis=basis, vectors=[[-2, 0, 1], [0, 3, 0]], signs=[1, 1], exact=True
-    )
+    # g = (s^2 - 2 t^2)^2 + (3 s t)^2 lifts over a = 4, a Fraction: a
+    # square apex coefficient still gives a float lift
     b = BinaryForm([1, 1, 1], 2)
-    lifted = lift(rep, 4, b)
-    assert not lifted.exact
-    assert lifted.nforms == 3
-    assert len(lifted.basis) == 4  # base block plus apex
+    vectors, signs = lift(np.array([[[-2.0, 0, 1], [0, 3, 0]]]), np.array([[1, 1]]), Fraction(4), b)
+    assert vectors.dtype == float
+    assert vectors.shape == (1, 3, 4)  # three forms over the base block plus apex
+    assert signs.tolist() == [[1, 1, 1]]
     # lifted Gram has apex entry a and cross column b
-    G = lifted.gram()
+    G = gram_stack(vectors, signs)[0]
     assert abs(G[3, 3] - 4) < 1e-12
     assert np.max(np.abs(G[:3, 3] - [1, 1, 1])) < 1e-12
 
@@ -111,11 +113,12 @@ def test_lift_verifies_against_cone_form():
     a, b, g = split(f, spec)
     reps = enumerate_two_squares(g)
     assert reps
-    for rep in reps:
-        lifted = lift(rep, a, b)
-        assert lifted.nforms == 3
+    vectors, signs = lift(*_stack(reps), a, b)
+    assert vectors.shape == (len(reps), 3, 4)
+    for vecs, s in zip(vectors.tolist(), signs.tolist()):
+        lifted = Representation(monomial_basis(spec), vecs, s)
         assert verify_representation(f, lifted) < 1e-8 * float(f.max_abs_coeff())
-        assert lifted.is_psd()
+        assert lifted.signs == [1, 1, 1]
 
 
 # ------------------------------------------------------------------- census
@@ -141,7 +144,7 @@ def test_enumerate_cone_entries_verified():
         assert entry["verify_residual"] < 1e-8
         rep = entry["representation"]
         assert rep.nforms == 3
-        assert entry["psd"] == rep.is_psd()
+        assert entry["psd"] == (rep.signs == [1, 1, 1])
         assert entry["psd"] == (entry["inertia"][1] == 0)
 
 
@@ -154,7 +157,7 @@ def test_enumerate_cone_psd_entries_are_the_lifted_two_squares(d, seed):
     spec = cone_rnc(d)
     f = random_positive_form(spec, seed=seed)
     a, b, g = split(f, spec)
-    want = [lift(rep, a, b).gram() for rep in enumerate_two_squares(g)]
+    want = list(gram_stack(*lift(*_stack(enumerate_two_squares(g)), a, b)))
     got = [e["representation"].gram() for e in enumerate_cone(f, spec).entries if e["psd"]]
     assert len(got) == len(want) == 2 ** (d - 1)
     for G in want:
@@ -163,6 +166,26 @@ def test_enumerate_cone_psd_entries_are_the_lifted_two_squares(d, seed):
         assert len(hits) == 1
         got.pop(hits[0])
     assert got == []
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_grams_and_coordinates_have_the_bits_of_each_class_alone(d, seed):
+    # each lifted class's Gram matrix as Representation.gram builds it, and
+    # its theta from its own solve against the fiber's K^T = Q R
+    spec = cone_rnc(d)
+    f = random_positive_form(spec, seed=seed)
+    space = build_gram_space(f, spec)
+    a, b, g = split(f, spec)
+    rm = roots(g)
+    vectors, signs = lift(*real_class_vectors(rm, enumerate_rank_two(rm)), a, b)
+    grams = gram_stack(vectors, signs)
+    thetas = space.fiber_coordinates(grams)
+    assert len(grams) == len(thetas) == 2 ** (d - 1) + (comb(d, d // 2) // 2 if d % 2 == 0 else 0)
+    for vecs, s, G, theta in zip(vectors.tolist(), signs.tolist(), grams, thetas):
+        assert G.tobytes() == Representation(space.basis, vecs, s).gram().tobytes()
+        diff = (G - space.G0_f).reshape(-1)
+        assert theta.tobytes() == np.linalg.solve(space._R, space._Q.T @ diff).tobytes()
 
 
 def test_enumerate_cone_rejects_scroll():

@@ -186,7 +186,7 @@ def test_enumerate_entries_are_verified_rank3():
         assert entry["verify_residual"] <= 1e-8
         rep = entry["representation"]
         assert rep.nforms == 3
-        assert rep.is_psd()
+        assert rep.signs == [1, 1, 1]
         assert entry["inertia"][1] == 0  # no negative eigenvalues
         assert verify_representation(space.form, rep) <= 1e-7
     # indefinite entries carry signature but no certificate
@@ -220,7 +220,7 @@ def test_classify_labels_certifies_and_counts_the_given_classes():
     assert ind_entry["representation"] is given
     assert ind_entry["verify_residual"] == verify_representation(space.form, given) <= 1e-8
     extracted = psd_entry["representation"]
-    assert extracted.nforms == 3 and extracted.is_psd()
+    assert extracted.nforms == 3 and extracted.signs == [1, 1, 1]
     assert psd_entry["verify_residual"] == verify_representation(space.form, extracted) <= 1e-8
 
 

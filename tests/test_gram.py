@@ -392,7 +392,7 @@ def test_representation_gram_and_signs():
     )
     G = rep.gram()
     assert G[0, 0] == 1 and G[1, 1] == -1
-    assert rep.is_psd() is False
+    assert rep.signs == [1, -1]
     assert inertia(G) == (1, 1, 2)  # (positive, negative, zero)
 
 
