@@ -98,7 +98,4 @@ def enumerate_cone(f, spec):
         rep._gram = G
     classes = list(zip(space.fiber_coordinates(grams), grams, reps))
     note = "enumerated through the apex reduction to the base curve"
-    report = enumerator.classify(space, classes, census.counts["complex"], notes=[note])
-    for rep in reps:
-        rep._gram = None
-    return report
+    return enumerator.classify(space, classes, census.counts["complex"], notes=[note])

@@ -128,12 +128,10 @@ class GramSpace:
         return self.G0_f + (self._Q @ (self._Q.T @ diff)).reshape(self.G0_f.shape)
 
     def fiber_coordinates(self, G):
-        """Least-squares theta with G approx G0 + sum theta_i K_i; a (C, N, N)
-        stack of G gives a (C, k) stack of theta, from one stacked solve."""
-        G = np.asarray(G, dtype=float)
-        diff = (G - self.G0_f).reshape(-1, self.G0_f.size, 1)
-        theta = np.linalg.solve(self._R[None], self._Q.T[None] @ diff)[..., 0]
-        return theta if G.ndim == 3 else theta[0]
+        """Least-squares theta with G approx G0 + sum theta_i K_i for each
+        matrix of a (C, N, N) stack: a (C, k) array, from one stacked solve."""
+        diff = (np.asarray(G, dtype=float) - self.G0_f).reshape(-1, self.G0_f.size, 1)
+        return np.linalg.solve(self._R[None], self._Q.T[None] @ diff)[..., 0]
 
     def to_json(self):
         """The basis, k, and G0 and the K_i as exact rational matrices."""
@@ -273,8 +271,8 @@ class Representation:
     signs: list
     exact: bool = False
     # the float Gram matrix of the vectors, set by a caller that already
-    # holds it (binary_sos._dedup, cones.enumerate_cone) while it needs it;
-    # gram copies it
+    # holds it (binary_sos._dedup for its scan, cones.enumerate_cone); gram
+    # copies it
     _gram: np.ndarray | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -246,7 +246,7 @@ def test_gram_at_rejects_wrong_shape():
 def test_fiber_coordinates_roundtrip():
     space = _space(scroll(2, 2))
     theta = np.array([0.5, -1.0, 2.0, 0.0, 1.25, -0.75])
-    got = space.fiber_coordinates(space.gram_at(theta))
+    got = space.fiber_coordinates(space.gram_at(theta)[None])[0]
     assert np.max(np.abs(got - theta)) < 1e-10
 
 
