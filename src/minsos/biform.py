@@ -191,50 +191,8 @@ class BinaryForm:
     def __repr__(self):
         return "BinaryForm(deg=%d, %r)" % (self.deg, self.coeffs)
 
-    def __add__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        if self.deg != other.deg:
-            raise DegreeMismatch("degree mismatch %d vs %d" % (self.deg, other.deg))
-        field = _merge_field(self.field, other.field)
-        return BinaryForm(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.deg, field=field
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        deg = self.deg + other.deg
-        field = _merge_field(self.field, other.field)
-        zero = Fraction(0) if field == RATIONAL else 0j
-        out = [zero] * (deg + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return BinaryForm(out, deg, field=field)
-
     def scale(self, scalar):
         return BinaryForm([c * scalar for c in self.coeffs], self.deg)
-
-    def eval(self, s, t):
-        total = 0
-        sp = 1
-        # t powers descending via one pass of cached powers
-        tp = [1] * (self.deg + 1)
-        for i in range(1, self.deg + 1):
-            tp[i] = tp[i - 1] * t
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                total += c * sp * tp[self.deg - i]
-            sp = sp * s
-        return total
 
     def max_abs_coeff(self):
         return max(abs(c) for c in self.coeffs) if self.coeffs else 0

@@ -13,22 +13,25 @@ the form (biform.squarefree_parts); only the root values are numeric.
 Each part is real, so its non-real roots come out of the real eigen-solver
 as exact conjugates, and roots keeps one of each pair.
 
-enumerate_two_squares builds the products pi of all choices as one complex
-array, one conjugate pair a level: each level multiplies every row by the
-pair's linear factors in a batched two-term multiply-add with the bits of
-np.convolve.  Its dedup stacks every Gram matrix once, reads the traces off
-that stack and hands each Representation its matrix, so equivalent does not
-rebuild two per call.  The census of balanced splits (enumerate_rank_two)
-builds the splits as the rows of one integer array, in increasing order,
-and keeps each one that is not larger than its complement by array
-compares; its report keeps those arrays.  real_class_vectors multiplies
-out the factors of all real classes with the same multiply-add, each row
-with the bits of its class built alone.
+Every root product, pi above or a factor of a balanced split, comes out
+of one builder: _products multiplies out rows of root counts over the
+entries of the root multiset, one root slot for all rows at a time, with
+the bits of np.convolve (_times_root).  enumerate_two_squares hands it the
+count rows of every choice (_choices), in itertools.product order;
+factorization's n = 1 route takes the first of them, the conjugate of
+every pair; real_class_vectors hands it the two sides of the census's
+real classes.  The dedup stacks every Gram matrix once, reads the traces
+off that stack and hands each Representation its matrix, so equivalent
+does not rebuild two per call.  The census of balanced splits
+(enumerate_rank_two) builds the splits as the rows of one integer array,
+in increasing order, and keeps each one that is not larger than its
+complement by array compares; its report keeps those arrays.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,89 +162,71 @@ def _nonnegative(rm):
     )
 
 
-def _homogenize(poly_desc, deg):
-    """Coefficients of s^i t^(deg-i), i = 0..deg, from descending s-poly
-    coefficients (each row of a stack of them); the slots above the
-    s-degree (a power of t) are zero."""
-    coeffs = np.zeros(poly_desc.shape[:-1] + (deg + 1,), dtype=complex)
-    coeffs[..., : poly_desc.shape[-1]] = poly_desc[..., ::-1]
-    return coeffs
+def _times_root(rows, roots):
+    """Each row times (s - its own root), with np.convolve's bits.
 
-
-def _root_product(choice):
-    """prod (s - root)^count over (root, count), descending s-coefficients.
-
-    One np.convolve call a root, in the order of the choice.  The root at
-    infinity is skipped: homogenization supplies its t factors.
+    The rows are descending s-coefficients, right-aligned in a fixed width
+    whose first slot is zero, and roots holds one root a row.
+    np.convolve(row, [1, -root]) forms coefficient k as the complex dot
+    product (BLAS zdotu) of (row[k-1], row[k]) with (-root, 1): four real
+    sums, each started at 0 and added to in that order, then re = rr - ii
+    and im = ri + ir.  This adds the same terms in the same order for all
+    rows at once.  The terms with the 1 are exact, so they round alike
+    whether or not the dot product fuses its multiply-adds; those with the
+    0 would add a zero to a sum that is never -0, and are left out.
     """
-    pi = np.array([1.0 + 0.0j])
-    for root, count in choice:
-        if root == "inf":
-            continue
-        for _ in range(count):
-            pi = np.convolve(pi, np.array([1.0, -root]))
-    return pi
-
-
-def _times_root(products, root):
-    """Each row of products times (s - root), with np.convolve's bits.
-
-    The rows are descending s-coefficients.  np.convolve(row, [1, -root])
-    forms coefficient k as the complex dot product (BLAS zdotu) of
-    (row[k-1], row[k]) with (-root, 1): four real sums, each started at 0
-    and added to in that order, then re = rr - ii and im = ri + ir.  This
-    adds the same terms in the same order for all rows at once.  The terms
-    with the 1 are exact, so they round alike whether or not the dot
-    product fuses its multiply-adds; those with the 0 would add a zero to
-    a sum that is never -0, and are left out.
-    """
-    c = -root
-    a, b = products.real, products.imag
-    rr, ii, ri, ir = np.zeros((4, len(products), products.shape[1] + 1))
-    rr[:, 1:] += a * c.real
-    ii[:, 1:] += b * c.imag
-    ri[:, 1:] += a * c.imag
-    ir[:, 1:] += b * c.real
-    rr[:, :-1] += a
-    ir[:, :-1] += b
-    out = np.empty(rr.shape, dtype=complex)
+    c = -roots[:, None]
+    a, b = rows.real, rows.imag
+    rr, ii, ri, ir = np.zeros((4,) + rows.shape)
+    rr += a * c.real
+    ii += b * c.imag
+    ri += a * c.imag
+    ir += b * c.real
+    rr[:, :-1] += a[:, 1:]
+    ir[:, :-1] += b[:, 1:]
+    out = np.empty(rows.shape, dtype=complex)
     out.real = rr - ii
     out.imag = ri + ir
     return out
 
 
-def _pair_level(products, value, mult):
-    """Each row pi of products extended by one conjugate pair of roots.
+def _products(rm, counts):
+    """The root product of each row of counts over rm.entries(), as rows.
 
-    The children of pi are pi * (s - value)^a * (s - conj value)^(mult - a)
-    for a = 0..mult, multiplied in that order as _root_product multiplies
-    the choice [(value, a), (conj value, mult - a)]; they follow pi's row,
-    in the order of a, so the rows stay in itertools.product order.
+    Row c multiplies (s - root) counts[c, e] times for each finite entry e,
+    in entry order, and t counts[c, e] times for infinity; every row's
+    counts sum to d = rm.degree / 2.  Each row's finite roots are packed to
+    the left of one array, and _times_root multiplies a root slot for all
+    rows at once, leaving a row unchanged past its last root; the slots
+    above its s-degree hold the t-powers.  Returns the (C, d + 1) complex
+    coefficients of s^i t^(d-i).
     """
-    conj = value.conjugate()
-    children, head = [], products
-    for a in range(mult + 1):
-        child = head
-        for _ in range(mult - a):
-            child = _times_root(child, conj)
-        children.append(child)
-        if a < mult:
-            head = _times_root(head, value)
-    return np.stack(children, axis=1).reshape(-1, products.shape[1] + mult)
+    skip = 1 if rm.inf_mult else 0
+    values = np.array([root for root, _ in rm.entries()[skip:]] + [0], dtype=complex)
+    ks = np.sum(counts[:, skip:], axis=1)
+    width = np.max(ks, initial=0)
+    # each row's entries repeated by their counts, then the padding 0 up to width
+    repeats = np.column_stack([counts[:, skip:], width - ks]).ravel()
+    entry = np.repeat(np.tile(np.arange(len(values)), len(counts)), repeats)
+    slots = values[entry].reshape(len(counts), width)
+    products = np.zeros((len(counts), rm.degree // 2 + 1), dtype=complex)
+    products[:, -1] = 1.0
+    for j in range(width):
+        products = np.where((ks > j)[:, None], _times_root(products, slots[:, j]), products)
+    return products[:, ::-1]
 
 
-def _conjugate_choice_rep(rm, choice):
-    """The representation p^2 + q^2 with p + i q = sqrt|lead| * pi.
+def _choices(rm):
+    """The two-squares count rows over rm.entries(), in itertools.product order.
 
-    pi is the root product of a choice of (root, count) that takes half of
-    every real root and, from each conjugate pair, counts summing to the
-    pair's multiplicity, so that |lead| * pi * conj(pi) = |f|.
+    Each row takes half of every real root (infinity included) and, from
+    each conjugate pair of multiplicity m, a copies of the root and m - a
+    of its conjugate, a = 0..m; the first row takes the conjugate of every
+    pair.  Rows are tuples, made one at a time.
     """
-    d = rm.degree // 2
-    # t^(inf_mult/2) fills the top slots
-    coeffs = _homogenize(np.sqrt(abs(rm.lead)) * _root_product(choice), d)
-    vectors = [[float(c) for c in coeffs.real], [float(c) for c in coeffs.imag]]
-    return Representation(basis=rnc_basis(d), vectors=vectors, signs=[1, 1])
+    half = (rm.inf_mult // 2,) * bool(rm.inf_mult) + tuple(m // 2 for _, m in rm.real_roots)
+    for pick in itertools.product(*([(a, m - a) for a in range(m + 1)] for _, m in rm.pairs)):
+        yield half + sum(pick, ())
 
 
 def rep_forms(rep):
@@ -250,28 +235,15 @@ def rep_forms(rep):
     return tuple(BinaryForm([float(c) for c in vec], d) for vec in rep.vectors)
 
 
-def _root_products(rm):
-    """The root products of every choice of roots from the conjugate pairs, as rows.
-
-    Each product takes half of every real root and, from each pair, a
-    copies of the root and m - a of its conjugate; the rows run over the
-    counts a in itertools.product order, one pair a level (_pair_level).
-    """
-    products = _root_product([(value, mult // 2) for value, mult in rm.real_roots])[None]
-    for value, mult in rm.pairs:
-        products = _pair_level(products, value, mult)
-    return products
-
-
 # perfbench counts the equivalent calls made here.  This dedup can go once
 # perfbench no longer wraps equivalent (ROADMAP directions 0 and 1).
 def _dedup(reps, vectors):
     """The reps not equivalent to an earlier kept rep, in their order.
 
     The reps share one basis and are sums of squares (every sign +1);
-    vectors[m] holds the vectors of reps[m] as an (M, k, n) array.  The
-    Gram matrices are stacked once, as one (M, n, n) array summed
-    elementwise as Representation.gram sums them, so each carries gram()'s
+    vectors[m] holds the vectors of reps[m] as an (M, k, n) array, the
+    scaled real and imaginary parts of the rows _products built.  The Gram
+    matrices are stacked once by gram_stack, so each carries gram()'s
     bits, and each rep is handed its matrix for the scan: equivalent then
     reads it instead of building two per call.  equivalent(a, b) bounds
     max |G_a - G_b| by EQUIVALENT_TOL * scale, so the traces of a and b
@@ -311,15 +283,13 @@ def enumerate_two_squares(f, rm=None):
     vectors (p, q) each, deduplicated by the canonical Gram matrix.
     Multiplicities are enumerated exhaustively, so the count is exact for
     simple complex roots (2^(#pairs - 1)) and a complete dedup otherwise.
-    The M = prod (m_j + 1) root products are the rows of one complex array
-    (_root_products), built one pair a level in itertools.product order of
-    the counts: each level multiplies all rows by the pair's linear factors
-    at once, and each row has the bits of the product built from scratch by
-    np.convolve (_root_product).  The dedup keeps the first of
-    each class: each choice meets equivalent only for the kept reps whose
-    Gram trace lies within 2 (d + 1) EQUIVALENT_TOL scale of its own
-    (scale = max(1, largest |Gram entry|)), a window no equivalent pair can
-    leave, so the dedup makes about M calls instead of M^2 / 2.
+    The M = prod (m_j + 1) choices (_choices) are multiplied out by
+    _products as the rows of one complex array, in itertools.product order
+    of the counts.  The dedup keeps the first of each class: each choice
+    meets equivalent only for the kept reps whose Gram trace lies within
+    2 (d + 1) EQUIVALENT_TOL scale of its own (scale = max(1, largest |Gram
+    entry|)), a window no equivalent pair can leave, so the dedup makes
+    about M calls instead of M^2 / 2.
 
     Raises NotNonnegative when f is not nonnegative.
     """
@@ -329,11 +299,10 @@ def enumerate_two_squares(f, rm=None):
         rm = roots(f)
     if not _nonnegative(rm):
         raise NotNonnegative("the form takes negative values")
-    d = rm.degree // 2
-    # t^(inf_mult/2) fills the top slots, as in _conjugate_choice_rep
-    coeffs = _homogenize(np.sqrt(abs(rm.lead)) * _root_products(rm), d)
+    choices = np.array(list(_choices(rm)), dtype=np.int64)
+    coeffs = np.sqrt(abs(rm.lead)) * _products(rm, choices)
     vectors = np.stack([coeffs.real, coeffs.imag], axis=1)  # (M, 2, d + 1)
-    basis = rnc_basis(d)
+    basis = rnc_basis(rm.degree // 2)
     reps = [
         Representation(basis=basis, vectors=pq, signs=[1, 1], exact=False)
         for pq in vectors.tolist()
@@ -440,25 +409,14 @@ def real_class_vectors(rm, census):
     order, and their (C, 2) signs.  A conjugate class gives f = p^2 + q^2
     (or its negative, nsd) with p + i q = sqrt|lead| * pi_a; a both-real
     class gives f = ((u+v)/2)^2 - ((u-v)/2)^2 with u = lead * pi_a and
-    v = pi_b, pi the root products of the two factors.  These are the rows
-    of one array, right-aligned in d + 1 slots and multiplied out entry by
-    entry with _times_root, so each has the bits of _root_product's.
+    v = pi_b, pi the root products of the two factors, all multiplied out
+    by one _products call over the census sides.
     """
     d = rm.degree // 2
     real = census.kind > 0
     conj = census.kind[real] == 2
     side_a, side_b = census.side_a[real], census.side_b[real]
-    factors = np.concatenate([side_a[conj], side_a[~conj], side_b[~conj]])
-    products = np.zeros((len(factors), d + 1), dtype=complex)
-    products[:, -1] = 1.0
-    for e, (root, _) in enumerate(rm.entries()):
-        if root == "inf":
-            continue
-        for level in range(np.max(factors[:, e], initial=0)):
-            at = factors[:, e] > level
-            # a zero slot leads each row, so the product keeps d + 1 slots
-            products[at] = _times_root(products[at], root)[:, 1:]
-    products = products[:, ::-1]  # ascending, as _homogenize writes them
+    products = _products(rm, np.concatenate([side_a[conj], side_a[~conj], side_b[~conj]]))
     npsd = int(np.sum(conj))
     pi, (u, v) = np.sqrt(abs(rm.lead)) * products[:npsd], np.split(products[npsd:], 2)
     u = rm.lead * u

@@ -16,7 +16,8 @@ class outright from the roots of det A, where A drops rank: the branch
 points of the curve f = 0 over P^1.  The Gram route (every other input)
 reaches a psd point by alternating projections or, when their budget runs
 out, Douglas-Rachford reflections.  For n = 1 the roots of the entry give
-two squares instead.
+two squares instead: the first two-squares choice of binary_sos, the
+conjugate of every pair, multiplied out by its one root-product builder.
 Every route ends in one finish, _result, which reads the psd
 representation off as B with n+1 columns and row degrees d_i, and records
 the route in FactorResult.info.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .biform import COMPLEX, BinaryForm, _integer
-from .binary_sos import _conjugate_choice_rep, _nonnegative, rnc_basis, roots
+from .binary_sos import _choices, _nonnegative, _products, rnc_basis, roots
 from .errors import (
     DimensionMismatch,
     IterationBudgetExceeded,
@@ -512,8 +513,10 @@ def _factor_binary(A):
     """n = 1: a sum of two squares of the single entry.
 
     Its columns are p and q with p + i q = sqrt(lead) * (half of each real
-    root) * (the conjugate root of each pair, with full multiplicity).  A
-    zero entry has height 0, as a zero row has for n >= 2.
+    root) * (the conjugate root of each pair, with full multiplicity): the
+    first row of binary_sos._choices, multiplied out by binary_sos._products
+    as enumerate_two_squares multiplies out every row.  A zero entry has
+    height 0, as a zero row has for n >= 2.
     """
     heights = degree_pattern(A)
     form = A.entries[0][0]
@@ -523,6 +526,7 @@ def _factor_binary(A):
     rm = roots(form)
     if not _nonnegative(rm):
         raise NotPSD((None, None, "the form takes negative values"))
-    choice = [(value, mult // 2) for value, mult in rm.real_roots]
-    choice += [(value.conjugate(), mult) for value, mult in rm.pairs]
-    return _result(heights, form, _conjugate_choice_rep(rm, choice), info)
+    choice = np.array([next(_choices(rm))], dtype=np.int64)
+    pi = np.sqrt(abs(rm.lead)) * _products(rm, choice)[0]
+    rep = Representation(rnc_basis(rm.degree // 2), [pi.real.tolist(), pi.imag.tolist()], [1, 1])
+    return _result(heights, form, rep, info)

@@ -296,12 +296,8 @@ class Representation:
         """Canonical Gram matrix (float)."""
         if self._gram is not None:
             return self._gram.copy()
-        n = len(self.basis)
-        G = np.zeros((n, n))
-        for sign, vec in zip(self.signs, self.vectors):
-            v = np.asarray(vec, dtype=float)
-            G += sign * np.outer(v, v)
-        return G
+        vectors = np.asarray(self.vectors, dtype=float).reshape(self.nforms, len(self.basis))
+        return gram_stack(vectors[None], np.array([self.signs]))[0]
 
     def gram_exact(self):
         if not self.exact:
@@ -362,9 +358,12 @@ class Representation:
 
 
 def gram_stack(vectors, signs):
-    """The canonical Gram matrices of (C, k, n) vectors with (C, k) signs,
-    summed elementwise in Representation.gram's order, so with its bits
-    (a sign of +-1 is exact on either factor of a product)."""
+    """The canonical Gram matrices of (C, k, n) vectors with (C, k) signs.
+
+    Each is sum_i sign_i v_i v_i^T, summed elementwise over i in order;
+    Representation.gram is the one-row case, so a stacked matrix has the
+    bits of gram() on its own representation.
+    """
     grams = np.zeros((len(vectors),) + vectors.shape[2:] * 2)
     for v, s in zip(vectors.transpose(1, 0, 2), signs.T):
         grams += (s[:, None] * v)[:, :, None] * v[:, None, :]

@@ -37,6 +37,8 @@ from minsos.factorization import SymMatrixPoly, factor
 from minsos.gram import Representation, equivalent, verify_representation
 from minsos.sampling import random_nonneg_binary
 
+from form_algebra import add, mul
+
 
 def _fixture():
     # (s^2 + t^2)(s^2 + 4 t^2)
@@ -69,7 +71,7 @@ def test_roots_near_the_axis_are_a_pair_when_the_exact_count_says_so():
     assert rm.real_roots == [] and [m for _, m in rm.pairs] == [1]
     assert abs(rm.pairs[0][0] - 1e-9j) < 1e-20
     assert _nonnegative(rm)
-    rm = roots(q * BinaryForm([-1, 0, 1], 2))
+    rm = roots(mul(q, BinaryForm([-1, 0, 1], 2)))
     assert [r for r, _ in rm.real_roots] == [-1, 1] and len(rm.pairs) == 1
 
 
@@ -138,7 +140,7 @@ def test_rep_forms_expand_to_f():
     f = random_nonneg_binary(3, seed=9)
     rep = enumerate_two_squares(f)[0]
     p, q = rep_forms(rep)
-    expanded = p * p + q * q
+    expanded = add(mul(p, p), mul(q, q))
     diff = max(
         abs(complex(a) - complex(b)) for a, b in zip(expanded.coeffs, f.coeffs)
     )
@@ -175,10 +177,10 @@ _L = BinaryForm([-3, 1], 1)  # s - 3 t
 
 
 _SWEEP_FORMS = [random_nonneg_binary(d, seed=s) for d in range(1, 8) for s in (0, 1, 2, 41)] + [
-    _Q * _Q * _R * _R,
-    _L * _L * _Q * _R,
-    _Q * _Q * _R,
-    _L * _L * _R * _R,
+    mul(_Q, _Q, _R, _R),
+    mul(_L, _L, _Q, _R),
+    mul(_Q, _Q, _R),
+    mul(_L, _L, _R, _R),
 ]
 
 
@@ -190,40 +192,98 @@ def test_trace_sweep_keeps_what_the_pairwise_scan_keeps(monkeypatch, f):
     assert all(got is kept for got, kept in zip(reps, want))
 
 
-@pytest.mark.parametrize("f", _SWEEP_FORMS)
-def test_prefix_tree_products_have_the_bits_of_products_built_from_scratch(monkeypatch, f):
-    candidates, _reps = _candidates_and_reps(monkeypatch, f)
-    rm = roots(f)
+def _root_product(choice):
+    """prod (s - root)^count over (root, count), descending s-coefficients.
+
+    The np.convolve reference for binary_sos._products: one np.convolve
+    call a root, in the order of the choice.  The root at infinity is
+    skipped: _homogenize supplies its t factors.
+    """
+    pi = np.array([1.0 + 0.0j])
+    for root, count in choice:
+        if root == "inf":
+            continue
+        for _ in range(count):
+            pi = np.convolve(pi, np.array([1.0, -root]))
+    return pi
+
+
+def _homogenize(pi, d):
+    """Coefficients of s^i t^(d-i), i = 0..d, from descending s-coefficients;
+    the slots above the s-degree (a power of t) are zero."""
+    coeffs = np.zeros(d + 1, dtype=complex)
+    coeffs[: len(pi)] = pi[::-1]
+    return coeffs
+
+
+def _two_squares_choices(rm):
+    """Every two-squares choice of (root, count), in itertools.product order
+    of the counts a taken from each pair: half of each real root, then a
+    copies of each pair's root and m - a of its conjugate."""
     half_real = [(value, mult // 2) for value, mult in rm.real_roots]
-    assign = list(itertools.product(*(range(mult + 1) for _, mult in rm.pairs)))
-    assert len(candidates) == len(assign)
-    for rep, counts in zip(candidates, assign):
+    for counts in itertools.product(*(range(mult + 1) for _, mult in rm.pairs)):
         choice = list(half_real)
         for (value, mult), a in zip(rm.pairs, counts):
             choice += [(value, a), (value.conjugate(), mult - a)]
-        want = binary_sos._conjugate_choice_rep(rm, choice)
-        assert np.array(rep.vectors).tobytes() == np.array(want.vectors).tobytes()
-        assert rep.signs == want.signs and rep.basis == want.basis
+        yield choice
+
+
+def _square_vectors(rm, choice):
+    """(p, q) with p + i q = sqrt|lead| * pi, pi the choice's _root_product."""
+    pi = _homogenize(np.sqrt(abs(rm.lead)) * _root_product(choice), rm.degree // 2)
+    return np.array([pi.real, pi.imag])
+
+
+@pytest.mark.parametrize("f", _SWEEP_FORMS)
+def test_prefix_tree_products_have_the_bits_of_products_built_from_scratch(monkeypatch, f):
+    # The id is older than the one root-product builder: every candidate
+    # that enumerate_two_squares dedups has the bits of its choice built
+    # alone by np.convolve, in itertools.product order
+    candidates, _reps = _candidates_and_reps(monkeypatch, f)
+    rm = roots(f)
+    choices = list(_two_squares_choices(rm))
+    assert len(candidates) == len(choices)
+    for rep, choice in zip(candidates, choices):
+        assert np.array(rep.vectors).tobytes() == _square_vectors(rm, choice).tobytes()
+        assert rep.signs == [1, 1] and rep.basis == rnc_basis(rm.degree // 2)
 
 
 @pytest.mark.parametrize(
     "f",
-    [_Q * _Q * _R * _R, _Q * _Q * _Q * _R, _L * _L * _Q * _R, _L * _L * _R * _R * _R,
-     _L * _L * _Q * _Q * _R * _R, _Q * _Q * _Q * _R * _R, random_nonneg_binary(6, seed=5)],
+    [mul(_Q, _Q, _R, _R), mul(_Q, _Q, _Q, _R), mul(_L, _L, _Q, _R), mul(_L, _L, _R, _R, _R),
+     mul(_L, _L, _Q, _Q, _R, _R), mul(_Q, _Q, _Q, _R, _R), random_nonneg_binary(6, seed=5)],
     ids=["QQRR", "QQQR", "LLQR", "LLRRR", "LLQQRR", "QQQRR", "generic"],
 )
 def test_product_rows_equal_products_built_from_scratch(f):
     rm = roots(f)
-    products = binary_sos._root_products(rm)
-    half_real = [(value, mult // 2) for value, mult in rm.real_roots]
-    assign = list(itertools.product(*(range(mult + 1) for _, mult in rm.pairs)))
-    assert len(products) == len(assign)
-    for row, counts in zip(products, assign):
-        choice = list(half_real)
-        for (value, mult), a in zip(rm.pairs, counts):
-            choice += [(value, a), (value.conjugate(), mult - a)]
-        want = binary_sos._root_product(choice)
+    d = rm.degree // 2
+    products = binary_sos._products(rm, np.array(list(binary_sos._choices(rm))))
+    choices = list(_two_squares_choices(rm))
+    assert products.shape == (len(choices), d + 1)
+    for row, choice in zip(products, choices):
+        want = _homogenize(_root_product(choice), d)
         assert np.array_equal(row, want) and row.tobytes() == want.tobytes()
+
+
+_T = BinaryForm([1, 0], 1)  # t, a root at infinity
+
+
+@pytest.mark.parametrize(
+    "f",
+    [mul(_Q, _Q, BinaryForm([4, 0, 1], 2)), mul(_L, _L, _Q), mul(_T, _T, _R, _Q),
+     BinaryForm([3], 0), mul(_T, _T, _L, _L, _Q, _Q, random_nonneg_binary(4, seed=2))],
+    ids=["repeated-pair", "double-real", "double-inf", "constant", "generic-all-three"],
+)
+def test_factor_columns_have_the_bits_of_the_conjugate_choice_built_alone(f):
+    # factor's n = 1 route takes the conjugate of every pair, with full
+    # multiplicity, and half of each real root, as np.convolve builds it
+    rm = roots(f)
+    choice = [(value, mult // 2) for value, mult in rm.real_roots]
+    choice += [(value.conjugate(), mult) for value, mult in rm.pairs]
+    result = factor(SymMatrixPoly([[f]]))
+    got = np.array([[complex(c).real for c in col.coeffs] for (col,) in result.columns])
+    assert got.tobytes() == _square_vectors(rm, choice).tobytes()
+    assert result.info == {"route": "roots"}
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -277,7 +337,7 @@ def test_a_complex_root_of_multiplicity_three_or_more_is_reported_unpaired(power
     count = power // 2 + 1
     f = _Q
     for _ in range(power - 1):
-        f = f * _Q
+        f = mul(f, _Q)
     rm = roots(f)
     assert rm.pairs == [(1j, power)] and rm.real_roots == [] and rm.inf_mult == 0
     assert _nonnegative(rm)
@@ -317,7 +377,7 @@ def _nongeneric():
     # t^2 (s - t)^2 (s^2 + t^2)^2: a double root at infinity, a double real
     # root and a doubled conjugate pair
     t, s_minus_t, circle = BinaryForm([1, 0, 0], 2), BinaryForm([-1, 1], 1), BinaryForm([1, 0, 1], 2)
-    return t * s_minus_t * s_minus_t * circle * circle
+    return mul(t, s_minus_t, s_minus_t, circle, circle)
 
 
 def test_nongeneric_census_hand_counts():
@@ -387,8 +447,8 @@ def _rank_two_by_seen_set(rm):
 
 @pytest.mark.parametrize(
     "f",
-    [_nongeneric(), _nongeneric() * _R, _Q * _Q * _R * _R, _L * _L * _Q * _R, _Q * _Q * _R,
-     _L * _L * _R * _R, _Q * _Q * _Q, random_nonneg_binary(5, seed=3),
+    [_nongeneric(), mul(_nongeneric(), _R), mul(_Q, _Q, _R, _R), mul(_L, _L, _Q, _R),
+     mul(_Q, _Q, _R), mul(_L, _L, _R, _R), mul(_Q, _Q, _Q), random_nonneg_binary(5, seed=3),
      _nongeneric().scale(-1)],
     ids=["nongeneric", "nongeneric-times-R", "QQRR", "LLQR", "QQR", "LLRR", "QQQ", "generic",
          "negative"],
@@ -442,14 +502,12 @@ def _reduced_cone_forms(degrees=range(3, 7)):
     return out
 
 
-_T = BinaryForm([1, 0], 1)  # t, a root at infinity
-
-
 @pytest.mark.parametrize(
     "f",
     _reduced_cone_forms() + [
-        BinaryForm([3], 0), _Q, _L * _L, BinaryForm([-1, 0, 1], 2) * BinaryForm([1, -2, 1], 2),
-        _T * _T * _Q, _T * _L * _Q, _Q * _Q * _Q * _R, _Q.scale(-1) * _R,
+        BinaryForm([3], 0), _Q, mul(_L, _L),
+        mul(BinaryForm([-1, 0, 1], 2), BinaryForm([1, -2, 1], 2)), mul(_T, _T, _Q), mul(_T, _L, _Q),
+        mul(_Q, _Q, _Q, _R), mul(_Q.scale(-1), _R),
     ],
     ids=["cone%d-seed%d" % (d, seed) for d in range(3, 7) for seed in range(3)] + [
         "constant", "s2+t2", "(s-3t)^2", "(s-t)^2(s^2-t^2)", "inf-double", "inf-simple",
@@ -477,18 +535,19 @@ def _class_vectors_one_at_a_time(rm, cls):
 
     if cls.kind in ("psd", "nsd"):
         sign = 1 if cls.kind == "psd" else -1
-        return np.array(binary_sos._conjugate_choice_rep(rm, side(cls.side_a)).vectors), [sign] * 2
-    u = binary_sos._homogenize(rm.lead * binary_sos._root_product(side(cls.side_a)), d)
-    v = binary_sos._homogenize(binary_sos._root_product(side(cls.side_b)), d)
+        return _square_vectors(rm, side(cls.side_a)), [sign] * 2
+    u = _homogenize(rm.lead * _root_product(side(cls.side_a)), d)
+    v = _homogenize(_root_product(side(cls.side_b)), d)
     return np.array([((u + v) / 2.0).real, ((u - v) / 2.0).real]), [1, -1]
 
 
 @pytest.mark.parametrize(
     "f",
     _reduced_cone_forms(range(3, 8)) + [
-        _nongeneric(), _T * _T * BinaryForm([1, 1, 1], 2) * BinaryForm([2, 0, 1], 2),
-        _Q * _Q * BinaryForm([4, 0, 1], 2), _L * _L * _Q * _Q, _T * _L * _Q,
-        BinaryForm([-1, 0, 1], 2) * BinaryForm([1, -2, 1], 2), _Q.scale(-1) * _R, BinaryForm([3], 0),
+        _nongeneric(), mul(_T, _T, BinaryForm([1, 1, 1], 2), BinaryForm([2, 0, 1], 2)),
+        mul(_Q, _Q, BinaryForm([4, 0, 1], 2)), mul(_L, _L, _Q, _Q), mul(_T, _L, _Q),
+        mul(BinaryForm([-1, 0, 1], 2), BinaryForm([1, -2, 1], 2)), mul(_Q.scale(-1), _R),
+        BinaryForm([3], 0),
         BinaryForm([1, 0, -1, 0, 0], 4),
     ],
     ids=["cone%d-seed%d" % (d, seed) for d in range(3, 8) for seed in range(3)] + [

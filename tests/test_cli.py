@@ -16,6 +16,8 @@ from minsos.gram import build_gram_space, gram_residual
 from minsos.sampling import random_dyad_matrix, random_nonneg_binary, random_positive_form
 from minsos.surfaces import MonomialBasis, cone_rnc, expected_counts, scroll, veronese
 
+from form_algebra import add, mul
+
 # certificates emitted before every residual went through one coefficient map
 DATA = Path(__file__).parent / "data"
 
@@ -124,11 +126,12 @@ _CIRCLE = BinaryForm([1, 0, 1], 2)  # s^2 + t^2
     "name, g",
     [
         # (s^2 + t^2)^2 (s^2 + 4 t^2): a repeated conjugate pair, 5/3/3/0
-        ("repeated_pair", _CIRCLE * _CIRCLE * BinaryForm([4, 0, 1], 2)),
+        ("repeated_pair", mul(_CIRCLE, _CIRCLE, BinaryForm([4, 0, 1], 2))),
         # s^2 (s^2 + t^2)^2: a double real root, 4/2/2/0
-        ("double_real", BinaryForm([0, 0, 1], 2) * _CIRCLE * _CIRCLE),
+        ("double_real", mul(BinaryForm([0, 0, 1], 2), _CIRCLE, _CIRCLE)),
         # t^2 (s^2 + s t + t^2)(s^2 + 2 t^2): a double root at infinity, 7/3/2/1
-        ("double_inf", BinaryForm([1, 0, 0], 2) * BinaryForm([1, 1, 1], 2) * BinaryForm([2, 0, 1], 2)),
+        ("double_inf",
+         mul(BinaryForm([1, 0, 0], 2), BinaryForm([1, 1, 1], 2), BinaryForm([2, 0, 1], 2))),
     ],
 )
 def test_nongeneric_cone_enumeration_matches_the_checked_in_report(tmp_path, name, g):
@@ -136,7 +139,7 @@ def test_nongeneric_cone_enumeration_matches_the_checked_in_report(tmp_path, nam
     # to g on the base curve; the reports were written by `minsos enumerate`
     # when enumerate_cone still lifted one class at a time
     b = BinaryForm([1, 0, 2, 1], 3)
-    f = cone_rnc(3).prism.form({(0, 0): g + b * b, (0, 1): b, (1, 1): BinaryForm([1], 0)})
+    f = cone_rnc(3).prism.form({(0, 0): add(g, mul(b, b)), (0, 1): b, (1, 1): BinaryForm([1], 0)})
     form_path = tmp_path / "form.json"
     form_path.write_text(json.dumps(f.to_json()))
     out = tmp_path / "enumeration.json"
@@ -202,7 +205,7 @@ def test_two_squares_matches_the_checked_in_report(tmp_path, name):
 def test_nearly_meeting_conjugate_pairs_give_two_squares_and_a_factorization(tmp_path):
     # (10^8 s^2 + 10^8 t^2)((10^8 + 1) s^2 + 10^8 t^2) is square-free, but its
     # two pairs of roots lie 5e-9 apart
-    form = BinaryForm([10**8, 0, 10**8]) * BinaryForm([10**8, 0, 10**8 + 1])
+    form = mul(BinaryForm([10**8, 0, 10**8]), BinaryForm([10**8, 0, 10**8 + 1]))
     src = tmp_path / "form.json"
     src.write_text(json.dumps(form.to_json()))
     out = tmp_path / "two_squares.json"

@@ -24,6 +24,8 @@ from minsos.binary_sos import enumerate_rank_two, enumerate_two_squares, real_cl
 from minsos.sampling import random_positive_form
 from minsos.surfaces import cone_rnc, monomial_basis, scroll
 
+from form_algebra import add, mul, sub
+
 
 def _cone_form(d=2, seed=4):
     return random_positive_form(cone_rnc(d), seed=seed)
@@ -45,12 +47,12 @@ def test_split_reconstructs_form_exactly():
         a, b, g = split(f, spec)
         assert a > 0
         assert b.deg == d and g.deg == 2 * d
-        c = g + (b * b).scale(1 / a)
+        c = add(g, mul(b, b).scale(1 / a))
         # rebuild a x^2 t^(2d) + 2 x t^d y b + y^2 c  (apex block is x)
         # the three blocks have distinct xy-degrees, so their terms never meet
         apex = {(0, 2 * d, 2, 0): Fraction(a)}
         t_d = BinaryForm([1] + [0] * d, d)
-        cross = _times_xy((t_d * b).scale(2), x_power=1)
+        cross = _times_xy(mul(t_d, b).scale(2), x_power=1)
         base = _times_xy(c, x_power=0)
         assert TermPoly(4, {**apex, **cross, **base}) == f
 
@@ -82,7 +84,7 @@ def test_split_reduces_to_det_over_the_apex(d, seed):
     f = random_positive_form(spec, seed=seed)
     m = spec.prism.matrix(f)
     a = m[1, 1].coeffs[0]
-    assert split(f, spec)[2] == m[0, 0] - (m[0, 1] * m[0, 1]).scale(1 / a)
+    assert split(f, spec)[2] == sub(m[0, 0], mul(m[0, 1], m[0, 1]).scale(1 / a))
 
 
 # --------------------------------------------------------------------- lift

@@ -28,6 +28,8 @@ from minsos.gram import build_gram_space, inertia
 from minsos.sampling import random_dyad_matrix, random_nonneg_binary, random_positive_form
 from minsos.surfaces import CONE_RNC, cone_rnc, scroll
 
+from form_algebra import evaluate, mul, sub
+
 
 def _coeffs(form):
     return np.array([complex(c).real for c in form.coeffs])
@@ -394,7 +396,7 @@ def test_indefinite_matrix_raises_not_psd_with_witness():
 
 def _entrywise(A, s, t):
     """Reference: A(s, t) entry by entry through BinaryForm.eval."""
-    return np.array([[complex(e.eval(s, t)).real for e in row] for row in A.entries])
+    return np.array([[complex(evaluate(e, s, t)).real for e in row] for row in A.entries])
 
 
 def _with_zero_entry(A):
@@ -449,9 +451,9 @@ def _screen_cases():
         a00 = entries[0][0]
         bump = BinaryForm([1], 0)
         for _ in range(a00.deg):
-            bump = bump * BinaryForm([v, u], 1)
-        peak = a00.eval(u, v) / (u * u + v * v) ** (a00.deg // 2)
-        entries[0][0] = a00 - bump.scale(Fraction(11, 10) * peak)
+            bump = mul(bump, BinaryForm([v, u], 1))
+        peak = evaluate(a00, u, v) / (u * u + v * v) ** (a00.deg // 2)
+        entries[0][0] = sub(a00, bump.scale(Fraction(11, 10) * peak))
         cases.append(SymMatrixPoly(entries))
     return cases
 
@@ -480,7 +482,7 @@ def test_psd_screen_rejects_a_thin_negative_wedge():
     # factor then runs its feasibility budget out (2.7 s) and reports a
     # solver failure where NotPSD is the answer
     thin = BinaryForm([1, Fraction(-1, 50), Fraction(3, 40000)], 2)
-    assert float(thin.eval(1, 0.01)) == pytest.approx(-2.5e-5)
+    assert float(evaluate(thin, 1, 0.01)) == pytest.approx(-2.5e-5)
     with pytest.raises(NotPSD):
         check_psd_on_grid(_diag(thin, BinaryForm([1, 0, 1], 2)))
 

@@ -12,6 +12,8 @@ from minsos.binary_sos import rnc_basis, roots
 from minsos.gram import Representation
 from minsos.surfaces import MonomialBasis
 
+from form_algebra import mul
+
 SETTINGS = settings(max_examples=50, deadline=None)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
@@ -123,7 +125,7 @@ def factored_forms(draw):
     f = BinaryForm([draw(rationals.filter(lambda c: c != 0))] + [0] * m, m)
     for factor, k in factors:
         for _ in range(k):
-            f = f * factor
+            f = mul(f, factor)
     return f, m, factors
 
 
@@ -142,12 +144,12 @@ def test_squarefree_parts_and_roots_report_the_built_multiplicities(drawn):
     for part, k in parts:
         assert squarefree_parts(part) == (0, [(part, 1)])
         for _ in range(k):
-            rebuilt = rebuilt * part
+            rebuilt = mul(rebuilt, part)
     assert rebuilt == f
     # part k is the product of the factors built with multiplicity k
     want = {}
     for factor, k in factors:
-        want[k] = want[k] * factor if k in want else factor
+        want[k] = mul(want[k], factor) if k in want else factor
     assert parts == [(want[k], k) for k in sorted(want)]
     # roots: each factor's roots carry the multiplicity it was built with
     real, pairs = [], []
@@ -182,12 +184,12 @@ def integer_forms(draw):
     f = form(6)
     h = form(3)
     for _ in range(draw(st.integers(0, 3))):
-        f = f * h
+        f = mul(f, h)
     line = BinaryForm([-draw(st.integers(-5, 5)), 1], 1)
     for _ in range(draw(st.integers(0, 3))):
-        f = f * line
+        f = mul(f, line)
     m = draw(st.integers(0, 3))
-    return f * BinaryForm([1] + [0] * m, m)
+    return mul(f, BinaryForm([1] + [0] * m, m))
 
 
 @SETTINGS
