@@ -21,8 +21,8 @@ count rows of every choice (_choices), in itertools.product order;
 factorization's n = 1 route takes the first of them, the conjugate of
 every pair; real_class_vectors hands it the two sides of the census's
 real classes.  The dedup stacks every Gram matrix once, reads the traces
-off that stack and hands each Representation its matrix, so equivalent
-does not rebuild two per call.  The census of balanced splits
+off that stack and compares its rows, so a Representation is built only
+for a kept choice.  The census of balanced splits
 (enumerate_rank_two) builds the splits as the rows of one integer array,
 in increasing order, and keeps each one that is not larger than its
 complement by array compares; its report keeps those arrays.
@@ -237,18 +237,17 @@ def rep_forms(rep):
 
 # perfbench counts the equivalent calls made here.  This dedup can go once
 # perfbench no longer wraps equivalent (ROADMAP directions 0 and 1).
-def _dedup(reps, vectors):
-    """The reps not equivalent to an earlier kept rep, in their order.
+def _dedup(vectors):
+    """The indices of the rows of vectors not equivalent to an earlier kept one.
 
-    The reps share one basis and are sums of squares (every sign +1);
-    vectors[m] holds the vectors of reps[m] as an (M, k, n) array, the
-    scaled real and imaginary parts of the rows _products built.  The Gram
-    matrices are stacked once by gram_stack, so each carries gram()'s
-    bits, and each rep is handed its matrix for the scan: equivalent then
-    reads it instead of building two per call.  equivalent(a, b) bounds
+    vectors is an (M, k, n) array, the vectors of M sums of squares (every
+    sign +1) over one basis: the scaled real and imaginary parts of the
+    rows _products built.  Their Gram matrices are stacked once by
+    gram_stack, so each has the bits of gram() on the Representation of
+    its row, and equivalent compares rows of that stack.  It bounds
     max |G_a - G_b| by EQUIVALENT_TOL * scale, so the traces of a and b
     differ by at most n * EQUIVALENT_TOL * scale (scale at least 1 and
-    every max |G|).  The kept reps are held sorted by trace, and a rep is
+    every max |G|).  The kept rows are held sorted by trace, and a row is
     compared only with those whose trace lies within twice that bound of
     its own, the factor 2 absorbing the rounding of the traces.
     """
@@ -256,20 +255,16 @@ def _dedup(reps, vectors):
     traces = np.trace(grams, axis1=1, axis2=2).tolist()
     scale = max(1.0, float(np.max(np.abs(grams))))
     width = 2.0 * vectors.shape[2] * EQUIVALENT_TOL * scale
-    for rep, G in zip(reps, grams):
-        rep._gram = G
     kept = []
-    by_trace, near = [], []  # traces of the kept reps, sorted; the reps in that order
-    for rep, trace in zip(reps, traces):
+    by_trace, near = [], []  # traces of the kept rows, sorted; the rows in that order
+    for m, trace in enumerate(traces):
         lo = bisect.bisect_left(by_trace, trace - width)
         hi = bisect.bisect_right(by_trace, trace + width)
-        if not any(equivalent(rep, other) for other in near[lo:hi]):
+        if not any(equivalent(grams[m], grams[j]) for j in near[lo:hi]):
             at = bisect.bisect_right(by_trace, trace)
             by_trace.insert(at, trace)
-            near.insert(at, rep)
-            kept.append(rep)
-    for rep in reps:
-        rep._gram = None
+            near.insert(at, m)
+            kept.append(m)
     return kept
 
 
@@ -285,11 +280,11 @@ def enumerate_two_squares(f, rm=None):
     simple complex roots (2^(#pairs - 1)) and a complete dedup otherwise.
     The M = prod (m_j + 1) choices (_choices) are multiplied out by
     _products as the rows of one complex array, in itertools.product order
-    of the counts.  The dedup keeps the first of each class: each choice
-    meets equivalent only for the kept reps whose Gram trace lies within
-    2 (d + 1) EQUIVALENT_TOL scale of its own (scale = max(1, largest |Gram
-    entry|)), a window no equivalent pair can leave, so the dedup makes
-    about M calls instead of M^2 / 2.
+    of the counts.  The dedup keeps the first of each class: each choice's
+    Gram matrix meets equivalent only for the kept ones whose trace lies
+    within 2 (d + 1) EQUIVALENT_TOL scale of its own (scale = max(1, largest
+    |Gram entry|)), a window no equivalent pair can leave, so the dedup
+    makes about M calls instead of M^2 / 2.
 
     Raises NotNonnegative when f is not nonnegative.
     """
@@ -303,20 +298,7 @@ def enumerate_two_squares(f, rm=None):
     coeffs = np.sqrt(abs(rm.lead)) * _products(rm, choices)
     vectors = np.stack([coeffs.real, coeffs.imag], axis=1)  # (M, 2, d + 1)
     basis = rnc_basis(rm.degree // 2)
-    reps = [
-        Representation(basis=basis, vectors=pq, signs=[1, 1], exact=False)
-        for pq in vectors.tolist()
-    ]
-    return _dedup(reps, vectors)
-
-
-@dataclass
-class PairingClass:
-    """One unordered balanced split of the root multiset into two factors."""
-
-    side_a: tuple  # (entry index, count) pairs
-    side_b: tuple
-    kind: str  # "psd", "indefinite", "nsd", or "complex"
+    return [Representation(basis, pq, [1, 1]) for pq in vectors[_dedup(vectors)].tolist()]
 
 
 @dataclass(eq=False)
@@ -325,7 +307,7 @@ class RankTwoReport:
 
     Row c of side_a (side_b) counts the roots of each entry in one factor
     (the other), and kind[c] indexes kinds: "complex", "indefinite", then
-    "psd" or "nsd".  classes builds one PairingClass a row when read.
+    "psd" or "nsd".
     """
 
     counts: dict
@@ -334,21 +316,13 @@ class RankTwoReport:
     kind: np.ndarray
     kinds: tuple
 
-    @property
-    def classes(self):
-        return [
-            PairingClass(side_a=side_a, side_b=side_b, kind=self.kinds[k])
-            for side_a, side_b, k in zip(
-                _sides(self.side_a), _sides(self.side_b), self.kind.tolist()
-            )
-        ]
-
     def to_json(self):
+        sides = zip(_sides(self.side_a), _sides(self.side_b), self.kind.tolist())
         return {
             "counts": dict(self.counts),
             "classes": [
-                {"sideA": list(c.side_a), "sideB": list(c.side_b), "kind": c.kind}
-                for c in self.classes
+                {"sideA": list(a), "sideB": list(b), "kind": self.kinds[k]}
+                for a, b, k in sides
             ],
         }
 

@@ -18,9 +18,9 @@ from . import enumerator
 from .binary_sos import enumerate_rank_two, real_class_vectors, roots as binary_roots
 from .errors import ApexCoefficientNotPositive, DimensionMismatch, NotAScroll
 from .gram import Representation, build_gram_space, gram_stack
-# enumerator.classify certifies the classes, but enumerate_two_squares,
-# verify_representation and genericity_check stay here: perfbench wraps all
-# three at this module, and a missing name raises KeyError under --trace 1
+# nothing here calls enumerate_two_squares, verify_representation or
+# genericity_check, but perfbench wraps all three at this module, and a
+# missing name raises KeyError under --trace 1
 from .binary_sos import enumerate_two_squares  # noqa: F401
 from .gram import verify_representation  # noqa: F401
 from .surfaces import CONE_RNC, genericity_check  # noqa: F401
@@ -78,10 +78,11 @@ def enumerate_cone(f, spec):
     The complex census enumerates balanced factor pairs of the reduced form
     g; the real classes are realized as signed rank <= 2 representations,
     lifted, and handed to classify with their Gram matrices and fiber
-    coordinates, each built as one stack.  classify labels them by inertia
-    and re-verifies every representation against f, reading its Gram matrix
-    from the stack.  The psd classes, the conjugate splits, are the
-    two-squares representations of g, lifted; no second census of g runs.
+    coordinates, each built as one stack; each matrix has the bits of its
+    Representation's gram(), as classify requires.  classify labels them by
+    inertia and re-verifies them all against f from the stack.  The psd
+    classes, the conjugate splits, are the two-squares representations of
+    g, lifted; no second census of g runs.
     """
     _require_cone(spec)
     space = build_gram_space(f, spec)
@@ -90,12 +91,7 @@ def enumerate_cone(f, spec):
     census = enumerate_rank_two(rm)
     vectors, signs = lift(*real_class_vectors(rm, census), a, b)
     grams = gram_stack(vectors, signs)
-    reps = [
-        Representation(basis=space.basis, vectors=vecs, signs=s)
-        for vecs, s in zip(vectors.tolist(), signs.tolist())
-    ]
-    for rep, G in zip(reps, grams):
-        rep._gram = G
+    reps = [Representation(space.basis, v, s) for v, s in zip(vectors.tolist(), signs.tolist())]
     classes = list(zip(space.fiber_coordinates(grams), grams, reps))
     note = "enumerated through the apex reduction to the base curve"
     return enumerator.classify(space, classes, census.counts["complex"], notes=[note])

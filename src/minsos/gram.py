@@ -11,7 +11,7 @@ here by eigendecomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,32 +36,33 @@ EQUIVALENT_TOL = 1e-8
 def gram_residual(f, basis, G):
     """max |coefficient of m^T G m - f| over the monomials of 2P and of f.
 
-    Exact (zero for a fiber point) when G is given as rows of rationals,
-    float when G is a numpy array.  A coefficient of f outside 2P counts
-    with its full size.  The float residual subtracts a TermPoly's
-    coefficients as the floats that TermPoly.float_terms converts once per
-    form; float - Fraction rounds the Fraction to a float first, so the bits
-    are those of subtracting the exact coefficients.
+    Exact (zero for a fiber point) when G is given as rows of rationals.
+    Float for an (N, N) array, and a (C,) array for a (C, N, N) stack,
+    each with the bits of its matrix's own call; a NaN coefficient gives a
+    NaN residual.  A coefficient of f outside 2P counts with its full size.
+    The float residual subtracts f's coefficients rounded to floats, a
+    TermPoly's as TermPoly.float_terms converts them once per form.
     """
     pairs = basis.pair_map
     exact = not isinstance(G, np.ndarray)
-    if exact:
-        diff = [0] * len(pairs.monomials)
-        for r, m, a, b in zip(pairs.row, pairs.mult, pairs.a, pairs.b):
-            diff[r] += m * G[a][b]
-        terms = f.terms
-    else:
-        diff = pairs.coefficients(G).tolist()
-        terms = f.float_terms() if isinstance(f, TermPoly) else f.terms
-    outside = 0
+    terms = f.float_terms() if isinstance(f, TermPoly) and not exact else f.terms
+    want, outside = [0] * len(pairs.monomials), [0]
     for expo, c in terms.items():
         r = pairs.index.get(expo)
         if r is None:
-            outside = max(outside, abs(c))
+            outside.append(abs(c))
         else:
-            diff[r] -= c
-    resid = max([outside] + [abs(v) for v in diff])
-    return resid if exact else float(resid)
+            want[r] = c
+    if exact:
+        diff = [-c for c in want]
+        for r, m, a, b in zip(pairs.row, pairs.mult, pairs.a, pairs.b):
+            diff[r] += m * G[a][b]
+        return max(outside + [abs(v) for v in diff])
+    # complex for a complex binary form; abs(x + 0j) has the bits of abs(x)
+    coeffs = np.array([pairs.coefficients(g) for g in G.reshape((-1,) + G.shape[-2:])])
+    diff = np.abs(coeffs - np.array(want, dtype=complex))
+    resid = np.max(diff, axis=1, initial=float(max(outside)))
+    return resid if G.ndim == 3 else float(resid[0])
 
 
 @dataclass
@@ -261,8 +262,8 @@ def inertias(Gs):
 class Representation:
     """Signed sum of squares f = sum_i sign_i * l_i^2.
 
-    Forms are stored as coefficient vectors over the owning basis (exact
-    rational lists or float arrays).  The canonical Gram matrix
+    Forms are stored as coefficient vectors over the owning basis: floats,
+    or Fractions when exact.  The canonical Gram matrix
     sum_i sign_i v_i v_i^T is the equivalence-class invariant.
     """
 
@@ -270,10 +271,6 @@ class Representation:
     vectors: list
     signs: list
     exact: bool = False
-    # the float Gram matrix of the vectors, set by a caller that already
-    # holds it (binary_sos._dedup for its scan, cones.enumerate_cone); gram
-    # copies it
-    _gram: np.ndarray | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.signs = [int(s) for s in self.signs]
@@ -294,8 +291,6 @@ class Representation:
 
     def gram(self):
         """Canonical Gram matrix (float)."""
-        if self._gram is not None:
-            return self._gram.copy()
         vectors = np.asarray(self.vectors, dtype=float).reshape(self.nforms, len(self.basis))
         return gram_stack(vectors[None], np.array([self.signs]))[0]
 
@@ -362,7 +357,8 @@ def gram_stack(vectors, signs):
 
     Each is sum_i sign_i v_i v_i^T, summed elementwise over i in order;
     Representation.gram is the one-row case, so a stacked matrix has the
-    bits of gram() on its own representation.
+    bits of gram() on the representation of its row; the census compares
+    and verifies the rows of such stacks.
     """
     grams = np.zeros((len(vectors),) + vectors.shape[2:] * 2)
     for v, s in zip(vectors.transpose(1, 0, 2), signs.T):
@@ -420,15 +416,7 @@ def verify_representation(f, rep):
     return gram_residual(f, rep.basis, rep.gram_exact() if rep.exact else rep.gram())
 
 
-def equivalent(rep1, rep2):
-    """Equality of the canonical Gram matrices, within EQUIVALENT_TOL (exact if possible)."""
-    if rep1.basis.monomials != rep2.basis.monomials:
-        return False
-    if rep1.exact and rep2.exact:
-        G1, G2 = rep1.gram_exact(), rep2.gram_exact()
-        return all(
-            G1[a][b] == G2[a][b] for a in range(len(G1)) for b in range(len(G1))
-        )
-    G1, G2 = rep1.gram(), rep2.gram()
+def equivalent(G1, G2):
+    """Whether two float Gram matrices agree within EQUIVALENT_TOL * max(1, every |entry|)."""
     scale = max(1.0, float(np.max(np.abs(G1))), float(np.max(np.abs(G2))))
     return bool(np.max(np.abs(G1 - G2)) <= EQUIVALENT_TOL * scale)

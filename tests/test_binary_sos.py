@@ -110,7 +110,7 @@ def test_two_squares_hand_enumeration():
         ),
     ]
     for target in targets:
-        assert any(equivalent(rep, target) for rep in reps)
+        assert any(equivalent(rep.gram(), target.gram()) for rep in reps)
     for rep in reps:
         assert verify_representation(f, rep) < 1e-10
 
@@ -151,24 +151,26 @@ def _pairwise_dedup(reps):
     """The quadratic keep-first scan that the trace sweep replaces."""
     kept = []
     for rep in reps:
-        if not any(equivalent(rep, other) for other in kept):
+        if not any(equivalent(rep.gram(), other.gram()) for other in kept):
             kept.append(rep)
     return kept
 
 
 def _candidates_and_reps(monkeypatch, f):
-    """The root choices enumerate_two_squares dedups, and what it returns."""
+    """The root choices enumerate_two_squares dedups, each as the
+    Representation of its row of vectors, and what it returns."""
     seen = []
     dedup = binary_sos._dedup
 
-    def recording(reps, vectors):
-        seen.append(reps)
-        return dedup(reps, vectors)
+    def recording(vectors):
+        seen.append(vectors)
+        return dedup(vectors)
 
     monkeypatch.setattr(binary_sos, "_dedup", recording)
     reps = enumerate_two_squares(f)
-    (candidates,) = seen
-    return candidates, reps
+    (vectors,) = seen
+    basis = rnc_basis(vectors.shape[2] - 1)
+    return [Representation(basis, pq, [1, 1]) for pq in vectors.tolist()], reps
 
 
 _Q = BinaryForm([1, 0, 1], 2)  # s^2 + t^2
@@ -189,7 +191,8 @@ def test_trace_sweep_keeps_what_the_pairwise_scan_keeps(monkeypatch, f):
     candidates, reps = _candidates_and_reps(monkeypatch, f)
     want = _pairwise_dedup(candidates)
     assert len(reps) == len(want)
-    assert all(got is kept for got, kept in zip(reps, want))
+    for got, kept in zip(reps, want):
+        assert np.array(got.vectors).tobytes() == np.array(kept.vectors).tobytes()
 
 
 def _root_product(choice):
@@ -290,16 +293,14 @@ def test_factor_columns_have_the_bits_of_the_conjugate_choice_built_alone(f):
 def test_equivalent_runs_once_per_duplicate(monkeypatch, d):
     # k simple pairs give 2^k choices in conjugate twins: the first of each
     # twin is kept without a call, the second meets it in one call, which
-    # reads the Gram matrices _dedup handed over, with gram()'s bits
+    # compares two rows of _dedup's Gram stack, each with the bits of gram()
+    # of the Representation built from its row of vectors
     calls = []
     real = binary_sos.equivalent
 
-    def counted(rep1, rep2):
-        calls.append(1)
-        for rep in (rep1, rep2):
-            fresh = Representation(rep.basis, rep.vectors, rep.signs).gram()
-            assert rep.gram().tobytes() == fresh.tobytes()
-        return real(rep1, rep2)
+    def counted(G1, G2):
+        calls.append((G1.tobytes(), G2.tobytes()))
+        return real(G1, G2)
 
     monkeypatch.setattr(binary_sos, "equivalent", counted)
     for seed in range(3):
@@ -307,8 +308,11 @@ def test_equivalent_runs_once_per_duplicate(monkeypatch, d):
         rm = roots(f)
         assert [m for _, m in rm.pairs] == [1] * d and rm.real_roots == []
         calls.clear()
-        assert len(enumerate_two_squares(f)) == 2 ** (d - 1)
+        candidates, reps = _candidates_and_reps(monkeypatch, f)
+        assert len(reps) == 2 ** (d - 1)
         assert len(calls) == 2 ** (d - 1)
+        grams = {rep.gram().tobytes() for rep in candidates}
+        assert all(G in grams for pair in calls for G in pair)
 
 
 def test_two_squares_at_degree_ten_calls_equivalent_at_most_once_a_choice(monkeypatch):
@@ -393,12 +397,12 @@ def test_nongeneric_census_hand_counts():
     report = enumerate_rank_two(rm)
     assert report.counts == {"complex": 10, "real": 4, "psd": 2, "indefinite": 2, "nsd": 0}
     vectors, signs = real_class_vectors(rm, report)
-    real = [cls for cls in report.classes if cls.kind != "complex"]
+    real = [kind for _, _, kind in _classes(report) if kind != "complex"]
     assert len(vectors) == len(real)
-    for vecs, s, cls in zip(vectors.tolist(), signs.tolist(), real):
+    for vecs, s, kind in zip(vectors.tolist(), signs.tolist(), real):
         rep = Representation(rnc_basis(4), vecs, s)
         assert verify_representation(f, rep) < 1e-10
-        assert (rep.signs == [1, 1]) == (cls.kind == "psd")
+        assert (rep.signs == [1, 1]) == (kind == "psd")
     # pi = t (s - t) (s - i t)^a (s + i t)^(2-a): a = 0 and a = 2 conjugate,
     # and a = 1 gives the real pi, f = p^2 with q = 0
     reps = enumerate_two_squares(f)
@@ -456,6 +460,12 @@ def _rank_two_by_seen_set(rm):
 def test_rank_two_classes_are_those_a_seen_set_keeps(f):
     rm = roots(f)
     assert enumerate_rank_two(rm).to_json() == _rank_two_by_seen_set(rm)
+
+
+def _classes(report):
+    """The (side_a, side_b, kind) triple of each class, as the census JSON
+    writes it."""
+    return [(tuple(c["sideA"]), tuple(c["sideB"]), c["kind"]) for c in report.to_json()["classes"]]
 
 
 def _rank_two_by_product_filter(rm):
@@ -519,13 +529,12 @@ def test_rank_two_matches_the_product_filter_class_by_class(f):
     report = enumerate_rank_two(rm)
     counts, classes = _rank_two_by_product_filter(rm)
     assert list(report.counts.items()) == list(counts.items())
-    assert len(report.classes) == len(classes)
-    for got, (side_a, side_b, kind) in zip(report.classes, classes):
-        assert (got.side_a, got.side_b, got.kind) == (side_a, side_b, kind)
-        assert all(type(x) is int for pair in got.side_a + got.side_b for x in pair)
+    got = _classes(report)
+    assert got == classes
+    assert all(type(x) is int for side_a, side_b, _ in got for pair in side_a + side_b for x in pair)
 
 
-def _class_vectors_one_at_a_time(rm, cls):
+def _class_vectors_one_at_a_time(rm, side_a, side_b, kind):
     """(vectors, signs) of one real class, each factor built alone by _root_product."""
     d = rm.degree // 2
     entries = rm.entries()
@@ -533,11 +542,11 @@ def _class_vectors_one_at_a_time(rm, cls):
     def side(pairs):
         return [(entries[idx][0], count) for idx, count in pairs]
 
-    if cls.kind in ("psd", "nsd"):
-        sign = 1 if cls.kind == "psd" else -1
-        return _square_vectors(rm, side(cls.side_a)), [sign] * 2
-    u = _homogenize(rm.lead * _root_product(side(cls.side_a)), d)
-    v = _homogenize(_root_product(side(cls.side_b)), d)
+    if kind in ("psd", "nsd"):
+        sign = 1 if kind == "psd" else -1
+        return _square_vectors(rm, side(side_a)), [sign] * 2
+    u = _homogenize(rm.lead * _root_product(side(side_a)), d)
+    v = _homogenize(_root_product(side(side_b)), d)
     return np.array([((u + v) / 2.0).real, ((u - v) / 2.0).real]), [1, -1]
 
 
@@ -563,11 +572,11 @@ def test_real_class_vectors_have_the_bits_of_each_class_built_alone(f):
     rm = roots(f)
     report = enumerate_rank_two(rm)
     vectors, signs = real_class_vectors(rm, report)
-    real = [cls for cls in report.classes if cls.kind != "complex"]
+    real = [cls for cls in _classes(report) if cls[2] != "complex"]
     assert vectors.shape == (len(real), 2, rm.degree // 2 + 1)
     assert signs.shape == (len(real), 2)
     for got, got_signs, cls in zip(vectors, signs.tolist(), real):
-        want, want_signs = _class_vectors_one_at_a_time(rm, cls)
+        want, want_signs = _class_vectors_one_at_a_time(rm, *cls)
         assert got.tobytes() == want.tobytes()
         assert got_signs == want_signs
 

@@ -1,6 +1,7 @@
 """Command line round trips and exit codes."""
 
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -44,7 +45,7 @@ def test_table_json_shows_which_row_failed_verification(tmp_path, monkeypatch):
     assert cli.main(argv) == cli.EXIT_OK
     (row,) = json.loads(out.read_text())["rows"]
     assert row["verified"] is True and 0 <= row["worstResidual"] <= cli.VERIFY_TOL
-    monkeypatch.setattr(enumerator, "verify_representation", lambda form, rep: 1.0)
+    monkeypatch.setattr(enumerator, "gram_residual", lambda f, basis, G: np.ones(len(G)))
     assert cli.main(argv) == cli.EXIT_VERIFY
     (row,) = json.loads(out.read_text())["rows"]
     assert row["verified"] is False and row["worstResidual"] == 1.0
@@ -253,7 +254,7 @@ def test_enumerate_on_a_genus_four_scroll_exits_three(tmp_path, capsys):
 
 
 def test_enumerate_and_table_exit_verify_on_a_large_residual(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(enumerator, "verify_representation", lambda form, rep: 1.0)
+    monkeypatch.setattr(enumerator, "gram_residual", lambda f, basis, G: np.ones(len(G)))
     form_path = tmp_path / "form.json"
     form_path.write_text(json.dumps(random_positive_form(scroll(1, 1), seed=3).to_json()))
     argv = ["enumerate", str(form_path), "--surface", "scroll(1,1)"]
@@ -438,14 +439,17 @@ def _zero_square_added(cert):
              for d in cert["result"]["heights"]]
         )
         return cert
-    if kind == "enumeration":
-        reps = [e["representation"] for e in cert["report"]["entries"] if e["representation"]]
-    else:
-        reps = [item["representation"] for item in cert["representations"]]
-    for rep in reps:
+    for rep in _certificate_reps(cert):
         rep["vectors"].append([0.0] * len(rep["basis"]))
         rep["signs"].append(1)
     return cert
+
+
+def _certificate_reps(cert):
+    """The representations of an enumeration or two-squares certificate."""
+    if cert["kind"] == "enumeration":
+        return [e["representation"] for e in cert["report"]["entries"] if e["representation"]]
+    return [item["representation"] for item in cert["representations"]]
 
 
 @pytest.mark.parametrize(
@@ -456,6 +460,49 @@ def test_verify_rejects_a_certificate_padded_with_a_zero_square(tmp_path, name, 
     cert = _zero_square_added(json.loads((DATA / (name + ".json")).read_text()))
     assert _verify_edited(tmp_path, cert) == cli.EXIT_VERIFY
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["two_squares_d3", "enumeration_cone3"])
+def test_verify_fails_a_certificate_whose_vectors_are_nan(tmp_path, name, capsys):
+    # every residual is NaN, which no bound admits
+    cert = json.loads((DATA / (name + ".json")).read_text())
+    for rep in _certificate_reps(cert):
+        rep["vectors"] = [[math.nan] * len(vec) for vec in rep["vectors"]]
+    assert _verify_edited(tmp_path, cert) == cli.EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "residual nan" in out and "PASS" not in out
+
+
+def test_enumerate_and_table_exit_verify_on_one_nan_residual(tmp_path, monkeypatch, capsys):
+    # max(1e-16, nan) is 1e-16: a NaN after a finite residual must still fail
+    real = enumerator.gram_residual
+
+    def last_nan(f, basis, G):
+        resid = real(f, basis, G)
+        assert len(resid) > 1
+        resid[-1] = math.nan
+        return resid
+
+    monkeypatch.setattr(enumerator, "gram_residual", last_nan)
+    for spec in (scroll(1, 1), cone_rnc(4)):
+        form_path = tmp_path / "form.json"
+        form_path.write_text(json.dumps(random_positive_form(spec, seed=3).to_json()))
+        assert cli.main(["enumerate", str(form_path), "--surface", str(spec)]) == cli.EXIT_VERIFY
+        assert "residual above bound" in capsys.readouterr().err
+    out = tmp_path / "table.json"
+    argv = ["table", "--surfaces", "scroll(1,1),cone_rnc(4)", "--json-out", str(out)]
+    assert cli.main(argv) == cli.EXIT_VERIFY
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 2
+    assert all(math.isnan(row["worstResidual"]) and row["verified"] is False for row in rows)
+
+
+def test_two_squares_exits_verify_on_one_nan_residual(tmp_path, monkeypatch):
+    residuals = iter([0.0, math.nan, 0.0, 0.0])
+    monkeypatch.setattr(cli, "verify_representation", lambda form, rep: next(residuals))
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(random_nonneg_binary(3, seed=9).to_json()))
+    assert cli.main(["two-squares", str(form_path)]) == cli.EXIT_VERIFY
 
 
 def test_verify_lets_a_stalled_factorization_keep_its_extra_columns(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 
 from minsos import enumerator
 from minsos.biform import TermPoly
+from minsos.cones import enumerate_cone
 from minsos.enumerator import (
     CLUSTER_RADIUS,
     RESIDUAL_TOL,
@@ -30,7 +31,14 @@ from minsos.errors import (
 )
 from minsos.gram import build_gram_space, extract_representation, verify_representation
 from minsos.sampling import random_positive_form
-from minsos.surfaces import cone_rnc, expected_counts, genericity_check, scroll, veronese
+from minsos.surfaces import (
+    CONE_RNC,
+    cone_rnc,
+    expected_counts,
+    genericity_check,
+    scroll,
+    veronese,
+)
 from minsos.tracking import (
     STATUS_CONVERGED,
     STATUS_DIVERGED,
@@ -199,14 +207,13 @@ def test_enumerate_entries_are_verified_rank3():
 def test_classify_labels_certifies_and_counts_the_given_classes():
     # theta = 1 is a psd rank-3 point of the g1 form, theta = sqrt(3) an
     # indefinite one; the psd class comes without a representation and the
-    # indefinite one with its own
+    # indefinite one with its own, and so with its own Gram matrix
     space = build_gram_space(_g1_form(), scroll(1, 1))
     psd_theta, ind_theta = np.array([1.0]), np.array([np.sqrt(3.0)])
-    G_ind = space.gram_at(ind_theta)
-    given = extract_representation(space, G_ind)
+    given = extract_representation(space, space.gram_at(ind_theta))
     report = classify(
         space,
-        [(psd_theta, space.gram_at(psd_theta), None), (ind_theta, G_ind, given)],
+        [(psd_theta, space.gram_at(psd_theta), None), (ind_theta, given.gram(), given)],
         4,
         notes=["route note"],
     )
@@ -222,6 +229,33 @@ def test_classify_labels_certifies_and_counts_the_given_classes():
     extracted = psd_entry["representation"]
     assert extracted.nforms == 3 and extracted.signs == [1, 1, 1]
     assert psd_entry["verify_residual"] == verify_representation(space.form, extracted) <= 1e-8
+
+
+def _certified_report(spec, seed):
+    """The form of spec at seed and its count report: the apex reduction on a
+    cone, the homotopy over the Gram space otherwise."""
+    form = random_positive_form(spec, seed=seed)
+    if spec.kind == CONE_RNC:
+        return form, enumerate_cone(form, spec)
+    return form, enumerate_rank(build_gram_space(form, spec), seed=seed)
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [(cone_rnc(d), seed) for d in range(3, 7) for seed in range(3)]
+    + [(scroll(1, 1), seed) for seed in range(3)],
+    ids=["cone%d-seed%d" % (d, seed) for d in range(3, 7) for seed in range(3)]
+    + ["scroll11-seed%d" % seed for seed in range(3)],
+)
+def test_every_verify_residual_has_the_bits_of_its_representation_alone(spec, seed):
+    # classify verifies every certificate in one stacked residual call, from
+    # the cone's stacked Gram matrices or from gram() of an extracted rep
+    form, report = _certified_report(spec, seed)
+    certified = [entry for entry in report.entries if "representation" in entry]
+    assert len(certified) == report.counts["real" if spec.kind == CONE_RNC else "psd"] > 0
+    for entry in certified:
+        want = verify_representation(form, entry["representation"])
+        assert entry["verify_residual"].hex() == want.hex()
 
 
 def test_enumerate_deterministic_per_seed():

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minsos.biform import TermPoly
+from minsos.biform import BinaryForm, TermPoly
 from minsos.errors import DimensionMismatch, NonSymmetric, NotInFiber
 from minsos.factorization import prism_gram_space
 from minsos.gram import (
@@ -28,7 +28,7 @@ from minsos.gram import (
     verify_representation,
 )
 from minsos.sampling import random_dyad_matrix, random_positive_form
-from minsos.surfaces import PrismSpec, cone_rnc, monomial_basis, scroll, veronese
+from minsos.surfaces import MonomialBasis, PrismSpec, cone_rnc, monomial_basis, scroll, veronese
 
 
 def _space(spec, seed=3):
@@ -210,6 +210,36 @@ def test_gram_residual_counts_form_terms_outside_2p():
     zero = [[Fraction(0)] * 4 for _ in range(4)]
     assert gram_residual(f, basis, zero) == 5
     assert gram_residual(f, basis, np.zeros((4, 4))) == 5.0
+
+
+def _rnc_basis(d):
+    return MonomialBasis(tuple((i, d - i) for i in range(d + 1)), 2, ("s", "t"))
+
+
+@pytest.mark.parametrize(
+    "basis, f",
+    [
+        (monomial_basis(scroll(2, 1)), random_positive_form(scroll(2, 1), seed=3)),
+        # s^3 t x y lies outside 2P; the other 2P monomials are absent
+        (monomial_basis(scroll(1, 1)), TermPoly(4, {(3, 1, 1, 1): 5, (2, 0, 2, 0): Fraction(1, 3)})),
+        (_rnc_basis(2), BinaryForm([Fraction(1, 3), 0, 0, 0, 2], 4)),
+        # complex doubles: the imaginary part of s^2 t^2 counts
+        (_rnc_basis(2), BinaryForm([1.5, 0.0, 0.25j, 0.0, 2.0], 4)),
+    ],
+    ids=["scroll21", "outside-2P", "binary-absent", "binary-complex"],
+)
+def test_gram_residual_of_a_stack_has_the_bits_of_each_matrix_alone(basis, f):
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((6, len(basis), len(basis)))
+    Gs = M + M.transpose(0, 2, 1)
+    got = gram_residual(f, basis, Gs)
+    assert got.shape == (6,)
+    assert got.tobytes() == np.array([gram_residual(f, basis, G) for G in Gs]).tobytes()
+    # one NaN entry makes its matrix's residual NaN, and only that one
+    Gs[2, 0, 1] = Gs[2, 1, 0] = np.nan
+    got = gram_residual(f, basis, Gs)
+    assert np.isnan(got[2]) and np.all(np.isfinite(np.delete(got, 2)))
+    assert np.isnan(gram_residual(f, basis, Gs[2]))
 
 
 def test_gram_at_exact_stays_on_fiber():
@@ -402,13 +432,13 @@ def test_representation_json_roundtrip_exact_and_float():
         basis=basis, vectors=[[Fraction(1, 2), 0, 0, 1]], signs=[1], exact=True
     )
     back = Representation.from_json(exact.to_json())
-    assert back.exact and equivalent(exact, back)
+    assert back.exact and back.gram_exact() == exact.gram_exact()
 
     rough = Representation(
         basis=basis, vectors=[[0.5, 0.0, 0.0, 1.0]], signs=[1], exact=False
     )
     back2 = Representation.from_json(rough.to_json())
-    assert not back2.exact and equivalent(rough, back2)
+    assert not back2.exact and equivalent(rough.gram(), back2.gram())
 
 
 def test_equivalent_detects_gauge_rotation():
@@ -420,11 +450,9 @@ def test_equivalent_detects_gauge_rotation():
     def rep_of(vs):
         return Representation(basis=basis, vectors=list(vs), signs=[1] * len(vs))
 
-    rep1 = rep_of([p, q])
-    rep2 = rep_of([c * p + s * q, -s * p + c * q])
-    assert equivalent(rep1, rep2)
-    rep3 = rep_of([p, 2.0 * q])
-    assert not equivalent(rep1, rep3)
+    G1 = rep_of([p, q]).gram()
+    assert equivalent(G1, rep_of([c * p + s * q, -s * p + c * q]).gram())
+    assert not equivalent(G1, rep_of([p, 2.0 * q]).gram())
 
 
 def test_representation_rejects_vectors_of_the_wrong_length():
