@@ -269,6 +269,8 @@ def cmd_two_squares(args):
 
 def cmd_table(args):
     names = [p for p in _LIST_SPLIT.split(args.surfaces) if p.strip()]
+    if not names:
+        raise ValueError("no surfaces given")
     specs = [parse_surface(p) for p in names]
     seeds = distinct_seeds(args.seed, 2 * len(specs))
     rows = []

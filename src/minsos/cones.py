@@ -93,5 +93,9 @@ def enumerate_cone(f, spec):
     grams = gram_stack(vectors, signs)
     reps = [Representation(space.basis, v, s) for v, s in zip(vectors.tolist(), signs.tolist())]
     classes = list(zip(space.fiber_coordinates(grams), grams, reps))
-    note = "enumerated through the apex reduction to the base curve"
-    return enumerator.classify(space, classes, census.counts["complex"], notes=[note])
+    notes = ["enumerated through the apex reduction to the base curve"]
+    # g = det M / a has the roots of det M, so a repeated root of g is the
+    # non-generic case genericity_check reports from det M
+    if any(mult > 1 for _, mult in rm.entries()):
+        notes.append("discriminant is not squarefree")
+    return enumerator.classify(space, classes, census.counts["complex"], notes)

@@ -1,12 +1,11 @@
 """Enumeration of low-rank points on a Gram spectrahedron.
 
 The rank <= r locus of the affine family G(theta) = G0 + sum theta_i K_i is
-cut out by all (r+1) x (r+1) minors.  Symmetry of G makes the minor for row
-set I and column set J equal to the one for (J, I), so only pairs with
-I <= J are expanded.  A seeded square subsystem of k random complex
-combinations of the minors is solved by total-degree homotopy continuation;
-endpoints are filtered against the full minor list, clustered, tagged real,
-and classified by inertia.
+cut out by all (r+1) x (r+1) minors, expanded one size at a time; G is
+symmetric, so only minors with row set I <= column set J are kept.  A seeded
+square subsystem of k random complex combinations of the minors is solved by
+total-degree homotopy continuation; endpoints are filtered against the full
+minor list, clustered, tagged real, and classified by inertia.
 
 Where the paper gives the generic number of rank-3 points (expected_counts),
 that number is the one completeness test: the first sweep stops once it
@@ -88,60 +87,6 @@ def _shift_tables(monos, k, maxdeg):
     return tables
 
 
-class _AffineDet:
-    """Expands determinants of submatrices of G0 + sum theta_i K_i.
-
-    Entries are affine in theta; Laplace expansion along rows of the fixed
-    row set I shares sub-determinants across all column sets J through a
-    per-I memo keyed by (depth, columns).
-    """
-
-    def __init__(self, G0, kernel, monos, shifts):
-        self.G0 = G0
-        self.kernel = kernel  # (k, N, N)
-        self.k = kernel.shape[0]
-        self.nmono = len(monos)
-        self.shifts = shifts
-
-    def _entry_vec(self, a, b):
-        vec = np.zeros(self.nmono)
-        vec[0] = self.G0[a, b]
-        # degree-one monomials occupy slots 1..k in graded order
-        for v in range(self.k):
-            vec[1 + v] = self.kernel[v, a, b]
-        return vec
-
-    def _affine_mul(self, a, b, vec):
-        out = self.G0[a, b] * vec
-        for v in range(self.k):
-            coeff = self.kernel[v, a, b]
-            if coeff != 0.0:
-                src, dst = self.shifts[v]
-                out[dst] += coeff * vec[src]
-        return out
-
-    def minor(self, I, J, memo):
-        return self._det(I, tuple(J), 0, memo)
-
-    def _det(self, I, J, depth, memo):
-        key = (depth, J)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        row = I[depth]
-        if len(J) == 1:
-            vec = self._entry_vec(row, J[0])
-        else:
-            vec = np.zeros(self.nmono)
-            sign = 1.0
-            for pos in range(len(J)):
-                sub = self._det(I, J[:pos] + J[pos + 1 :], depth + 1, memo)
-                vec += sign * self._affine_mul(row, J[pos], sub)
-                sign = -sign
-        memo[key] = vec
-        return vec
-
-
 @dataclass
 class MinorSystem:
     """All (rank+1)-minors of a Gram family plus a seeded square subsystem."""
@@ -197,10 +142,16 @@ class MinorSystem:
 def minor_system(space, rank, seed=0):
     """Expand the (rank+1)-minors of G(theta) and draw a square subsystem.
 
-    Minors are expanded exactly in floating point (the entries are affine
-    with rational coefficients) over a dense graded monomial index.  The
-    square subsystem takes k independent complex Gaussian combinations of
-    the full minor list, seeded for reproducibility.
+    A minor is a dense row over the graded monomial index.  From the
+    constant 1 of size 0, each size s = 1 .. m (m = rank + 1) takes one
+    Laplace pass along the first row a = I[0] of every (I, J) at once: the
+    sum over p, with signs alternating from +1, of G0[a, J[p]] and each
+    nonzero K_v[a, J[p]], shifted by theta_v, times the minor on I[1:] and
+    J without J[p].  A size-m minor reads only the tails of its row set,
+    and a tail of size s lies in rows m - s .. N - 1, so those rows give
+    the row sets of size s; column sets are all s-subsets, and size m keeps
+    only I <= J, I-major.  The square subsystem is k seeded complex
+    Gaussian combinations of the full minor list.
     """
     N = space.size
     k = space.kdim
@@ -213,17 +164,36 @@ def minor_system(space, rank, seed=0):
     m = rank + 1
     monos = _monomials(k, m)
     shifts = _shift_tables(monos, k, m)
-    expander = _AffineDet(space.G0_f, space.kernel_f, monos, shifts)
-    subsets = list(itertools.combinations(range(N), m))
-    rows = []
-    for i, I in enumerate(subsets):
-        memo = {}
-        for J in subsets[i:]:
-            rows.append(expander.minor(I, J, memo))
-    minors = np.array(rows)
+    G0, kernel = space.G0_f, space.kernel_f
+    rows = cols = [()]
+    minors = np.zeros((1, 1, len(monos)))
+    minors[0, 0, 0] = 1.0
+    for s in range(1, m + 1):
+        row_at = {R: i for i, R in enumerate(rows)}
+        col_at = {C: j for j, C in enumerate(cols)}
+        rows = list(itertools.combinations(range(m - s, N), s))
+        cols = list(itertools.combinations(range(N), s))
+        if s < m:
+            i, j = np.divmod(np.arange(len(rows) * len(cols)), len(cols))
+        else:
+            i, j = np.triu_indices(len(rows))
+        a = np.array([R[0] for R in rows])[i]
+        sub_rows = np.array([row_at[R[1:]] for R in rows])[i]
+        b = np.array(cols)[j]
+        sub_cols = np.array([[col_at[C[:p] + C[p + 1 :]] for p in range(s)] for C in cols])[j]
+        out = np.zeros((len(i), len(monos)))
+        for p in range(s):
+            sub = minors[sub_rows, sub_cols[:, p]]
+            term = G0[a, b[:, p]][:, None] * sub
+            for v, (src, dst) in enumerate(shifts):
+                coeff = kernel[v, a, b[:, p]]
+                at = np.flatnonzero(coeff)[:, None]
+                term[at, dst] += coeff[at] * sub[at, src]
+            out += (-1.0) ** p * term
+        minors = out.reshape(len(rows), len(cols), -1) if s < m else out
     rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal((k, len(rows))) + 1j * rng.standard_normal(
-        (k, len(rows))
+    coeff = rng.standard_normal((k, len(minors))) + 1j * rng.standard_normal(
+        (k, len(minors))
     )
     return MinorSystem(
         space=space,
@@ -501,9 +471,9 @@ def classify(space, classes, complex_count, notes=(), path_stats=None):
     None is read off a psd G by extract_representation; a given rep comes
     with its own Gram matrix as G, the bits of rep.gram().  Every rep is
     re-verified against the form by one stacked gram_residual call over
-    those matrices.  The genericity diagnostics follow the caller's notes,
-    and a warning is attached when complex_count falls short of the generic
-    count for the surface.
+    those matrices.  The report's notes are the caller's, and a warning is
+    attached when complex_count falls short of the generic count for the
+    surface.
     """
     counts = {"complex": complex_count, "real": len(classes), "psd": 0, "indefinite": 0}
     entries = []
@@ -523,16 +493,13 @@ def classify(space, classes, complex_count, notes=(), path_stats=None):
         residuals = gram_residual(space.form, space.basis, np.array([G for _, G in certified]))
         for (entry, _), resid in zip(certified, residuals.tolist()):
             entry["verify_residual"] = resid
-    notes = list(notes)
-    if space.surface is not None and space.form is not None:
-        notes.extend(genericity_check(space.form, space.surface))
     return CountReport(
         counts=counts,
         expected=expected_counts(space.surface),
         warning=count_warning(space.surface, complex_count),
         entries=entries,
         path_stats=dict(path_stats or {}),
-        notes=notes,
+        notes=list(notes),
     )
 
 
@@ -585,7 +552,8 @@ def enumerate_rank(space, rank=3, seed=0):
     solutions = solve(system, seed=gamma_seed)
     real = [p.real for p, is_real in zip(solutions.points, solutions.is_real) if is_real]
     classes = [(theta, space.gram_at(theta), None) for theta in real]
-    report = classify(space, classes, len(solutions), path_stats=solutions.path_stats)
+    notes = genericity_check(space.form, space.surface) if space.surface is not None else []
+    report = classify(space, classes, len(solutions), notes, solutions.path_stats)
     if report.warning is not None:
         report.notes += _path_notes(solutions)
     report.solution_set = solutions

@@ -87,10 +87,9 @@ class PolySystem:
     The system is balanced when it is built (see _balance): equation i is
     multiplied by 2^r_i and variable v is replaced by u_v = theta_v 2^(-s_v),
     so the system the tracker follows has the coefficients c 2^(r_i + e.s)
-    in the variables u.  Every method that takes or returns points
-    (evaluate, and track_all and newton_polish below) works in the caller's
-    variables theta and the caller's equations; only the private helpers
-    work in u.
+    in the variables u.  Every function that takes or returns points
+    (track_all and newton_polish below) works in the caller's variables
+    theta and the caller's equations; only the private helpers work in u.
 
     Coefficients are stored densely over one monomial table that holds the
     union support and every first derivative of it: C[i, j] is the balanced
@@ -161,11 +160,6 @@ class PolySystem:
             roots.append(np.exp(1j * angles))
         grids = np.meshgrid(*roots, indexing="ij")
         return np.stack([g.reshape(-1) for g in grids], axis=-1)
-
-    def evaluate(self, theta):
-        """The caller's F(theta) for a single point."""
-        F = self._eval_JF(self.to_tracked(theta)[None])[1][0, :, -1]
-        return F * 2.0 ** -self.equation_scale
 
     def _eval_JF(self, x):
         """(powers, JF) of the balanced system at the rows of u = x (P, k).

@@ -28,6 +28,15 @@ def test_table_exits_ok_when_counts_match(capsys):
     assert "OK" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("surfaces", ["", " , "])
+def test_table_without_surfaces_is_an_input_error(surfaces, capsys):
+    # an empty table would print nothing and read as a passing run
+    assert cli.main(["table", "--surfaces", surfaces]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: no surfaces given\n"
+
+
 def test_table_exits_verify_on_mismatch(monkeypatch, capsys):
     def wrong_counts(surface):
         return {"complex": 5, "real": 4, "psd": 2, "indefinite": 2}

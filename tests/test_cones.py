@@ -10,19 +10,22 @@ balanced-pairing counts of the reduced binary form: C(2d, d)/2 complex
 classes, 2^(d-1) of them psd, plus C(d, d/2)/2 indefinite ones for even d.
 """
 
+import json
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from minsos import cones, enumerator
 from minsos.biform import BinaryForm, TermPoly
 from minsos.cones import enumerate_cone, lift, split
 from minsos.errors import ApexCoefficientNotPositive, NotAScroll
 from minsos.gram import Representation, build_gram_space, gram_stack, verify_representation
 from minsos.binary_sos import enumerate_rank_two, enumerate_two_squares, real_class_vectors, roots
 from minsos.sampling import random_positive_form
-from minsos.surfaces import cone_rnc, monomial_basis, scroll
+from minsos.surfaces import cone_rnc, genericity_check, monomial_basis, scroll
 
 from form_algebra import add, mul, sub
 
@@ -131,6 +134,29 @@ def test_enumerate_cone_small_counts():
     assert report.counts == {"complex": 3, "real": 3, "psd": 2, "indefinite": 1}
     assert report.warning is None
     assert any("apex reduction" in note for note in report.notes)
+
+
+_CONE_GOLDENS = sorted((Path(__file__).parent / "data").glob("enumeration_cone3*.json"))
+
+
+def test_cone_notes_read_det_m_off_the_roots_of_g(monkeypatch):
+    # enumerate_cone reads the genericity note off the roots of g = det M / a
+    # it already holds, and calls no genericity_check; the note is the one
+    # genericity_check gives on det M
+    forms = [(TermPoly.from_json(json.loads(path.read_text())["form"]), cone_rnc(3))
+             for path in _CONE_GOLDENS]
+    forms += [(_cone_form(d, seed), cone_rnc(d)) for d in (2, 3, 4, 5) for seed in range(3)]
+    want = [genericity_check(f, spec) for f, spec in forms]
+    assert ["discriminant is not squarefree"] in want and [] in want
+
+    def unexpected(f, spec):
+        raise AssertionError("genericity_check ran")
+
+    monkeypatch.setattr(cones, "genericity_check", unexpected)
+    monkeypatch.setattr(enumerator, "genericity_check", unexpected)
+    for (f, spec), notes in zip(forms, want):
+        report = enumerate_cone(f, spec)
+        assert report.notes == ["enumerated through the apex reduction to the base curve"] + notes
 
 
 def test_enumerate_cone_d4_counts():

@@ -6,6 +6,8 @@ numpy's companion-matrix roots can produce with no homotopy involved.  The
 enumerator must reproduce that root set point for point.
 """
 
+import hashlib
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +31,13 @@ from minsos.errors import (
     RankTooLarge,
     SystemTooLarge,
 )
-from minsos.gram import build_gram_space, extract_representation, verify_representation
+from minsos.gram import (
+    build_gram_space,
+    extract_representation,
+    kernel_pairs,
+    solve_affine,
+    verify_representation,
+)
 from minsos.sampling import random_positive_form
 from minsos.surfaces import (
     CONE_RNC,
@@ -283,6 +291,103 @@ def test_minor_system_rejects_bad_rank():
         minor_system(space, 0)
     with pytest.raises(RankTooLarge):
         minor_system(space, 4)
+
+
+def _non_dyadic_form():
+    # every coefficient of a scroll(2,1) form divided by 3, plus 1/7, so the
+    # float entries of G0 are rounded
+    f = random_positive_form(scroll(2, 1), seed=0)
+    return TermPoly(f.nvars, {e: c / 3 + Fraction(1, 7) for e, c in f.terms.items()})
+
+
+# SHA-256 of minor_system(space, rank, seed=1).minors.tobytes(), written by
+# the recursive per-row-set expansion that the size-by-size Laplace pass
+# replaced; the pass makes the same products and sums in the same order
+_MINOR_DIGESTS = [
+    (scroll(1, 1), 3, "0d9b3180ffe903a8524748e344fd3cfb5e70fe41f755e684eeb2b73626113a2d"),
+    (scroll(2, 1), 3, "f8f125ed39be4d9d0877306669f9c0cedeacde935fcf6b1ff0cf2bc8972f40f5"),
+    (scroll(2, 2), 3, "4bd65c48678f0ec71048a1635f494ce870b95984566abf54ae049ae615bf1851"),
+    (cone_rnc(3), 3, "ae256f5dc609c2a4b5399c3276fe76179f6b1a622e1946ecab22f46384aa4fd0"),
+    (veronese(), 3, "472285e74c0ceb65acd35152a5f97f96cc7cde175698fc0d3e4cfaba2b33d9b4"),
+    ("non-dyadic", 3, "6d7b65550db74301f406ddaf1c4bd85f1540035c564f3172c71ae461779665d6"),
+    (veronese(), 1, "cb3f83595283a3faaa708f1b239e5b621c2623c14e699de1b78fe046d7302909"),
+    (veronese(), 2, "33b06ea1911ba62ff88d59fd8f51bba1d52d7f6720d6226affc307a86e536ffc"),
+    (veronese(), 4, "e1f6446dd3eef787bf5f7cbf928af556cbcb7b85acdbb51fbc321f18a1d3df82"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, rank, digest", _MINOR_DIGESTS, ids=["%s-rank%d" % (s, r) for s, r, _ in _MINOR_DIGESTS]
+)
+def test_minor_expansion_keeps_its_bits(spec, rank, digest):
+    if spec == "non-dyadic":
+        space = build_gram_space(_non_dyadic_form(), scroll(2, 1))
+    else:
+        space = build_gram_space(random_positive_form(spec, seed=0), spec)
+    minors = minor_system(space, rank, seed=1).minors
+    assert hashlib.sha256(minors.tobytes()).hexdigest() == digest
+
+
+def _leibniz_minors(space, rank):
+    """Every (rank+1)-minor of G0 + sum theta_i K_i, over the rationals.
+
+    G0 and the K_i are the exact fiber of solve_affine and kernel_pairs;
+    each minor is the Leibniz sum over permutations of products of affine
+    entries, kept as {exponent tuple: Fraction}.  The minors come in the
+    order of minor_system: pairs of row and column sets I <= J, I-major.
+    """
+    pairs = space.basis.pair_map
+    n, k = space.size, space.kdim
+    mult = pairs.mult.tolist()
+    G0 = [[Fraction(0)] * n for _ in range(n)]
+    for p, value in enumerate(solve_affine(pairs, space._rhs(Fraction))):
+        G0[pairs.a[p]][pairs.b[p]] = G0[pairs.b[p]][pairs.a[p]] = value
+    K = [[[Fraction(0)] * n for _ in range(n)] for _ in range(k)]
+    for v, (p, q) in enumerate(zip(*(x.tolist() for x in kernel_pairs(pairs)))):
+        for at, value in ((p, Fraction(1)), (q, Fraction(-mult[p], mult[q]))):
+            K[v][pairs.a[at]][pairs.b[at]] = K[v][pairs.b[at]][pairs.a[at]] = value
+    unit = [tuple(int(i == v) for i in range(k)) for v in range(k)]
+
+    def entry(a, b):
+        poly = {(0,) * k: G0[a][b]}
+        poly.update((unit[v], K[v][a][b]) for v in range(k))
+        return {e: c for e, c in poly.items() if c}
+
+    def times(f, g):
+        out = {}
+        for e1, c1 in f.items():
+            for e2, c2 in g.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return out
+
+    subsets = list(itertools.combinations(range(n), rank + 1))
+    for i, I in enumerate(subsets):
+        for J in subsets[i:]:
+            total = {}
+            for perm in itertools.permutations(range(rank + 1)):
+                inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+                term = {(0,) * k: Fraction((-1) ** inversions)}
+                for r, c in enumerate(perm):
+                    term = times(term, entry(I[r], J[c]))
+                for e, c in term.items():
+                    total[e] = total.get(e, 0) + c
+            yield total
+
+
+@pytest.mark.parametrize("spec", [scroll(1, 1), scroll(2, 1), cone_rnc(3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minor_coefficients_equal_the_exact_leibniz_expansion(spec, seed):
+    # the sampled forms are dyadic, and so are G0 and the K_i: every float
+    # product and sum of the expansion is exact
+    space = build_gram_space(random_positive_form(spec, seed=seed), spec)
+    system = minor_system(space, 3, seed=0)
+    monos = [tuple(e) for e in system.mono_exps.tolist()]
+    exact = list(_leibniz_minors(space, 3))
+    assert len(exact) == len(system.minors)
+    for row, poly in zip(system.minors.tolist(), exact):
+        assert set(poly) <= set(monos)
+        assert [Fraction(c) for c in row] == [poly.get(e, 0) for e in monos]
 
 
 def test_genus_four_scroll_is_refused_before_any_minor_is_expanded(monkeypatch):
